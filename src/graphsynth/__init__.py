@@ -27,8 +27,7 @@ from .synthesis import (DyadData, SingularDesign, WeightVector, combo_graphon,
                         population_projection, predict_clipped, project_simplex)
 from .sampling import (GraphSample, PhaseCurve, giant_fraction, make_rng,
                        phase_sweep, sample_dyads, sample_graph,
-                       sample_graph_from_prob_matrix, sample_sparse_graph,
-                       split_rngs)
+                       sample_sparse_graph, split_rngs)
 from .netstats import (DegreePmf, GraphStatistics, NetstatsError,
                        bounded_tilt_bracket, centralities,
                        degree_pmf_from_sample, fit_tail_exponent,
@@ -37,7 +36,7 @@ from .netstats import (DegreePmf, GraphStatistics, NetstatsError,
                        power_law_pmf, tilt_degree_pmf, triangle_count,
                        verify_tail_bracket)
 from .evaluation import (MetricReport, PairedGapReport, SplitError, SplitSpec,
-                         audit_split, auc_score, average_precision, baselines,
+                         audit_split, auc_score, average_precision,
                          cv_best_agent, fit_logistic_stack, make_split,
                          paired_gaps, score_metrics)
 from .experiments import (ConfigError, ExperimentConfig, RunManifest,

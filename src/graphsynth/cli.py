@@ -33,8 +33,6 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="base seed override")
         p.add_argument("--out", metavar="DIR", default=None,
                        help="output directory override")
-        p.add_argument("--threads", metavar="N", type=int, default=None,
-                       help="worker thread count")
 
     for verb, desc in (("s1", "synthetic one-shot comparison"),
                        ("s2", "learning curve over the n grid"),
@@ -70,8 +68,6 @@ def _load_config(args, experiment: str) -> ExperimentConfig:
         base["base_seed"] = args.seed
     if args.out is not None:
         base["out_dir"] = args.out
-    if args.threads is not None:
-        base["threads"] = args.threads
     if getattr(args, "dataset", None):
         base["dataset"] = args.dataset
     return ExperimentConfig.from_dict(base)

@@ -447,10 +447,3 @@ def fit_logistic_stack(features: np.ndarray, labels: np.ndarray,
         if flat_run >= plateau_steps:
             break
     return beta
-
-
-def baselines(train_features, train_labels, val_features, val_labels) -> dict:
-    """Validation-selected best agent plus a logistic stacking model."""
-    best = cv_best_agent(val_features, val_labels)
-    stack = fit_logistic_stack(train_features, train_labels)
-    return {"cv_best_agent": best, "stack_logistic": stack}

@@ -59,7 +59,6 @@ class ExperimentConfig:
     base_seed: int = 20240601
     out_dir: str = "runs"
     replicates: int = 20
-    threads: int = 1
     # agent hyperparameters (fixed across splits)
     sbm_k: int = 5
     rdpg_d: int = 3
@@ -95,7 +94,7 @@ class ExperimentConfig:
         if self.experiment not in EXPERIMENTS:
             raise ConfigError(f"unknown experiment {self.experiment!r}; "
                               f"choose from {EXPERIMENTS}")
-        for name in ("replicates", "threads", "sbm_k", "rdpg_d", "deghist_bins",
+        for name in ("replicates", "sbm_k", "rdpg_d", "deghist_bins",
                      "m_train", "m_val", "m_test", "phase_n", "phase_reps",
                      "splits_per_regime", "dyads_per_n"):
             if getattr(self, name) < 1:

@@ -6,21 +6,8 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse
 
 from .sampling import GraphSample
-
-try:
-    from numba import njit
-    _HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - numba is a declared dependency
-    _HAVE_NUMBA = False
-
-    def njit(*args, **kwargs):
-        def deco(fn):
-            return fn
-        return deco if not (args and callable(args[0])) else args[0]
-
 
 class NetstatsError(ValueError):
     pass
@@ -82,51 +69,7 @@ def graph_statistics(g: GraphSample) -> GraphStatistics:
 # centralities
 # ---------------------------------------------------------------------------
 
-@njit(cache=True)
-def _brandes_csr(n, indptr, indices):  # pragma: no cover - jitted
-    closeness_sum = np.zeros(n, dtype=np.float64)
-    reach = np.zeros(n, dtype=np.int64)
-    between = np.zeros(n, dtype=np.float64)
-    dist = np.empty(n, dtype=np.int64)
-    sigma = np.empty(n, dtype=np.float64)
-    delta = np.empty(n, dtype=np.float64)
-    order = np.empty(n, dtype=np.int64)
-    for s in range(n):
-        for i in range(n):
-            dist[i] = -1
-            sigma[i] = 0.0
-            delta[i] = 0.0
-        dist[s] = 0
-        sigma[s] = 1.0
-        order[0] = s
-        head = 0
-        tail = 1
-        while head < tail:
-            v = order[head]
-            head += 1
-            for ptr in range(indptr[v], indptr[v + 1]):
-                u = indices[ptr]
-                if dist[u] < 0:
-                    dist[u] = dist[v] + 1
-                    order[tail] = u
-                    tail += 1
-                if dist[u] == dist[v] + 1:
-                    sigma[u] += sigma[v]
-        reach[s] = tail
-        total = 0
-        for i in range(1, tail):
-            total += dist[order[i]]
-        closeness_sum[s] = total
-        # dependency accumulation in reverse BFS order
-        for i in range(tail - 1, 0, -1):
-            v = order[i]
-            coeff = (1.0 + delta[v]) / sigma[v]
-            for ptr in range(indptr[v], indptr[v + 1]):
-                u = indices[ptr]
-                if dist[u] == dist[v] - 1:
-                    delta[u] += sigma[u] * coeff
-            between[v] += delta[v]
-    return closeness_sum, reach, between
+CENTRALITY_BLOCK = 256
 
 
 def centralities(g: GraphSample):
@@ -141,9 +84,40 @@ def centralities(g: GraphSample):
     n = g.n
     if n < 3:
         raise NetstatsError("centralities need n >= 3")
-    adj = g.adjacency()
-    closeness_sum, reach, between = _brandes_csr(
-        n, adj.indptr.astype(np.int64), adj.indices.astype(np.int64))
+    adj = g.adjacency().astype(np.float64)
+    closeness_sum = np.zeros(n)
+    reach = np.zeros(n, dtype=np.int64)
+    between = np.zeros(n)
+    # Brandes over a block of sources at once, one column per source:
+    # level-synchronous BFS by sparse matmul, then dependency accumulation
+    # from the deepest level up to level 1 (a source is not between its own
+    # pairs).  One matmul per level, so the cost grows with the diameter.
+    for start in range(0, n, CENTRALITY_BLOCK):
+        sources = np.arange(start, min(start + CENTRALITY_BLOCK, n))
+        cols = np.arange(sources.size)
+        dist = np.full((n, sources.size), -1, dtype=np.int64)
+        dist[sources, cols] = 0
+        sigma = np.zeros((n, sources.size))
+        sigma[sources, cols] = 1.0
+        frontier = sigma.copy()
+        depth = 0
+        while True:
+            frontier = adj @ frontier
+            frontier[dist >= 0] = 0.0
+            if not frontier.any():
+                break
+            depth += 1
+            dist[frontier > 0] = depth
+            sigma += frontier
+        reached = dist >= 0
+        reach[sources] = reached.sum(axis=0)
+        closeness_sum[sources] = np.where(reached, dist, 0).sum(axis=0)
+        delta = np.zeros_like(sigma)
+        for lvl in range(depth, 1, -1):
+            coeff = np.divide(1.0 + delta, sigma, out=np.zeros_like(sigma),
+                              where=dist == lvl)
+            delta += np.where(dist == lvl - 1, sigma * (adj @ coeff), 0.0)
+        between += delta.sum(axis=1)
     with np.errstate(divide="ignore", invalid="ignore"):
         closeness = np.where(closeness_sum > 0, (n - 1) / closeness_sum, 0.0)
     betweenness = between / ((n - 1) * (n - 2))

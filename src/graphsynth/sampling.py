@@ -10,6 +10,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse
+import scipy.sparse.csgraph
 
 from .graphons import Graphon, GraphonError, as_block
 from .synthesis import DyadData
@@ -55,13 +56,6 @@ class GraphSample:
         return scipy.sparse.csr_matrix(
             (data, (np.concatenate([i, j]), np.concatenate([j, i]))),
             shape=(self.n, self.n))
-
-    def adjacency_sets(self) -> list:
-        nbrs = [[] for _ in range(self.n)]
-        for i, j in self.edges:
-            nbrs[i].append(j)
-            nbrs[j].append(i)
-        return [np.array(sorted(a), dtype=np.int64) for a in nbrs]
 
 
 def _finish_edges(n, edges, degrees_from=True, latents=None, seed=None) -> GraphSample:
@@ -114,15 +108,6 @@ def sample_graph(w: Graphon, n: int, seed) -> GraphSample:
 
     edges = _dense_edges(prob_rows, n, rng)
     return _finish_edges(n, edges, latents=latents, seed=seed)
-
-
-def sample_graph_from_prob_matrix(pmat: np.ndarray, seed) -> GraphSample:
-    """Bernoulli graph from an explicit symmetric probability matrix."""
-    pmat = np.asarray(pmat, dtype=float)
-    n = pmat.shape[0]
-    rng = make_rng(seed)
-    edges = _dense_edges(lambda a, b: pmat[a:b], n, rng)
-    return _finish_edges(n, edges, seed=seed)
 
 
 def _sample_distinct(rng, n_items: int, k: int) -> np.ndarray:
@@ -221,29 +206,10 @@ def sample_dyads(w: Graphon, agents, m: int, seed) -> DyadData:
 # components and phase sweeps
 # ---------------------------------------------------------------------------
 
-def _union_find_components(n: int, edges: np.ndarray) -> np.ndarray:
-    parent = np.arange(n, dtype=np.int64)
-
-    def find(x):
-        root = x
-        while parent[root] != root:
-            root = parent[root]
-        while parent[x] != root:
-            parent[x], x = root, parent[x]
-        return root
-
-    for i, j in edges:
-        ri, rj = find(i), find(j)
-        if ri != rj:
-            parent[ri] = rj
-    return np.array([find(i) for i in range(n)], dtype=np.int64)
-
-
 def giant_fraction(g: GraphSample) -> float:
-    """Size of the largest connected component divided by n (union-find)."""
-    roots = _union_find_components(g.n, g.edges)
-    _, counts = np.unique(roots, return_counts=True)
-    return float(counts.max()) / g.n
+    """Size of the largest connected component divided by n."""
+    _, labels = scipy.sparse.csgraph.connected_components(g.adjacency(), directed=False)
+    return float(np.bincount(labels).max()) / g.n
 
 
 @dataclass

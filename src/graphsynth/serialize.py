@@ -1,7 +1,7 @@
 """Structured-text serialization for models and CSV export of results.
 
 Graphons and agents round-trip through tagged JSON documents; numeric
-results (grids, pmfs, phase curves, metric and gap reports) export as CSV
+results (phase curves, metric and gap reports) export as CSV
 with frozen headers.
 """
 
@@ -14,8 +14,7 @@ import numpy as np
 
 from . import agents as ag
 from . import graphons as gr
-from .evaluation import MetricReport, PairedGapReport
-from .netstats import DegreePmf
+from .evaluation import PairedGapReport
 from .sampling import GraphSample, PhaseCurve
 
 SCHEMA_VERSION = 1
@@ -157,24 +156,6 @@ def load_model(path):
 # CSV exports
 # ---------------------------------------------------------------------------
 
-def write_grid_csv(w: gr.Graphon, g: int, path) -> None:
-    """Row-major midpoint-grid export, header ``g,values...``."""
-    vals = gr.grid_values(w, g)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["g", "values..."])
-        for i in range(g):
-            writer.writerow([i] + [f"{v:.12g}" for v in vals[i]])
-
-
-def write_pmf_csv(pmf: ag.GraphPmf, path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["bitmask", "probability"])
-        for mask, p in enumerate(pmf.probs):
-            writer.writerow([mask, f"{p:.17g}"])
-
-
 def write_edge_list(g: GraphSample, path) -> None:
     """SNAP-style whitespace edge list with comment header."""
     with open(path, "w") as fh:
@@ -192,22 +173,6 @@ def write_phase_curve_csv(curve: PhaseCurve, path) -> None:
                              curve.n, curve.reps])
 
 
-def write_degree_pmf_csv(pmf: DegreePmf, path) -> None:
-    ccdf = pmf.ccdf()
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["k", "pmf", "ccdf"])
-        for k, (p, c) in enumerate(zip(pmf.probs, ccdf)):
-            writer.writerow([k, f"{p:.17g}", f"{c:.17g}"])
-
-
-def write_tail_fit_json(gamma_hat: float, window, r2: float, path) -> None:
-    with open(path, "w") as fh:
-        json.dump({"gamma_hat": gamma_hat, "window": list(window), "r2": r2},
-                  fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
 METRIC_CSV_HEADER = ["method", "split", "brier", "logloss", "auc", "ap", "ece",
                      "reliability", "resolution", "uncertainty", "n"]
 
@@ -223,14 +188,6 @@ def write_metric_reports_csv(rows, path) -> None:
                             [f"{d[k]:.12g}" for k in ("brier", "logloss", "auc", "ap",
                                                       "ece", "reliability", "resolution",
                                                       "uncertainty")] + [d["n"]])
-
-
-def write_reliability_bins_csv(report: MetricReport, path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["mean_prediction", "empirical_rate", "count"])
-        for p_bar, y_bar, count in report.reliability_bins:
-            writer.writerow([f"{p_bar:.12g}", f"{y_bar:.12g}", count])
 
 
 def write_gap_report_csv(report: PairedGapReport, path) -> None:

@@ -225,6 +225,17 @@ def test_s4_run_deterministic_outputs(tmp_path):
     assert m1.config_hash != m2.config_hash
 
 
+def test_s3_run_deterministic_outputs(tmp_path):
+    base = {"experiment": "s3", "lambda_grid": [0.5, 2.0], "phase_n": 2000,
+            "phase_reps": 2}
+    for name in ("a", "b"):
+        run_experiment(ExperimentConfig.from_dict(dict(base, out_dir=str(tmp_path / name))))
+    for fname in ("s3_curve.csv", "s3_summary.json"):
+        a = (tmp_path / "a" / "s3" / fname).read_bytes()
+        b = (tmp_path / "b" / "s3" / fname).read_bytes()
+        assert a == b
+
+
 def test_s3_mini_run(tmp_path):
     cfg = ExperimentConfig.from_dict({"experiment": "s3", "out_dir": str(tmp_path),
                                       "lambda_grid": [0.5, 2.0], "phase_n": 2000,

@@ -2,15 +2,16 @@
 
 import math
 
+import networkx as nx
 import numpy as np
 import pytest
 
 from graphsynth import (Constant, NetstatsError, bounded_tilt_bracket,
                         centralities, degree_pmf_from_sample, fit_tail_exponent,
-                        graph_statistics, hill_tail_exponent, mixture_degree_pmf,
-                        polynomial_tilt_exponent_bracket, power_law_pmf,
-                        sample_graph, tilt_degree_pmf, triangle_count,
-                        verify_tail_bracket)
+                        giant_fraction, graph_statistics, hill_tail_exponent,
+                        mixture_degree_pmf, polynomial_tilt_exponent_bracket,
+                        power_law_pmf, sample_graph, tilt_degree_pmf,
+                        triangle_count, verify_tail_bracket)
 from graphsynth.sampling import graph_from_edge_array
 from graphsynth.graphons import Block
 
@@ -145,6 +146,34 @@ def test_betweenness_matches_brute_force():
         g = graph_from_edge_array(n, edges)
         _, bt, _ = centralities(g)
         np.testing.assert_allclose(bt, brute_betweenness(n, g.edges), atol=1e-9)
+
+
+def test_graph_kernels_match_networkx():
+    """Closeness, betweenness and the giant fraction against networkx on
+    random graphs, sparse ones disconnected."""
+    rng = np.random.default_rng(31)
+    disconnected = 0
+    for _ in range(20):
+        n = int(rng.integers(3, 61))
+        p = rng.uniform(0.5, 6.0) / n
+        mask = np.triu(rng.random((n, n)) < p, 1)
+        g = graph_from_edge_array(n, np.argwhere(mask))
+        G = nx.Graph()
+        G.add_nodes_from(range(n))
+        G.add_edges_from(map(tuple, g.edges))
+        cl, bt, reachable = centralities(g)
+        dist = dict(nx.all_pairs_shortest_path_length(G))
+        sums = np.array([sum(dist[v].values()) for v in range(n)], dtype=float)
+        cl_nx = np.divide(n - 1, sums, out=np.zeros(n), where=sums > 0)
+        bt_nx = nx.betweenness_centrality(G)
+        bt_nx = np.array([bt_nx[v] for v in range(n)])
+        np.testing.assert_allclose(cl, cl_nx, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(bt, bt_nx, rtol=0, atol=1e-12)
+        components = list(nx.connected_components(G))
+        assert reachable == (len(components) == 1)
+        assert giant_fraction(g) == max(map(len, components)) / n
+        disconnected += len(components) > 1
+    assert 0 < disconnected < 20
 
 
 def test_dense_centrality_limits():
