@@ -56,6 +56,9 @@ class ER:
         if not 0.0 < self.p < 1.0:
             raise AgentError("ER edge probability must lie in (0,1)")
 
+    def dyad_probs(self, i, j) -> np.ndarray:
+        return np.full(np.broadcast(i, j).shape, self.p)
+
 
 @dataclass(frozen=True)
 class SBM:
@@ -85,6 +88,10 @@ class SBM:
     def n(self) -> int:
         return len(self.assignment)
 
+    def dyad_probs(self, i, j) -> np.ndarray:
+        c = np.asarray(self.assignment, dtype=int)
+        return np.asarray(self.matrix, dtype=float)[c[i], c[j]]
+
 
 @dataclass(frozen=True)
 class RDPG:
@@ -102,6 +109,10 @@ class RDPG:
     @property
     def n(self) -> int:
         return len(self.positions)
+
+    def dyad_probs(self, i, j) -> np.ndarray:
+        z = np.asarray(self.positions, dtype=float)
+        return expit(np.sum(z[i] * z[j], axis=-1) + self.intercept)
 
 
 @dataclass(frozen=True)
@@ -123,6 +134,10 @@ class ChungLu:
     def n(self) -> int:
         return len(self.theta)
 
+    def dyad_probs(self, i, j) -> np.ndarray:
+        th = np.asarray(self.theta, dtype=float)
+        return np.minimum(th[i] * th[j], CHUNG_LU_CAP)
+
 
 @dataclass(frozen=True)
 class DegHist:
@@ -143,7 +158,13 @@ class DegHist:
     def n(self) -> int:
         return len(self.node_bins)
 
+    def dyad_probs(self, i, j) -> np.ndarray:
+        b = np.asarray(self.node_bins, dtype=int)
+        return np.asarray(self.rates, dtype=float)[b[i], b[j]]
 
+
+# each kind's ``dyad_probs(i, j)`` holds its edge-probability formula on
+# node-index arrays that broadcast against each other
 AgentModel = ER | SBM | RDPG | ChungLu | DegHist
 
 
@@ -201,30 +222,12 @@ def apply_tilt(agent: AgentModel, tilt: TiltState) -> AgentModel:
 
 def edge_prob_matrix(agent: AgentModel, n: int) -> np.ndarray:
     """n x n symmetric edge-probability matrix with zero diagonal."""
-    if isinstance(agent, ER):
-        mat = np.full((n, n), agent.p)
-    elif isinstance(agent, SBM):
-        if agent.n != n:
-            raise AgentError(f"SBM assignment sized for {agent.n}, not {n}")
-        c = np.asarray(agent.assignment, dtype=int)
-        mat = np.asarray(agent.matrix, dtype=float)[np.ix_(c, c)]
-    elif isinstance(agent, RDPG):
-        if agent.n != n:
-            raise AgentError(f"RDPG positions sized for {agent.n}, not {n}")
-        z = np.asarray(agent.positions, dtype=float)
-        mat = expit(z @ z.T + agent.intercept)
-    elif isinstance(agent, ChungLu):
-        if agent.n != n:
-            raise AgentError(f"Chung-Lu weights sized for {agent.n}, not {n}")
-        th = np.asarray(agent.theta, dtype=float)
-        mat = np.minimum(np.outer(th, th), CHUNG_LU_CAP)
-    elif isinstance(agent, DegHist):
-        if agent.n != n:
-            raise AgentError(f"DegHist bins sized for {agent.n}, not {n}")
-        b = np.asarray(agent.node_bins, dtype=int)
-        mat = np.asarray(agent.rates, dtype=float)[np.ix_(b, b)]
-    else:
+    if not hasattr(agent, "dyad_probs"):
         raise AgentError(f"unknown agent kind {type(agent).__name__}")
+    if getattr(agent, "n", n) != n:
+        raise AgentError(f"{type(agent).__name__} agent sized for {agent.n}, not {n}")
+    idx = np.arange(n)
+    mat = agent.dyad_probs(idx[:, None], idx[None, :])
     np.fill_diagonal(mat, 0.0)
     return mat
 

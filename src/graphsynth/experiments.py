@@ -311,22 +311,7 @@ def _fit_rdpg_intercept(positions: np.ndarray, g: GraphSample, seed,
 
 def agent_dyad_probs(agent, dyads: np.ndarray) -> np.ndarray:
     """Agent edge probabilities on an explicit (k, 2) dyad array."""
-    i, j = dyads[:, 0], dyads[:, 1]
-    if isinstance(agent, ag.ER):
-        return np.full(len(dyads), agent.p)
-    if isinstance(agent, ag.SBM):
-        c = np.asarray(agent.assignment, dtype=int)
-        return np.asarray(agent.matrix, dtype=float)[c[i], c[j]]
-    if isinstance(agent, ag.RDPG):
-        z = np.asarray(agent.positions, dtype=float)
-        return expit(np.sum(z[i] * z[j], axis=1) + agent.intercept)
-    if isinstance(agent, ag.ChungLu):
-        th = np.asarray(agent.theta, dtype=float)
-        return np.minimum(th[i] * th[j], ag.CHUNG_LU_CAP)
-    if isinstance(agent, ag.DegHist):
-        b = np.asarray(agent.node_bins, dtype=int)
-        return np.asarray(agent.rates, dtype=float)[b[i], b[j]]
-    raise ag.AgentError(f"no dyad predictor for {type(agent).__name__}")
+    return agent.dyad_probs(dyads[:, 0], dyads[:, 1])
 
 
 # ---------------------------------------------------------------------------

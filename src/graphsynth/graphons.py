@@ -1,10 +1,11 @@
 """Graphon kernels, L2 geometry, structural functionals, and spectral radii.
 
 A graphon is a symmetric measurable kernel w : [0,1]^2 -> [0,1].  Every kind
-implemented here is piecewise constant in its latent coordinate, so pairwise
-L2 quantities and structural functionals admit exact block-measure sums; a
-midpoint-rule quadrature path is kept as the generic fallback and as a
-cross-check.
+implemented here is piecewise constant in its latent coordinate and reduces
+exactly to a ``Block`` (``as_block``), so pairwise L2 quantities and
+structural functionals are exact block-measure sums.  A midpoint-rule
+quadrature path runs only for graphons without a block form (user subclasses
+of ``Graphon``); the kind decides, and no option selects it.
 """
 
 from __future__ import annotations
@@ -23,8 +24,19 @@ class GraphonError(ValueError):
 # step maps (piecewise-constant functions on [0,1])
 # ---------------------------------------------------------------------------
 
+class _Pieces:
+    """Lookups shared by kinds defined by breakpoints ``boundaries``."""
+
+    def measures(self) -> np.ndarray:
+        return np.diff(np.asarray(self.boundaries, dtype=float))
+
+    def piece_index(self, x) -> np.ndarray:
+        b = np.asarray(self.boundaries, dtype=float)
+        return np.searchsorted(b[1:-1], np.asarray(x, dtype=float), side="right")
+
+
 @dataclass(frozen=True)
-class StepMap:
+class StepMap(_Pieces):
     """Piecewise-constant map [0,1] -> R^d given by breakpoints and values.
 
     ``boundaries`` has K+1 strictly increasing entries starting at 0 and
@@ -49,14 +61,6 @@ class StepMap:
     def k(self) -> int:
         return len(self.values)
 
-    def measures(self) -> np.ndarray:
-        return np.diff(np.asarray(self.boundaries, dtype=float))
-
-    def piece_index(self, x) -> np.ndarray:
-        b = np.asarray(self.boundaries, dtype=float)
-        idx = np.searchsorted(b[1:-1], np.asarray(x, dtype=float), side="right")
-        return idx
-
     def __call__(self, x):
         vals = np.asarray(self.values, dtype=float)
         return vals[self.piece_index(x)]
@@ -64,7 +68,8 @@ class StepMap:
 
 def uniform_step_map(values) -> StepMap:
     """StepMap with equal-measure pieces."""
-    values = tuple(np.asarray(values).tolist()) if np.ndim(values) > 1 else tuple(values)
+    values = (tuple(map(tuple, np.asarray(values).tolist())) if np.ndim(values) > 1
+              else tuple(values))
     k = len(values)
     bounds = tuple(np.linspace(0.0, 1.0, k + 1).tolist())
     return StepMap(bounds, values)
@@ -103,7 +108,7 @@ class Constant(Graphon):
 
 
 @dataclass(frozen=True)
-class Block(Graphon):
+class Block(_Pieces, Graphon):
     """Piecewise-constant graphon: K blocks with symmetric rate matrix."""
 
     boundaries: tuple
@@ -130,13 +135,6 @@ class Block(Graphon):
     @property
     def k(self) -> int:
         return len(self.matrix)
-
-    def measures(self) -> np.ndarray:
-        return np.diff(np.asarray(self.boundaries, dtype=float))
-
-    def piece_index(self, x) -> np.ndarray:
-        b = np.asarray(self.boundaries, dtype=float)
-        return np.searchsorted(b[1:-1], np.asarray(x, dtype=float), side="right")
 
     def evaluate(self, x, y):
         m = np.asarray(self.matrix, dtype=float)
@@ -224,11 +222,24 @@ def _merge_boundaries(list_of_bounds) -> np.ndarray:
     return merged
 
 
+def _refine(blocks):
+    """Merged breakpoints of ``blocks`` and each block's matrix on them."""
+    bounds = _merge_boundaries([b.boundaries for b in blocks] or [[0.0, 1.0]])
+    mids = 0.5 * (bounds[:-1] + bounds[1:])
+    mats = []
+    for b in blocks:
+        i = b.piece_index(mids)
+        mats.append(np.asarray(b.matrix, dtype=float)[np.ix_(i, i)])
+    return bounds, mats
+
+
 def as_block(w: Graphon) -> Block:
     """Exact piecewise-constant representation of ``w``.
 
     All supported kinds are block graphons after refining breakpoints, which
-    is what makes the L2 geometry computable in closed form.
+    is what makes the L2 geometry computable in closed form.  Any other
+    graphon raises ``GraphonError``; the L2 geometry and the functionals then
+    fall back to quadrature.
     """
     if isinstance(w, Block):
         return w
@@ -247,13 +258,11 @@ def as_block(w: Graphon) -> Block:
         mat = np.minimum(np.outer(th, th), 1.0)
         return Block.from_arrays(b, mat)
     if isinstance(w, LinearCombo):
-        part_blocks = [as_block(p) for p in w.parts]
-        bounds = _merge_boundaries([pb.boundaries for pb in part_blocks] or [[0.0, 1.0]])
-        mids = 0.5 * (bounds[:-1] + bounds[1:])
+        bounds, mats = _refine([as_block(p) for p in w.parts])
         beta = np.asarray(w.beta, dtype=float)
-        mat = np.full((mids.size, mids.size), beta[0])
-        for b_j, pb in zip(beta[1:], part_blocks):
-            mat += b_j * np.asarray(pb.matrix, dtype=float)[np.ix_(pb.piece_index(mids), pb.piece_index(mids))]
+        mat = np.full((bounds.size - 1,) * 2, beta[0])
+        for b_j, m in zip(beta[1:], mats):
+            mat += b_j * m
         if w.clipped:
             mat = np.clip(mat, 0.0, 1.0)
         # bypass Block's [0,1] validation for unclipped combinations
@@ -269,12 +278,7 @@ def common_refinement(w: Graphon, w2: Graphon):
 
     Returns (measures, M, M2).
     """
-    b1, b2 = as_block(w), as_block(w2)
-    bounds = _merge_boundaries([b1.boundaries, b2.boundaries])
-    mids = 0.5 * (bounds[:-1] + bounds[1:])
-    i1, i2 = b1.piece_index(mids), b2.piece_index(mids)
-    m1 = np.asarray(b1.matrix, dtype=float)[np.ix_(i1, i1)]
-    m2 = np.asarray(b2.matrix, dtype=float)[np.ix_(i2, i2)]
+    bounds, (m1, m2) = _refine([as_block(w), as_block(w2)])
     return np.diff(bounds), m1, m2
 
 
@@ -284,15 +288,13 @@ def common_refinement(w: Graphon, w2: Graphon):
 
 @dataclass(frozen=True)
 class QuadratureSpec:
-    """Midpoint rule on a uniform g x g grid; blocks computed exactly.
+    """Midpoint rule on a uniform g x g grid.
 
-    ``tri_g`` caps the grid used for the O(g^3) triangle integral on the
-    generic path.
+    Used only for graphons without a block form (``as_block`` raises);
+    every built-in kind is integrated exactly over its blocks instead.
     """
 
     g: int = 256
-    tri_g: int = 128
-    exact_blocks: bool = True
 
     def __post_init__(self):
         if self.g < 2:
@@ -311,41 +313,22 @@ def grid_values(w: Graphon, g: int) -> np.ndarray:
     return np.asarray(w.evaluate(x[:, None], x[None, :]), dtype=float)
 
 
-def _blockable(*ws) -> bool:
-    try:
-        for w in ws:
-            as_block(w)
-        return True
-    except GraphonError:
-        return False
-
-
 def l2_inner(w: Graphon, w2: Graphon, quad: QuadratureSpec = DEFAULT_QUAD) -> float:
     """L2 inner product <w, w2> over the unit square."""
-    if quad.exact_blocks and _blockable(w, w2):
+    try:
         mu, m1, m2 = common_refinement(w, w2)
-        return float(mu @ (m1 * m2) @ mu)
-    v1, v2 = grid_values(w, quad.g), grid_values(w2, quad.g)
-    return float(np.mean(v1 * v2))
+    except GraphonError:
+        return float(np.mean(grid_values(w, quad.g) * grid_values(w2, quad.g)))
+    return float(mu @ (m1 * m2) @ mu)
 
 
-def l2_distance(w: Graphon, w2: Graphon, quad: QuadratureSpec = DEFAULT_QUAD,
-                with_error=False):
-    """||w - w2||_2, exact for block-reducible pairs.
-
-    With ``with_error=True`` the generic quadrature path also returns a
-    half-grid difference as an error estimate (0.0 on the exact path).
-    """
-    if quad.exact_blocks and _blockable(w, w2):
+def l2_distance(w: Graphon, w2: Graphon, quad: QuadratureSpec = DEFAULT_QUAD) -> float:
+    """||w - w2||_2, exact for block-reducible pairs."""
+    try:
         mu, m1, m2 = common_refinement(w, w2)
-        d = float(np.sqrt(mu @ (m1 - m2) ** 2 @ mu))
-        return (d, 0.0) if with_error else d
-    diff_sq = lambda g: float(np.mean((grid_values(w, g) - grid_values(w2, g)) ** 2))
-    d = float(np.sqrt(diff_sq(quad.g)))
-    if with_error:
-        d_half = float(np.sqrt(diff_sq(max(2, quad.g // 2))))
-        return d, abs(d - d_half)
-    return d
+    except GraphonError:
+        return float(np.sqrt(np.mean((grid_values(w, quad.g) - grid_values(w2, quad.g)) ** 2)))
+    return float(np.sqrt(mu @ (m1 - m2) ** 2 @ mu))
 
 
 def gram_and_target(features, w_star: Graphon, quad: QuadratureSpec = DEFAULT_QUAD):
@@ -388,25 +371,22 @@ def functionals(w: Graphon, quad: QuadratureSpec = DEFAULT_QUAD) -> FunctionalSe
     d_w^2, and t the triple integral of w(x,y)w(y,z)w(x,z).  Clustering is 0
     when s = 0.
     """
-    grid = quad.midpoints()
-    if quad.exact_blocks and _blockable(w):
+    try:
         blk = as_block(w)
+    except GraphonError:
+        vals = grid_values(w, quad.g)
+        d_grid = vals.mean(axis=1)
+        e = float(d_grid.mean())
+        s = float(np.mean(d_grid ** 2))
+        t = float(np.einsum("ab,bc,ac->", vals, vals, vals)) / quad.g ** 3
+    else:
         mu = blk.measures()
         mat = np.asarray(blk.matrix, dtype=float)
         deg = mat @ mu
         e = float(mu @ deg)
         s = float(mu @ deg ** 2)
         t = float(np.einsum("a,b,c,ab,bc,ac->", mu, mu, mu, mat, mat, mat))
-        d_grid = deg[blk.piece_index(grid)]
-    else:
-        g = min(quad.g, quad.tri_g)
-        vals = grid_values(w, g)
-        deg = vals.mean(axis=1)
-        e = float(deg.mean())
-        s = float(np.mean(deg ** 2))
-        t = float(np.einsum("ab,bc,ac->", vals, vals, vals)) / g ** 3
-        xi = np.minimum((grid * g).astype(int), g - 1)
-        d_grid = deg[xi]
+        d_grid = deg[blk.piece_index(quad.midpoints())]
     clustering = t / s if s > 0 else 0.0
     return FunctionalSet(edge=e, triangle=t, wedge=s, clustering=clustering,
                          degree_grid=np.asarray(d_grid, dtype=float))

@@ -58,7 +58,7 @@ class GraphSample:
             shape=(self.n, self.n))
 
 
-def _finish_edges(n, edges, degrees_from=True, latents=None, seed=None) -> GraphSample:
+def _finish_edges(n, edges, latents=None, seed=None) -> GraphSample:
     edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
     if edges.size:
         order = np.lexsort((edges[:, 1], edges[:, 0]))

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import csv
 import json
+from dataclasses import fields
 
 import numpy as np
 
@@ -25,112 +26,78 @@ class SerializeError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# graphons
+# models
 # ---------------------------------------------------------------------------
 
-def _step_map_to_dict(sm: gr.StepMap) -> dict:
-    return {"boundaries": list(sm.boundaries),
-            "values": np.asarray(sm.values, dtype=float).tolist()}
+GRAPHON_KINDS = {c.__name__: c for c in (gr.Constant, gr.Block, gr.LogisticLowRank,
+                                          gr.ProductWeight, gr.LinearCombo)}
+AGENT_KINDS = {c.__name__: c for c in (ag.ER, ag.SBM, ag.RDPG, ag.ChungLu,
+                                        ag.DegHist, ag.ErgmSpec)}
+# untagged dataclasses, decoded by the name of the field that holds them
+FIELD_CLASSES = {"tilt": ag.TiltState, "latent": gr.StepMap, "weights": gr.StepMap}
 
 
-def _step_map_from_dict(d: dict) -> gr.StepMap:
-    vals = d["values"]
-    vals = tuple(map(tuple, vals)) if vals and isinstance(vals[0], list) else tuple(vals)
-    return gr.StepMap(tuple(d["boundaries"]), vals)
+def _encode(v):
+    """JSON form of a model: dataclass fields by name (plus ``kind`` for a
+    registered class), tuples and arrays as lists, numpy scalars as numbers."""
+    if isinstance(v, (tuple, list, np.ndarray)):
+        return [_encode(x) for x in v]
+    if isinstance(v, np.generic):
+        return v.item()
+    if v is None or isinstance(v, (bool, int, float, str)):
+        return v
+    kind = type(v).__name__
+    tagged = {**GRAPHON_KINDS, **AGENT_KINDS}.get(kind) is type(v)
+    if not tagged and type(v) not in FIELD_CLASSES.values():
+        raise SerializeError(f"cannot serialize {kind}")
+    doc = {f.name: _encode(getattr(v, f.name)) for f in fields(v)}
+    return dict(doc, kind=kind) if tagged else doc
+
+
+def _decode(v, kinds: dict, family: str):
+    """Inverse of ``_encode``: lists become tuples, and a tagged document is
+    built by its class's ``make``/``from_arrays`` (else the constructor)."""
+    if isinstance(v, list):
+        return tuple(_decode(x, kinds, family) for x in v)
+    if not isinstance(v, dict):
+        return v
+    kind = v.get("kind")
+    if kind not in kinds:
+        raise SerializeError(f"unknown {family} kind tag {kind!r}")
+    cls = kinds[kind]
+    try:
+        args = {}
+        for name, x in v.items():
+            if name in FIELD_CLASSES:
+                args[name] = FIELD_CLASSES[name](**{k: _decode(y, kinds, family)
+                                                    for k, y in (x or {}).items()})
+            elif name != "kind":
+                args[name] = _decode(x, kinds, family)
+        return getattr(cls, "make", getattr(cls, "from_arrays", cls))(**args)
+    except TypeError as exc:
+        raise SerializeError(f"malformed {kind} document: {exc}") from exc
+
+
+def _to_dict(obj, kinds: dict, family: str) -> dict:
+    if kinds.get(type(obj).__name__) is not type(obj):
+        raise SerializeError(f"cannot serialize {family} kind {type(obj).__name__}")
+    return _encode(obj)
 
 
 def graphon_to_dict(w: gr.Graphon) -> dict:
-    if isinstance(w, gr.Constant):
-        return {"kind": "Constant", "p": w.p}
-    if isinstance(w, gr.Block):
-        return {"kind": "Block", "boundaries": list(w.boundaries),
-                "matrix": np.asarray(w.matrix, dtype=float).tolist()}
-    if isinstance(w, gr.LogisticLowRank):
-        return {"kind": "LogisticLowRank", "latent": _step_map_to_dict(w.latent),
-                "intercept": w.intercept}
-    if isinstance(w, gr.ProductWeight):
-        return {"kind": "ProductWeight", "weights": _step_map_to_dict(w.weights)}
-    if isinstance(w, gr.LinearCombo):
-        return {"kind": "LinearCombo", "beta": list(w.beta),
-                "parts": [graphon_to_dict(p) for p in w.parts], "clipped": w.clipped}
-    raise SerializeError(f"cannot serialize graphon kind {type(w).__name__}")
+    return _to_dict(w, GRAPHON_KINDS, "graphon")
 
 
 def graphon_from_dict(d: dict) -> gr.Graphon:
-    kind = d.get("kind")
-    if kind == "Constant":
-        return gr.Constant(d["p"])
-    if kind == "Block":
-        return gr.Block.from_arrays(d["boundaries"], d["matrix"])
-    if kind == "LogisticLowRank":
-        return gr.LogisticLowRank(_step_map_from_dict(d["latent"]), d["intercept"])
-    if kind == "ProductWeight":
-        return gr.ProductWeight(_step_map_from_dict(d["weights"]))
-    if kind == "LinearCombo":
-        return gr.LinearCombo.make(d["beta"],
-                                   [graphon_from_dict(p) for p in d["parts"]],
-                                   clipped=d.get("clipped", False))
-    raise SerializeError(f"unknown graphon kind tag {kind!r}")
-
-
-# ---------------------------------------------------------------------------
-# agents
-# ---------------------------------------------------------------------------
-
-def _tilt_to_dict(t: ag.TiltState) -> dict:
-    return {"lambda_edge": t.lambda_edge,
-            "lambda_block": (np.asarray(t.lambda_block, dtype=float).tolist()
-                             if t.lambda_block is not None else None),
-            "applied": t.applied}
-
-
-def _tilt_from_dict(d: dict | None) -> ag.TiltState:
-    if not d:
-        return ag.TiltState()
-    lb = d.get("lambda_block")
-    return ag.TiltState(lambda_edge=d.get("lambda_edge", 0.0),
-                        lambda_block=tuple(map(tuple, lb)) if lb is not None else None,
-                        applied=d.get("applied", False))
+    return _decode(d, GRAPHON_KINDS, "graphon")
 
 
 def agent_to_dict(a) -> dict:
-    tilt = _tilt_to_dict(a.tilt) if hasattr(a, "tilt") else None
-    if isinstance(a, ag.ER):
-        return {"kind": "ER", "p": a.p, "tilt": tilt}
-    if isinstance(a, ag.SBM):
-        return {"kind": "SBM", "assignment": list(a.assignment),
-                "matrix": np.asarray(a.matrix, dtype=float).tolist(), "tilt": tilt}
-    if isinstance(a, ag.RDPG):
-        return {"kind": "RDPG", "positions": np.asarray(a.positions, dtype=float).tolist(),
-                "intercept": a.intercept, "tilt": tilt}
-    if isinstance(a, ag.ChungLu):
-        return {"kind": "ChungLu", "theta": list(a.theta), "tilt": tilt}
-    if isinstance(a, ag.DegHist):
-        return {"kind": "DegHist", "node_bins": list(a.node_bins),
-                "rates": np.asarray(a.rates, dtype=float).tolist(),
-                "bin_edges": list(a.bin_edges), "tilt": tilt}
-    if isinstance(a, ag.ErgmSpec):
-        return {"kind": "ErgmSpec", "n": a.n, "theta": list(a.theta),
-                "stats": [list(s) for s in a.stats]}
-    raise SerializeError(f"cannot serialize agent kind {type(a).__name__}")
+    return _to_dict(a, AGENT_KINDS, "agent")
 
 
 def agent_from_dict(d: dict):
-    kind = d.get("kind")
-    tilt = _tilt_from_dict(d.get("tilt"))
-    if kind == "ER":
-        return ag.ER(d["p"], tilt)
-    if kind == "SBM":
-        return ag.SBM.make(d["assignment"], d["matrix"], tilt)
-    if kind == "RDPG":
-        return ag.RDPG.make(d["positions"], d.get("intercept", 0.0), tilt)
-    if kind == "ChungLu":
-        return ag.ChungLu.make(d["theta"], tilt)
-    if kind == "DegHist":
-        return ag.DegHist.make(d["node_bins"], d["rates"], d.get("bin_edges", ()), tilt)
-    if kind == "ErgmSpec":
-        return ag.ErgmSpec.make([tuple(s) for s in d["stats"]], d["theta"], d["n"])
-    raise SerializeError(f"unknown agent kind tag {kind!r}")
+    return _decode(d, AGENT_KINDS, "agent")
 
 
 def save_model(obj, path) -> None:
@@ -146,8 +113,7 @@ def load_model(path):
     with open(path) as fh:
         doc = json.load(fh)
     model = doc["model"] if "model" in doc else doc
-    if model.get("kind") in ("Constant", "Block", "LogisticLowRank",
-                             "ProductWeight", "LinearCombo"):
+    if model.get("kind") in GRAPHON_KINDS:
         return graphon_from_dict(model)
     return agent_from_dict(model)
 

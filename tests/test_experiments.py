@@ -1,12 +1,13 @@
 """Config handling, data ingestion, agent fitting, serialization, runs, CLI."""
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from graphsynth import (Block, Constant, ConfigError, ExperimentConfig,
-                        LinearCombo, StageFailure, agent_dyad_probs,
+                        SerializeError, StageFailure, agent_dyad_probs,
                         agent_from_dict, agent_to_dict, config_hash,
                         default_generator, edge_prob_matrix,
                         fit_agents_to_graph, graphon_from_dict, graphon_to_dict,
@@ -14,10 +15,13 @@ from graphsynth import (Block, Constant, ConfigError, ExperimentConfig,
                         sample_graph, save_model, write_edge_list)
 from graphsynth.cli import _read_metrics_csv, main as cli_main
 from graphsynth.evaluation import score_metrics
+from graphsynth.agents import SBM, ErgmSpec, TiltState
 from graphsynth.sampling import graph_from_edge_array
-from graphsynth.serialize import write_metric_reports_csv
+from graphsynth.serialize import (AGENT_KINDS, GRAPHON_KINDS,
+                                  write_metric_reports_csv)
 
 SPARSE_BLOCK = Block.from_arrays([0, 0.5, 1], [[0.08, 0.02], [0.02, 0.08]])
+GOLDEN = Path(__file__).parent / "golden"
 
 
 # ---------------------------------------------------------------------------
@@ -177,14 +181,59 @@ def test_agent_serialization_round_trip():
                                    agent_dyad_probs(agent, dyads), atol=1e-12)
 
 
-def test_save_load_model_file(tmp_path):
-    w_star, _ = default_generator()
-    path = tmp_path / "w.json"
-    save_model(w_star, str(path))
+@pytest.fixture(scope="module")
+def model_of_kind():
+    """One example model per registered kind, keyed by class name."""
+    w_star, parts = default_generator()
+    g = sample_graph(SPARSE_BLOCK, 60, seed=9)
+    cfg = ExperimentConfig.from_dict({"experiment": "real", "sbm_k": 2, "rdpg_d": 2})
+    ergm = ErgmSpec.make([("edges",), ("kstar", 2), ("block_counts", (0, 1, 1, 0))],
+                         [0.1, -0.2, 0.3, 0.4, 0.5], 4)
+    models = [Constant(0.3), *parts, w_star, *fit_agents_to_graph(g, cfg).values(), ergm]
+    return {type(m).__name__: m for m in models}
+
+
+@pytest.mark.parametrize("kind", sorted({**GRAPHON_KINDS, **AGENT_KINDS}))
+def test_save_load_model_file(tmp_path, model_of_kind, kind):
+    model = model_of_kind[kind]
+    path = tmp_path / "m.json"
+    save_model(model, str(path))
     back = load_model(str(path))
-    assert isinstance(back, LinearCombo)
-    np.testing.assert_allclose(grid_values(back, 8), grid_values(w_star, 8),
-                               atol=1e-12)
+    assert type(back) is type(model)
+    assert back == model
+    save_model(back, str(tmp_path / "again.json"))
+    assert (tmp_path / "again.json").read_text() == path.read_text()
+
+
+def tilted_sbm():
+    return SBM.make([0, 1, 1, 0, 2],
+                    [[0.3, 0.1, 0.05], [0.1, 0.6, 0.2], [0.05, 0.2, 0.7]],
+                    TiltState(lambda_block=((0.5, -0.25, 0.0), (-0.25, 1.0, 0.0),
+                                            (0.0, 0.0, -0.5)), applied=True))
+
+
+@pytest.mark.parametrize("name, model", [("linear_combo.json", default_generator()[0]),
+                                         ("sbm_tilted.json", tilted_sbm())],
+                         ids=["linear_combo", "sbm_tilted"])
+def test_model_format_golden(tmp_path, name, model):
+    """The on-disk model format is pinned byte for byte."""
+    path = tmp_path / name
+    save_model(model, str(path))
+    assert path.read_text() == (GOLDEN / name).read_text()
+    assert load_model(str(GOLDEN / name)) == model
+
+
+def test_malformed_model_documents_rejected():
+    with pytest.raises(SerializeError, match="unknown graphon kind"):
+        graphon_from_dict({"kind": "ER", "p": 0.1})
+    with pytest.raises(SerializeError, match="unknown agent kind"):
+        agent_from_dict({"kind": "Wobbly"})
+    with pytest.raises(SerializeError, match="cannot serialize agent kind"):
+        agent_to_dict(Constant(0.3))
+    with pytest.raises(SerializeError, match="malformed Constant"):
+        graphon_from_dict({"kind": "Constant"})
+    with pytest.raises(SerializeError, match="malformed ER"):
+        agent_from_dict({"kind": "ER", "p": 0.1, "tilt": {"lambda": 1.0}})
 
 
 def test_metrics_csv_round_trip(tmp_path):
@@ -233,6 +282,17 @@ def test_s3_run_deterministic_outputs(tmp_path):
     for fname in ("s3_curve.csv", "s3_summary.json"):
         a = (tmp_path / "a" / "s3" / fname).read_bytes()
         b = (tmp_path / "b" / "s3" / fname).read_bytes()
+        assert a == b
+
+
+def test_s1_run_deterministic_outputs(tmp_path):
+    base = {"experiment": "s1", "replicates": 2, "m_train": 300, "m_val": 100,
+            "m_test": 500}
+    for name in ("a", "b"):
+        run_experiment(ExperimentConfig.from_dict(dict(base, out_dir=str(tmp_path / name))))
+    for fname in ("s1_metrics.csv", "s1_summary.json"):
+        a = (tmp_path / "a" / "s1" / fname).read_bytes()
+        b = (tmp_path / "b" / "s1" / fname).read_bytes()
         assert a == b
 
 

@@ -5,13 +5,23 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from graphsynth import (Block, Constant, LinearCombo, LogisticLowRank,
+from graphsynth import (Block, Constant, Graphon, LinearCombo, LogisticLowRank,
                         ProductWeight, GraphonError, QuadratureSpec, as_block,
                         functionals, gram_and_target, l2_distance, l2_inner,
                         lipschitz_budget, spectral_bracket, spectral_radius,
                         uniform_step_map)
 
 RNG = np.random.default_rng(20240601)
+
+
+class Unblocked(Graphon):
+    """A graphon with no block form, so only the quadrature path applies."""
+
+    def __init__(self, inner):
+        self.inner = inner
+
+    def evaluate(self, x, y):
+        return self.inner.evaluate(x, y)
 
 
 def random_block(rng, k_max=4):
@@ -116,10 +126,12 @@ def test_l2_distance_grid_fallback_agrees_with_exact():
     w = Block.from_arrays([0, 0.25, 1], [[0.9, 0.2], [0.2, 0.4]])
     w2 = Constant(0.5)
     exact = l2_distance(w, w2)
-    approx, err = l2_distance(w, w2, QuadratureSpec(g=512, exact_blocks=False),
-                              with_error=True)
+    with pytest.raises(GraphonError):
+        as_block(Unblocked(w))
+    approx = l2_distance(Unblocked(w), w2, QuadratureSpec(g=512))
     assert abs(approx - exact) < 5e-3
-    assert err >= 0.0
+    assert l2_inner(Unblocked(w), w2, QuadratureSpec(g=512)) == pytest.approx(
+        l2_inner(w, w2), abs=5e-3)
 
 
 def test_gram_and_target_constant_oracle():
@@ -181,7 +193,7 @@ def test_functionals_two_block_hand_oracle():
 def test_functionals_grid_path_matches_exact():
     w = Block.from_arrays([0, 0.5, 1], [[0.7, 0.2], [0.2, 0.5]])
     exact = functionals(w)
-    grid = functionals(w, QuadratureSpec(g=256, tri_g=256, exact_blocks=False))
+    grid = functionals(Unblocked(w), QuadratureSpec(g=256))
     assert grid.edge == pytest.approx(exact.edge, abs=1e-12)
     assert grid.triangle == pytest.approx(exact.triangle, abs=1e-12)
     assert grid.wedge == pytest.approx(exact.wedge, abs=1e-12)
