@@ -6,8 +6,6 @@ the training graph only, synthesizes the agent forecasts, and scores every
 method with proper scores, ranking metrics, and paired gaps.
 """
 
-import warnings
-
 import numpy as np
 from scipy.special import expit
 
@@ -43,9 +41,7 @@ for s in range(3):
     train = DyadData(features=feats["train"][:, cols], labels=split.train_labels)
 
     best = cv_best_agent(feats["val"], split.val_labels)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        stack = fit_logistic_stack(train.features, train.labels, max_iter=2000)
+    stack = fit_logistic_stack(train.features, train.labels)
     preds = {
         "BestAgent": np.clip(feats["test"][:, 1 + best], 0, 1),
         "BPS_LS": predict_clipped(fit_ls(train), feats["test"][:, cols]),

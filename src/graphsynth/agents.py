@@ -110,9 +110,12 @@ class RDPG:
     def n(self) -> int:
         return len(self.positions)
 
-    def dyad_probs(self, i, j) -> np.ndarray:
+    def dyad_logits(self, i, j) -> np.ndarray:
         z = np.asarray(self.positions, dtype=float)
-        return expit(np.sum(z[i] * z[j], axis=-1) + self.intercept)
+        return np.sum(z[i] * z[j], axis=-1) + self.intercept
+
+    def dyad_probs(self, i, j) -> np.ndarray:
+        return expit(self.dyad_logits(i, j))
 
 
 @dataclass(frozen=True)
@@ -600,17 +603,14 @@ def calibrate_moment(model, target, n: int | None = None):
         return TiltState(lambda_block=tuple(map(tuple, lam)))
 
     if isinstance(model, RDPG):
-        z = np.asarray(model.positions, dtype=float)
-        nn = z.shape[0]
-        iu = np.triu_indices(nn, k=1)
-        dots = (z @ z.T)[iu] + model.intercept
-        m_n = dots.size
+        logits = model.dyad_logits(*np.triu_indices(model.n, k=1))
+        m_n = logits.size
         if not 0.0 < target < m_n:
             raise InfeasibleTarget(f"edge target must lie in (0, {m_n})")
-        lam = float(logit(target / m_n) - logit(float(np.mean(expit(dots)))))
-        # scalar Newton polish: the mean map lam -> sum expit(dots + lam)
+        lam = float(logit(target / m_n) - logit(float(np.mean(expit(logits)))))
+        # scalar Newton polish: the mean map lam -> sum expit(logits + lam)
         for _ in range(200):
-            probs = expit(dots + lam)
+            probs = expit(logits + lam)
             resid = probs.sum() - target
             if abs(resid) <= 1e-8:
                 break

@@ -6,11 +6,20 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.special import expit, log_expit, logit
 from scipy.stats import rankdata
 
 from .sampling import GraphSample, make_rng
 
 LOGLOSS_FLOOR = 1e-12
+
+# logistic stacking: fixed ridge on the non-intercept coefficients, the
+# gradient-norm stopping rule, a safety bound on Newton steps (reaching it
+# warns) and the Armijo sufficient-decrease constant
+STACK_RIDGE = 1e-8
+STACK_GRAD_TOL = 1e-10
+STACK_MAX_STEPS = 100
+STACK_ARMIJO = 1e-4
 
 
 class SplitError(ValueError):
@@ -49,39 +58,53 @@ def _dyad_key(dyads: np.ndarray, n: int) -> np.ndarray:
     return dyads[:, 0].astype(np.int64) * n + dyads[:, 1].astype(np.int64)
 
 
+def _node_mask(n: int, nodes) -> np.ndarray:
+    mask = np.zeros(n, dtype=bool)
+    mask[np.asarray(nodes, dtype=np.int64)] = True
+    return mask
+
+
 def _sample_negatives(rng, n, count, forbidden_keys, restrict_nodes=None,
                       require_touch=None):
-    """Uniform non-edge dyads (i < j), excluding forbidden keys and earlier
-    picks.  ``restrict_nodes`` keeps both endpoints in a node set;
-    ``require_touch`` demands at least one endpoint in a node set."""
-    forbidden = set(int(k) for k in forbidden_keys)
-    out = []
-    attempts = 0
-    max_attempts = 200 * max(count, 1) + 10_000
-    node_pool = None if restrict_nodes is None else np.asarray(restrict_nodes)
-    touch = None if require_touch is None else set(int(v) for v in require_touch)
-    while len(out) < count:
-        attempts += 1
-        if attempts > max_attempts:
+    """Uniform non-edge dyads (i < j), excluding the int64 ``forbidden_keys``
+    and earlier picks.  ``restrict_nodes`` keeps both endpoints in a node
+    set; ``require_touch`` demands at least one endpoint in a node set.
+
+    Candidate pairs are drawn in batches and filtered in draw order; after
+    ``200 * count + 10_000`` candidates the graph counts as too dense.
+    """
+    pool = np.arange(n) if restrict_nodes is None else np.asarray(restrict_nodes, np.int64)
+    touch = None if require_touch is None else _node_mask(n, require_touch)
+    forbidden = np.asarray(forbidden_keys, dtype=np.int64)
+    budget = 200 * max(count, 1) + 10_000
+    picks = []
+    found = accepted = drawn = 0
+    while found < count:
+        if drawn >= budget or pool.size < 2:
             raise SplitError(
-                f"could not find {count} negative dyads ({len(out)} found); "
+                f"could not find {count} negative dyads ({found} found); "
                 "graph too dense for the requested ratio")
-        if node_pool is not None:
-            i, j = rng.choice(node_pool, size=2, replace=False)
-        else:
-            i = int(rng.integers(0, n))
-            j = int(rng.integers(0, n))
-        if i == j:
-            continue
-        i, j = (i, j) if i < j else (j, i)
-        if touch is not None and i not in touch and j not in touch:
-            continue
-        key = i * n + j
-        if key in forbidden:
-            continue
-        forbidden.add(key)
-        out.append((i, j))
-    return np.asarray(out, dtype=np.int64).reshape(-1, 2)
+        need = count - found
+        # size the batch from the acceptance rate so far (at least 1/8)
+        rate = max(accepted / drawn if drawn else 1.0, 0.125)
+        size = min(int(1.1 * need / rate) + 64, budget - drawn)
+        pairs = pool[rng.integers(0, pool.size, size=(size, 2))]
+        drawn += size
+        i, j = pairs.min(axis=1), pairs.max(axis=1)
+        keep = i != j
+        if touch is not None:
+            keep &= touch[i] | touch[j]
+        keys = i[keep] * n + j[keep]
+        keys = keys[~np.isin(keys, forbidden)]
+        _, first = np.unique(keys, return_index=True)
+        keys = keys[np.sort(first)]
+        accepted += keys.size
+        keys = keys[:need]
+        picks.append(keys)
+        forbidden = np.concatenate([forbidden, keys])
+        found += keys.size
+    keys = np.concatenate(picks) if picks else np.empty(0, dtype=np.int64)
+    return np.stack([keys // n, keys % n], axis=1)
 
 
 def _build_labeled(pos, neg):
@@ -120,11 +143,11 @@ def make_split(graph: GraphSample, regime: str, seed, negpos_ratio: float = 3.0,
         test_pos = edges[perm[:n_test]]
         val_pos = edges[perm[n_test:n_test + n_val]]
         train_pos = edges[perm[n_test + n_val:]]
-        forbidden = set(int(k) for k in edge_keys)
+        forbidden = edge_keys
         neg_sets = []
         for pos in (train_pos, val_pos, test_pos):
             neg = _sample_negatives(rng, n, int(round(negpos_ratio * len(pos))), forbidden)
-            forbidden.update(int(k) for k in _dyad_key(neg, n))
+            forbidden = np.concatenate([forbidden, _dyad_key(neg, n)])
             neg_sets.append(neg)
         tr = _build_labeled(train_pos, neg_sets[0])
         va = _build_labeled(val_pos, neg_sets[1])
@@ -134,8 +157,7 @@ def make_split(graph: GraphSample, regime: str, seed, negpos_ratio: float = 3.0,
     elif regime == "node_holdout":
         n_held = max(1, int(round(node_frac * n)))
         held = np.sort(rng.choice(n, size=n_held, replace=False))
-        held_set = set(int(v) for v in held)
-        touch = np.array([(int(i) in held_set) or (int(j) in held_set) for i, j in edges])
+        touch = np.any(_node_mask(n, held)[edges], axis=1)
         test_pos = edges[touch]
         keep_pos = edges[~touch]
         if len(test_pos) == 0 or len(keep_pos) < 2:
@@ -145,13 +167,12 @@ def make_split(graph: GraphSample, regime: str, seed, negpos_ratio: float = 3.0,
         val_pos = keep_pos[perm[:n_val]]
         train_pos = keep_pos[perm[n_val:]]
         kept_nodes = np.setdiff1d(np.arange(n), held)
-        forbidden = set(int(k) for k in edge_keys)
         train_neg = _sample_negatives(rng, n, int(round(negpos_ratio * len(train_pos))),
-                                      forbidden, restrict_nodes=kept_nodes)
-        forbidden.update(int(k) for k in _dyad_key(train_neg, n))
+                                      edge_keys, restrict_nodes=kept_nodes)
+        forbidden = np.concatenate([edge_keys, _dyad_key(train_neg, n)])
         val_neg = _sample_negatives(rng, n, int(round(negpos_ratio * len(val_pos))),
                                     forbidden, restrict_nodes=kept_nodes)
-        forbidden.update(int(k) for k in _dyad_key(val_neg, n))
+        forbidden = np.concatenate([forbidden, _dyad_key(val_neg, n)])
         test_neg = _sample_negatives(rng, n, int(round(negpos_ratio * len(test_pos))),
                                      forbidden, require_touch=held)
         tr = _build_labeled(train_pos, train_neg)
@@ -213,20 +234,18 @@ def audit_split(spec: SplitSpec, graph: GraphSample) -> None:
             if np.intersect1d(keysets[a], keysets[b]).size:
                 raise SplitError("train/val/test dyad sets overlap")
     if spec.held_out_nodes is not None:
-        held = set(int(v) for v in spec.held_out_nodes)
+        held = _node_mask(n, spec.held_out_nodes)
         for dyads in (spec.train_dyads, spec.val_dyads):
-            for i, j in dyads:
-                if int(i) in held or int(j) in held:
-                    raise SplitError("training retains a dyad touching a held-out node")
+            if np.any(held[dyads]):
+                raise SplitError("training retains a dyad touching a held-out node")
     # labels must agree with the adjacency for positives
-    edge_keys = set(int(k) for k in _dyad_key(graph.edges, n))
+    edge_keys = _dyad_key(graph.edges, n)
     for dyads, labels in ((spec.train_dyads, spec.train_labels),
                           (spec.val_dyads, spec.val_labels),
                           (spec.test_dyads, spec.test_labels)):
         if dyads.size == 0:
             continue
-        keys = _dyad_key(dyads, n)
-        is_edge = np.array([int(k) in edge_keys for k in keys])
+        is_edge = np.isin(_dyad_key(dyads, n), edge_keys)
         if not np.array_equal(is_edge.astype(float), labels):
             raise SplitError("labels disagree with the adjacency")
 
@@ -396,19 +415,26 @@ def cv_best_agent(val_features: np.ndarray, val_labels: np.ndarray) -> int:
     return int(np.argmin(losses))
 
 
-def fit_logistic_stack(features: np.ndarray, labels: np.ndarray,
-                       grad_tol: float = 1e-8, max_iter: int = 100_000,
-                       plateau_tol: float = 1e-13, plateau_steps: int = 25) -> np.ndarray:
-    """Logistic stacking on (1, p_1, ..., p_J) by deterministic full-batch
-    gradient descent with backtracking, to gradient norm <= tol.
+def _stack_objective(beta, features, labels):
+    """Mean log-loss of the stack plus ``STACK_RIDGE / 2 * |beta[1:]|^2``."""
+    z = features @ beta
+    loss = -np.mean(labels * log_expit(z) + (1.0 - labels) * log_expit(-z))
+    return loss + 0.5 * STACK_RIDGE * float(beta[1:] @ beta[1:])
 
-    Near-separable data drives the MLE toward infinity, so iteration also
-    stops after ``plateau_steps`` consecutive steps whose loss decrease is
-    below ``plateau_tol`` (the predictions are stationary at that point).
-    Degenerate one-class labels yield an intercept-only model (with a
-    warning) since the MLE diverges.
+
+def fit_logistic_stack(features: np.ndarray, labels: np.ndarray) -> np.ndarray:
+    """Logistic stacking on (1, p_1, ..., p_J) by damped Newton (IRLS).
+
+    Minimizes the mean log-loss plus a fixed ridge ``STACK_RIDGE / 2`` on
+    the squared non-intercept coefficients, which keeps the optimum finite
+    on (near-)separable data.  Each step solves the d x d system
+    ``(X' diag(p(1-p)) X / m + ridge) step = gradient`` and halves the step
+    until the Armijo condition holds.  Iteration stops once the gradient
+    norm of the penalized objective is at most ``STACK_GRAD_TOL``; if that
+    takes more than ``STACK_MAX_STEPS`` steps, the last iterate is returned
+    with a RuntimeWarning.  Degenerate one-class labels yield an
+    intercept-only model (with a warning) since the MLE diverges.
     """
-    from scipy.special import expit, logit
     features = np.asarray(features, dtype=float)
     labels = np.asarray(labels, dtype=float)
     m, d = features.shape
@@ -419,31 +445,28 @@ def fit_logistic_stack(features: np.ndarray, labels: np.ndarray,
         beta[0] = float(logit(rate))
         return beta
 
-    def loss_grad(beta):
-        z = features @ beta
-        p = expit(z)
-        pc = np.clip(p, LOGLOSS_FLOOR, 1 - LOGLOSS_FLOOR)
-        loss = -np.mean(labels * np.log(pc) + (1 - labels) * np.log1p(-pc))
-        grad = features.T @ (p - labels) / m
-        return loss, grad
-
+    penalty = np.full(d, STACK_RIDGE)
+    penalty[0] = 0.0
     beta = np.zeros(d)
-    loss, grad = loss_grad(beta)
-    step = 1.0
-    flat_run = 0
-    for _ in range(max_iter):
-        gnorm = np.linalg.norm(grad)
-        if gnorm <= grad_tol:
-            break
-        step = min(step * 2.0, 1e4)
+    loss = _stack_objective(beta, features, labels)
+    for _ in range(STACK_MAX_STEPS):
+        p = expit(features @ beta)
+        grad = features.T @ (p - labels) / m + penalty * beta
+        if np.linalg.norm(grad) <= STACK_GRAD_TOL:
+            return beta
+        hess = (features.T * (p * (1.0 - p))) @ features / m + np.diag(penalty)
+        step = np.linalg.solve(hess, grad)
+        decrease = float(grad @ step)
+        # the loss is only known to rounding, so the sufficient-decrease test
+        # allows that much slack; otherwise it would stall next to the optimum
+        slack = 8.0 * np.finfo(float).eps * max(1.0, abs(loss))
+        t = 1.0
         while True:
-            cand = beta - step * grad
-            new_loss, new_grad = loss_grad(cand)
-            if new_loss <= loss - 0.5 * step * gnorm ** 2 or step < 1e-12:
+            cand = beta - t * step
+            cand_loss = _stack_objective(cand, features, labels)
+            if cand_loss <= loss - STACK_ARMIJO * t * decrease + slack or t < 1e-12:
                 break
-            step *= 0.5
-        flat_run = flat_run + 1 if loss - new_loss < plateau_tol * max(1.0, abs(loss)) else 0
-        beta, loss, grad = cand, new_loss, new_grad
-        if flat_run >= plateau_steps:
-            break
+            t *= 0.5
+        beta, loss = cand, cand_loss
+    warnings.warn("logistic stack did not converge", RuntimeWarning)
     return beta

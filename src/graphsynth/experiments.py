@@ -14,10 +14,10 @@ import hashlib
 import json
 import os
 import time
-import warnings
 from dataclasses import dataclass, field, fields
 
 import numpy as np
+import scipy.sparse.csgraph
 import scipy.sparse.linalg
 from scipy.cluster.vq import kmeans2
 from scipy.special import expit
@@ -85,10 +85,6 @@ class ExperimentConfig:
     splits_per_regime: int = 5
     negpos_ratio: float = 3.0
     ridge_reg: float = 1e-3
-    # practical iteration cap for the stacking baseline: near-separable real
-    # features push the logistic MLE to infinity, where full convergence is
-    # unreachable; predictions are stationary well before this cap
-    stack_max_iter: int = 2000
 
     def __post_init__(self):
         if self.experiment not in EXPERIMENTS:
@@ -209,9 +205,9 @@ def fit_agents_to_graph(g: GraphSample, config: ExperimentConfig, seed=0):
 
     ER: empirical density.  ChungLu: theta_i = d_i / sqrt(2 * edges).
     DegHist: degree-decile node bins with empirical bin-pair rates.
-    SBM: spectral clustering of the normalized adjacency plus add-one
-    smoothed block rates.  RDPG: top-d adjacency spectral embedding with a
-    moment-matched logistic intercept.
+    SBM: spectral clustering of the normalized adjacency of the largest
+    connected component plus add-one smoothed block rates.  RDPG: top-d
+    adjacency spectral embedding with a moment-matched logistic intercept.
 
     Returns an ordered dict name -> agent.
     """
@@ -236,7 +232,13 @@ def fit_agents_to_graph(g: GraphSample, config: ExperimentConfig, seed=0):
                                bin_edges=edges_q)
 
     adj = g.adjacency().astype(float)
-    inv_sqrt = np.where(deg > 0, 1.0 / np.sqrt(np.maximum(deg, 1.0)), 0.0)
+    # spectral step on the largest component only: every further component
+    # repeats the top eigenvalue 1, and eigsh then returns a basis of that
+    # eigenspace drawn from ARPACK's random restarts, whose state persists
+    # across calls.  Other nodes embed at the origin, as isolated nodes do.
+    _, comp = scipy.sparse.csgraph.connected_components(adj, directed=False)
+    giant = comp == np.argmax(np.bincount(comp))
+    inv_sqrt = np.where(giant, 1.0 / np.sqrt(np.maximum(deg, 1.0)), 0.0)
     norm_adj = scipy.sparse.diags(inv_sqrt) @ adj @ scipy.sparse.diags(inv_sqrt)
     k = config.sbm_k
     _, vecs = scipy.sparse.linalg.eigsh(norm_adj, k=k, which="LA",
@@ -251,8 +253,7 @@ def fit_agents_to_graph(g: GraphSample, config: ExperimentConfig, seed=0):
     vals, u = scipy.sparse.linalg.eigsh(adj, k=d, which="LA",
                                         v0=np.ones(n) / np.sqrt(n))
     positions = u * np.sqrt(np.maximum(vals, 0.0))[None, :]
-    intercept = _fit_rdpg_intercept(positions, g, seed)
-    rdpg = ag.RDPG.make(positions, intercept)
+    rdpg = ag.RDPG.make(positions, _fit_rdpg_intercept(ag.RDPG.make(positions), g, seed))
 
     return {"ER": er, "ChungLu": chung_lu, "DegHist": deg_hist,
             "SBM": sbm, "RDPG": rdpg}
@@ -281,27 +282,25 @@ def _pair_rates(g: GraphSample, labels, smooth: bool) -> np.ndarray:
     return 0.5 * (rates + rates.T)
 
 
-def _fit_rdpg_intercept(positions: np.ndarray, g: GraphSample, seed,
+def _fit_rdpg_intercept(rdpg: ag.RDPG, g: GraphSample, seed,
                         max_pairs: int = 200_000) -> float:
-    """Intercept matching the observed edge count through the logistic link,
-    estimated on a seeded subsample of dyads."""
-    n = positions.shape[0]
+    """Intercept shift of ``rdpg`` matching the observed edge count through
+    the logistic link, estimated on a seeded subsample of dyads."""
+    n = rdpg.n
     rng = np.random.default_rng(seed)
     total_pairs = n * (n - 1) // 2
     if total_pairs <= max_pairs:
-        iu = np.triu_indices(n, k=1)
-        dots = np.sum(positions[iu[0]] * positions[iu[1]], axis=1)
-        target = g.n_edges / total_pairs
+        logits = rdpg.dyad_logits(*np.triu_indices(n, k=1))
     else:
         i = rng.integers(0, n, size=max_pairs)
         j = rng.integers(0, n, size=max_pairs)
         keep = i != j
-        dots = np.sum(positions[i[keep]] * positions[j[keep]], axis=1)
-        target = g.n_edges / total_pairs
+        logits = rdpg.dyad_logits(i[keep], j[keep])
+    target = g.n_edges / total_pairs
     target = np.clip(target, 1e-9, 1 - 1e-9)
-    b = float(np.log(target / (1 - target)) - np.mean(dots))
+    b = float(np.log(target / (1 - target)) - np.mean(logits))
     for _ in range(100):
-        p = expit(dots + b)
+        p = expit(logits + b)
         resid = p.mean() - target
         if abs(resid) < 1e-10:
             break
@@ -340,8 +339,7 @@ METHODS = ("BPS_LS", "BPS_Ridge", "BPS_Simplex", "BestAgent", "Stack_Logistic")
 
 
 def _method_predictions(train: DyadData, val: DyadData, test_features: np.ndarray,
-                        ridge_reg: float, synth_cols=None,
-                        stack_max_iter: int = 100_000) -> dict:
+                        ridge_reg: float, synth_cols=None) -> dict:
     """Fit every method on train (+val for selection) and predict the test
     features.  Returns name -> probability vector.
 
@@ -361,10 +359,7 @@ def _method_predictions(train: DyadData, val: DyadData, test_features: np.ndarra
     preds["BPS_Simplex"] = predict_clipped(fit_simplex(synth_train), synth_test)
     best = cv_best_agent(val.features, val.labels)
     preds["BestAgent"] = np.clip(test_features[:, 1 + best], 0.0, 1.0)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        stack = fit_logistic_stack(synth_train.features, synth_train.labels,
-                                   max_iter=stack_max_iter)
+    stack = fit_logistic_stack(synth_train.features, synth_train.labels)
     preds["Stack_Logistic"] = expit(synth_test @ stack)
     return preds
 
@@ -389,8 +384,7 @@ def _run_s1(config: ExperimentConfig, out_dir: str, outputs: list) -> None:
         train = sample_dyads(w_star, parts, config.m_train, s_train)
         val = sample_dyads(w_star, parts, config.m_val, s_val)
         test = sample_dyads(w_star, parts, config.m_test, s_test)
-        preds = _method_predictions(train, val, test.features, config.ridge_reg,
-                                        stack_max_iter=config.stack_max_iter)
+        preds = _method_predictions(train, val, test.features, config.ridge_reg)
         for method, p in preds.items():
             rep = score_metrics(p, test.labels)
             rows.append((method, f"rep{r}", rep))
@@ -432,8 +426,7 @@ def _run_s2(config: ExperimentConfig, out_dir: str, outputs: list) -> None:
             train = sample_dyads(w_star, parts, m_train, s_train)
             val = sample_dyads(w_star, parts, max(config.m_val, len(parts) + 2), s_val)
             test = sample_dyads(w_star, parts, config.m_test, s_test)
-            preds = _method_predictions(train, val, test.features, config.ridge_reg,
-                                        stack_max_iter=config.stack_max_iter)
+            preds = _method_predictions(train, val, test.features, config.ridge_reg)
             for method, p in preds.items():
                 rep = score_metrics(p, test.labels)
                 per_method[method]["brier"].append(rep.brier)
@@ -531,8 +524,7 @@ def _run_real(config: ExperimentConfig, out_dir: str, outputs: list) -> None:
             names = list(agents)
             synth_cols = [0] + [1 + k for k, name in enumerate(names) if name != "ER"]
             preds = _method_predictions(train, val, feats["test"], config.ridge_reg,
-                                        synth_cols=synth_cols,
-                                        stack_max_iter=config.stack_max_iter)
+                                        synth_cols=synth_cols)
             key = f"{regime}/{s}"
             for method, p in preds.items():
                 rep = score_metrics(p, split.test_labels)

@@ -1,14 +1,20 @@
 """Split protocols, proper-score metrics, paired gaps, and baselines."""
 
+import warnings
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from scipy.special import expit, logit
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.optimize import minimize
+from scipy.special import expit, log_expit, logit
 
 from graphsynth import (Block, SplitError, audit_split, auc_score,
-                        average_precision, cv_best_agent, fit_logistic_stack,
-                        make_split, paired_gaps, sample_graph, score_metrics)
+                        average_precision, cv_best_agent, evaluation,
+                        fit_logistic_stack, make_split, paired_gaps,
+                        sample_graph, score_metrics)
+from graphsynth.evaluation import STACK_RIDGE, _sample_negatives
 
 SPARSE_BLOCK = Block.from_arrays([0, 0.5, 1], [[0.08, 0.02], [0.02, 0.08]])
 
@@ -189,6 +195,42 @@ def test_audit_split_catches_tampering():
         audit_split(flipped, g)
 
 
+@settings(max_examples=80, deadline=None)
+@given(n=st.integers(3, 25), density=st.floats(0.0, 0.9), seed=st.integers(0, 2 ** 32 - 1),
+       subset=st.sampled_from(["none", "restrict", "touch"]), data=st.data())
+def test_sample_negatives_properties(n, density, seed, subset, data):
+    rng = np.random.default_rng(seed)
+    iu, ju = np.triu_indices(n, k=1)
+    all_keys = iu * n + ju
+    forbidden = all_keys[rng.random(all_keys.size) < density]
+    nodes = np.sort(rng.choice(n, size=int(rng.integers(1, n + 1)), replace=False))
+    restrict = nodes if subset == "restrict" else None
+    touch = nodes if subset == "touch" else None
+    allowed = ~np.isin(all_keys, forbidden)
+    if restrict is not None:
+        allowed &= np.isin(iu, nodes) & np.isin(ju, nodes)
+    if touch is not None:
+        allowed &= np.isin(iu, nodes) | np.isin(ju, nodes)
+    available = int(allowed.sum())
+    count = data.draw(st.integers(0, available + 2))
+    if count > available:
+        with pytest.raises(SplitError, match="too dense"):
+            _sample_negatives(np.random.default_rng(seed), n, count, forbidden,
+                              restrict_nodes=restrict, require_touch=touch)
+        return
+    out = _sample_negatives(np.random.default_rng(seed), n, count, forbidden,
+                            restrict_nodes=restrict, require_touch=touch)
+    assert out.shape == (count, 2)
+    assert np.all((0 <= out[:, 0]) & (out[:, 0] < out[:, 1]) & (out[:, 1] < n))
+    keys = out[:, 0] * n + out[:, 1]
+    assert np.unique(keys).size == count
+    assert not np.any(np.isin(keys, forbidden))
+    if restrict is not None:
+        assert np.all(np.isin(out, nodes))
+    if touch is not None:
+        assert np.all(np.isin(out, nodes).any(axis=1))
+
+
 # ---------------------------------------------------------------------------
 # paired gaps
 # ---------------------------------------------------------------------------
@@ -287,3 +329,73 @@ def test_logistic_stack_one_class_fallback():
         beta = fit_logistic_stack(feats, np.ones(50))
     assert beta[1] == 0.0
     assert beta[0] == pytest.approx(logit(1 - 1e-6))
+
+
+def _stack_objective(beta, feats, labels):
+    z = feats @ beta
+    loss = -np.mean(labels * log_expit(z) + (1 - labels) * log_expit(-z))
+    return loss + 0.5 * STACK_RIDGE * beta[1:] @ beta[1:]
+
+
+def _stack_gradient(beta, feats, labels):
+    grad = feats.T @ (expit(feats @ beta) - labels) / labels.size
+    grad[1:] += STACK_RIDGE * beta[1:]
+    return grad
+
+
+def test_logistic_stack_reaches_optimum_on_small_probabilities():
+    # agent columns of order 1e-3 with a real signal: the MLE coefficients
+    # are in the hundreds, far from the intercept-only model
+    rng = np.random.default_rng(41)
+    m = 10_000
+    feats = np.column_stack([np.ones(m), 1e-3 * rng.random((m, 3))])
+    labels = (rng.random(m) < expit(feats @ np.array([-2.3, 650.0, 700.0, 0.0]))).astype(float)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        beta = fit_logistic_stack(feats, labels)
+    assert np.linalg.norm(_stack_gradient(beta, feats, labels)) <= 1e-8
+    oracle = minimize(_stack_objective, beta, args=(feats, labels), jac=_stack_gradient,
+                      method="BFGS", options={"gtol": 1e-12})
+    assert _stack_objective(beta, feats, labels) <= oracle.fun + 1e-9
+    base = np.array([logit(labels.mean()), 0.0, 0.0, 0.0])
+    assert _stack_objective(beta, feats, labels) < _stack_objective(base, feats, labels) - 1e-3
+
+
+def test_logistic_stack_converges_on_random_designs():
+    # seed 45 stalls next to the optimum if the sufficient-decrease test
+    # does not allow for rounding in the loss
+    for seed in range(60):
+        rng = np.random.default_rng(seed)
+        m, d = int(rng.integers(50, 5000)), int(rng.integers(2, 6))
+        scale = 10.0 ** rng.uniform(-3, 0)
+        feats = np.column_stack([np.ones(m), scale * rng.random((m, d - 1))])
+        z = feats @ (rng.normal(size=d) * rng.uniform(0.5, 5) / scale)
+        labels = (rng.random(m) < expit(z - z.mean())).astype(float)
+        if labels.min() == labels.max():
+            continue
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            beta = fit_logistic_stack(feats, labels)
+        assert np.linalg.norm(_stack_gradient(beta, feats, labels)) <= 1e-10
+
+
+def test_logistic_stack_separable_data_converges():
+    x = np.linspace(0.0, 1.0, 200)
+    feats = np.column_stack([np.ones(x.size), x])
+    labels = (x > 0.5).astype(float)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        beta = fit_logistic_stack(feats, labels)
+    assert np.all(np.isfinite(beta))
+    assert np.linalg.norm(_stack_gradient(beta, feats, labels)) <= 1e-10
+    assert np.array_equal(expit(feats @ beta) > 0.5, labels == 1)
+
+
+def test_logistic_stack_warns_without_convergence(monkeypatch):
+    rng = np.random.default_rng(43)
+    feats = np.column_stack([np.ones(500), rng.random(500)])
+    labels = (rng.random(500) < expit(2.0 * feats[:, 1] - 1.0)).astype(float)
+    monkeypatch.setattr(evaluation, "STACK_MAX_STEPS", 1)
+    with pytest.warns(RuntimeWarning, match="did not converge"):
+        beta = fit_logistic_stack(feats, labels)
+    assert np.all(np.isfinite(beta))

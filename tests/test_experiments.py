@@ -12,7 +12,8 @@ from graphsynth import (Block, Constant, ConfigError, ExperimentConfig,
                         default_generator, edge_prob_matrix,
                         fit_agents_to_graph, graphon_from_dict, graphon_to_dict,
                         grid_values, load_edge_list, load_model, run_experiment,
-                        sample_graph, save_model, write_edge_list)
+                        sample_graph, sample_sparse_graph, save_model,
+                        write_edge_list)
 from graphsynth.cli import _read_metrics_csv, main as cli_main
 from graphsynth.evaluation import score_metrics
 from graphsynth.agents import SBM, ErgmSpec, TiltState
@@ -149,6 +150,18 @@ def test_agent_dyad_probs_match_matrices():
         mat = edge_prob_matrix(agent, g.n)
         probs = agent_dyad_probs(agent, dyads)
         np.testing.assert_allclose(probs, mat[dyads[:, 0], dyads[:, 1]], atol=1e-12)
+
+
+def test_fit_agents_repeatable_on_disconnected_graph():
+    # a sparse block graph with many components: the top eigenvalue of its
+    # normalized adjacency is repeated far more than sbm_k times
+    blocks = Block.from_arrays([0.0, 0.3, 0.7, 1.0],
+                               [[0.9, 0.1, 0.2], [0.1, 0.7, 0.1], [0.2, 0.1, 0.8]])
+    g = sample_sparse_graph(blocks, 300, 2.0, 1)
+    cfg = ExperimentConfig.from_dict({"experiment": "real"})
+    first = fit_agents_to_graph(g, cfg, seed=1)
+    for _ in range(3):
+        assert fit_agents_to_graph(g, cfg, seed=1) == first
 
 
 def test_fit_agents_validation():
