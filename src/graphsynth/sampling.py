@@ -59,14 +59,16 @@ class GraphSample:
 
 
 def _finish_edges(n, edges, latents=None, seed=None) -> GraphSample:
+    """Sort ``edges`` (pairs with i < j) and count degrees.
+
+    Invariant: the returned edges are in ascending order of the key
+    ``i * n + j``, that is by ``i`` and then by ``j``, whatever order the
+    sampler produced them in.
+    """
     edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
-    if edges.size:
-        order = np.lexsort((edges[:, 1], edges[:, 0]))
-        edges = edges[order]
-    degrees = np.zeros(n, dtype=np.int64)
-    if edges.size:
-        np.add.at(degrees, edges[:, 0], 1)
-        np.add.at(degrees, edges[:, 1], 1)
+    keys = np.sort(edges[:, 0] * n + edges[:, 1])
+    edges = np.stack(np.divmod(keys, n), axis=1)
+    degrees = np.bincount(edges.ravel(), minlength=n)
     return GraphSample(n=n, edges=edges, degrees=degrees, latents=latents, seed=seed)
 
 
@@ -83,16 +85,21 @@ def graph_from_edge_array(n: int, edges) -> GraphSample:
 
 
 def _dense_edges(prob_rows, n, rng):
-    """Row-chunked Bernoulli sampling over the upper triangle."""
+    """Row-chunked Bernoulli sampling over the upper triangle.
+
+    ``prob_rows(start, stop)`` gives the edge probabilities of rows
+    ``start:stop`` against columns ``start:``.  Every chunk still draws full
+    rows of uniforms, so the stream, and every edge, does not depend on the
+    columns evaluated.
+    """
     edges = []
     for start in range(0, n, DENSE_CHUNK_ROWS):
         stop = min(start + DENSE_CHUNK_ROWS, n)
-        probs = prob_rows(start, stop)  # (stop-start, n)
-        draws = rng.random(probs.shape)
-        rows, cols = np.nonzero(draws < probs)
-        mask = cols > rows + start
+        draws = rng.random((stop - start, n))[:, start:]
+        rows, cols = np.nonzero(draws < prob_rows(start, stop))
+        mask = cols > rows
         if mask.any():
-            edges.append(np.stack([rows[mask] + start, cols[mask]], axis=1))
+            edges.append(np.stack([rows[mask] + start, cols[mask] + start], axis=1))
     return np.concatenate(edges, axis=0) if edges else np.empty((0, 2), dtype=np.int64)
 
 
@@ -104,7 +111,8 @@ def sample_graph(w: Graphon, n: int, seed) -> GraphSample:
     latents = rng.random(n)
 
     def prob_rows(start, stop):
-        return np.asarray(w.evaluate(latents[start:stop, None], latents[None, :]), dtype=float)
+        return np.asarray(w.evaluate(latents[start:stop, None], latents[None, start:]),
+                          dtype=float)
 
     edges = _dense_edges(prob_rows, n, rng)
     return _finish_edges(n, edges, latents=latents, seed=seed)
@@ -140,7 +148,8 @@ def sample_sparse_graph(w: Graphon, n: int, lam: float, seed) -> GraphSample:
         blk = None
     if blk is None:
         def prob_rows(start, stop):
-            vals = np.asarray(w.evaluate(latents[start:stop, None], latents[None, :]), dtype=float)
+            vals = np.asarray(w.evaluate(latents[start:stop, None], latents[None, start:]),
+                              dtype=float)
             return np.minimum(lam * vals / n, 1.0)
         edges = _dense_edges(prob_rows, n, rng)
         return _finish_edges(n, edges, latents=latents, seed=seed)

@@ -309,6 +309,32 @@ def test_s1_run_deterministic_outputs(tmp_path):
         assert a == b
 
 
+def test_real_run_deterministic_outputs(tmp_path):
+    g = sample_sparse_graph(Block.from_arrays([0, 0.3, 0.7, 1],
+                                              [[0.9, 0.1, 0.2], [0.1, 0.7, 0.1],
+                                               [0.2, 0.1, 0.8]]), 600, 12.0, seed=5)
+    dataset = tmp_path / "edges.txt"
+    write_edge_list(g, str(dataset))
+    base = {"experiment": "real", "dataset": str(dataset),
+            "regimes": ["edge_holdout", "node_holdout"], "splits_per_regime": 1}
+    for name in ("a", "b"):
+        run_experiment(ExperimentConfig.from_dict(dict(base, out_dir=str(tmp_path / name))))
+    for fname in ("real_metrics.csv", "real_gaps.json"):
+        a = (tmp_path / "a" / "real" / fname).read_bytes()
+        b = (tmp_path / "b" / "real" / fname).read_bytes()
+        assert a == b
+
+
+def test_manifest_replicate_seeds_distinct(tmp_path):
+    cfg = ExperimentConfig.from_dict({"experiment": "s4", "out_dir": str(tmp_path),
+                                      "tail_k_max": 20_000, "replicates": 3,
+                                      "base_seed": 7})
+    run_experiment(cfg)
+    seeds = json.loads((tmp_path / "s4" / "manifest.json").read_text())["replicate_seeds"]
+    assert len(seeds) == 3
+    assert len({tuple(s) for s in seeds}) == 3
+
+
 def test_s3_mini_run(tmp_path):
     cfg = ExperimentConfig.from_dict({"experiment": "s3", "out_dir": str(tmp_path),
                                       "lambda_grid": [0.5, 2.0], "phase_n": 2000,

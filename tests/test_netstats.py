@@ -69,6 +69,28 @@ def test_triangle_count_matches_brute_force():
         assert triangle_count(g) == brute_triangles(n, g.edges)
 
 
+def test_dense_triangle_count_matches_sparse_and_networkx():
+    """Graphs with more than 50 n edges take the float32 BLAS branch; its
+    count equals the int64 sparse product and networkx."""
+    rng = np.random.default_rng(19)
+    for n in (150, 220, 300, 400):
+        p = rng.uniform(0.7, 0.95)
+        g = sample_graph(Block.from_arrays([0, 0.4, 1], [[p, 0.6], [0.6, p]]), n,
+                         seed=int(rng.integers(1 << 30)))
+        assert g.n_edges > 50 * n
+        adj = g.adjacency().astype(np.int64)
+        sparse = int((adj @ adj).multiply(adj).sum() // 6)
+        G = nx.Graph()
+        G.add_nodes_from(range(n))
+        G.add_edges_from(map(tuple, g.edges))
+        assert triangle_count(g) == sparse == sum(nx.triangles(G).values()) // 3
+
+
+def test_dense_triangle_count_exact_at_benchmark_size():
+    g = sample_graph(Constant(1.0), 3000, seed=1)
+    assert triangle_count(g) == math.comb(3000, 3)
+
+
 # ---------------------------------------------------------------------------
 # centralities
 # ---------------------------------------------------------------------------

@@ -1,12 +1,16 @@
 """Graph and dyad sampling, components, and phase sweeps."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
-from graphsynth import (Block, Constant, ProductWeight, functionals,
-                        giant_fraction, graph_statistics, make_rng, phase_sweep,
+from graphsynth import (Block, Constant, ProductWeight, default_generator,
+                        functionals, giant_fraction, graph_statistics, make_rng,
+                        phase_sweep,
                         sample_dyads, sample_graph, sample_sparse_graph,
                         split_rngs, uniform_step_map)
+from graphsynth.graphons import Graphon
 from graphsynth.sampling import graph_from_edge_array
 
 TWO_BLOCK = Block.from_arrays([0, 0.5, 1], [[0.8, 0.1], [0.1, 0.8]])
@@ -105,6 +109,46 @@ def test_sparse_determinism_and_validation():
     np.testing.assert_array_equal(a.edges, b.edges)
     with pytest.raises(ValueError):
         sample_sparse_graph(TWO_BLOCK, 100, 0.0, seed=1)
+
+
+class Ridge(Graphon):
+    """A graphon with no block form, so the sparse sampler falls back to
+    row-chunked Bernoulli draws."""
+
+    def evaluate(self, x, y):
+        x = np.asarray(x, dtype=float)
+        return 0.9 * np.exp(-4.0 * np.abs(x - np.asarray(y, dtype=float)))
+
+
+# sha256 of the edge and degree bytes; a change here means seeded samples
+# changed, which changes every pinned output downstream
+PINNED_SAMPLES = {
+    "dense_block": (
+        lambda: sample_graph(TWO_BLOCK, 400, seed=21),
+        "f33afb3e15cbd1a5f9b877dcd436a9c1aa40d5aae2af39461e706e8c18bf9267",
+        "159494a3e891c985cf5bb9adcf3e78793d586e0eb559a115d1ed7fa6489d1a61"),
+    "dense_linear_combo": (
+        lambda: sample_graph(default_generator()[0], 600, seed=22),
+        "4f0c092220936388e549556792c3d00b2d170ef6370804dac7f31785c790a40f",
+        "ccadeb8e892cb14919b33b70684d358ed04988b6448a42d7c7b9b20ea4136127"),
+    "sparse_block": (
+        lambda: sample_sparse_graph(TWO_BLOCK, 3000, 6.0, seed=23),
+        "020c798e4807d6bd26c9dd77288be4752ee3438ecd27f6794df420eaa7f865a9",
+        "d829ced5605736348dda5b96771464978a75978539d4f8239521103701529cb6"),
+    "sparse_fallback": (
+        lambda: sample_sparse_graph(Ridge(), 600, 40.0, seed=24),
+        "4c29f12686ab68f114661342fa0e71a8be510ebe0dc2dad9ac3c55d51a550c4f",
+        "a8d27e503901ed6a173247bd7771b867aaa79a5d52294e11b7f161ae29119c82"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_SAMPLES))
+def test_sampler_streams_pinned(name):
+    sample, edges_sha, degrees_sha = PINNED_SAMPLES[name]
+    g = sample()
+    assert g.edges.dtype == np.int64 and g.degrees.dtype == np.int64
+    assert hashlib.sha256(g.edges.tobytes()).hexdigest() == edges_sha
+    assert hashlib.sha256(g.degrees.tobytes()).hexdigest() == degrees_sha
 
 
 # ---------------------------------------------------------------------------
