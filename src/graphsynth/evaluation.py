@@ -7,7 +7,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.special import expit, log_expit, logit
-from scipy.stats import rankdata
 
 from .sampling import GraphSample, make_rng
 
@@ -279,60 +278,107 @@ class MetricReport:
                 "uncertainty": self.murphy[2], "n": self.n}
 
 
-def auc_score(predictions: np.ndarray, labels: np.ndarray) -> float:
-    """Rank-statistic AUC with midranks for ties."""
-    pos = labels == 1
-    n_pos, n_neg = int(pos.sum()), int((~pos).sum())
+def _descending_ties(predictions: np.ndarray):
+    """One stable descending sort of ``predictions`` and its tie groups.
+
+    Returns ``order``, which keeps equal values in index order (so it equals
+    ``np.lexsort((np.arange(m), -predictions))``, NaNs last), and
+    ``starts``, the positions in ``order`` where a run of equal values
+    begins.
+    """
+    order = np.argsort(-predictions, kind="stable")
+    ranked = predictions[order]
+    new_run = np.empty(ranked.size, dtype=bool)
+    new_run[:1] = True
+    np.not_equal(ranked[1:], ranked[:-1], out=new_run[1:])
+    return order, np.flatnonzero(new_run)
+
+
+def _auc_sorted(predictions, pos, order, starts) -> float:
+    n_pos = int(pos.sum())
+    n_neg = pos.size - n_pos
     if n_pos == 0 or n_neg == 0:
         return float("nan")
-    ranks = rankdata(predictions)
-    return float((ranks[pos].sum() - n_pos * (n_pos + 1) / 2) / (n_pos * n_neg))
+    if np.isnan(predictions[order[-1]]):
+        return float("nan")
+    # a run at positions [start, stop) of the descending order has ascending
+    # midrank m - (start + stop - 1) / 2, an exact half-integer, so the rank
+    # sum below is exact whatever the summation order
+    stops = np.append(starts[1:], pos.size)
+    midranks = pos.size - 0.5 * (starts + stops - 1)
+    pos_per_run = np.add.reduceat(pos[order].astype(np.int64), starts)
+    rank_sum = float(midranks @ pos_per_run)
+    return (rank_sum - n_pos * (n_pos + 1) / 2) / (n_pos * n_neg)
 
 
-def average_precision(predictions: np.ndarray, labels: np.ndarray) -> float:
-    """Step-integrated precision-recall (deterministic index tiebreak)."""
+def _average_precision_sorted(labels, order) -> float:
     n_pos = int((labels == 1).sum())
     if n_pos == 0:
         return float("nan")
-    order = np.lexsort((np.arange(labels.size), -predictions))
     sorted_labels = labels[order]
     tp = np.cumsum(sorted_labels)
     precision = tp / np.arange(1, labels.size + 1)
     return float(np.sum(precision * sorted_labels) / n_pos)
 
 
+def auc_score(predictions: np.ndarray, labels: np.ndarray) -> float:
+    """Rank-statistic AUC with midranks for ties; NaN when a class is missing
+    or a prediction is NaN."""
+    predictions = np.asarray(predictions, dtype=float)
+    return _auc_sorted(predictions, np.asarray(labels) == 1,
+                       *_descending_ties(predictions))
+
+
+def average_precision(predictions: np.ndarray, labels: np.ndarray) -> float:
+    """Step-integrated precision-recall (deterministic index tiebreak)."""
+    predictions = np.asarray(predictions, dtype=float)
+    order, _ = _descending_ties(predictions)
+    return _average_precision_sorted(np.asarray(labels), order)
+
+
 def score_metrics(predictions, labels, bins: int = 10) -> MetricReport:
     """Brier, floored log-loss, AUC, AP, ECE, and the Brier decomposition.
 
     The reliability/resolution/uncertainty decomposition and ECE share the
-    same equal-width bins; empty bins are skipped.
+    same equal-width bins; empty bins are skipped.  AUC and AP share one
+    sort of the predictions.
     """
     predictions = np.asarray(predictions, dtype=float)
     labels = np.asarray(labels, dtype=float)
     if predictions.shape != labels.shape or predictions.size == 0:
         raise ValueError("predictions and labels must be equal-length and nonempty")
-    if np.any(predictions < 0) or np.any(predictions > 1):
+    if bins < 1:
+        raise ValueError("need bins >= 1")
+    # written so that NaN fails it too
+    if not np.all((predictions >= 0) & (predictions <= 1)):
         raise ValueError("predictions must lie in [0,1]")
     m = predictions.size
     brier = float(np.mean((predictions - labels) ** 2))
     clipped = np.clip(predictions, LOGLOSS_FLOOR, 1.0 - LOGLOSS_FLOOR)
     logloss = float(-np.mean(labels * np.log(clipped) + (1 - labels) * np.log1p(-clipped)))
-    auc = auc_score(predictions, labels)
-    ap = average_precision(predictions, labels)
+    order, starts = _descending_ties(predictions)
+    auc = _auc_sorted(predictions, labels == 1, order, starts)
+    ap = _average_precision_sorted(labels, order)
 
-    bin_idx = np.minimum((predictions * bins).astype(int), bins - 1)
+    # each bin is a contiguous slice of a stable sort by bin that keeps its
+    # rows in index order, so a bin's mean sums its rows in index order; the
+    # smallest integer type that holds the bins makes that sort a radix sort
+    bin_idx = np.minimum((predictions * bins).astype(np.min_scalar_type(bins)), bins - 1)
+    counts = np.bincount(bin_idx, minlength=bins)
+    by_bin = np.argsort(bin_idx, kind="stable")
+    binned_p = predictions[by_bin]
+    binned_y = labels[by_bin]
+    stops = np.cumsum(counts)
     base_rate = labels.mean()
     ece = 0.0
     rel = 0.0
     res = 0.0
     bin_rows = []
-    for b in range(bins):
-        mask = bin_idx == b
-        count = int(mask.sum())
-        if count == 0:
-            continue
-        p_bar = float(predictions[mask].mean())
-        y_bar = float(labels[mask].mean())
+    for b in np.flatnonzero(counts):
+        count = int(counts[b])
+        rows = slice(stops[b] - count, stops[b])
+        p_bar = float(binned_p[rows].mean())
+        y_bar = float(binned_y[rows].mean())
         wt = count / m
         ece += wt * abs(p_bar - y_bar)
         rel += wt * (p_bar - y_bar) ** 2

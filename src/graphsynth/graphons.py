@@ -148,10 +148,13 @@ class LogisticLowRank(Graphon):
     latent: StepMap
     intercept: float = 0.0
 
+    def _positions(self) -> np.ndarray:
+        """Latent values as a (K, d) array; scalar values mean d = 1."""
+        return np.asarray(self.latent.values, dtype=float).reshape(self.latent.k, -1)
+
     def evaluate(self, x, y):
-        zx = np.atleast_2d(self.latent(x))
-        zy = np.atleast_2d(self.latent(y))
-        dots = np.sum(np.asarray(zx, dtype=float) * np.asarray(zy, dtype=float), axis=-1)
+        z = self._positions()
+        dots = np.sum(z[self.latent.piece_index(x)] * z[self.latent.piece_index(y)], axis=-1)
         out = expit(dots + self.intercept)
         if np.isscalar(x) and np.isscalar(y):
             return float(out.reshape(-1)[0])
@@ -205,30 +208,23 @@ class LinearCombo(Graphon):
         return self.clipped
 
 
-def evaluate(w: Graphon, x, y):
-    """Evaluate a graphon; total on the unit square and symmetric by design."""
-    return w.evaluate(x, y)
-
-
 # ---------------------------------------------------------------------------
 # block reduction
 # ---------------------------------------------------------------------------
 
-def _merge_boundaries(list_of_bounds) -> np.ndarray:
-    merged = np.unique(np.concatenate([np.asarray(b, dtype=float) for b in list_of_bounds]))
-    keep = np.concatenate([[True], np.diff(merged) > 1e-14])
-    merged = merged[keep]
-    merged[0], merged[-1] = 0.0, 1.0
-    return merged
-
-
 def _refine(blocks):
-    """Merged breakpoints of ``blocks`` and each block's matrix on them."""
-    bounds = _merge_boundaries([b.boundaries for b in blocks] or [[0.0, 1.0]])
-    mids = 0.5 * (bounds[:-1] + bounds[1:])
+    """Merged breakpoints of ``blocks`` and each block's matrix on them.
+
+    Every breakpoint is kept, however close to another, and each merged
+    piece looks up its left end.  Pieces are closed on the left, so a merged
+    piece lies inside one piece of every block and the refined matrices
+    take the blocks' values at every point.
+    """
+    bounds = np.unique(np.concatenate(
+        [np.asarray(b.boundaries, dtype=float) for b in blocks] or [[0.0, 1.0]]))
     mats = []
     for b in blocks:
-        i = b.piece_index(mids)
+        i = b.piece_index(bounds[:-1])
         mats.append(np.asarray(b.matrix, dtype=float)[np.ix_(i, i)])
     return bounds, mats
 
@@ -237,7 +233,9 @@ def as_block(w: Graphon) -> Block:
     """Exact piecewise-constant representation of ``w``.
 
     All supported kinds are block graphons after refining breakpoints, which
-    is what makes the L2 geometry computable in closed form.  Any other
+    is what makes the L2 geometry computable in closed form.  The rates are
+    computed with each kind's own arithmetic, so the Block's ``evaluate``
+    equals ``w.evaluate`` bit for bit at every point.  Any other
     graphon raises ``GraphonError``; the L2 geometry and the functionals then
     fall back to quadrature.
     """
@@ -247,10 +245,9 @@ def as_block(w: Graphon) -> Block:
         return Block.from_arrays([0.0, 1.0], [[w.p]])
     if isinstance(w, LogisticLowRank):
         b = np.asarray(w.latent.boundaries, dtype=float)
-        z = np.asarray(w.latent.values, dtype=float)
-        if z.ndim == 1:
-            z = z[:, None]
-        mat = expit(z @ z.T + w.intercept)
+        z = w._positions()
+        # evaluate's dot product, not z @ z.T, so the rates equal it bit for bit
+        mat = expit(np.sum(z[:, None, :] * z[None, :, :], axis=-1) + w.intercept)
         return Block.from_arrays(b, mat)
     if isinstance(w, ProductWeight):
         b = np.asarray(w.weights.boundaries, dtype=float)

@@ -12,7 +12,8 @@ import numpy as np
 import scipy.sparse
 import scipy.sparse.csgraph
 
-from .graphons import Graphon, GraphonError, as_block
+from . import graphons
+from .graphons import Block, Graphon, GraphonError, as_block
 from .synthesis import DyadData
 
 DENSE_CHUNK_ROWS = 256
@@ -103,18 +104,40 @@ def _dense_edges(prob_rows, n, rng):
     return np.concatenate(edges, axis=0) if edges else np.empty((0, 2), dtype=np.int64)
 
 
+def _block_form(w: Graphon) -> Block | None:
+    """``as_block(w)``, or None for a graphon without a block form."""
+    try:
+        return as_block(w)
+    except GraphonError:
+        return None
+
+
+def _kernel_rows(w: Graphon, blk: Block | None, latents):
+    """``rows(start, stop)``: w on latents ``start:stop`` against ``start:``.
+
+    With a block form the values are gathered from its matrix by piece
+    labels computed once; they equal ``w.evaluate`` bit for bit.  Without
+    one, ``w.evaluate`` runs on every chunk.
+    """
+    if blk is None:
+        return lambda start, stop: np.asarray(
+            w.evaluate(latents[start:stop, None], latents[None, start:]), dtype=float)
+    labels = blk.piece_index(latents)
+    mat = np.asarray(blk.matrix, dtype=float)
+    return lambda start, stop: mat[labels[start:stop, None], labels[None, start:]]
+
+
 def sample_graph(w: Graphon, n: int, seed) -> GraphSample:
-    """Latent-uniform graph: U_i iid uniform, edges Bernoulli(w(U_i, U_j))."""
+    """Latent-uniform graph: U_i iid uniform, edges Bernoulli(w(U_i, U_j)).
+
+    A graphon with a block form (``as_block``) is read from its rate matrix;
+    any other is evaluated chunk by chunk.  Both give the same edges.
+    """
     if n < 2:
         raise ValueError("need n >= 2")
     rng = make_rng(seed)
     latents = rng.random(n)
-
-    def prob_rows(start, stop):
-        return np.asarray(w.evaluate(latents[start:stop, None], latents[None, start:]),
-                          dtype=float)
-
-    edges = _dense_edges(prob_rows, n, rng)
+    edges = _dense_edges(_kernel_rows(w, _block_form(w), latents), n, rng)
     return _finish_edges(n, edges, latents=latents, seed=seed)
 
 
@@ -134,24 +157,19 @@ def _sample_distinct(rng, n_items: int, k: int) -> np.ndarray:
 def sample_sparse_graph(w: Graphon, n: int, lam: float, seed) -> GraphSample:
     """Sparse regime: edge probability min(1, lam * w(U_i,U_j) / n).
 
-    Block-reducible kernels use a fast path: per block-pair binomial edge
-    counts followed by uniform placement.  Other kernels fall back to the
-    row-chunked dense sampler with rescaled probabilities.
+    A graphon with a block form (``as_block``) is sampled per block pair:
+    a binomial edge count followed by uniform placement.  Any other falls
+    back to the row-chunked dense sampler with rescaled probabilities.
     """
     if n < 2 or lam <= 0:
         raise ValueError("need n >= 2 and lam > 0")
     rng = make_rng(seed)
     latents = rng.random(n)
-    try:
-        blk = as_block(w)
-    except GraphonError:
-        blk = None
+    blk = _block_form(w)
     if blk is None:
-        def prob_rows(start, stop):
-            vals = np.asarray(w.evaluate(latents[start:stop, None], latents[None, start:]),
-                              dtype=float)
-            return np.minimum(lam * vals / n, 1.0)
-        edges = _dense_edges(prob_rows, n, rng)
+        rows = _kernel_rows(w, None, latents)
+        edges = _dense_edges(lambda start, stop: np.minimum(lam * rows(start, stop) / n, 1.0),
+                             n, rng)
         return _finish_edges(n, edges, latents=latents, seed=seed)
 
     labels = blk.piece_index(latents)
@@ -198,16 +216,31 @@ def sample_dyads(w: Graphon, agents, m: int, seed) -> DyadData:
     """i.i.d. dyads: latent pairs, Bernoulli labels from w, agent features.
 
     Features are (1, w_1(X), ..., w_J(X)) evaluated at the same latent pair.
+    A graphon or agent with a block form (``as_block``) is read from its
+    rate matrix, which gives the values ``evaluate`` would; piece labels are
+    computed once per distinct set of breakpoints.
     """
     if m < 1:
         raise ValueError("need m >= 1 dyads")
     rng = make_rng(seed)
     u1 = rng.random(m)
     u2 = rng.random(m)
-    truth = np.asarray(w.evaluate(u1, u2), dtype=float)
+    piece_labels = {}
+
+    def values(g):
+        blk = _block_form(g)
+        if blk is None:
+            return np.asarray(g.evaluate(u1, u2), dtype=float)
+        key = tuple(blk.boundaries)
+        if key not in piece_labels:
+            piece_labels[key] = blk.piece_index(u1), blk.piece_index(u2)
+        lab1, lab2 = piece_labels[key]
+        return np.asarray(blk.matrix, dtype=float)[lab1, lab2]
+
+    truth = values(w)
     labels = (rng.random(m) < truth).astype(float)
     cols = [np.ones(m)]
-    cols.extend(np.asarray(a.evaluate(u1, u2), dtype=float) for a in agents)
+    cols.extend(values(a) for a in agents)
     return DyadData(features=np.stack(cols, axis=1), labels=labels)
 
 
@@ -241,7 +274,6 @@ def phase_sweep(w: Graphon, lambdas, n: int, reps: int, seed,
     Replicate streams are split from the base seed; the predicted critical
     value is 1/rho for the kernel's integral-operator spectral radius.
     """
-    from .graphons import spectral_radius
     if reps < 1:
         raise ValueError("need reps >= 1")
     lambdas = np.asarray(lambdas, dtype=float)
@@ -257,7 +289,9 @@ def phase_sweep(w: Graphon, lambdas, n: int, reps: int, seed,
         fracs = np.asarray(fracs)
         means[li] = fracs.mean()
         sds[li] = fracs.std(ddof=1) if reps > 1 else 0.0
-    rho = spectral_radius(w, spectral_grid)
+    # looked up on the graphons module at call time, where the benchmark's
+    # tracer wraps it
+    rho = graphons.spectral_radius(w, spectral_grid)
     lam_c = 1.0 / rho if rho > 0 else float("inf")
     return PhaseCurve(lambdas=lambdas, mean_fraction=means, sd_fraction=sds,
                       n=n, reps=reps, rho=rho, lambda_critical=lam_c)

@@ -1,6 +1,10 @@
 """Split protocols, proper-score metrics, paired gaps, and baselines."""
 
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -10,6 +14,7 @@ from hypothesis import strategies as st
 from scipy.optimize import minimize
 from scipy.special import expit, log_expit, logit
 
+import graphsynth
 from graphsynth import (Block, SplitError, audit_split, auc_score,
                         average_precision, cv_best_agent, evaluation,
                         fit_logistic_stack, make_split, paired_gaps,
@@ -123,6 +128,43 @@ def test_metrics_degenerate_and_invalid_inputs():
         score_metrics(np.array([0.5]), np.array([1.0, 0.0]))
     with pytest.raises(ValueError):
         score_metrics(np.array([1.2]), np.array([1.0]))
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match=r"must lie in \[0,1\]"):
+            score_metrics(np.array([bad, 0.5, 0.2]), np.array([1.0, 0.0, 1.0]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from([0.0, 0.25, 0.5, 0.75, 1.0]), st.booleans()),
+                min_size=1, max_size=30))
+def test_ranking_metrics_match_brute_force_on_ties(rows):
+    preds = np.array([p for p, _ in rows])
+    labels = np.array([float(y) for _, y in rows])
+    pos, neg = preds[labels == 1], preds[labels == 0]
+    if pos.size and neg.size:
+        # every (positive, negative) pair: 1 when ordered right, 1/2 on a tie
+        wins = (pos[:, None] > neg[None, :]) + 0.5 * (pos[:, None] == neg[None, :])
+        assert auc_score(preds, labels) == wins.sum() / (pos.size * neg.size)
+    else:
+        assert np.isnan(auc_score(preds, labels))
+    if pos.size:
+        sorted_labels = labels[np.lexsort((np.arange(preds.size), -preds))]
+        precision = np.cumsum(sorted_labels) / np.arange(1, preds.size + 1)
+        assert average_precision(preds, labels) == np.sum(precision * sorted_labels) / pos.size
+    else:
+        assert np.isnan(average_precision(preds, labels))
+    report = score_metrics(preds, labels)
+    np.testing.assert_equal((report.auc, report.ap),
+                            (auc_score(preds, labels), average_precision(preds, labels)))
+
+
+def test_import_leaves_scipy_stats_unloaded():
+    src = str(Path(graphsynth.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+    code = "import sys, graphsynth; print('scipy.stats' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=120)
+    assert out.stdout.strip() == "False"
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Config handling, data ingestion, agent fitting, serialization, runs, CLI."""
 
+import hashlib
 import json
 from pathlib import Path
 
@@ -306,6 +307,21 @@ def test_s1_run_deterministic_outputs(tmp_path):
     for fname in ("s1_metrics.csv", "s1_summary.json"):
         a = (tmp_path / "a" / "s1" / fname).read_bytes()
         b = (tmp_path / "b" / "s1" / fname).read_bytes()
+        assert a == b
+    # a change here means the dyad samplers or the scores moved
+    metrics = (tmp_path / "a" / "s1" / "s1_metrics.csv").read_bytes()
+    assert hashlib.sha256(metrics).hexdigest() == (
+        "acc3b0d23b2a817ea2a490928f39713b92236dd419b5dd755d8ff0dbec58a08c")
+
+
+def test_s2_run_deterministic_outputs(tmp_path):
+    base = {"experiment": "s2", "replicates": 2, "n_grid": [200], "m_val": 200,
+            "m_test": 1000}
+    for name in ("a", "b"):
+        run_experiment(ExperimentConfig.from_dict(dict(base, out_dir=str(tmp_path / name))))
+    for fname in ("s2_curve.csv", "s2_summary.json"):
+        a = (tmp_path / "a" / "s2" / fname).read_bytes()
+        b = (tmp_path / "b" / "s2" / fname).read_bytes()
         assert a == b
 
 

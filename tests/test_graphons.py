@@ -89,19 +89,31 @@ def test_block_validation_rejects_bad_inputs():
 # ---------------------------------------------------------------------------
 
 def test_as_block_is_exact_for_every_kind():
+    """The block form gives ``evaluate``'s values bit for bit, at random
+    points and at and just below every breakpoint, also for two parts whose
+    breakpoints are closer together than 1e-14."""
     rng = np.random.default_rng(7)
+    near = 0.5 + 4e-15
     kinds = [
         Constant(0.42),
+        random_block(rng),
         LogisticLowRank(uniform_step_map([(1.0, 0.0), (-0.5, 0.8)]), 0.2),
+        LogisticLowRank(uniform_step_map(rng.normal(size=(5, 3))), -0.4),
+        LogisticLowRank(uniform_step_map([0.9, -0.6, 0.3]), 0.1),  # scalar values: d = 1
         ProductWeight(uniform_step_map([0.8, 1.6, 0.1])),
     ]
-    kinds.append(LinearCombo.make([0.05, 0.4, 0.6], kinds[:2]))
-    xs = rng.uniform(0, 1, size=200)
-    ys = rng.uniform(0, 1, size=200)
+    kinds.append(LinearCombo.make([0.05, 0.4, 0.6], kinds[2:4]))
+    kinds.append(LinearCombo.make([0.1, 0.2, 0.3, 0.25], kinds[1:6:2], clipped=True))
+    kinds.append(LinearCombo.make(
+        [0.0, 0.5, 0.5], [Block.from_arrays([0, 0.5, 1], [[0.2, 0.6], [0.6, 0.9]]),
+                          Block.from_arrays([0, near, 1], [[0.1, 0.7], [0.7, 0.3]])]))
+    breaks = np.unique(np.concatenate([as_block(w).boundaries for w in kinds] + [[0.5, near]]))
+    pts = np.concatenate([rng.uniform(0, 1, size=60), breaks, np.nextafter(breaks, 0.0)])
     for w in kinds:
-        blk = as_block(w)
-        np.testing.assert_allclose(blk.evaluate(xs, ys), w.evaluate(xs, ys),
-                                   rtol=0, atol=1e-14)
+        want = w.evaluate(pts[:, None], pts[None, :])
+        assert want.shape == (pts.size, pts.size)
+        assert np.array_equal(as_block(w).evaluate(pts[:, None], pts[None, :]), want)
+        assert np.array_equal(as_block(w).evaluate(pts, pts[::-1]), w.evaluate(pts, pts[::-1]))
 
 
 # ---------------------------------------------------------------------------

@@ -5,11 +5,11 @@ import hashlib
 import numpy as np
 import pytest
 
-from graphsynth import (Block, Constant, ProductWeight, default_generator,
-                        functionals, giant_fraction, graph_statistics, make_rng,
-                        phase_sweep,
-                        sample_dyads, sample_graph, sample_sparse_graph,
-                        split_rngs, uniform_step_map)
+from graphsynth import (Block, Constant, LogisticLowRank, ProductWeight,
+                        default_generator, functionals, giant_fraction,
+                        graph_statistics, make_rng, phase_sweep, sample_dyads,
+                        sample_graph, sample_sparse_graph, split_rngs,
+                        uniform_step_map)
 from graphsynth.graphons import Graphon
 from graphsynth.sampling import graph_from_edge_array
 
@@ -151,9 +151,59 @@ def test_sampler_streams_pinned(name):
     assert hashlib.sha256(g.degrees.tobytes()).hexdigest() == degrees_sha
 
 
+class Unblocked(Graphon):
+    """Delegates to a graphon but has no block form, so samplers evaluate it."""
+
+    def __init__(self, inner):
+        self.inner = inner
+
+    def evaluate(self, x, y):
+        return self.inner.evaluate(x, y)
+
+
+BLOCK_PATH_KINDS = {
+    "linear_combo": default_generator()[0],
+    "low_rank_d3": LogisticLowRank(uniform_step_map(
+        [(0.9, -0.3, 0.2), (-0.4, 0.8, 0.1), (0.3, 0.3, -1.1)]), -0.5),
+    "product": ProductWeight(uniform_step_map([0.95, 0.65, 0.45, 0.25])),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BLOCK_PATH_KINDS))
+def test_block_path_matches_evaluate_path(name):
+    w = BLOCK_PATH_KINDS[name]
+    a, b = sample_graph(w, 500, seed=31), sample_graph(Unblocked(w), 500, seed=31)
+    assert np.array_equal(a.edges, b.edges)
+    parts = [w, TWO_BLOCK, Constant(0.3)]
+    d1 = sample_dyads(w, parts, 3000, seed=32)
+    d2 = sample_dyads(Unblocked(w), [Unblocked(p) for p in parts], 3000, seed=32)
+    assert np.array_equal(d1.features, d2.features)
+    assert np.array_equal(d1.labels, d2.labels)
+
+
 # ---------------------------------------------------------------------------
 # dyad sampling
 # ---------------------------------------------------------------------------
+
+# sha256 of the feature and label bytes of default_generator() dyads (truth
+# w_star, its three parts as agents, m = 5000)
+PINNED_DYADS = {
+    41: ("77a8d3547c885d71b78f3cbf8a7a4da338179ae9cf306d0074607e0c68b65aa6",
+         "90a96c6a9ff44a7547b0eba34568ba3def697ede48ccd17e65a9ad4ad9949d90"),
+    42: ("7414cf16173402a9d932bbae7a8403d63c82626d0ea9b0015e1c87217a2bdf04",
+         "656f03d7964071c35bce722c12e279936637fef623144b1bfd6cd0cdb94c7b26"),
+}
+
+
+@pytest.mark.parametrize("seed", sorted(PINNED_DYADS))
+def test_dyad_streams_pinned(seed):
+    w_star, parts = default_generator()
+    data = sample_dyads(w_star, parts, 5000, seed)
+    features_sha, labels_sha = PINNED_DYADS[seed]
+    assert data.features.dtype == np.float64 and data.labels.dtype == np.float64
+    assert hashlib.sha256(data.features.tobytes()).hexdigest() == features_sha
+    assert hashlib.sha256(data.labels.tobytes()).hexdigest() == labels_sha
+
 
 def test_dyads_zero_graphon_all_negative():
     data = sample_dyads(Constant(0.0), [Constant(0.5)], 500, seed=4)
