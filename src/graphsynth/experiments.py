@@ -165,8 +165,8 @@ def load_edge_list(path: str):
     Comment lines start with '#'.  Self-loops are dropped, duplicate and
     reversed pairs collapse, and node ids are compacted to 0..n-1.
 
-    Returns (GraphSample, id_map) where id_map[k] is the original id of
-    compact node k.
+    Returns (GraphSample, ids) where ids[k] is the original id of compact
+    node k.
     """
     raw = []
     with open(path) as fh:
@@ -186,9 +186,7 @@ def load_edge_list(path: str):
         raise ValueError(f"{path}: no edges found")
     raw = np.asarray(raw, dtype=np.int64)
     ids = np.unique(raw)
-    id_map = {int(orig): k for k, orig in enumerate(ids)}
-    compact = np.vectorize(id_map.__getitem__)(raw)
-    g = graph_from_edge_array(len(ids), compact)
+    g = graph_from_edge_array(len(ids), np.searchsorted(ids, raw))
     if g.n_edges == 0:
         raise ValueError(f"{path}: graph is empty after cleaning")
     return g, ids

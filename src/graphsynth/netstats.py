@@ -30,22 +30,32 @@ class GraphStatistics:
 
 
 def triangle_count(g: GraphSample) -> int:
-    """Exact triangle count via A^2 restricted to edges.
+    """Exact triangle count.
 
-    Dense graphs go through float32 BLAS (sparse products cost
-    sum_i d_i^2, which blows up when degrees are macroscopic); sparse graphs
-    stay sparse.  float32 is exact here: every entry of A^2 is an integer at
-    most n - 2 < 2^24, and the float64 total is at most n^3 < 2^53.
+    Dense graphs go through float32 BLAS on the strict upper triangle U of
+    the adjacency (sparse products cost sum_i d_i^2, which blows up when
+    degrees are macroscopic).  A triangle i < j < k is counted once, at its
+    edge (i, j), by (U U^T)[i, j] = #{k : u[i, k] = u[j, k] = 1}.  For row
+    blocks I <= J starting at ``lo <= hi`` only columns ``hi:`` can be
+    nonzero in rows J, so each block pair costs one product
+    ``U[I, hi:] @ U[J, hi:].T``, masked by ``U[I, J]``: about n^3 / 6
+    multiply-adds in all, with no n x n product.  float32 is exact: every
+    entry of a product is an integer at most n < 2^24, and each masked block
+    is summed in float64, whose total stays below n^3 < 2^53.  Sparse graphs
+    stay sparse.
     """
     n = g.n
     if n <= 6000 and g.n_edges > 50 * n:
-        i, j = g.edges[:, 0], g.edges[:, 1]
-        a = np.zeros((n, n), dtype=np.float32)
-        a[i, j] = 1.0
-        a[j, i] = 1.0
-        paths2 = a @ a
-        paths2 *= a
-        return int(paths2.sum(dtype=np.float64)) // 6
+        u = np.zeros((n, n), dtype=np.float32)
+        u[g.edges[:, 0], g.edges[:, 1]] = 1.0
+        total = 0.0
+        for lo in range(0, n, TRIANGLE_BLOCK):
+            rows = slice(lo, lo + TRIANGLE_BLOCK)
+            for hi in range(lo, n, TRIANGLE_BLOCK):
+                common = u[rows, hi:] @ u[hi:hi + TRIANGLE_BLOCK, hi:].T
+                common *= u[rows, hi:hi + TRIANGLE_BLOCK]
+                total += common.sum(dtype=np.float64)
+        return int(total)
     adj = g.adjacency().astype(np.int64)
     paths2 = (adj @ adj).multiply(adj)
     return int(paths2.sum() // 6)
@@ -76,6 +86,7 @@ def graph_statistics(g: GraphSample) -> GraphStatistics:
 # ---------------------------------------------------------------------------
 
 CENTRALITY_BLOCK = 256
+TRIANGLE_BLOCK = 500
 
 
 def centralities(g: GraphSample):
@@ -299,8 +310,16 @@ def verify_tail_bracket(base_tail, tilted_tail, ks, lower_factor, upper_factor,
 
 
 def degree_pmf_from_sample(degrees, k_max: int | None = None) -> DegreePmf:
-    """Empirical degree pmf from a degree vector."""
-    degrees = np.asarray(degrees, dtype=np.int64)
-    k_max = int(degrees.max()) if k_max is None else k_max
+    """Empirical degree pmf on support 0..k_max (default: the largest
+    degree) from a nonempty vector of nonnegative degrees."""
+    degrees = np.asarray(degrees, dtype=np.int64).ravel()
+    if degrees.size == 0:
+        raise NetstatsError("degree sample is empty")
+    if degrees.min() < 0:
+        raise NetstatsError("degrees must be nonnegative")
+    largest = int(degrees.max())
+    k_max = largest if k_max is None else int(k_max)
+    if k_max < largest:
+        raise NetstatsError(f"k_max = {k_max} is below the largest degree {largest}")
     probs = np.bincount(degrees, minlength=k_max + 1).astype(float)
     return DegreePmf(probs=probs / probs.sum())

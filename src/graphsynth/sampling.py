@@ -33,7 +33,12 @@ def split_rngs(seed, count: int) -> list[np.random.Generator]:
 
 @dataclass
 class GraphSample:
-    """Simple undirected graph: sorted deduplicated edge list plus degrees."""
+    """Simple undirected graph: sorted deduplicated edge list plus degrees.
+
+    The edges are distinct pairs (i, j) with i < j in ascending order of
+    ``i * n + j``; ``giant_fraction`` reads its CSR rows straight off that
+    order.
+    """
 
     n: int
     edges: np.ndarray = field(repr=False)
@@ -45,6 +50,9 @@ class GraphSample:
         e = np.asarray(self.edges, dtype=np.int64).reshape(-1, 2)
         if e.size and (np.any(e[:, 0] >= e[:, 1]) or e.min() < 0 or e.max() >= self.n):
             raise ValueError("edges must satisfy 0 <= i < j < n")
+        keys = e[:, 0] * self.n + e[:, 1]
+        if np.any(keys[1:] <= keys[:-1]):
+            raise ValueError("edges must be distinct and sorted by (i, j)")
         self.edges = e
 
     @property
@@ -59,49 +67,56 @@ class GraphSample:
             shape=(self.n, self.n))
 
 
-def _finish_edges(n, edges, latents=None, seed=None) -> GraphSample:
-    """Sort ``edges`` (pairs with i < j) and count degrees.
+def _finish_edges(n, keys, latents=None, seed=None) -> GraphSample:
+    """Decode edge keys ``i * n + j`` (each with i < j, no repeats) into a
+    sorted edge list and count degrees.
 
-    Invariant: the returned edges are in ascending order of the key
-    ``i * n + j``, that is by ``i`` and then by ``j``, whatever order the
-    sampler produced them in.
+    Invariant: the returned edges are in ascending order of the key, that is
+    by ``i`` and then by ``j``, whatever order the sampler produced them in.
+    ``keys`` is sorted in place.
     """
-    edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
-    keys = np.sort(edges[:, 0] * n + edges[:, 1])
-    edges = np.stack(np.divmod(keys, n), axis=1)
+    keys = np.asarray(keys, dtype=np.int64)
+    keys.sort()
+    edges = np.empty((keys.size, 2), dtype=np.int64)
+    np.divmod(keys, n, out=(edges[:, 0], edges[:, 1]))
     degrees = np.bincount(edges.ravel(), minlength=n)
     return GraphSample(n=n, edges=edges, degrees=degrees, latents=latents, seed=seed)
 
 
 def graph_from_edge_array(n: int, edges) -> GraphSample:
     """Build a GraphSample from raw (i, j) pairs: symmetrize, drop
-    self-loops, deduplicate."""
+    self-loops, deduplicate.  Every id must lie in ``0..n-1``."""
     edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
-    if edges.size:
-        lo = edges.min(axis=1)
-        hi = edges.max(axis=1)
-        keep = lo != hi
-        edges = np.unique(np.stack([lo[keep], hi[keep]], axis=1), axis=0)
-    return _finish_edges(n, edges)
+    if edges.size and (edges.min() < 0 or edges.max() >= n):
+        raise ValueError("edges must satisfy 0 <= i < j < n")
+    lo = edges.min(axis=1)
+    hi = edges.max(axis=1)
+    keep = lo != hi
+    # keys order pairs exactly as (i, j) does, so this is the row-wise unique
+    return _finish_edges(n, np.unique(lo[keep] * n + hi[keep]))
 
 
 def _dense_edges(prob_rows, n, rng):
-    """Row-chunked Bernoulli sampling over the upper triangle.
+    """Row-chunked Bernoulli sampling over the upper triangle; returns the
+    edge keys ``i * n + j`` in ascending order.
 
     ``prob_rows(start, stop)`` gives the edge probabilities of rows
     ``start:stop`` against columns ``start:``.  Every chunk still draws full
     rows of uniforms, so the stream, and every edge, does not depend on the
-    columns evaluated.
+    columns evaluated.  A hit at flat index ``f = r * width + c`` of a chunk
+    is the pair (start + r, start + c), whose key is
+    ``f + r * start + start * (n + 1)``; flat indices ascend, so each
+    chunk's keys, and their concatenation, come out sorted.
     """
-    edges = []
+    keys = [np.empty(0, dtype=np.int64)]
     for start in range(0, n, DENSE_CHUNK_ROWS):
         stop = min(start + DENSE_CHUNK_ROWS, n)
-        draws = rng.random((stop - start, n))[:, start:]
-        rows, cols = np.nonzero(draws < prob_rows(start, stop))
-        mask = cols > rows
-        if mask.any():
-            edges.append(np.stack([rows[mask] + start, cols[mask] + start], axis=1))
-    return np.concatenate(edges, axis=0) if edges else np.empty((0, 2), dtype=np.int64)
+        height, width = stop - start, n - start
+        hits = rng.random((height, n))[:, start:] < prob_rows(start, stop)
+        hits[:, :height] &= ~np.tri(height, dtype=bool)   # keep j > i only
+        flat = np.flatnonzero(hits)
+        keys.append(flat + (flat // width) * start + start * (n + 1))
+    return np.concatenate(keys)
 
 
 def _block_form(w: Graphon) -> Block | None:
@@ -137,8 +152,8 @@ def sample_graph(w: Graphon, n: int, seed) -> GraphSample:
         raise ValueError("need n >= 2")
     rng = make_rng(seed)
     latents = rng.random(n)
-    edges = _dense_edges(_kernel_rows(w, _block_form(w), latents), n, rng)
-    return _finish_edges(n, edges, latents=latents, seed=seed)
+    keys = _dense_edges(_kernel_rows(w, _block_form(w), latents), n, rng)
+    return _finish_edges(n, keys, latents=latents, seed=seed)
 
 
 def _sample_distinct(rng, n_items: int, k: int) -> np.ndarray:
@@ -168,15 +183,15 @@ def sample_sparse_graph(w: Graphon, n: int, lam: float, seed) -> GraphSample:
     blk = _block_form(w)
     if blk is None:
         rows = _kernel_rows(w, None, latents)
-        edges = _dense_edges(lambda start, stop: np.minimum(lam * rows(start, stop) / n, 1.0),
-                             n, rng)
-        return _finish_edges(n, edges, latents=latents, seed=seed)
+        keys = _dense_edges(lambda start, stop: np.minimum(lam * rows(start, stop) / n, 1.0),
+                            n, rng)
+        return _finish_edges(n, keys, latents=latents, seed=seed)
 
     labels = blk.piece_index(latents)
     mat = np.asarray(blk.matrix, dtype=float)
     k = mat.shape[0]
     members = [np.flatnonzero(labels == a) for a in range(k)]
-    all_edges = []
+    all_keys = [np.empty(0, dtype=np.int64)]
     for a in range(k):
         for b in range(a, k):
             q = min(1.0, lam * mat[a, b] / n)
@@ -205,11 +220,8 @@ def sample_sparse_graph(w: Graphon, n: int, lam: float, seed) -> GraphSample:
                     continue
                 idx = _sample_distinct(rng, n_pairs, count)
                 u, v = members[a][idx // nb], members[b][idx % nb]
-            lo, hi = np.minimum(u, v), np.maximum(u, v)
-            all_edges.append(np.stack([lo, hi], axis=1))
-    edges = (np.concatenate(all_edges, axis=0) if all_edges
-             else np.empty((0, 2), dtype=np.int64))
-    return _finish_edges(n, edges, latents=latents, seed=seed)
+            all_keys.append(np.minimum(u, v) * n + np.maximum(u, v))
+    return _finish_edges(n, np.concatenate(all_keys), latents=latents, seed=seed)
 
 
 def sample_dyads(w: Graphon, agents, m: int, seed) -> DyadData:
@@ -249,8 +261,19 @@ def sample_dyads(w: Graphon, agents, m: int, seed) -> DyadData:
 # ---------------------------------------------------------------------------
 
 def giant_fraction(g: GraphSample) -> float:
-    """Size of the largest connected component divided by n."""
-    _, labels = scipy.sparse.csgraph.connected_components(g.adjacency(), directed=False)
+    """Size of the largest connected component divided by n.
+
+    The components come from the upper-triangular CSR matrix, one entry per
+    edge, read straight off the sorted edge list: row ``i`` holds the ``j``
+    of its edges, already in order.  ``connected_components(directed=False)``
+    follows every edge both ways itself, so the symmetric matrix is never
+    built.
+    """
+    indptr = np.zeros(g.n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(g.edges[:, 0], minlength=g.n), out=indptr[1:])
+    upper = scipy.sparse.csr_matrix((np.ones(g.n_edges), g.edges[:, 1], indptr),
+                                    shape=(g.n, g.n))
+    _, labels = scipy.sparse.csgraph.connected_components(upper, directed=False)
     return float(np.bincount(labels).max()) / g.n
 
 

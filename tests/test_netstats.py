@@ -1,17 +1,19 @@
 """Graph statistics, centralities, and heavy-tail analysis."""
 
 import math
+import tracemalloc
 
 import networkx as nx
 import numpy as np
 import pytest
 
-from graphsynth import (Constant, NetstatsError, bounded_tilt_bracket,
+from graphsynth import (Constant, NetstatsError, default_generator, bounded_tilt_bracket,
                         centralities, degree_pmf_from_sample, fit_tail_exponent,
                         giant_fraction, graph_statistics, hill_tail_exponent,
                         mixture_degree_pmf, polynomial_tilt_exponent_bracket,
                         power_law_pmf, sample_graph, tilt_degree_pmf,
                         triangle_count, verify_tail_bracket)
+from graphsynth.netstats import TRIANGLE_BLOCK
 from graphsynth.sampling import graph_from_edge_array
 from graphsynth.graphons import Block
 
@@ -84,6 +86,37 @@ def test_dense_triangle_count_matches_sparse_and_networkx():
         G.add_nodes_from(range(n))
         G.add_edges_from(map(tuple, g.edges))
         assert triangle_count(g) == sparse == sum(nx.triangles(G).values()) // 3
+
+
+@pytest.mark.parametrize("n", [TRIANGLE_BLOCK - 1, TRIANGLE_BLOCK, TRIANGLE_BLOCK + 1,
+                               2 * TRIANGLE_BLOCK + 7])
+def test_dense_triangle_count_across_row_blocks(n):
+    """At sizes around the row-block edges, the blocked float32 count equals
+    the int64 sparse product and networkx."""
+    g = sample_graph(Block.from_arrays([0, 0.3, 1], [[0.5, 0.1], [0.1, 0.25]]), n, seed=n)
+    assert g.n_edges > 50 * n
+    adj = g.adjacency().astype(np.int64)
+    sparse = int((adj @ adj).multiply(adj).sum() // 6)
+    G = nx.Graph()
+    G.add_nodes_from(range(n))
+    G.add_edges_from(map(tuple, g.edges))
+    assert triangle_count(g) == sparse == sum(nx.triangles(G).values()) // 3
+
+
+def test_dense_triangle_count_peak_memory():
+    """Besides the graph, the dense count holds the float32 upper triangle
+    and one block product, never a second n x n buffer."""
+    n = 2000
+    g = sample_graph(default_generator()[0], n, seed=3)
+    assert g.n_edges > 50 * n
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        triangle_count(g)
+        extra = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert extra <= 1.25 * n * n * 4
 
 
 def test_dense_triangle_count_exact_at_benchmark_size():
@@ -295,6 +328,11 @@ def test_hill_needs_enough_positives():
 def test_degree_pmf_from_sample():
     pmf = degree_pmf_from_sample([0, 1, 1, 2, 2, 2])
     np.testing.assert_allclose(pmf.probs, [1 / 6, 2 / 6, 3 / 6])
+    np.testing.assert_allclose(degree_pmf_from_sample([1, 1], k_max=3).probs,
+                               [0, 1, 0, 0])
+    for degrees, k_max in (([], None), ([0, -1, 2], None), ([0, 5, 5], 2)):
+        with pytest.raises(NetstatsError):
+            degree_pmf_from_sample(degrees, k_max=k_max)
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,12 @@
 """Graph and dyad sampling, components, and phase sweeps."""
 
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from graphsynth import (Block, Constant, LogisticLowRank, ProductWeight,
                         default_generator, functionals, giant_fraction,
@@ -11,7 +14,7 @@ from graphsynth import (Block, Constant, LogisticLowRank, ProductWeight,
                         sample_graph, sample_sparse_graph, split_rngs,
                         uniform_step_map)
 from graphsynth.graphons import Graphon
-from graphsynth.sampling import graph_from_edge_array
+from graphsynth.sampling import GraphSample, graph_from_edge_array
 
 TWO_BLOCK = Block.from_arrays([0, 0.5, 1], [[0.8, 0.1], [0.1, 0.8]])
 
@@ -61,6 +64,54 @@ def test_graph_from_edge_array_cleans_input():
     g = graph_from_edge_array(4, [[0, 1], [1, 0], [2, 2], [1, 3], [3, 1]])
     np.testing.assert_array_equal(g.edges, [[0, 1], [1, 3]])
     np.testing.assert_array_equal(g.degrees, [1, 2, 0, 1])
+
+
+@st.composite
+def raw_pairs(draw):
+    n = draw(st.integers(1, 30))
+    ids = st.integers(0, n - 1)
+    return n, draw(st.lists(st.tuples(ids, ids), max_size=120))
+
+
+@settings(max_examples=200, deadline=None)
+@given(raw_pairs())
+def test_graph_from_edge_array_matches_row_unique(case):
+    """Duplicates, reversed pairs and self-loops clean up exactly as the
+    row-wise unique of the sorted, loop-free pairs."""
+    n, pairs = case
+    pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
+    i, j = pairs[:, 0], pairs[:, 1]
+    expected = np.unique(np.sort(pairs, 1)[i != j], axis=0).reshape(-1, 2)
+    g = graph_from_edge_array(n, pairs)
+    np.testing.assert_array_equal(g.edges, expected)
+    np.testing.assert_array_equal(g.degrees, np.bincount(expected.ravel(), minlength=n))
+
+
+def test_graph_from_edge_array_rejects_out_of_range_ids():
+    # encoded as keys, (0, 5) with n = 3 would alias the edge (1, 2)
+    with pytest.raises(ValueError, match="0 <= i < j < n"):
+        graph_from_edge_array(3, [[0, 5]])
+    with pytest.raises(ValueError, match="0 <= i < j < n"):
+        graph_from_edge_array(3, [[-1, 2]])
+
+
+def test_graph_sample_rejects_unsorted_or_repeated_edges():
+    for edges in ([[1, 2], [0, 1]], [[0, 2], [0, 1]], [[0, 1], [0, 1]]):
+        with pytest.raises(ValueError, match="distinct and sorted"):
+            GraphSample(n=3, edges=np.asarray(edges), degrees=np.zeros(3, dtype=np.int64))
+
+
+def test_dense_sampler_peak_memory():
+    """The dense sampler holds at most the keys and the decoded edges at
+    once, besides one chunk of draws."""
+    w = default_generator()[0]
+    tracemalloc.start()
+    try:
+        g = sample_graph(w, 3000, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.5 * g.edges.nbytes
 
 
 # ---------------------------------------------------------------------------
@@ -239,6 +290,10 @@ def test_giant_fraction_oracles():
     assert giant_fraction(path) == 1.0
     two_comp = graph_from_edge_array(5, [[0, 1], [2, 3]])
     assert giant_fraction(two_comp) == pytest.approx(2 / 5)
+    # isolated nodes after the last edge's row: the row pointer runs to n
+    assert giant_fraction(graph_from_edge_array(10, [[0, 1]])) == pytest.approx(0.2)
+    assert giant_fraction(graph_from_edge_array(10, [[0, 9], [3, 9]])) == pytest.approx(0.3)
+    assert giant_fraction(graph_from_edge_array(6, [[4, 5], [3, 4], [0, 1]])) == pytest.approx(0.5)
 
 
 def test_phase_sweep_smoke():
