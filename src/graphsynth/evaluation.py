@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import expit, log_expit, logit
 
-from .sampling import GraphSample, make_rng
+from .sampling import GraphSample, in_sorted, make_rng, unique_keys
 
 LOGLOSS_FLOOR = 1e-12
 
@@ -74,7 +74,8 @@ def _sample_negatives(rng, n, count, forbidden_keys, restrict_nodes=None,
     """
     pool = np.arange(n) if restrict_nodes is None else np.asarray(restrict_nodes, np.int64)
     touch = None if require_touch is None else _node_mask(n, require_touch)
-    forbidden = np.asarray(forbidden_keys, dtype=np.int64)
+    # ascending throughout, so membership is a binary search
+    forbidden = np.sort(np.asarray(forbidden_keys, dtype=np.int64))
     budget = 200 * max(count, 1) + 10_000
     picks = []
     found = accepted = drawn = 0
@@ -94,13 +95,18 @@ def _sample_negatives(rng, n, count, forbidden_keys, restrict_nodes=None,
         if touch is not None:
             keep &= touch[i] | touch[j]
         keys = i[keep] * n + j[keep]
-        keys = keys[~np.isin(keys, forbidden)]
-        _, first = np.unique(keys, return_index=True)
-        keys = keys[np.sort(first)]
+        keys = keys[~in_sorted(keys, forbidden)]
+        # keep the first draw of each key: a stable sort puts it first in
+        # its run of equal keys
+        order = np.argsort(keys, kind="stable")
+        ranked = keys[order]
+        repeat = np.zeros(keys.size, dtype=bool)
+        repeat[order[1:][ranked[1:] == ranked[:-1]]] = True
+        keys = keys[~repeat]
         accepted += keys.size
         keys = keys[:need]
         picks.append(keys)
-        forbidden = np.concatenate([forbidden, keys])
+        forbidden = np.sort(np.concatenate([forbidden, keys]))
         found += keys.size
     keys = np.concatenate(picks) if picks else np.empty(0, dtype=np.int64)
     return np.stack([keys // n, keys % n], axis=1)
@@ -156,7 +162,8 @@ def make_split(graph: GraphSample, regime: str, seed, negpos_ratio: float = 3.0,
     elif regime == "node_holdout":
         n_held = max(1, int(round(node_frac * n)))
         held = np.sort(rng.choice(n, size=n_held, replace=False))
-        touch = np.any(_node_mask(n, held)[edges], axis=1)
+        held_mask = _node_mask(n, held)
+        touch = np.any(held_mask[edges], axis=1)
         test_pos = edges[touch]
         keep_pos = edges[~touch]
         if len(test_pos) == 0 or len(keep_pos) < 2:
@@ -165,7 +172,7 @@ def make_split(graph: GraphSample, regime: str, seed, negpos_ratio: float = 3.0,
         n_val = max(1, int(round(val_frac * len(keep_pos))))
         val_pos = keep_pos[perm[:n_val]]
         train_pos = keep_pos[perm[n_val:]]
-        kept_nodes = np.setdiff1d(np.arange(n), held)
+        kept_nodes = np.flatnonzero(~held_mask)
         train_neg = _sample_negatives(rng, n, int(round(negpos_ratio * len(train_pos))),
                                       edge_keys, restrict_nodes=kept_nodes)
         forbidden = np.concatenate([edge_keys, _dyad_key(train_neg, n)])
@@ -192,7 +199,7 @@ def make_split(graph: GraphSample, regime: str, seed, negpos_ratio: float = 3.0,
         s = idx - r * (r - 1) // 2
         dyads = np.stack([s, r], axis=1)
         keys = _dyad_key(dyads, n)
-        labels = np.isin(keys, edge_keys).astype(float)
+        labels = in_sorted(keys, edge_keys).astype(float)
         perm = rng.permutation(m)
         n_test = max(1, int(round(test_frac * m)))
         n_val = max(1, int(round(val_frac * m)))
@@ -214,37 +221,39 @@ def audit_split(spec: SplitSpec, graph: GraphSample) -> None:
 
     Checks i < j and no duplicates per set, pairwise disjointness, and for
     node holdout that training retains no dyad touching a held-out node.
+    Each set's keys are sorted once; since no set repeats a key, a repeat
+    in their union is an overlap between two sets.
     """
     n = graph.n
-    keysets = []
-    for name, dyads in (("train", spec.train_dyads), ("val", spec.val_dyads),
-                        ("test", spec.test_dyads)):
+    sets = (("train", spec.train_dyads, spec.train_labels),
+            ("val", spec.val_dyads, spec.val_labels),
+            ("test", spec.test_dyads, spec.test_labels))
+    labelled = []
+    sorted_sets = [np.empty(0, dtype=np.int64)]
+    for name, dyads, labels in sets:
         if dyads.size == 0:
-            keysets.append(np.empty(0, dtype=np.int64))
             continue
         if np.any(dyads[:, 0] >= dyads[:, 1]):
             raise SplitError(f"{name} set violates i < j")
         keys = _dyad_key(dyads, n)
-        if np.unique(keys).size != keys.size:
+        ranked = unique_keys(keys)
+        if ranked.size != keys.size:
             raise SplitError(f"{name} set contains duplicate dyads")
-        keysets.append(keys)
-    for a in range(3):
-        for b in range(a + 1, 3):
-            if np.intersect1d(keysets[a], keysets[b]).size:
-                raise SplitError("train/val/test dyad sets overlap")
+        labelled.append((keys, labels))
+        sorted_sets.append(ranked)
+    union = np.concatenate(sorted_sets)
+    if unique_keys(union).size != union.size:
+        raise SplitError("train/val/test dyad sets overlap")
     if spec.held_out_nodes is not None:
         held = _node_mask(n, spec.held_out_nodes)
         for dyads in (spec.train_dyads, spec.val_dyads):
             if np.any(held[dyads]):
                 raise SplitError("training retains a dyad touching a held-out node")
-    # labels must agree with the adjacency for positives
+    # labels must agree with the adjacency for positives; the edge keys
+    # ascend by GraphSample's invariant
     edge_keys = _dyad_key(graph.edges, n)
-    for dyads, labels in ((spec.train_dyads, spec.train_labels),
-                          (spec.val_dyads, spec.val_labels),
-                          (spec.test_dyads, spec.test_labels)):
-        if dyads.size == 0:
-            continue
-        is_edge = np.isin(_dyad_key(dyads, n), edge_keys)
+    for keys, labels in labelled:
+        is_edge = in_sorted(keys, edge_keys)
         if not np.array_equal(is_edge.astype(float), labels):
             raise SplitError("labels disagree with the adjacency")
 

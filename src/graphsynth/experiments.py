@@ -30,7 +30,8 @@ from .evaluation import (MetricReport, audit_split, cv_best_agent,  # noqa: F401
                          fit_logistic_stack, make_split, paired_gaps,
                          score_metrics)
 from .netstats import fit_tail_exponent, mixture_degree_pmf, power_law_pmf
-from .sampling import GraphSample, graph_from_edge_array, phase_sweep, sample_dyads
+from .sampling import (GraphSample, graph_from_edge_array, phase_sweep, sample_dyads,
+                       unique_keys)
 from .serialize import (gap_report_to_json, write_gap_report_csv,
                         write_metric_reports_csv, write_phase_curve_csv)
 from .synthesis import DyadData, fit_ls, fit_ridge, fit_simplex, predict_clipped
@@ -185,7 +186,7 @@ def load_edge_list(path: str):
     if not raw:
         raise ValueError(f"{path}: no edges found")
     raw = np.asarray(raw, dtype=np.int64)
-    ids = np.unique(raw)
+    ids = unique_keys(raw)
     g = graph_from_edge_array(len(ids), np.searchsorted(ids, raw))
     if g.n_edges == 0:
         raise ValueError(f"{path}: graph is empty after cleaning")

@@ -31,6 +31,40 @@ def split_rngs(seed, count: int) -> list[np.random.Generator]:
             for child in np.random.SeedSequence(seed).spawn(count)]
 
 
+def unique_keys(a) -> np.ndarray:
+    """The sorted distinct values of an integer array; equals ``np.unique(a)``.
+
+    One sort and an adjacent-difference mask.  numpy >= 2.3 sends integer
+    ``np.unique`` through a hash table and then sorts its output, which is
+    many times slower than this on node ids and dyad keys.
+    """
+    keys = np.sort(np.asarray(a).ravel())
+    first = np.empty(keys.size, dtype=bool)
+    first[:1] = True
+    np.not_equal(keys[1:], keys[:-1], out=first[1:])
+    return keys[first]
+
+
+def in_sorted(keys, sorted_keys) -> np.ndarray:
+    """Membership of each of ``keys`` in the ascending array ``sorted_keys``;
+    equals ``np.isin(keys, sorted_keys)``.
+
+    The keys are looked up in ascending order: numpy's binary search starts
+    each lookup from the previous one's bounds, which makes sorting the
+    keys first several times faster than searching them in draw order.
+    """
+    keys = np.asarray(keys)
+    sorted_keys = np.asarray(sorted_keys)
+    if sorted_keys.size == 0:
+        return np.zeros(keys.shape, dtype=bool)
+    order = np.argsort(keys, axis=None)
+    ranked = keys.ravel()[order]
+    pos = np.minimum(np.searchsorted(sorted_keys, ranked), sorted_keys.size - 1)
+    hits = np.empty(keys.size, dtype=bool)
+    hits[order] = sorted_keys[pos] == ranked
+    return hits.reshape(keys.shape)
+
+
 @dataclass
 class GraphSample:
     """Simple undirected graph: sorted deduplicated edge list plus degrees.
@@ -68,15 +102,14 @@ class GraphSample:
 
 
 def _finish_edges(n, keys, latents=None, seed=None) -> GraphSample:
-    """Decode edge keys ``i * n + j`` (each with i < j, no repeats) into a
-    sorted edge list and count degrees.
+    """Decode ascending, distinct edge keys ``i * n + j`` (each with i < j)
+    into the edge list and count degrees.
 
-    Invariant: the returned edges are in ascending order of the key, that is
-    by ``i`` and then by ``j``, whatever order the sampler produced them in.
-    ``keys`` is sorted in place.
+    Every sampler produces its keys in ascending order, so the edges come
+    out sorted by ``i`` and then by ``j``; ``GraphSample`` rejects any other
+    order.
     """
     keys = np.asarray(keys, dtype=np.int64)
-    keys.sort()
     edges = np.empty((keys.size, 2), dtype=np.int64)
     np.divmod(keys, n, out=(edges[:, 0], edges[:, 1]))
     degrees = np.bincount(edges.ravel(), minlength=n)
@@ -93,7 +126,7 @@ def graph_from_edge_array(n: int, edges) -> GraphSample:
     hi = edges.max(axis=1)
     keep = lo != hi
     # keys order pairs exactly as (i, j) does, so this is the row-wise unique
-    return _finish_edges(n, np.unique(lo[keep] * n + hi[keep]))
+    return _finish_edges(n, unique_keys(lo[keep] * n + hi[keep]))
 
 
 def _dense_edges(prob_rows, n, rng):
@@ -162,10 +195,10 @@ def _sample_distinct(rng, n_items: int, k: int) -> np.ndarray:
         raise ValueError("cannot sample more items than available")
     if n_items <= 4 * k or n_items < 1024:
         return rng.choice(n_items, size=k, replace=False)
-    chosen = np.unique(rng.integers(0, n_items, size=int(k * 1.2) + 8))
+    chosen = unique_keys(rng.integers(0, n_items, size=int(k * 1.2) + 8))
     while chosen.size < k:
         extra = rng.integers(0, n_items, size=k)
-        chosen = np.unique(np.concatenate([chosen, extra]))
+        chosen = unique_keys(np.concatenate([chosen, extra]))
     return rng.permutation(chosen)[:k]
 
 
@@ -221,7 +254,9 @@ def sample_sparse_graph(w: Graphon, n: int, lam: float, seed) -> GraphSample:
                 idx = _sample_distinct(rng, n_pairs, count)
                 u, v = members[a][idx // nb], members[b][idx % nb]
             all_keys.append(np.minimum(u, v) * n + np.maximum(u, v))
-    return _finish_edges(n, np.concatenate(all_keys), latents=latents, seed=seed)
+    keys = np.concatenate(all_keys)
+    keys.sort()
+    return _finish_edges(n, keys, latents=latents, seed=seed)
 
 
 def sample_dyads(w: Graphon, agents, m: int, seed) -> DyadData:

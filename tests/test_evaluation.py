@@ -4,12 +4,13 @@ import os
 import subprocess
 import sys
 import warnings
+from dataclasses import replace
 from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import minimize
 from scipy.special import expit, log_expit, logit
@@ -20,6 +21,7 @@ from graphsynth import (Block, SplitError, audit_split, auc_score,
                         fit_logistic_stack, make_split, paired_gaps,
                         sample_graph, score_metrics)
 from graphsynth.evaluation import STACK_RIDGE, _sample_negatives
+from graphsynth.sampling import graph_from_edge_array
 
 SPARSE_BLOCK = Block.from_arrays([0, 0.5, 1], [[0.08, 0.02], [0.02, 0.08]])
 
@@ -224,17 +226,75 @@ def test_audit_split_catches_tampering():
     spec = make_split(g, "edge_holdout", seed=8)
     audit_split(spec, g)  # clean split passes
 
-    bad = make_split(g, "edge_holdout", seed=8)
-    bad.train_dyads = np.concatenate([bad.train_dyads, spec.test_dyads[:1]])
-    bad.train_labels = np.concatenate([bad.train_labels, spec.test_labels[:1]])
-    with pytest.raises(SplitError, match="overlap"):
+    bad = replace(spec, train_dyads=np.concatenate([spec.train_dyads, spec.test_dyads[:1]]),
+                  train_labels=np.concatenate([spec.train_labels, spec.test_labels[:1]]))
+    with pytest.raises(SplitError, match="^train/val/test dyad sets overlap$"):
         audit_split(bad, g)
 
-    flipped = make_split(g, "edge_holdout", seed=8)
-    flipped.train_labels = flipped.train_labels.copy()
-    flipped.train_labels[0] = 1.0 - flipped.train_labels[0]
-    with pytest.raises(SplitError, match="disagree"):
-        audit_split(flipped, g)
+    flipped = spec.train_labels.copy()
+    flipped[0] = 1.0 - flipped[0]
+    with pytest.raises(SplitError, match="^labels disagree with the adjacency$"):
+        audit_split(replace(spec, train_labels=flipped), g)
+
+    reversed_pair = spec.val_dyads.copy()
+    reversed_pair[0] = reversed_pair[0, ::-1]
+    with pytest.raises(SplitError, match="^val set violates i < j$"):
+        audit_split(replace(spec, val_dyads=reversed_pair), g)
+
+    repeated = replace(spec, test_dyads=np.concatenate([spec.test_dyads, spec.test_dyads[-1:]]),
+                       test_labels=np.concatenate([spec.test_labels, spec.test_labels[-1:]]))
+    with pytest.raises(SplitError, match="^test set contains duplicate dyads$"):
+        audit_split(repeated, g)
+
+    node = make_split(g, "node_holdout", seed=3)
+    # move one test dyad, which touches a held-out node, into training
+    moved = replace(node,
+                    train_dyads=np.concatenate([node.train_dyads, node.test_dyads[:1]]),
+                    train_labels=np.concatenate([node.train_labels, node.test_labels[:1]]),
+                    test_dyads=node.test_dyads[1:], test_labels=node.test_labels[1:])
+    with pytest.raises(SplitError,
+                       match="^training retains a dyad touching a held-out node$"):
+        audit_split(moved, g)
+
+
+# refusals of a graph too small or too dense for a regime, raised before the
+# audit runs
+SPLIT_REFUSALS = ("too few edges", "left an empty positive set", "too dense")
+
+
+@st.composite
+def small_graphs(draw):
+    n = draw(st.integers(12, 40))
+    iu, ju = np.triu_indices(n, k=1)
+    picked = sorted(draw(st.sets(st.integers(0, iu.size - 1), min_size=n // 2, max_size=n)))
+    return graph_from_edge_array(n, np.stack([iu[picked], ju[picked]], axis=1))
+
+
+@settings(max_examples=120, deadline=None)
+@given(g=small_graphs(), regime=st.sampled_from(["edge_holdout", "node_holdout",
+                                                  "uniform_dyads"]),
+       negpos_ratio=st.sampled_from([1.0, 2.0, 3.0]), seed=st.integers(0, 2 ** 32 - 1))
+def test_make_split_hygiene_against_set_oracle(g, regime, negpos_ratio, seed):
+    try:
+        spec = make_split(g, regime, seed=seed, negpos_ratio=negpos_ratio, node_frac=0.25)
+    except SplitError as exc:
+        assert any(reason in str(exc) for reason in SPLIT_REFUSALS), str(exc)
+        assume(False)
+    edge_set = {(int(i), int(j)) for i, j in g.edges}
+    sets = []
+    for dyads, labels in ((spec.train_dyads, spec.train_labels),
+                          (spec.val_dyads, spec.val_labels),
+                          (spec.test_dyads, spec.test_labels)):
+        pairs = [(int(i), int(j)) for i, j in dyads]
+        assert all(0 <= i < j < g.n for i, j in pairs)
+        assert len(set(pairs)) == len(pairs)
+        assert labels.tolist() == [float(p in edge_set) for p in pairs]
+        sets.append(set(pairs))
+    train, val, test = sets
+    assert not (train & val or train & test or val & test)
+    if regime == "node_holdout":
+        held = {int(v) for v in spec.held_out_nodes}
+        assert all(i not in held and j not in held for i, j in train | val)
 
 
 @settings(max_examples=80, deadline=None)

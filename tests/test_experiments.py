@@ -339,6 +339,11 @@ def test_real_run_deterministic_outputs(tmp_path):
         a = (tmp_path / "a" / "real" / fname).read_bytes()
         b = (tmp_path / "b" / "real" / fname).read_bytes()
         assert a == b
+    # a change here means the edge-list loader, the splits, the agent fits
+    # or the scores moved
+    metrics = (tmp_path / "a" / "real" / "real_metrics.csv").read_bytes()
+    assert hashlib.sha256(metrics).hexdigest() == (
+        "a7edaed7875ba6dbaac0c18359e5138e26268d0d511316f3961ebf2083a36083")
 
 
 def test_manifest_replicate_seeds_distinct(tmp_path):

@@ -14,7 +14,7 @@ from graphsynth import (Block, Constant, LogisticLowRank, ProductWeight,
                         sample_graph, sample_sparse_graph, split_rngs,
                         uniform_step_map)
 from graphsynth.graphons import Graphon
-from graphsynth.sampling import GraphSample, graph_from_edge_array
+from graphsynth.sampling import GraphSample, graph_from_edge_array, in_sorted, unique_keys
 
 TWO_BLOCK = Block.from_arrays([0, 0.5, 1], [[0.8, 0.1], [0.1, 0.8]])
 
@@ -85,6 +85,31 @@ def test_graph_from_edge_array_matches_row_unique(case):
     g = graph_from_edge_array(n, pairs)
     np.testing.assert_array_equal(g.edges, expected)
     np.testing.assert_array_equal(g.degrees, np.bincount(expected.ravel(), minlength=n))
+
+
+INT64 = st.integers(-2 ** 63, 2 ** 63 - 1)
+# unsorted int64 arrays: heavily repeated, mostly distinct over the whole
+# range, or one value repeated (which covers empty and single-element)
+KEY_ARRAYS = st.one_of(
+    st.lists(st.integers(-3, 3), max_size=60),
+    st.lists(INT64, max_size=60),
+    st.builds(lambda value, count: [value] * count, INT64, st.integers(0, 20)),
+).map(lambda values: np.asarray(values, dtype=np.int64))
+
+
+@settings(max_examples=300, deadline=None)
+@given(KEY_ARRAYS, KEY_ARRAYS)
+def test_key_set_primitives_match_numpy(a, b):
+    expected = np.unique(a)
+    got = unique_keys(a)
+    assert got.dtype == expected.dtype
+    np.testing.assert_array_equal(got, expected)
+    # half of a's values among b's, so both outcomes of the lookup occur
+    b = np.concatenate([b, a[::2]])
+    for table in (np.sort(b), unique_keys(b)):
+        hits = in_sorted(a, table)
+        assert hits.shape == a.shape
+        np.testing.assert_array_equal(hits, np.isin(a, b))
 
 
 def test_graph_from_edge_array_rejects_out_of_range_ids():
