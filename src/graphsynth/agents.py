@@ -2,9 +2,9 @@
 
 Agents are edge-probability generators on a fixed vertex set.  Entropic
 tilting by edge or block statistics has closed forms (logit shifts) for the
-canonical families; general exponential-family agents are calibrated to
-target moments by damped Newton on the exactly enumerated mean map
-(supported up to n = 6 vertices).
+canonical families, or one bracketed scalar root (``logit_shift``); general
+exponential-family agents are calibrated to target moments by Newton on the
+convex dual over the exactly enumerated mean map (supported up to n = 6).
 """
 
 from __future__ import annotations
@@ -31,6 +31,9 @@ class CalibrationFailure(AgentError):
 
 MAX_ENUM_N = 6
 CHUNG_LU_CAP = 1.0 - 1e-12
+CALIBRATE_TOL = 1e-8
+CALIBRATE_MAX_STEPS = 100
+CALIBRATE_ARMIJO = 1e-4
 
 
 # ---------------------------------------------------------------------------
@@ -515,47 +518,75 @@ def stat_tilt_weights(n: int, stats, tau) -> np.ndarray:
 # moment calibration
 # ---------------------------------------------------------------------------
 
-def _newton_calibrate(stat: np.ndarray, base_logits: np.ndarray, target: np.ndarray,
-                      tol: float = 1e-8, max_iter: int = 200) -> np.ndarray:
-    """Solve E_{tau}[T] = target for the tilt tau by damped Newton.
+def logit_shift(logits, rate: float) -> float:
+    """Shift b with mean(expit(logits + b)) = rate, for 0 < rate < 1.
 
-    ``base_logits`` are the unnormalized log probabilities of the baseline;
-    the mean map is computed by exact summation over all graphs.
+    The mean increases in b, and every term is at most ``rate`` at
+    logit(rate) - max(logits) and at least ``rate`` at logit(rate) -
+    min(logits), so these bracket the root.  Newton on logit(mean) starts
+    from logit(rate) - mean(logits), each evaluation moves one end of the
+    bracket to b, a step leaving the bracket bisects it instead, and a step
+    at the rounding level of logits + b ends the iteration.
+    """
+    logits = np.asarray(logits, dtype=float)
+    target = float(logit(rate))
+    lo, hi = target - float(logits.max()), target - float(logits.min())
+    peak = float(np.abs(logits).max())
+    b = min(max(target - float(logits.mean()), lo), hi)
+    while True:
+        p = expit(logits + b)
+        m = float(p.mean())
+        lo, hi = (b, hi) if m < rate else (lo, b)
+        # d logit(m) / db = mean(p(1-p)) / (m(1-m)); zero once every term saturates
+        slope = float(np.mean(p * (1.0 - p)))
+        new = b + (target - float(logit(m))) * m * (1.0 - m) / slope if slope > 0 else np.inf
+        tol = 4.0 * np.finfo(float).eps * (peak + abs(b))
+        if not (abs(new - b) <= tol or lo < new < hi):
+            new = 0.5 * (lo + hi)
+        if abs(new - b) <= tol:
+            return new
+        b = new
+
+
+def _newton_calibrate(stat: np.ndarray, base_logits: np.ndarray, target: np.ndarray) -> np.ndarray:
+    """Solve E_{tau}[T] = target by Newton on the convex dual
+    log Z(tau) - tau . target, summed exactly over all graphs from the
+    baseline's unnormalized log probabilities ``base_logits``.
+
+    Steps halve until the Armijo condition holds; iteration stops at
+    residual sup-norm ``CALIBRATE_TOL`` and raises ``CalibrationFailure``
+    after ``CALIBRATE_MAX_STEPS`` steps.
     """
     lo, hi = stat.min(axis=0), stat.max(axis=0)
     if np.any(target <= lo) or np.any(target >= hi):
         raise InfeasibleTarget(
             f"target {target} outside the open mean-parameter box ({lo}, {hi})")
-    tau = np.zeros(stat.shape[1])
 
-    def mean_cov(t):
+    def dual(t):
         logw = base_logits + stat @ t
-        w = np.exp(logw - logsumexp(logw))
+        log_z = logsumexp(logw)
+        return float(log_z - t @ target), np.exp(logw - log_z)
+
+    tau = np.zeros(stat.shape[1])
+    obj, w = dual(tau)
+    for _ in range(CALIBRATE_MAX_STEPS):
         mu = w @ stat
+        grad = mu - target
+        if np.linalg.norm(grad, np.inf) <= CALIBRATE_TOL:
+            return tau
         centered = stat - mu
         cov = (centered * w[:, None]).T @ centered
-        return mu, cov
-
-    mu, cov = mean_cov(tau)
-    resid = np.linalg.norm(mu - target, np.inf)
-    for _ in range(max_iter):
-        if resid <= tol:
-            return tau
-        step = np.linalg.solve(cov + 1e-12 * np.eye(cov.shape[0]), target - mu)
-        # step halving keeps the iterate where the mean map stays informative
-        for _ in range(30):
-            cand = tau + step
-            mu_c, cov_c = mean_cov(cand)
-            r_c = np.linalg.norm(mu_c - target, np.inf)
-            if np.isfinite(r_c) and r_c < resid:
-                tau, mu, cov, resid = cand, mu_c, cov_c, r_c
+        step = np.linalg.solve(cov + 1e-12 * np.eye(cov.shape[0]), grad)
+        # the dual is only known to rounding; see fit_logistic_stack
+        slack = 8.0 * np.finfo(float).eps * max(1.0, abs(obj))
+        t = 1.0
+        while True:
+            cand_obj, cand_w = dual(tau - t * step)
+            if cand_obj <= obj - CALIBRATE_ARMIJO * t * (grad @ step) + slack or t < 1e-12:
                 break
-            step *= 0.5
-        else:
-            break
-    if resid > tol:
-        raise CalibrationFailure(f"Newton stalled at residual {resid:.3e}")
-    return tau
+            t *= 0.5
+        tau, obj, w = tau - t * step, cand_obj, cand_w
+    raise CalibrationFailure(f"Newton missed the target after {CALIBRATE_MAX_STEPS} steps")
 
 
 def calibrate_moment(model, target, n: int | None = None):
@@ -564,10 +595,9 @@ def calibrate_moment(model, target, n: int | None = None):
     ER: ``target`` is the expected edge count; the tilt is the closed-form
     log-odds shift.  SBM: ``target`` is the expected edge count per
     unordered block pair.  RDPG: ``target`` is the expected edge count; the
-    scalar intercept shift is found by Newton on the exact mean map (the
-    log-odds shift of the mean probability is the starting point).
-    Exponential-family specs (n <= 6): stacked tilt tau by damped Newton on
-    the enumerated mean map.
+    scalar intercept shift is the ``logit_shift`` root on the exact mean map.
+    Exponential-family specs (n <= 6): stacked tilt tau by Newton on the
+    dual over the enumerated mean map.
     """
     if isinstance(model, ER):
         if n is None:
@@ -607,18 +637,7 @@ def calibrate_moment(model, target, n: int | None = None):
         m_n = logits.size
         if not 0.0 < target < m_n:
             raise InfeasibleTarget(f"edge target must lie in (0, {m_n})")
-        lam = float(logit(target / m_n) - logit(float(np.mean(expit(logits)))))
-        # scalar Newton polish: the mean map lam -> sum expit(logits + lam)
-        for _ in range(200):
-            probs = expit(logits + lam)
-            resid = probs.sum() - target
-            if abs(resid) <= 1e-8:
-                break
-            deriv = np.sum(probs * (1.0 - probs))
-            lam -= resid / deriv
-        else:
-            raise CalibrationFailure("RDPG intercept calibration did not converge")
-        return TiltState(lambda_edge=lam)
+        return TiltState(lambda_edge=logit_shift(logits, target / m_n))
 
     if isinstance(model, ErgmSpec):
         enum = GraphEnumeration.get(model.n)

@@ -112,10 +112,11 @@ def _sample_negatives(rng, n, count, forbidden_keys, restrict_nodes=None,
     return np.stack([keys // n, keys % n], axis=1)
 
 
-def _build_labeled(pos, neg):
+def _build_labeled(pos, neg, n: int):
     dyads = np.concatenate([pos, neg], axis=0) if neg.size else pos
     labels = np.concatenate([np.ones(len(pos)), np.zeros(len(neg))])
-    order = np.lexsort((dyads[:, 1], dyads[:, 0]))
+    # the dyads of a set are distinct, so their keys sort them as (i, j) would
+    order = np.argsort(_dyad_key(dyads, n))
     return dyads[order], labels[order]
 
 
@@ -154,9 +155,9 @@ def make_split(graph: GraphSample, regime: str, seed, negpos_ratio: float = 3.0,
             neg = _sample_negatives(rng, n, int(round(negpos_ratio * len(pos))), forbidden)
             forbidden = np.concatenate([forbidden, _dyad_key(neg, n)])
             neg_sets.append(neg)
-        tr = _build_labeled(train_pos, neg_sets[0])
-        va = _build_labeled(val_pos, neg_sets[1])
-        te = _build_labeled(test_pos, neg_sets[2])
+        tr = _build_labeled(train_pos, neg_sets[0], n)
+        va = _build_labeled(val_pos, neg_sets[1], n)
+        te = _build_labeled(test_pos, neg_sets[2], n)
         spec = SplitSpec("edge_holdout", *tr, *va, *te, seed=seed, negpos_ratio=negpos_ratio)
 
     elif regime == "node_holdout":
@@ -181,9 +182,9 @@ def make_split(graph: GraphSample, regime: str, seed, negpos_ratio: float = 3.0,
         forbidden = np.concatenate([forbidden, _dyad_key(val_neg, n)])
         test_neg = _sample_negatives(rng, n, int(round(negpos_ratio * len(test_pos))),
                                      forbidden, require_touch=held)
-        tr = _build_labeled(train_pos, train_neg)
-        va = _build_labeled(val_pos, val_neg)
-        te = _build_labeled(test_pos, test_neg)
+        tr = _build_labeled(train_pos, train_neg, n)
+        va = _build_labeled(val_pos, val_neg, n)
+        te = _build_labeled(test_pos, test_neg, n)
         spec = SplitSpec("node_holdout", *tr, *va, *te, seed=seed,
                          negpos_ratio=negpos_ratio, held_out_nodes=held)
 

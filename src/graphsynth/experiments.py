@@ -40,6 +40,7 @@ ARTIFACT_VERSION = "0.1.0"
 
 EXPERIMENTS = ("s1", "s2", "s3", "s4", "real")
 SPLIT_REGIMES = ("edge_holdout", "node_holdout", "uniform_dyads")
+RDPG_INTERCEPT_PAIRS = 200_000
 
 
 class ConfigError(ValueError):
@@ -283,30 +284,21 @@ def _pair_rates(g: GraphSample, labels, smooth: bool) -> np.ndarray:
     return 0.5 * (rates + rates.T)
 
 
-def _fit_rdpg_intercept(rdpg: ag.RDPG, g: GraphSample, seed,
-                        max_pairs: int = 200_000) -> float:
+def _fit_rdpg_intercept(rdpg: ag.RDPG, g: GraphSample, seed) -> float:
     """Intercept shift of ``rdpg`` matching the observed edge count through
-    the logistic link, estimated on a seeded subsample of dyads."""
+    the logistic link, estimated on a seeded subsample of at most
+    ``RDPG_INTERCEPT_PAIRS`` dyads."""
     n = rdpg.n
     rng = np.random.default_rng(seed)
     total_pairs = n * (n - 1) // 2
-    if total_pairs <= max_pairs:
+    if total_pairs <= RDPG_INTERCEPT_PAIRS:
         logits = rdpg.dyad_logits(*np.triu_indices(n, k=1))
     else:
-        i = rng.integers(0, n, size=max_pairs)
-        j = rng.integers(0, n, size=max_pairs)
+        i = rng.integers(0, n, size=RDPG_INTERCEPT_PAIRS)
+        j = rng.integers(0, n, size=RDPG_INTERCEPT_PAIRS)
         keep = i != j
         logits = rdpg.dyad_logits(i[keep], j[keep])
-    target = g.n_edges / total_pairs
-    target = np.clip(target, 1e-9, 1 - 1e-9)
-    b = float(np.log(target / (1 - target)) - np.mean(logits))
-    for _ in range(100):
-        p = expit(logits + b)
-        resid = p.mean() - target
-        if abs(resid) < 1e-10:
-            break
-        b -= resid / max(np.mean(p * (1 - p)), 1e-12)
-    return b
+    return ag.logit_shift(logits, float(np.clip(g.n_edges / total_pairs, 1e-9, 1 - 1e-9)))
 
 
 def agent_dyad_probs(agent, dyads: np.ndarray) -> np.ndarray:

@@ -2,10 +2,10 @@
 
 A graphon is a symmetric measurable kernel w : [0,1]^2 -> [0,1].  Every kind
 implemented here is piecewise constant in its latent coordinate and reduces
-exactly to a ``Block`` (``as_block``), so pairwise L2 quantities and
-structural functionals are exact block-measure sums.  A midpoint-rule
-quadrature path runs only for graphons without a block form (user subclasses
-of ``Graphon``); the kind decides, and no option selects it.
+exactly to a ``Block`` (``as_block``), so pairwise L2 quantities, structural
+functionals and the spectral radius are exact block computations.  A
+midpoint-rule quadrature path runs only for graphons without a block form
+(user subclasses of ``Graphon``); the kind decides, and no option selects it.
 """
 
 from __future__ import annotations
@@ -297,16 +297,15 @@ class QuadratureSpec:
         if self.g < 2:
             raise GraphonError("quadrature grid must have g >= 2")
 
-    def midpoints(self, g=None) -> np.ndarray:
-        g = self.g if g is None else g
-        return (np.arange(g) + 0.5) / g
+    def midpoints(self) -> np.ndarray:
+        return (np.arange(self.g) + 0.5) / self.g
 
 
 DEFAULT_QUAD = QuadratureSpec()
 
 
 def grid_values(w: Graphon, g: int) -> np.ndarray:
-    x = (np.arange(g) + 0.5) / g
+    x = QuadratureSpec(g).midpoints()
     return np.asarray(w.evaluate(x[:, None], x[None, :]), dtype=float)
 
 
@@ -429,32 +428,25 @@ def lipschitz_budget(delta: float, s0: float) -> LipschitzBudget:
 # integral-operator spectral radius
 # ---------------------------------------------------------------------------
 
-def spectral_radius(w: Graphon, grid_g: int = 256, tol: float = 1e-10,
-                    max_iter: int = 10_000) -> float:
+def spectral_radius(w: Graphon) -> float:
     """Spectral radius of the integral operator f -> int w(x,.)f.
 
-    Power iteration on the g x g midpoint discretization (entries w/g),
-    deterministic all-ones start.
+    On a block form (piece measures mu, rates M) the nonzero spectrum is
+    that of diag(sqrt mu) M diag(sqrt mu), so the radius is its largest
+    |eigenvalue| (Bollobas, Janson & Riordan 2007); a graphon without one
+    uses its ``DEFAULT_QUAD`` midpoint grid (entries w/g) instead.
     """
-    if grid_g < 8:
-        raise GraphonError("spectral grid must have g >= 8")
-    mat = grid_values(w, grid_g) / grid_g
-    v = np.ones(grid_g)
-    rho = 0.0
-    for _ in range(max_iter):
-        nv = mat @ v
-        norm = np.linalg.norm(nv)
-        if norm == 0.0:
-            return 0.0
-        nv /= norm
-        new_rho = float(nv @ (mat @ nv))
-        if abs(new_rho - rho) <= tol * max(1.0, abs(new_rho)):
-            return new_rho
-        rho, v = new_rho, nv
-    return rho
+    try:
+        blk = as_block(w)
+    except GraphonError:
+        mat = grid_values(w, DEFAULT_QUAD.g) / DEFAULT_QUAD.g
+    else:
+        root = np.sqrt(blk.measures())
+        mat = root[:, None] * np.asarray(blk.matrix, dtype=float) * root[None, :]
+    return float(np.abs(np.linalg.eigvalsh(mat)).max())
 
 
-def spectral_bracket(beta, parts, grid_g: int = 256):
+def spectral_bracket(beta, parts):
     """Agent-level bracket for the spectral radius of a nonnegative combo.
 
     For w = beta0 + sum_j beta_j w_j with beta_j >= 0,
@@ -468,8 +460,7 @@ def spectral_bracket(beta, parts, grid_g: int = 256):
         raise GraphonError("beta must carry an intercept plus one weight per part")
     if np.any(beta < 0):
         raise GraphonError("spectral bracket requires nonnegative coefficients")
-    rhos = np.array([1.0] + [spectral_radius(p, grid_g) for p in parts])
+    rhos = np.array([1.0] + [spectral_radius(p) for p in parts])
     terms = beta * rhos
-    combo = LinearCombo.make(beta, parts, clipped=False)
-    rho_combo = spectral_radius(combo, grid_g)
+    rho_combo = spectral_radius(LinearCombo.make(beta, parts, clipped=False))
     return float(terms.max()), float(terms.sum()), rho_combo

@@ -325,8 +325,7 @@ class PhaseCurve:
     lambda_critical: float
 
 
-def phase_sweep(w: Graphon, lambdas, n: int, reps: int, seed,
-                spectral_grid: int = 256) -> PhaseCurve:
+def phase_sweep(w: Graphon, lambdas, n: int, reps: int, seed) -> PhaseCurve:
     """Giant-component fraction per sparsity level, with spectral threshold.
 
     Replicate streams are split from the base seed; the predicted critical
@@ -349,7 +348,7 @@ def phase_sweep(w: Graphon, lambdas, n: int, reps: int, seed,
         sds[li] = fracs.std(ddof=1) if reps > 1 else 0.0
     # looked up on the graphons module at call time, where the benchmark's
     # tracer wraps it
-    rho = graphons.spectral_radius(w, spectral_grid)
+    rho = graphons.spectral_radius(w)
     lam_c = 1.0 / rho if rho > 0 else float("inf")
     return PhaseCurve(lambdas=lambdas, mean_fraction=means, sd_fraction=sds,
                       n=n, reps=reps, rho=rho, lambda_critical=lam_c)

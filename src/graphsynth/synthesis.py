@@ -1,7 +1,7 @@
 """Synthesis weights for edge-probability forecasts.
 
 Fits the intercept-plus-agents linear model to dyad samples by plain least
-squares, ridge, or simplex-constrained least squares, and exposes the
+squares, ridge, or exact simplex-constrained least squares, and exposes the
 population-level L2 projection onto the agent span.
 """
 
@@ -16,6 +16,7 @@ import scipy.linalg
 from .graphons import DEFAULT_QUAD, Graphon, LinearCombo, QuadratureSpec, gram_and_target
 
 SINGULAR_EIG_TOL = 1e-12
+SIMPLEX_MAX_AGENTS = 12
 
 
 class SingularDesign(ValueError):
@@ -147,45 +148,41 @@ def project_simplex(v: np.ndarray) -> np.ndarray:
     return np.maximum(v - tau, 0.0)
 
 
-def fit_simplex(data: DyadData, tol: float = 1e-12, max_iter: int = 50_000) -> WeightVector:
-    """Simplex-constrained least squares by projected gradient.
+def fit_simplex(data: DyadData) -> WeightVector:
+    """Simplex-constrained least squares, solved exactly.
 
-    Agent weights are constrained to the probability simplex; the intercept
-    stays free and is re-solved in closed form every step.  Stops when the
-    objective decrease falls below ``tol``.
+    With the intercept free, the centred fit is the convex QP
+    min b'Hb - 2c'b over the simplex, whose minimum is the equality-
+    constrained one on some face.  Every support S solves
+    [[H_SS, 1], [1', 0]] [b_S; nu] = [c_S; 1], singular systems are skipped,
+    and the candidate with b_S >= 0 and the lowest objective wins: 2^J - 1
+    small solves, so J is capped at ``SIMPLEX_MAX_AGENTS``.
     """
-    if data.n_agents < 1:
-        raise ValueError("simplex fit needs at least one agent")
-    p = data.features[:, 1:]
-    y = data.labels
-    m = data.m
-    p_mean = p.mean(axis=0)
-    y_mean = y.mean()
-    pc = p - p_mean
-    yc = y - y_mean
-    hess = pc.T @ pc / m
-    lin = pc.T @ yc / m
-    lip = max(float(scipy.linalg.eigvalsh(hess)[-1]), 1e-12)
-
-    def objective(b):
-        return float(np.mean((yc - pc @ b) ** 2))
-
-    b = np.full(data.n_agents, 1.0 / data.n_agents)
-    obj = objective(b)
-    for _ in range(max_iter):
-        grad = 2.0 * (hess @ b - lin)
-        b_new = project_simplex(b - grad / (2.0 * lip))
-        obj_new = objective(b_new)
-        if obj - obj_new < tol:
-            b = b_new if obj_new < obj else b
-            break
-        b, obj = b_new, obj_new
+    j = data.n_agents
+    if not 1 <= j <= SIMPLEX_MAX_AGENTS:
+        raise ValueError(f"simplex fit needs 1 to {SIMPLEX_MAX_AGENTS} agents, got {j}")
+    p_mean, y_mean = data.features[:, 1:].mean(axis=0), data.labels.mean()
+    pc = data.features[:, 1:] - p_mean
+    hess, lin = pc.T @ pc / data.m, pc.T @ (data.labels - y_mean) / data.m
+    b, best = None, np.inf
+    for mask in range(1, 2 ** j):
+        s = np.flatnonzero(mask >> np.arange(j) & 1)
+        kkt = np.pad(hess[np.ix_(s, s)], (0, 1), constant_values=1.0)
+        kkt[-1, -1] = 0.0
+        try:
+            sol = np.linalg.solve(kkt, np.append(lin[s], 1.0))[:-1]
+        except np.linalg.LinAlgError:
+            continue
+        cand = np.zeros(j)
+        cand[s] = sol
+        obj = cand @ hess @ cand - 2.0 * lin @ cand
+        if np.all(sol >= 0.0) and obj < best:
+            b, best = cand, obj
     grad = 2.0 * (hess @ b - lin)
-    # KKT: the projected gradient step should be a fixed point
-    kkt = float(np.linalg.norm(project_simplex(b - grad) - b))
-    intercept = y_mean - p_mean @ b
-    beta = np.concatenate([[intercept], b])
-    return WeightVector(beta=beta, method="Simplex", m_train=m, kkt_residual=kkt)
+    # KKT: the projected gradient step is a fixed point
+    residual = float(np.linalg.norm(project_simplex(b - grad) - b))
+    beta = np.concatenate([[y_mean - p_mean @ b], b])
+    return WeightVector(beta=beta, method="Simplex", m_train=data.m, kkt_residual=residual)
 
 
 def predict_clipped(weights: WeightVector | np.ndarray, features: np.ndarray) -> np.ndarray:

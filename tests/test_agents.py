@@ -13,6 +13,7 @@ from graphsynth import (ER, RDPG, SBM, AgentError, ChungLu, DegHist, ErgmSpec,
                         edge_tilt_weights, er_as_ergm, ergm_stack_tilt,
                         exact_enumeration_pmf, mixture_pmf, stat_tilt_weights,
                         statistic_matrix, tilt_er, tilt_rdpg, tilt_sbm)
+from graphsynth.agents import logit_shift
 
 
 # ---------------------------------------------------------------------------
@@ -280,7 +281,7 @@ def test_calibrate_rdpg_hits_edge_target():
     tilt = calibrate_moment(agent, target)
     tilted = tilt_rdpg(agent, tilt.lambda_edge)
     mat = edge_prob_matrix(tilted, 6)
-    assert np.triu(mat, 1).sum() == pytest.approx(target, abs=1e-7)
+    assert np.triu(mat, 1).sum() == pytest.approx(target, abs=1e-13)
 
 
 def test_calibrate_ergm_round_trip():
@@ -300,3 +301,55 @@ def test_calibrate_ergm_infeasible_target():
     spec = ErgmSpec.make([("edges",)], [0.0], 4)
     with pytest.raises(InfeasibleTarget):
         calibrate_moment(spec, np.array([6.0]))  # max edges on n=4 is 6
+
+
+def test_calibrate_ergm_far_tilt():
+    # the target sits next to the complete graph's (6, 4) corner, so Newton
+    # starts far from a large tau
+    stats = [("edges",), ("triangles",)]
+    delta = np.array([3.0, 1.5])
+    stat = statistic_matrix(GraphEnumeration.get(4), stats)
+    target = exact_enumeration_pmf(ErgmSpec.make(stats, delta, 4)).probs @ stat
+    tau = calibrate_moment(ErgmSpec.make(stats, [0.0, 0.0], 4), target)
+    np.testing.assert_allclose(tau, delta, atol=1e-6)
+
+
+# ---------------------------------------------------------------------------
+# logit shift
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("rate", [1e-9, 7e-4, 0.3, 1 - 1e-6])
+def test_logit_shift_hits_rate(rate):
+    logits = np.random.default_rng(12).normal(-1.0, 2.0, size=5000)
+    b = logit_shift(logits, rate)
+    assert np.mean(expit(logits + b)) == pytest.approx(rate, rel=1e-12)
+
+
+def test_logit_shift_constant_logits():
+    # the bracket is the single point logit(rate) - 0.3
+    b = logit_shift(np.full(7, 0.3), 0.2)
+    assert b == pytest.approx(logit(0.2) - 0.3, abs=1e-15)
+
+
+def test_logit_shift_saturated_terms():
+    # terms at expit(+-800) are exactly 0 or 1, so Newton's slope comes from
+    # one term only, or from none where the mean is flat
+    b = logit_shift(np.array([-800.0, 800.0, 0.0]), 0.4)
+    assert np.mean(expit(np.array([-800.0, 800.0, 0.0]) + b)) == pytest.approx(0.4, rel=1e-12)
+    b = logit_shift(np.array([-800.0, 800.0]), 0.5)
+    assert np.mean(expit(np.array([-800.0, 800.0]) + b)) == pytest.approx(0.5, rel=1e-12)
+
+
+def test_logit_shift_expit_passes(monkeypatch):
+    import graphsynth.agents as agents
+    calls = []
+
+    def counted(x):
+        calls.append(1)
+        return expit(x)
+
+    monkeypatch.setattr(agents, "expit", counted)
+    logits = np.random.default_rng(13).normal(0.0, 1.5, size=200_000)
+    b = logit_shift(logits, 7e-4)
+    assert len(calls) <= 5
+    assert np.mean(expit(logits + b)) == pytest.approx(7e-4, rel=1e-12)

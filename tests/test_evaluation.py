@@ -159,14 +159,24 @@ def test_ranking_metrics_match_brute_force_on_ties(rows):
                             (auc_score(preds, labels), average_precision(preds, labels)))
 
 
-def test_import_leaves_scipy_stats_unloaded():
+def _loaded_after_import(module: str) -> bool:
+    """Whether ``import graphsynth`` in a fresh interpreter loads ``module``."""
     src = str(Path(graphsynth.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
-    code = "import sys, graphsynth; print('scipy.stats' in sys.modules)"
+    code = f"import sys, graphsynth; print({module!r} in sys.modules)"
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True, timeout=120)
-    assert out.stdout.strip() == "False"
+    return out.stdout.strip() == "True"
+
+
+def test_import_leaves_scipy_stats_unloaded():
+    assert not _loaded_after_import("scipy.stats")
+
+
+def test_import_leaves_scipy_optimize_unloaded():
+    # the scalar roots are bracketed Newton in agents.logit_shift
+    assert not _loaded_after_import("scipy.optimize")
 
 
 # ---------------------------------------------------------------------------
@@ -288,6 +298,9 @@ def test_make_split_hygiene_against_set_oracle(g, regime, negpos_ratio, seed):
         pairs = [(int(i), int(j)) for i, j in dyads]
         assert all(0 <= i < j < g.n for i, j in pairs)
         assert len(set(pairs)) == len(pairs)
+        if regime != "uniform_dyads":
+            # the holdout regimes list each set in (i, j) order
+            assert pairs == sorted(pairs)
         assert labels.tolist() == [float(p in edge_set) for p in pairs]
         sets.append(set(pairs))
     train, val, test = sets

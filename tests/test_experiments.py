@@ -121,6 +121,17 @@ def test_fit_agents_er_density():
     np.testing.assert_allclose(theta, g.degrees / np.sqrt(2 * g.n_edges), atol=1e-12)
 
 
+def test_fit_agents_rdpg_intercept_matches_density():
+    # 200 nodes have fewer dyads than the subsample, so the edge rate is
+    # matched on every dyad, to rounding
+    g = sample_graph(SPARSE_BLOCK, 200, seed=3)
+    cfg = ExperimentConfig.from_dict({"experiment": "real", "sbm_k": 2, "rdpg_d": 2})
+    rdpg = fit_agents_to_graph(g, cfg)["RDPG"]
+    density = g.n_edges / (g.n * (g.n - 1) / 2)
+    probs = rdpg.dyad_probs(*np.triu_indices(g.n, k=1))
+    assert np.mean(probs) == pytest.approx(density, rel=1e-13)
+
+
 def test_fit_agents_sbm_recovers_planted_blocks():
     planted = Block.from_arrays([0, 0.5, 1], [[0.30, 0.05], [0.05, 0.30]])
     g = sample_graph(planted, 500, seed=5)
@@ -308,10 +319,11 @@ def test_s1_run_deterministic_outputs(tmp_path):
         a = (tmp_path / "a" / "s1" / fname).read_bytes()
         b = (tmp_path / "b" / "s1" / fname).read_bytes()
         assert a == b
-    # a change here means the dyad samplers or the scores moved
+    # a change here means the dyad samplers, the synthesis fits or the scores
+    # moved
     metrics = (tmp_path / "a" / "s1" / "s1_metrics.csv").read_bytes()
     assert hashlib.sha256(metrics).hexdigest() == (
-        "acc3b0d23b2a817ea2a490928f39713b92236dd419b5dd755d8ff0dbec58a08c")
+        "3de8b3305fc4926baddb5fbcb0d3432d29c376b4080af22ae5f9066ac1cfd966")
 
 
 def test_s2_run_deterministic_outputs(tmp_path):
@@ -343,7 +355,7 @@ def test_real_run_deterministic_outputs(tmp_path):
     # or the scores moved
     metrics = (tmp_path / "a" / "real" / "real_metrics.csv").read_bytes()
     assert hashlib.sha256(metrics).hexdigest() == (
-        "a7edaed7875ba6dbaac0c18359e5138e26268d0d511316f3961ebf2083a36083")
+        "48250a075d56dbd45453fb83f10d0a34806cc0c47ff79338bc566db2faeb546c")
 
 
 def test_manifest_replicate_seeds_distinct(tmp_path):

@@ -253,8 +253,46 @@ def test_lipschitz_inequalities_on_random_blocks(seed):
 # ---------------------------------------------------------------------------
 
 def test_spectral_radius_constant_and_zero():
-    assert spectral_radius(Constant(0.45)) == pytest.approx(0.45, abs=1e-9)
+    assert spectral_radius(Constant(0.45)) == pytest.approx(0.45, abs=1e-15)
+    assert spectral_radius(Constant(1.0)) == 1.0
     assert spectral_radius(Constant(0.0)) == 0.0
+
+
+def test_spectral_radius_bipartite_kernel():
+    # eigenvalues +-sqrt(mu_1 mu_2): two of largest modulus, opposite signs
+    w = Block.from_arrays([0, 0.3, 1], [[0.0, 1.0], [1.0, 0.0]])
+    assert spectral_radius(w) == pytest.approx(np.sqrt(0.21), abs=1e-15)
+
+
+def test_spectral_radius_of_negative_combo_is_positive():
+    # -M/2 has eigenvalues -0.45 and -0.35, so the radius is 0.45
+    w = Block.from_arrays([0, 0.5, 1], [[0.8, 0.1], [0.1, 0.8]])
+    assert spectral_radius(LinearCombo.make([0.0, -1.0], [w])) == pytest.approx(
+        0.45, abs=1e-15)
+
+
+def test_spectral_radius_block_kinds_skip_the_grid(monkeypatch):
+    import graphsynth.graphons as gmod
+
+    def no_grid(w, g):
+        raise AssertionError("quadrature grid evaluated for a block kind")
+
+    monkeypatch.setattr(gmod, "grid_values", no_grid)
+    rng = np.random.default_rng(4)
+    for w in (random_block(rng), Constant(0.2),
+              LinearCombo.make([0.1, 0.5], [random_block(rng)])):
+        assert spectral_radius(w) >= 0.0
+
+
+def test_spectral_radius_unblocked_midpoint_grid():
+    class Product(Graphon):
+        def evaluate(self, x, y):
+            return np.asarray(x, dtype=float) * np.asarray(y, dtype=float)
+
+    # the grid matrix x x'/g has rank one; its eigenvalue is
+    # sum((i + 1/2)^2) / g^3 = 1/3 - 1/(12 g^2)
+    g = QuadratureSpec().g
+    assert spectral_radius(Product()) == pytest.approx(1 / 3 - 1 / (12 * g ** 2), abs=1e-15)
 
 
 def test_spectral_radius_two_block_eigen_oracle():

@@ -139,16 +139,52 @@ def test_simplex_objective_dominates_ls():
     assert mse(sx.beta) >= mse(ls.beta) - 1e-12
 
 
+def assert_simplex_kkt(data, fit):
+    """KKT certificate of the simplex LS optimum, whatever solved it: b on
+    the simplex, the objective gradient equal on the support and no smaller
+    off it, and the reported residual at rounding level."""
+    b = fit.beta[1:]
+    assert np.all(b >= 0.0)
+    assert abs(b.sum() - 1.0) <= 1e-12
+    p = data.features[:, 1:]
+    pc = p - p.mean(axis=0)
+    yc = data.labels - data.labels.mean()
+    grad = 2.0 * pc.T @ (pc @ b - yc) / data.m
+    on = b > 0
+    assert np.ptp(grad[on]) <= 1e-12
+    assert np.all(grad[~on] >= grad[on].max() - 1e-12)
+    assert fit.beta[0] == pytest.approx(data.labels.mean() - p.mean(axis=0) @ b, abs=1e-15)
+    assert fit.kkt_residual <= 1e-12
+
+
 @settings(max_examples=25, deadline=None)
 @given(st.integers(0, 2 ** 32 - 1), st.integers(1, 5))
 def test_simplex_feasibility_invariants(seed, j):
     rng = np.random.default_rng(seed)
     data = make_dyads(rng, 200, np.concatenate([[0.1], rng.dirichlet(np.ones(j))]))
-    beta = fit_simplex(data)
-    agent_part = beta.beta[1:]
-    assert np.all(agent_part >= -1e-12)
-    assert abs(agent_part.sum() - 1.0) <= 1e-9
-    assert beta.kkt_residual <= 1e-6
+    assert_simplex_kkt(data, fit_simplex(data))
+
+
+def test_simplex_duplicate_agent_columns():
+    rng = np.random.default_rng(9)
+    data = make_dyads(rng, 2000, [0.05, 0.5, 0.3])
+    twin = DyadData(features=np.column_stack([data.features, data.features[:, 1]]),
+                    labels=data.labels)
+    single, both = fit_simplex(data), fit_simplex(twin)
+    assert_simplex_kkt(twin, both)
+    # the copies may share their weight in any way; the fit is one copy's
+    np.testing.assert_allclose([both.beta[0], both.beta[1] + both.beta[3], both.beta[2]],
+                               single.beta, atol=1e-12)
+
+
+def test_simplex_agent_cap():
+    rng = np.random.default_rng(10)
+    data = make_dyads(rng, 500, np.concatenate([[0.0], np.full(12, 1 / 12)]))
+    assert_simplex_kkt(data, fit_simplex(data))
+    wide = DyadData(features=np.column_stack([data.features, data.features[:, 1]]),
+                    labels=data.labels)
+    with pytest.raises(ValueError):
+        fit_simplex(wide)
 
 
 # ---------------------------------------------------------------------------
