@@ -9,11 +9,11 @@ phase-transition simulation, heavy-tail analysis, and a link-prediction
 evaluation protocol with calibration diagnostics and paired effect sizes.
 """
 
-from .graphons import (Block, Constant, DEFAULT_QUAD, FunctionalSet, Graphon,
-                       GraphonError, LinearCombo, LipschitzBudget,
-                       LogisticLowRank, ProductWeight, QuadratureSpec, StepMap,
-                       as_block, common_refinement, functionals, gram_and_target,
-                       grid_values, l2_distance, l2_inner, lipschitz_budget,
+from .graphons import (Block, Constant, FunctionalSet, Graphon, GraphonError,
+                       LinearCombo, LipschitzBudget, LogisticLowRank,
+                       ProductWeight, StepMap, as_block, common_refinement,
+                       functionals, gram_and_target, grid_values,
+                       l2_distance, l2_inner, lipschitz_budget,
                        spectral_bracket, spectral_radius, uniform_step_map)
 from .agents import (AgentError, CalibrationFailure, ChungLu, DegHist, ER,
                      ErgmSpec, GraphEnumeration, GraphPmf, InfeasibleTarget,

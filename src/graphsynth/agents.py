@@ -526,8 +526,12 @@ def logit_shift(logits, rate: float) -> float:
     min(logits), so these bracket the root.  Newton on logit(mean) starts
     from logit(rate) - mean(logits), each evaluation moves one end of the
     bracket to b, a step leaving the bracket bisects it instead, and a step
-    at the rounding level of logits + b ends the iteration.
+    at the rounding level of logits + b ends the iteration.  Above rate 1/2
+    it solves the complement, mean(expit(-logits - b)) = 1 - rate, whose
+    mean resolves a small 1 - rate that a mean of terms near 1 cannot.
     """
+    if rate > 0.5:
+        return -logit_shift(-np.asarray(logits, dtype=float), 1.0 - rate)
     logits = np.asarray(logits, dtype=float)
     target = float(logit(rate))
     lo, hi = target - float(logits.max()), target - float(logits.min())
@@ -612,14 +616,10 @@ def calibrate_moment(model, target, n: int | None = None):
         c = np.asarray(model.assignment, dtype=int)
         b = np.asarray(model.matrix, dtype=float)
         k = b.shape[0]
-        counts = np.zeros((k, k))
-        for a in range(k):
-            for bb in range(a, k):
-                if a == bb:
-                    na = int(np.sum(c == a))
-                    counts[a, a] = na * (na - 1) / 2
-                else:
-                    counts[a, bb] = counts[bb, a] = np.sum(c == a) * np.sum(c == bb)
+        sizes = np.bincount(c, minlength=k)
+        # unordered pairs: n_a n_b across blocks, n_a (n_a - 1) / 2 within one
+        counts = np.outer(sizes, sizes).astype(float)
+        np.fill_diagonal(counts, sizes * (sizes - 1) / 2)
         target = np.asarray(target, dtype=float)
         lam = np.zeros((k, k))
         for a in range(k):

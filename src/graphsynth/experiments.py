@@ -32,7 +32,7 @@ from .evaluation import (MetricReport, audit_split, cv_best_agent,  # noqa: F401
 from .netstats import fit_tail_exponent, mixture_degree_pmf, power_law_pmf
 from .sampling import (GraphSample, graph_from_edge_array, phase_sweep, sample_dyads,
                        unique_keys)
-from .serialize import (gap_report_to_json, write_gap_report_csv,
+from .serialize import (gap_report_to_json, write_gap_report_csv, write_json,
                         write_metric_reports_csv, write_phase_curve_csv)
 from .synthesis import DyadData, fit_ls, fit_ridge, fit_simplex, predict_clipped
 
@@ -143,13 +143,9 @@ class RunManifest:
     wall_times: dict = field(default_factory=dict)
 
     def save(self, path: str) -> None:
-        with open(path, "w") as fh:
-            json.dump({"config": self.config, "config_hash": self.config_hash,
-                       "version": self.version,
-                       "replicate_seeds": self.replicate_seeds,
-                       "outputs": self.outputs, "wall_times": self.wall_times},
-                      fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        write_json({"config": self.config, "config_hash": self.config_hash,
+                    "version": self.version, "replicate_seeds": self.replicate_seeds,
+                    "outputs": self.outputs, "wall_times": self.wall_times}, path)
 
 
 def config_hash(config: ExperimentConfig) -> str:
@@ -398,9 +394,7 @@ def _run_s1(config: ExperimentConfig, out_dir: str, outputs: list) -> None:
         "replicates": config.replicates,
     }
     path = os.path.join(out_dir, "s1_summary.json")
-    with open(path, "w") as fh:
-        json.dump(summary, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(summary, path)
     outputs.append(path)
 
 
@@ -441,9 +435,7 @@ def _run_s2(config: ExperimentConfig, out_dir: str, outputs: list) -> None:
             writer.writerow([row[0], row[1], row[2]] + [f"{v:.12g}" for v in row[3:]])
     outputs.append(path)
     path = os.path.join(out_dir, "s2_summary.json")
-    with open(path, "w") as fh:
-        json.dump(summary, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(summary, path)
     outputs.append(path)
 
 
@@ -457,11 +449,8 @@ def _run_s3(config: ExperimentConfig, out_dir: str, outputs: list) -> None:
     onset = next((float(lam) for lam, frac in zip(curve.lambdas, curve.mean_fraction)
                   if frac > 0.05), None)
     path = os.path.join(out_dir, "s3_summary.json")
-    with open(path, "w") as fh:
-        json.dump({"rho": curve.rho, "lambda_critical": curve.lambda_critical,
-                   "empirical_onset": onset, "n": curve.n, "reps": curve.reps},
-                  fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json({"rho": curve.rho, "lambda_critical": curve.lambda_critical,
+                "empirical_onset": onset, "n": curve.n, "reps": curve.reps}, path)
     outputs.append(path)
 
 

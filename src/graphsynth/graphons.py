@@ -1,16 +1,18 @@
 """Graphon kernels, L2 geometry, structural functionals, and spectral radii.
 
 A graphon is a symmetric measurable kernel w : [0,1]^2 -> [0,1].  Every kind
-implemented here is piecewise constant in its latent coordinate and reduces
-exactly to a ``Block`` (``as_block``), so pairwise L2 quantities, structural
-functionals and the spectral radius are exact block computations.  A
-midpoint-rule quadrature path runs only for graphons without a block form
-(user subclasses of ``Graphon``); the kind decides, and no option selects it.
+implemented here is piecewise constant in its latent coordinate and defines
+its kernel once, as its exact ``Block`` form (``block``, built on first use
+and kept); ``evaluate`` reads it.  Pairwise L2 quantities, structural
+functionals and the spectral radius are therefore exact block computations.
+Other subclasses of ``Graphon`` implement ``evaluate`` and have no block
+form; for them alone a midpoint rule on a ``QUAD_G`` x ``QUAD_G`` grid runs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 from scipy.special import expit
@@ -24,19 +26,8 @@ class GraphonError(ValueError):
 # step maps (piecewise-constant functions on [0,1])
 # ---------------------------------------------------------------------------
 
-class _Pieces:
-    """Lookups shared by kinds defined by breakpoints ``boundaries``."""
-
-    def measures(self) -> np.ndarray:
-        return np.diff(np.asarray(self.boundaries, dtype=float))
-
-    def piece_index(self, x) -> np.ndarray:
-        b = np.asarray(self.boundaries, dtype=float)
-        return np.searchsorted(b[1:-1], np.asarray(x, dtype=float), side="right")
-
-
 @dataclass(frozen=True)
-class StepMap(_Pieces):
+class StepMap:
     """Piecewise-constant map [0,1] -> R^d given by breakpoints and values.
 
     ``boundaries`` has K+1 strictly increasing entries starting at 0 and
@@ -61,10 +52,6 @@ class StepMap(_Pieces):
     def k(self) -> int:
         return len(self.values)
 
-    def __call__(self, x):
-        vals = np.asarray(self.values, dtype=float)
-        return vals[self.piece_index(x)]
-
 
 def uniform_step_map(values) -> StepMap:
     """StepMap with equal-measure pieces."""
@@ -80,10 +67,16 @@ def uniform_step_map(values) -> StepMap:
 # ---------------------------------------------------------------------------
 
 class Graphon:
-    """Base class; subclasses implement vectorized ``evaluate``."""
+    """Base class.  A built-in kind defines ``block``, its exact ``Block``
+    form, and inherits ``evaluate``, which reads it; any other subclass
+    implements a vectorized ``evaluate`` and has no block form."""
+
+    @property
+    def block(self) -> Block:
+        raise GraphonError(f"cannot reduce {type(self).__name__} to blocks")
 
     def evaluate(self, x, y):
-        raise NotImplementedError
+        return self.block.evaluate(x, y)
 
     def __call__(self, x, y):
         return self.evaluate(x, y)
@@ -102,13 +95,13 @@ class Constant(Graphon):
         if not 0.0 <= self.p <= 1.0:
             raise GraphonError(f"constant level {self.p} outside [0,1]")
 
-    def evaluate(self, x, y):
-        x = np.asarray(x, dtype=float)
-        return np.broadcast_to(np.float64(self.p), np.broadcast(x, y).shape).copy()
+    @cached_property
+    def block(self) -> Block:
+        return Block.from_arrays([0.0, 1.0], [[self.p]])
 
 
 @dataclass(frozen=True)
-class Block(_Pieces, Graphon):
+class Block(Graphon):
     """Piecewise-constant graphon: K blocks with symmetric rate matrix."""
 
     boundaries: tuple
@@ -136,6 +129,17 @@ class Block(_Pieces, Graphon):
     def k(self) -> int:
         return len(self.matrix)
 
+    @property
+    def block(self) -> Block:
+        return self
+
+    def measures(self) -> np.ndarray:
+        return np.diff(np.asarray(self.boundaries, dtype=float))
+
+    def piece_index(self, x) -> np.ndarray:
+        b = np.asarray(self.boundaries, dtype=float)
+        return np.searchsorted(b[1:-1], np.asarray(x, dtype=float), side="right")
+
     def evaluate(self, x, y):
         m = np.asarray(self.matrix, dtype=float)
         return m[self.piece_index(x), self.piece_index(y)]
@@ -148,17 +152,13 @@ class LogisticLowRank(Graphon):
     latent: StepMap
     intercept: float = 0.0
 
-    def _positions(self) -> np.ndarray:
-        """Latent values as a (K, d) array; scalar values mean d = 1."""
-        return np.asarray(self.latent.values, dtype=float).reshape(self.latent.k, -1)
-
-    def evaluate(self, x, y):
-        z = self._positions()
-        dots = np.sum(z[self.latent.piece_index(x)] * z[self.latent.piece_index(y)], axis=-1)
-        out = expit(dots + self.intercept)
-        if np.isscalar(x) and np.isscalar(y):
-            return float(out.reshape(-1)[0])
-        return out
+    @cached_property
+    def block(self) -> Block:
+        # (K, d) latent values, d = 1 for scalars; np.sum, not z @ z.T, so
+        # each rate is bit for bit sigmoid(sum_k z_k(x) z_k(y) + intercept)
+        z = np.asarray(self.latent.values, dtype=float).reshape(self.latent.k, -1)
+        mat = expit(np.sum(z[:, None, :] * z[None, :, :], axis=-1) + self.intercept)
+        return Block.from_arrays(self.latent.boundaries, mat)
 
 
 @dataclass(frozen=True)
@@ -171,8 +171,10 @@ class ProductWeight(Graphon):
         if np.any(np.asarray(self.weights.values, dtype=float) < 0.0):
             raise GraphonError("product weights must be nonnegative")
 
-    def evaluate(self, x, y):
-        return np.minimum(np.asarray(self.weights(x)) * np.asarray(self.weights(y)), 1.0)
+    @cached_property
+    def block(self) -> Block:
+        th = np.asarray(self.weights.values, dtype=float)
+        return Block.from_arrays(self.weights.boundaries, np.minimum(np.outer(th, th), 1.0))
 
 
 @dataclass(frozen=True)
@@ -180,6 +182,8 @@ class LinearCombo(Graphon):
     """beta0 + sum_j beta_j * parts[j]; optionally clipped into [0,1].
 
     Unclipped combinations may leave [0,1]; ``bounded_unit`` reports this.
+    The block form exists when every part has one; ``evaluate`` sums the
+    parts' values, so it also serves parts without a block form.
     """
 
     beta: tuple
@@ -193,6 +197,21 @@ class LinearCombo(Graphon):
     @staticmethod
     def make(beta, parts, clipped=False) -> "LinearCombo":
         return LinearCombo(tuple(np.asarray(beta, dtype=float).tolist()), tuple(parts), clipped)
+
+    @cached_property
+    def block(self) -> Block:
+        bounds, mats = _refine([as_block(p) for p in self.parts])
+        beta = np.asarray(self.beta, dtype=float)
+        mat = np.full((bounds.size - 1,) * 2, beta[0])
+        for b_j, m in zip(beta[1:], mats):
+            mat += b_j * m
+        if self.clipped:
+            mat = np.clip(mat, 0.0, 1.0)
+        # bypass Block's [0,1] validation for unclipped combinations
+        blk = object.__new__(Block)
+        object.__setattr__(blk, "boundaries", tuple(bounds.tolist()))
+        object.__setattr__(blk, "matrix", tuple(map(tuple, mat)))
+        return blk
 
     def evaluate(self, x, y):
         beta = np.asarray(self.beta, dtype=float)
@@ -229,45 +248,15 @@ def _refine(blocks):
     return bounds, mats
 
 
-def as_block(w: Graphon) -> Block:
-    """Exact piecewise-constant representation of ``w``.
+def as_block(w) -> Block:
+    """Exact piecewise-constant form of ``w``, built once per graphon.
 
-    All supported kinds are block graphons after refining breakpoints, which
-    is what makes the L2 geometry computable in closed form.  The rates are
-    computed with each kind's own arithmetic, so the Block's ``evaluate``
-    equals ``w.evaluate`` bit for bit at every point.  Any other
-    graphon raises ``GraphonError``; the L2 geometry and the functionals then
-    fall back to quadrature.
+    A graphon without one raises ``GraphonError``; the L2 geometry and the
+    functionals then fall back to quadrature.
     """
-    if isinstance(w, Block):
-        return w
-    if isinstance(w, Constant):
-        return Block.from_arrays([0.0, 1.0], [[w.p]])
-    if isinstance(w, LogisticLowRank):
-        b = np.asarray(w.latent.boundaries, dtype=float)
-        z = w._positions()
-        # evaluate's dot product, not z @ z.T, so the rates equal it bit for bit
-        mat = expit(np.sum(z[:, None, :] * z[None, :, :], axis=-1) + w.intercept)
-        return Block.from_arrays(b, mat)
-    if isinstance(w, ProductWeight):
-        b = np.asarray(w.weights.boundaries, dtype=float)
-        th = np.asarray(w.weights.values, dtype=float)
-        mat = np.minimum(np.outer(th, th), 1.0)
-        return Block.from_arrays(b, mat)
-    if isinstance(w, LinearCombo):
-        bounds, mats = _refine([as_block(p) for p in w.parts])
-        beta = np.asarray(w.beta, dtype=float)
-        mat = np.full((bounds.size - 1,) * 2, beta[0])
-        for b_j, m in zip(beta[1:], mats):
-            mat += b_j * m
-        if w.clipped:
-            mat = np.clip(mat, 0.0, 1.0)
-        # bypass Block's [0,1] validation for unclipped combinations
-        blk = object.__new__(Block)
-        object.__setattr__(blk, "boundaries", tuple(bounds.tolist()))
-        object.__setattr__(blk, "matrix", tuple(map(tuple, mat)))
-        return blk
-    raise GraphonError(f"cannot reduce {type(w).__name__} to blocks")
+    if not hasattr(type(w), "block"):
+        raise GraphonError(f"cannot reduce {type(w).__name__} to blocks")
+    return w.block
 
 
 def common_refinement(w: Graphon, w2: Graphon):
@@ -283,51 +272,35 @@ def common_refinement(w: Graphon, w2: Graphon):
 # quadrature and L2 geometry
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class QuadratureSpec:
-    """Midpoint rule on a uniform g x g grid.
-
-    Used only for graphons without a block form (``as_block`` raises);
-    every built-in kind is integrated exactly over its blocks instead.
-    """
-
-    g: int = 256
-
-    def __post_init__(self):
-        if self.g < 2:
-            raise GraphonError("quadrature grid must have g >= 2")
-
-    def midpoints(self) -> np.ndarray:
-        return (np.arange(self.g) + 0.5) / self.g
-
-
-DEFAULT_QUAD = QuadratureSpec()
+# midpoint grid for graphons without a block form (``as_block`` raises);
+# every built-in kind is integrated exactly over its blocks instead
+QUAD_G = 256
 
 
 def grid_values(w: Graphon, g: int) -> np.ndarray:
-    x = QuadratureSpec(g).midpoints()
+    x = (np.arange(g) + 0.5) / g
     return np.asarray(w.evaluate(x[:, None], x[None, :]), dtype=float)
 
 
-def l2_inner(w: Graphon, w2: Graphon, quad: QuadratureSpec = DEFAULT_QUAD) -> float:
+def l2_inner(w: Graphon, w2: Graphon) -> float:
     """L2 inner product <w, w2> over the unit square."""
     try:
         mu, m1, m2 = common_refinement(w, w2)
     except GraphonError:
-        return float(np.mean(grid_values(w, quad.g) * grid_values(w2, quad.g)))
+        return float(np.mean(grid_values(w, QUAD_G) * grid_values(w2, QUAD_G)))
     return float(mu @ (m1 * m2) @ mu)
 
 
-def l2_distance(w: Graphon, w2: Graphon, quad: QuadratureSpec = DEFAULT_QUAD) -> float:
+def l2_distance(w: Graphon, w2: Graphon) -> float:
     """||w - w2||_2, exact for block-reducible pairs."""
     try:
         mu, m1, m2 = common_refinement(w, w2)
     except GraphonError:
-        return float(np.sqrt(np.mean((grid_values(w, quad.g) - grid_values(w2, quad.g)) ** 2)))
+        return float(np.sqrt(np.mean((grid_values(w, QUAD_G) - grid_values(w2, QUAD_G)) ** 2)))
     return float(np.sqrt(mu @ (m1 - m2) ** 2 @ mu))
 
 
-def gram_and_target(features, w_star: Graphon, quad: QuadratureSpec = DEFAULT_QUAD):
+def gram_and_target(features, w_star: Graphon):
     """Gram matrix and target vector of (1, w_1, ..., w_J) against w_star.
 
     The constant function is prepended internally, so G is (J+1)x(J+1) and
@@ -340,8 +313,8 @@ def gram_and_target(features, w_star: Graphon, quad: QuadratureSpec = DEFAULT_QU
     gram = np.empty((d, d))
     for i in range(d):
         for j in range(i, d):
-            gram[i, j] = gram[j, i] = l2_inner(basis[i], basis[j], quad)
-    target = np.array([l2_inner(b, w_star, quad) for b in basis])
+            gram[i, j] = gram[j, i] = l2_inner(basis[i], basis[j])
+    target = np.array([l2_inner(b, w_star) for b in basis])
     return gram, target
 
 
@@ -360,7 +333,7 @@ class FunctionalSet:
     degree_grid: np.ndarray = field(repr=False)
 
 
-def functionals(w: Graphon, quad: QuadratureSpec = DEFAULT_QUAD) -> FunctionalSet:
+def functionals(w: Graphon) -> FunctionalSet:
     """Edge density e, triangle density t, wedge density s, clustering t/s.
 
     e is the double integral of w, d_w the row integral, s the integral of
@@ -370,11 +343,11 @@ def functionals(w: Graphon, quad: QuadratureSpec = DEFAULT_QUAD) -> FunctionalSe
     try:
         blk = as_block(w)
     except GraphonError:
-        vals = grid_values(w, quad.g)
+        vals = grid_values(w, QUAD_G)
         d_grid = vals.mean(axis=1)
         e = float(d_grid.mean())
         s = float(np.mean(d_grid ** 2))
-        t = float(np.einsum("ab,bc,ac->", vals, vals, vals)) / quad.g ** 3
+        t = float(np.einsum("ab,bc,ac->", vals, vals, vals)) / QUAD_G ** 3
     else:
         mu = blk.measures()
         mat = np.asarray(blk.matrix, dtype=float)
@@ -382,7 +355,7 @@ def functionals(w: Graphon, quad: QuadratureSpec = DEFAULT_QUAD) -> FunctionalSe
         e = float(mu @ deg)
         s = float(mu @ deg ** 2)
         t = float(np.einsum("a,b,c,ab,bc,ac->", mu, mu, mu, mat, mat, mat))
-        d_grid = deg[blk.piece_index(quad.midpoints())]
+        d_grid = deg[blk.piece_index((np.arange(QUAD_G) + 0.5) / QUAD_G)]
     clustering = t / s if s > 0 else 0.0
     return FunctionalSet(edge=e, triangle=t, wedge=s, clustering=clustering,
                          degree_grid=np.asarray(d_grid, dtype=float))
@@ -434,12 +407,12 @@ def spectral_radius(w: Graphon) -> float:
     On a block form (piece measures mu, rates M) the nonzero spectrum is
     that of diag(sqrt mu) M diag(sqrt mu), so the radius is its largest
     |eigenvalue| (Bollobas, Janson & Riordan 2007); a graphon without one
-    uses its ``DEFAULT_QUAD`` midpoint grid (entries w/g) instead.
+    uses the ``QUAD_G`` midpoint grid (entries w/g) instead.
     """
     try:
         blk = as_block(w)
     except GraphonError:
-        mat = grid_values(w, DEFAULT_QUAD.g) / DEFAULT_QUAD.g
+        mat = grid_values(w, QUAD_G) / QUAD_G
     else:
         root = np.sqrt(blk.measures())
         mat = root[:, None] * np.asarray(blk.matrix, dtype=float) * root[None, :]

@@ -100,13 +100,17 @@ def agent_from_dict(d: dict):
     return _decode(d, AGENT_KINDS, "agent")
 
 
+def write_json(obj, path) -> None:
+    """Write ``obj`` as indented, sorted-key JSON with a trailing newline."""
+    with open(path, "w") as fh:
+        json.dump(obj, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
 def save_model(obj, path) -> None:
     """Write a graphon or agent as a tagged JSON document."""
     to_dict = graphon_to_dict if isinstance(obj, gr.Graphon) else agent_to_dict
-    doc = {"schema_version": SCHEMA_VERSION, "model": to_dict(obj)}
-    with open(path, "w") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json({"schema_version": SCHEMA_VERSION, "model": to_dict(obj)}, path)
 
 
 def load_model(path):

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg
 
-from .graphons import DEFAULT_QUAD, Graphon, LinearCombo, QuadratureSpec, gram_and_target
+from .graphons import Graphon, LinearCombo, gram_and_target
 
 SINGULAR_EIG_TOL = 1e-12
 SIMPLEX_MAX_AGENTS = 12
@@ -195,14 +195,13 @@ def predict_clipped(weights: WeightVector | np.ndarray, features: np.ndarray) ->
     return np.clip(features @ beta, 0.0, 1.0)
 
 
-def population_projection(w_star: Graphon, agents, quad: QuadratureSpec = DEFAULT_QUAD,
-                          return_gram: bool = False):
+def population_projection(w_star: Graphon, agents, return_gram: bool = False):
     """L2 projection of the true kernel onto span{1, w_1, ..., w_J}.
 
     Solves the population normal equations beta = G^{-1} c; the residual is
     orthogonal to the span up to quadrature tolerance.
     """
-    gram, target = gram_and_target(list(agents), w_star, quad)
+    gram, target = gram_and_target(list(agents), w_star)
     eigvals = scipy.linalg.eigvalsh(gram)
     if eigvals[0] < SINGULAR_EIG_TOL * max(eigvals[-1], 1.0):
         raise SingularDesign("agent graphons plus constant are linearly dependent")

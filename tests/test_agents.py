@@ -274,6 +274,22 @@ def test_calibrate_sbm_blockwise():
     assert 3 * b[1, 1] == pytest.approx(2.1, abs=1e-10)
 
 
+def test_calibrate_sbm_uneven_blocks_against_pair_enumeration():
+    # block 1 is empty, so it has no pairs and keeps a zero tilt
+    c = [0, 2, 2, 0, 2, 2, 0]
+    sbm = SBM.make(c, [[0.3, 0.2, 0.1], [0.2, 0.5, 0.25], [0.1, 0.25, 0.4]])
+    target = np.array([[1.0, 0.0, 3.0], [0.0, 0.0, 0.0], [3.0, 0.0, 2.5]])
+    tilt = calibrate_moment(sbm, target)
+    assert np.all(np.asarray(tilt.lambda_block)[1] == 0.0)
+    probs = edge_prob_matrix(apply_tilt(sbm, tilt), len(c))
+    got = np.zeros((3, 3))
+    for i, j in itertools.combinations(range(len(c)), 2):
+        a, b = sorted((c[i], c[j]))
+        got[a, b] += probs[i, j]
+    iu = np.triu_indices(3)
+    np.testing.assert_allclose(got[iu], target[iu], atol=1e-12)
+
+
 def test_calibrate_rdpg_hits_edge_target():
     rng = np.random.default_rng(8)
     agent = RDPG.make(rng.normal(scale=0.7, size=(6, 2)), intercept=-0.4)
@@ -353,3 +369,22 @@ def test_logit_shift_expit_passes(monkeypatch):
     b = logit_shift(logits, 7e-4)
     assert len(calls) <= 5
     assert np.mean(expit(logits + b)) == pytest.approx(7e-4, rel=1e-12)
+
+
+def test_logit_shift_near_rate_one(monkeypatch):
+    # the mean of terms near 1 cannot resolve 1 - rate = 1e-9; the
+    # complement's mean can, so few passes reach it to rounding
+    import graphsynth.agents as agents
+    calls = []
+
+    def counted(x):
+        calls.append(1)
+        return expit(x)
+
+    monkeypatch.setattr(agents, "expit", counted)
+    logits = np.random.default_rng(14).normal(size=50_000)
+    rate = 1 - 1e-9
+    b = logit_shift(logits, rate)
+    assert len(calls) <= 6
+    tail = 1.0 - rate
+    assert np.mean(expit(-(logits + b))) == pytest.approx(tail, rel=1e-12)

@@ -4,12 +4,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import expit
 
 from graphsynth import (Block, Constant, Graphon, LinearCombo, LogisticLowRank,
-                        ProductWeight, GraphonError, QuadratureSpec, as_block,
+                        ProductWeight, GraphonError, as_block,
                         functionals, gram_and_target, l2_distance, l2_inner,
                         lipschitz_budget, spectral_bracket, spectral_radius,
                         uniform_step_map)
+from graphsynth.graphons import QUAD_G
 
 RNG = np.random.default_rng(20240601)
 
@@ -88,11 +90,38 @@ def test_block_validation_rejects_bad_inputs():
 # block reduction
 # ---------------------------------------------------------------------------
 
-def test_as_block_is_exact_for_every_kind():
-    """The block form gives ``evaluate``'s values bit for bit, at random
-    points and at and just below every breakpoint, also for two parts whose
-    breakpoints are closer together than 1e-14."""
-    rng = np.random.default_rng(7)
+def _piece(boundaries, x):
+    """Index of the left-closed piece of ``boundaries`` holding each x."""
+    return np.searchsorted(np.asarray(boundaries, dtype=float)[1:-1],
+                           np.asarray(x, dtype=float), side="right")
+
+
+def reference_kernel(w, x, y):
+    """Each kind's kernel computed pointwise from its own parameters, not
+    from its block form: p, sigmoid(sum_k z_k(x) z_k(y) + b), min(theta(x)
+    theta(y), 1), the rate-matrix lookup, and the weighted sum of parts."""
+    if isinstance(w, Constant):
+        return np.broadcast_to(np.float64(w.p), np.broadcast(x, y).shape)
+    if isinstance(w, Block):
+        m = np.asarray(w.matrix, dtype=float)
+        return m[_piece(w.boundaries, x), _piece(w.boundaries, y)]
+    if isinstance(w, LogisticLowRank):
+        # scalar latent values mean d = 1
+        z = np.asarray(w.latent.values, dtype=float).reshape(w.latent.k, -1)
+        dots = np.sum(z[_piece(w.latent.boundaries, x)] * z[_piece(w.latent.boundaries, y)],
+                      axis=-1)
+        return expit(dots + w.intercept)
+    if isinstance(w, ProductWeight):
+        th = np.asarray(w.weights.values, dtype=float)
+        return np.minimum(th[_piece(w.weights.boundaries, x)]
+                          * th[_piece(w.weights.boundaries, y)], 1.0)
+    out = np.full(np.broadcast(np.asarray(x, dtype=float), y).shape, w.beta[0])
+    for b_j, part in zip(w.beta[1:], w.parts):
+        out = out + b_j * reference_kernel(part, x, y)
+    return np.clip(out, 0.0, 1.0) if w.clipped else out
+
+
+def every_kind(rng):
     near = 0.5 + 4e-15
     kinds = [
         Constant(0.42),
@@ -107,13 +136,33 @@ def test_as_block_is_exact_for_every_kind():
     kinds.append(LinearCombo.make(
         [0.0, 0.5, 0.5], [Block.from_arrays([0, 0.5, 1], [[0.2, 0.6], [0.6, 0.9]]),
                           Block.from_arrays([0, near, 1], [[0.1, 0.7], [0.7, 0.3]])]))
-    breaks = np.unique(np.concatenate([as_block(w).boundaries for w in kinds] + [[0.5, near]]))
+    return kinds
+
+
+def test_as_block_is_exact_for_every_kind():
+    """``evaluate`` and the block form give the reference kernel's values
+    bit for bit, at random points and at and just below every breakpoint,
+    also for two parts whose breakpoints are closer together than 1e-14."""
+    rng = np.random.default_rng(7)
+    kinds = every_kind(rng)
+    breaks = np.unique(np.concatenate([as_block(w).boundaries for w in kinds]
+                                      + [[0.5, 0.5 + 4e-15]]))
     pts = np.concatenate([rng.uniform(0, 1, size=60), breaks, np.nextafter(breaks, 0.0)])
     for w in kinds:
-        want = w.evaluate(pts[:, None], pts[None, :])
+        want = reference_kernel(w, pts[:, None], pts[None, :])
         assert want.shape == (pts.size, pts.size)
+        assert np.array_equal(w.evaluate(pts[:, None], pts[None, :]), want)
         assert np.array_equal(as_block(w).evaluate(pts[:, None], pts[None, :]), want)
-        assert np.array_equal(as_block(w).evaluate(pts, pts[::-1]), w.evaluate(pts, pts[::-1]))
+        assert np.array_equal(w.evaluate(pts, pts[::-1]), reference_kernel(w, pts, pts[::-1]))
+        for x, y in zip(pts[:8].tolist(), pts[-8:].tolist()):
+            assert w.evaluate(x, y) == reference_kernel(w, x, y)
+
+
+def test_block_form_is_built_once_per_graphon():
+    for w in every_kind(np.random.default_rng(8)):
+        assert as_block(w) is as_block(w)
+    with pytest.raises(GraphonError):
+        as_block(object())
 
 
 # ---------------------------------------------------------------------------
@@ -140,9 +189,9 @@ def test_l2_distance_grid_fallback_agrees_with_exact():
     exact = l2_distance(w, w2)
     with pytest.raises(GraphonError):
         as_block(Unblocked(w))
-    approx = l2_distance(Unblocked(w), w2, QuadratureSpec(g=512))
+    approx = l2_distance(Unblocked(w), w2)
     assert abs(approx - exact) < 5e-3
-    assert l2_inner(Unblocked(w), w2, QuadratureSpec(g=512)) == pytest.approx(
+    assert l2_inner(Unblocked(w), w2) == pytest.approx(
         l2_inner(w, w2), abs=5e-3)
 
 
@@ -205,7 +254,7 @@ def test_functionals_two_block_hand_oracle():
 def test_functionals_grid_path_matches_exact():
     w = Block.from_arrays([0, 0.5, 1], [[0.7, 0.2], [0.2, 0.5]])
     exact = functionals(w)
-    grid = functionals(Unblocked(w), QuadratureSpec(g=256))
+    grid = functionals(Unblocked(w))
     assert grid.edge == pytest.approx(exact.edge, abs=1e-12)
     assert grid.triangle == pytest.approx(exact.triangle, abs=1e-12)
     assert grid.wedge == pytest.approx(exact.wedge, abs=1e-12)
@@ -291,7 +340,7 @@ def test_spectral_radius_unblocked_midpoint_grid():
 
     # the grid matrix x x'/g has rank one; its eigenvalue is
     # sum((i + 1/2)^2) / g^3 = 1/3 - 1/(12 g^2)
-    g = QuadratureSpec().g
+    g = QUAD_G
     assert spectral_radius(Product()) == pytest.approx(1 / 3 - 1 / (12 * g ** 2), abs=1e-15)
 
 
