@@ -22,15 +22,14 @@ from .agents import (AgentError, CalibrationFailure, ChungLu, DegHist, ER,
                      ergm_stack_tilt, exact_enumeration_pmf, mixture_pmf,
                      stat_tilt_weights, statistic_matrix, tilt_er, tilt_rdpg,
                      tilt_sbm)
-from .synthesis import (DyadData, SingularDesign, WeightVector, combo_graphon,
-                        fit_ls, fit_ridge, fit_simplex, l2_risk,
-                        population_projection, predict_clipped, project_simplex)
+from .synthesis import (DyadData, SingularDesign, WeightVector, fit_ls,
+                        fit_ridge, fit_simplex, l2_risk, population_projection,
+                        predict_clipped, project_simplex)
 from .sampling import (GraphSample, PhaseCurve, giant_fraction, make_rng,
                        phase_sweep, sample_dyads, sample_graph,
-                       sample_sparse_graph, split_rngs)
+                       sample_sparse_graph)
 from .netstats import (DegreePmf, GraphStatistics, NetstatsError,
-                       bounded_tilt_bracket, centralities,
-                       degree_pmf_from_sample, fit_tail_exponent,
+                       bounded_tilt_bracket, centralities, fit_tail_exponent,
                        graph_statistics, hill_tail_exponent,
                        mixture_degree_pmf, polynomial_tilt_exponent_bracket,
                        power_law_pmf, tilt_degree_pmf, triangle_count,

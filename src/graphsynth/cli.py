@@ -17,7 +17,7 @@ import numpy as np
 from .evaluation import MetricReport, make_split, paired_gaps
 from .experiments import (SPLIT_REGIMES, ConfigError, ExperimentConfig,
                           StageFailure, load_edge_list, run_experiment)
-from .serialize import gap_report_to_json, write_gap_report_csv
+from .serialize import json_text, write_gap_report_csv
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -107,7 +107,7 @@ def _cmd_report(args) -> int:
     os.makedirs(out_dir, exist_ok=True)
     csv_path = os.path.join(out_dir, "paired_gaps.csv")
     write_gap_report_csv(report, csv_path)
-    print(gap_report_to_json(report))
+    sys.stdout.write(json_text(report.to_dict()))
     print(f"report: wrote {csv_path}")
     return 0
 

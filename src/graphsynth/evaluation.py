@@ -431,6 +431,9 @@ class PairedGapReport:
                          "win_rate": s.win_rate, "n_units": len(self.units)})
         return rows
 
+    def to_dict(self) -> dict:
+        return {"units": list(self.units), "rows": self.to_rows()}
+
 
 def paired_gaps(scores_a: dict, scores_b: dict,
                 metrics=("logloss", "brier", "auc", "ap")) -> PairedGapReport:

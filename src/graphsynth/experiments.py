@@ -1,20 +1,22 @@
 """Experiment configuration, data ingestion, agent fitting, and run
 orchestration.
 
-Every run is fully determined by (config, base seed): replicate streams are
-split from the base seed and all outputs are written deterministically with
-frozen CSV headers.  A manifest records the config hash, seeds, outputs and
-wall-times.
+Every run is fully determined by (config, base seed).  ``run_experiment``
+is the one place a run makes seeds: it lists the run's seeded units
+(replicates, grid points, splits) in a fixed order, gives each its own child
+of ``SeedSequence(base_seed)``, and hands the runner a unit -> seed map.
+Runners return their files; every file goes through a ``serialize`` writer,
+with frozen CSV headers.  ``manifest.json`` records the config and its hash,
+each unit's key and spawn key, the outputs and the wall time.
 """
 
 from __future__ import annotations
 
-import csv
 import hashlib
 import json
 import os
 import time
-from dataclasses import dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 import scipy.sparse.csgraph
@@ -32,7 +34,7 @@ from .evaluation import (MetricReport, audit_split, cv_best_agent,  # noqa: F401
 from .netstats import fit_tail_exponent, mixture_degree_pmf, power_law_pmf
 from .sampling import (GraphSample, graph_from_edge_array, phase_sweep, sample_dyads,
                        unique_keys)
-from .serialize import (gap_report_to_json, write_gap_report_csv, write_json,
+from .serialize import (write_csv, write_gap_report_csv, write_json,
                         write_metric_reports_csv, write_phase_curve_csv)
 from .synthesis import DyadData, fit_ls, fit_ridge, fit_simplex, predict_clipped
 
@@ -102,6 +104,13 @@ class ExperimentConfig:
         for regime in self.regimes:
             if regime not in SPLIT_REGIMES:
                 raise ConfigError(f"unknown split regime {regime!r}")
+        # grid values key the run's seeded units, so they must be distinct
+        for name in ("n_grid", "lambda_grid", "pi_grid", "regimes"):
+            values = getattr(self, name)
+            if len(values) == 0 or len(set(values)) != len(values):
+                raise ConfigError(f"{name} must be nonempty and without repeats")
+        if not self.ridge_reg >= 0:
+            raise ConfigError("ridge_reg must be >= 0")
 
     @staticmethod
     def from_dict(d: dict) -> "ExperimentConfig":
@@ -133,19 +142,24 @@ class ExperimentConfig:
 @dataclass
 class RunManifest:
     """Reproducibility record: rerunning from the manifest reproduces every
-    output byte."""
+    output byte.
+
+    ``units`` lists the run's seeded units in spawn order as ``{"key",
+    "spawn_key"}``: the unit's key (``[r]`` for s1, ``[n, r]`` for s2,
+    ``[lambda, r]`` for s3, ``[regime, split]`` for real; s4 draws nothing
+    and has none) and the spawn key of its child of
+    ``SeedSequence(base_seed)``.
+    """
 
     config: dict
     config_hash: str
     version: str
-    replicate_seeds: list
+    units: list
     outputs: list = field(default_factory=list)
     wall_times: dict = field(default_factory=dict)
 
     def save(self, path: str) -> None:
-        write_json({"config": self.config, "config_hash": self.config_hash,
-                    "version": self.version, "replicate_seeds": self.replicate_seeds,
-                    "outputs": self.outputs, "wall_times": self.wall_times}, path)
+        write_json(asdict(self), path)
 
 
 def config_hash(config: ExperimentConfig) -> str:
@@ -357,194 +371,181 @@ def _method_predictions(train: DyadData, val: DyadData, test_features: np.ndarra
 # experiment runners
 # ---------------------------------------------------------------------------
 
-def _summary_stats(values: np.ndarray) -> dict:
+def _summary_stats(values) -> dict:
     values = np.asarray(values, dtype=float)
     se = float(values.std(ddof=1) / np.sqrt(values.size)) if values.size > 1 else 0.0
     return {"mean": float(values.mean()), "se": se, "n": int(values.size)}
 
 
-def _run_s1(config: ExperimentConfig, out_dir: str, outputs: list) -> None:
-    w_star, parts = default_generator()
-    seeds = np.random.SeedSequence(config.base_seed).spawn(config.replicates)
+def _method_stats(per_method: dict, metrics) -> dict:
+    """method -> metric -> summary stats over that method's reports."""
+    return {m: {k: _summary_stats([getattr(rep, k) for rep in reps]) for k in metrics}
+            for m, reps in per_method.items()}
+
+
+def _synthetic_replicate(truth, seed, m_train: int, m_val: int,
+                         config: ExperimentConfig) -> dict:
+    """One S1/S2 replicate: train, validation and test dyads drawn from the
+    seed's three children, every method fitted, and each scored on the test
+    dyads.  Returns method -> MetricReport."""
+    w_star, parts = truth
+    s_train, s_val, s_test = seed.spawn(3)
+    train = sample_dyads(w_star, parts, m_train, s_train)
+    val = sample_dyads(w_star, parts, m_val, s_val)
+    test = sample_dyads(w_star, parts, config.m_test, s_test)
+    preds = _method_predictions(train, val, test.features, config.ridge_reg)
+    return {method: score_metrics(p, test.labels) for method, p in preds.items()}
+
+
+# Each runner takes the config and its unit -> seed map, and returns
+# file name -> (writer, *arguments before the path).
+
+def _run_s1(config: ExperimentConfig, seeds: dict) -> dict:
+    truth = default_generator()
     rows = []
-    per_method = {m: {"brier": [], "logloss": [], "auc": [], "ap": []} for m in METHODS}
-    for r, seed in enumerate(seeds):
-        s_train, s_val, s_test = seed.spawn(3)
-        train = sample_dyads(w_star, parts, config.m_train, s_train)
-        val = sample_dyads(w_star, parts, config.m_val, s_val)
-        test = sample_dyads(w_star, parts, config.m_test, s_test)
-        preds = _method_predictions(train, val, test.features, config.ridge_reg)
-        for method, p in preds.items():
-            rep = score_metrics(p, test.labels)
+    per_method = {m: [] for m in METHODS}
+    for (r,), seed in seeds.items():
+        for method, rep in _synthetic_replicate(truth, seed, config.m_train,
+                                                config.m_val, config).items():
             rows.append((method, f"rep{r}", rep))
-            for key in per_method[method]:
-                per_method[method][key].append(getattr(rep, key))
-    path = os.path.join(out_dir, "s1_metrics.csv")
-    write_metric_reports_csv(rows, path)
-    outputs.append(path)
-    summary = {m: {k: _summary_stats(v) for k, v in d.items()}
-               for m, d in per_method.items()}
-    ls_b = np.asarray(per_method["BPS_LS"]["brier"])
-    ba_b = np.asarray(per_method["BestAgent"]["brier"])
-    ls_l = np.asarray(per_method["BPS_LS"]["logloss"])
-    ba_l = np.asarray(per_method["BestAgent"]["logloss"])
+            per_method[method].append(rep)
+    summary = _method_stats(per_method, ("brier", "logloss", "auc", "ap"))
+    pairs = list(zip(per_method["BPS_LS"], per_method["BestAgent"]))
     summary["wins"] = {
-        "bps_ls_beats_best_agent_brier": int(np.sum(ls_b < ba_b)),
-        "bps_ls_beats_best_agent_logloss": int(np.sum(ls_l < ba_l)),
+        "bps_ls_beats_best_agent_brier": sum(bool(a.brier < b.brier) for a, b in pairs),
+        "bps_ls_beats_best_agent_logloss": sum(bool(a.logloss < b.logloss)
+                                               for a, b in pairs),
         "replicates": config.replicates,
     }
-    path = os.path.join(out_dir, "s1_summary.json")
-    write_json(summary, path)
-    outputs.append(path)
+    return {"s1_metrics.csv": (write_metric_reports_csv, rows),
+            "s1_summary.json": (write_json, summary)}
 
 
-def _run_s2(config: ExperimentConfig, out_dir: str, outputs: list) -> None:
-    w_star, parts = default_generator()
-    seeds = np.random.SeedSequence(config.base_seed).spawn(
-        len(config.n_grid) * config.replicates)
+S2_CSV_HEADER = ["n", "m_train", "method", "mean_brier", "se_brier",
+                 "mean_logloss", "se_logloss"]
+
+
+def _run_s2(config: ExperimentConfig, seeds: dict) -> dict:
+    truth = default_generator()
+    m_val = max(config.m_val, len(truth[1]) + 2)
+    per_n = {n: {m: [] for m in METHODS} for n in config.n_grid}
+    for (n, r), seed in seeds.items():
+        for method, rep in _synthetic_replicate(truth, seed, config.dyads_per_n * int(n),
+                                                m_val, config).items():
+            per_n[n][method].append(rep)
     rows = []
     summary = {"per_n": {}}
-    for ni, n in enumerate(config.n_grid):
-        m_train = config.dyads_per_n * int(n)
-        per_method = {m: {"brier": [], "logloss": []} for m in METHODS}
-        for r in range(config.replicates):
-            seed = seeds[ni * config.replicates + r]
-            s_train, s_val, s_test = seed.spawn(3)
-            train = sample_dyads(w_star, parts, m_train, s_train)
-            val = sample_dyads(w_star, parts, max(config.m_val, len(parts) + 2), s_val)
-            test = sample_dyads(w_star, parts, config.m_test, s_test)
-            preds = _method_predictions(train, val, test.features, config.ridge_reg)
-            for method, p in preds.items():
-                rep = score_metrics(p, test.labels)
-                per_method[method]["brier"].append(rep.brier)
-                per_method[method]["logloss"].append(rep.logloss)
-        for method in METHODS:
-            b = _summary_stats(per_method[method]["brier"])
-            l = _summary_stats(per_method[method]["logloss"])
-            rows.append([n, m_train, method, b["mean"], b["se"], l["mean"], l["se"]])
-        summary["per_n"][str(n)] = {
-            m: {"brier": _summary_stats(per_method[m]["brier"]),
-                "logloss": _summary_stats(per_method[m]["logloss"])}
-            for m in METHODS}
-    path = os.path.join(out_dir, "s2_curve.csv")
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["n", "m_train", "method", "mean_brier", "se_brier",
-                         "mean_logloss", "se_logloss"])
-        for row in rows:
-            writer.writerow([row[0], row[1], row[2]] + [f"{v:.12g}" for v in row[3:]])
-    outputs.append(path)
-    path = os.path.join(out_dir, "s2_summary.json")
-    write_json(summary, path)
-    outputs.append(path)
+    for n, per_method in per_n.items():
+        stats = summary["per_n"][str(n)] = _method_stats(per_method, ("brier", "logloss"))
+        rows.extend([n, config.dyads_per_n * int(n), m, s["brier"]["mean"], s["brier"]["se"],
+                     s["logloss"]["mean"], s["logloss"]["se"]] for m, s in stats.items())
+    return {"s2_curve.csv": (write_csv, rows, S2_CSV_HEADER),
+            "s2_summary.json": (write_json, summary)}
 
 
-def _run_s3(config: ExperimentConfig, out_dir: str, outputs: list) -> None:
-    kernel = gr.Constant(1.0)
-    curve = phase_sweep(kernel, np.asarray(config.lambda_grid, dtype=float),
+def _run_s3(config: ExperimentConfig, seeds: dict) -> dict:
+    # phase_sweep spawns the same children of the base seed, in the same
+    # (lambda, r) order, as the units in ``seeds``
+    curve = phase_sweep(gr.Constant(1.0), np.asarray(config.lambda_grid, dtype=float),
                         config.phase_n, config.phase_reps, config.base_seed)
-    path = os.path.join(out_dir, "s3_curve.csv")
-    write_phase_curve_csv(curve, path)
-    outputs.append(path)
     onset = next((float(lam) for lam, frac in zip(curve.lambdas, curve.mean_fraction)
                   if frac > 0.05), None)
-    path = os.path.join(out_dir, "s3_summary.json")
-    write_json({"rho": curve.rho, "lambda_critical": curve.lambda_critical,
-                "empirical_onset": onset, "n": curve.n, "reps": curve.reps}, path)
-    outputs.append(path)
+    return {"s3_curve.csv": (write_phase_curve_csv, curve),
+            "s3_summary.json": (write_json, {
+                "rho": curve.rho, "lambda_critical": curve.lambda_critical,
+                "empirical_onset": onset, "n": curve.n, "reps": curve.reps})}
 
 
-def _run_s4(config: ExperimentConfig, out_dir: str, outputs: list) -> None:
+S4_CSV_HEADER = ["pi", "gamma_hat", "r2", "window_lo", "window_hi", "gamma_theory"]
+
+
+def _run_s4(config: ExperimentConfig, seeds: dict) -> dict:
     light = power_law_pmf(config.gamma_light, config.tail_k_max)
     heavy = power_law_pmf(config.gamma_heavy, config.tail_k_max)
-    path = os.path.join(out_dir, "s4_tails.csv")
     rows = []
     for pi in config.pi_grid:
         mix = mixture_degree_pmf([light, heavy], [1.0 - pi, pi])
-        gamma_hat, r2, window = fit_tail_exponent(mix)
-        rows.append([pi, gamma_hat, r2, window[0], window[1], mix.gamma])
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["pi", "gamma_hat", "r2", "window_lo", "window_hi",
-                         "gamma_theory"])
-        for row in rows:
-            writer.writerow([f"{row[0]:.12g}", f"{row[1]:.12g}", f"{row[2]:.12g}",
-                             row[3], row[4], f"{row[5]:.12g}"])
-    outputs.append(path)
+        gamma_hat, r2, (lo, hi) = fit_tail_exponent(mix)
+        rows.append([pi, gamma_hat, r2, lo, hi, mix.gamma])
+    return {"s4_tails.csv": (write_csv, rows, S4_CSV_HEADER)}
 
 
-def _run_real(config: ExperimentConfig, out_dir: str, outputs: list) -> None:
+def _run_real(config: ExperimentConfig, seeds: dict) -> dict:
     if not config.dataset:
         raise ConfigError("real experiment needs a dataset path")
     graph, _ = load_edge_list(config.dataset)
-    seeds = np.random.SeedSequence(config.base_seed).spawn(
-        len(config.regimes) * config.splits_per_regime)
     rows = []
     scores = {m: {} for m in METHODS}
-    idx = 0
-    for regime in config.regimes:
-        for s in range(config.splits_per_regime):
-            seed = seeds[idx]
-            idx += 1
-            split = make_split(graph, regime, seed, negpos_ratio=config.negpos_ratio)
-            train_graph = graph_from_edge_array(
-                graph.n, split.train_dyads[split.train_labels == 1])
-            agents = fit_agents_to_graph(train_graph, config, seed=config.base_seed)
-            feats = {}
-            for part, dyads in (("train", split.train_dyads), ("val", split.val_dyads),
-                                ("test", split.test_dyads)):
-                cols = [np.ones(len(dyads))]
-                cols.extend(agent_dyad_probs(a, dyads) for a in agents.values())
-                feats[part] = np.stack(cols, axis=1)
-            train = DyadData(features=feats["train"], labels=split.train_labels,
-                             dyads=split.train_dyads)
-            val = DyadData(features=feats["val"], labels=split.val_labels,
-                           dyads=split.val_dyads)
-            # the ER column is constant, hence collinear with the intercept;
-            # keep it for BestAgent selection but not in the synthesis design
-            names = list(agents)
-            synth_cols = [0] + [1 + k for k, name in enumerate(names) if name != "ER"]
-            preds = _method_predictions(train, val, feats["test"], config.ridge_reg,
-                                        synth_cols=synth_cols)
-            key = f"{regime}/{s}"
-            for method, p in preds.items():
-                rep = score_metrics(p, split.test_labels)
-                rows.append((method, key, rep))
-                scores[method][key] = rep
-    path = os.path.join(out_dir, "real_metrics.csv")
-    write_metric_reports_csv(rows, path)
-    outputs.append(path)
+    for (regime, s), seed in seeds.items():
+        split = make_split(graph, regime, seed, negpos_ratio=config.negpos_ratio)
+        train_graph = graph_from_edge_array(
+            graph.n, split.train_dyads[split.train_labels == 1])
+        # a child of the split's seed, so make_split's own stream is unchanged
+        agents = fit_agents_to_graph(train_graph, config, seed=seed.spawn(1)[0])
+        feats = {}
+        for part, dyads in (("train", split.train_dyads), ("val", split.val_dyads),
+                            ("test", split.test_dyads)):
+            cols = [np.ones(len(dyads))]
+            cols.extend(agent_dyad_probs(a, dyads) for a in agents.values())
+            feats[part] = np.stack(cols, axis=1)
+        train = DyadData(features=feats["train"], labels=split.train_labels,
+                         dyads=split.train_dyads)
+        val = DyadData(features=feats["val"], labels=split.val_labels,
+                       dyads=split.val_dyads)
+        # the ER column is constant, hence collinear with the intercept;
+        # keep it for BestAgent selection but not in the synthesis design
+        names = list(agents)
+        synth_cols = [0] + [1 + k for k, name in enumerate(names) if name != "ER"]
+        preds = _method_predictions(train, val, feats["test"], config.ridge_reg,
+                                    synth_cols=synth_cols)
+        key = f"{regime}/{s}"
+        for method, p in preds.items():
+            rep = score_metrics(p, split.test_labels)
+            rows.append((method, key, rep))
+            scores[method][key] = rep
     gaps = paired_gaps(scores["BestAgent"], scores["BPS_LS"])
-    path = os.path.join(out_dir, "real_gaps.csv")
-    write_gap_report_csv(gaps, path)
-    outputs.append(path)
-    path = os.path.join(out_dir, "real_gaps.json")
-    with open(path, "w") as fh:
-        fh.write(gap_report_to_json(gaps))
-        fh.write("\n")
-    outputs.append(path)
+    return {"real_metrics.csv": (write_metric_reports_csv, rows),
+            "real_gaps.csv": (write_gap_report_csv, gaps),
+            "real_gaps.json": (write_json, gaps.to_dict())}
 
 
 _RUNNERS = {"s1": _run_s1, "s2": _run_s2, "s3": _run_s3, "s4": _run_s4,
             "real": _run_real}
 
 
+def _unit_keys(config: ExperimentConfig) -> list:
+    """The run's seeded units, in spawn order."""
+    reps = range(config.replicates)
+    return {"s1": [(r,) for r in reps],
+            "s2": [(n, r) for n in config.n_grid for r in reps],
+            "s3": [(lam, r) for lam in config.lambda_grid for r in range(config.phase_reps)],
+            "s4": [],
+            "real": [(regime, s) for regime in config.regimes
+                     for s in range(config.splits_per_regime)]}[config.experiment]
+
+
 def run_experiment(config: ExperimentConfig) -> RunManifest:
     """Execute the configured experiment and write its outputs.
 
-    Any sub-stage failure aborts with a stage-tagged diagnostic and removes
-    the partial outputs of this run.
+    Spawns one child of ``SeedSequence(base_seed)`` per seeded unit, hands
+    the runner the unit -> seed map and writes the files it returns.  Any
+    sub-stage failure aborts with a stage-tagged diagnostic and removes the
+    partial outputs of this run.
     """
     out_dir = os.path.join(config.out_dir, config.experiment)
     os.makedirs(out_dir, exist_ok=True)
-    seeds = [list(s.spawn_key) for s in
-             np.random.SeedSequence(config.base_seed).spawn(config.replicates)]
+    keys = _unit_keys(config)
+    seeds = dict(zip(keys, np.random.SeedSequence(config.base_seed).spawn(len(keys))))
     manifest = RunManifest(config=config.to_dict(), config_hash=config_hash(config),
-                           version=ARTIFACT_VERSION, replicate_seeds=seeds)
+                           version=ARTIFACT_VERSION,
+                           units=[{"key": list(k), "spawn_key": list(s.spawn_key)}
+                                  for k, s in seeds.items()])
     outputs: list = []
     start = time.perf_counter()
     try:
-        _RUNNERS[config.experiment](config, out_dir, outputs)
+        for name, (write, *args) in _RUNNERS[config.experiment](config, seeds).items():
+            outputs.append(os.path.join(out_dir, name))
+            write(*args, outputs[-1])
     except Exception as exc:
         for path in outputs:
             if os.path.exists(path):

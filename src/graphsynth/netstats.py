@@ -307,19 +307,3 @@ def verify_tail_bracket(base_tail, tilted_tail, ks, lower_factor, upper_factor,
     lo = lower_factor * base - slack
     hi = upper_factor * base + slack
     return bool(np.all(tilted >= lo) and np.all(tilted <= hi))
-
-
-def degree_pmf_from_sample(degrees, k_max: int | None = None) -> DegreePmf:
-    """Empirical degree pmf on support 0..k_max (default: the largest
-    degree) from a nonempty vector of nonnegative degrees."""
-    degrees = np.asarray(degrees, dtype=np.int64).ravel()
-    if degrees.size == 0:
-        raise NetstatsError("degree sample is empty")
-    if degrees.min() < 0:
-        raise NetstatsError("degrees must be nonnegative")
-    largest = int(degrees.max())
-    k_max = largest if k_max is None else int(k_max)
-    if k_max < largest:
-        raise NetstatsError(f"k_max = {k_max} is below the largest degree {largest}")
-    probs = np.bincount(degrees, minlength=k_max + 1).astype(float)
-    return DegreePmf(probs=probs / probs.sum())

@@ -25,12 +25,6 @@ def make_rng(seed) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(seed))
 
 
-def split_rngs(seed, count: int) -> list[np.random.Generator]:
-    """Independent per-replicate streams from one base seed."""
-    return [np.random.Generator(np.random.Philox(child))
-            for child in np.random.SeedSequence(seed).spawn(count)]
-
-
 def unique_keys(a) -> np.ndarray:
     """The sorted distinct values of an integer array; equals ``np.unique(a)``.
 

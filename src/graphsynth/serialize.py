@@ -1,8 +1,8 @@
 """Structured-text serialization for models and CSV export of results.
 
-Graphons and agents round-trip through tagged JSON documents; numeric
-results (phase curves, metric and gap reports) export as CSV
-with frozen headers.
+Graphons and agents round-trip through tagged JSON documents.  Every JSON
+document the package writes has the form of ``json_text``, and every CSV
+goes through ``write_csv`` with a frozen header.
 """
 
 from __future__ import annotations
@@ -100,11 +100,15 @@ def agent_from_dict(d: dict):
     return _decode(d, AGENT_KINDS, "agent")
 
 
+def json_text(obj) -> str:
+    """``obj`` as indented, sorted-key JSON with a trailing newline: the
+    form of every JSON document the package writes or prints."""
+    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+
+
 def write_json(obj, path) -> None:
-    """Write ``obj`` as indented, sorted-key JSON with a trailing newline."""
     with open(path, "w") as fh:
-        json.dump(obj, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(json_text(obj))
 
 
 def save_model(obj, path) -> None:
@@ -134,13 +138,21 @@ def write_edge_list(g: GraphSample, path) -> None:
             fh.write(f"{i}\t{j}\n")
 
 
-def write_phase_curve_csv(curve: PhaseCurve, path) -> None:
+def write_csv(rows, header, path) -> None:
+    """Write ``header`` and then ``rows``: floats as ``.12g``, every other
+    value as ``csv.writer`` renders it."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["lambda", "mean_fraction", "sd_fraction", "n", "reps"])
-        for lam, mean, sd in zip(curve.lambdas, curve.mean_fraction, curve.sd_fraction):
-            writer.writerow([f"{lam:.12g}", f"{mean:.12g}", f"{sd:.12g}",
-                             curve.n, curve.reps])
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow([f"{v:.12g}" if isinstance(v, (float, np.floating)) else v
+                             for v in row])
+
+
+def write_phase_curve_csv(curve: PhaseCurve, path) -> None:
+    write_csv(([lam, mean, sd, curve.n, curve.reps] for lam, mean, sd in
+               zip(curve.lambdas, curve.mean_fraction, curve.sd_fraction)),
+              ["lambda", "mean_fraction", "sd_fraction", "n", "reps"], path)
 
 
 METRIC_CSV_HEADER = ["method", "split", "brier", "logloss", "auc", "ap", "ece",
@@ -149,29 +161,13 @@ METRIC_CSV_HEADER = ["method", "split", "brier", "logloss", "auc", "ap", "ece",
 
 def write_metric_reports_csv(rows, path) -> None:
     """``rows`` is a list of (method, split_key, MetricReport)."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(METRIC_CSV_HEADER)
-        for method, split, rep in rows:
-            d = rep.to_dict()
-            writer.writerow([method, split] +
-                            [f"{d[k]:.12g}" for k in ("brier", "logloss", "auc", "ap",
-                                                      "ece", "reliability", "resolution",
-                                                      "uncertainty")] + [d["n"]])
+    write_csv(([method, split, *map(rep.to_dict().get, METRIC_CSV_HEADER[2:])]
+               for method, split, rep in rows), METRIC_CSV_HEADER, path)
+
+
+GAP_CSV_HEADER = ["metric", "mean_gap", "se", "ci_low", "ci_high", "win_rate", "n_units"]
 
 
 def write_gap_report_csv(report: PairedGapReport, path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["metric", "mean_gap", "se", "ci_low", "ci_high",
-                         "win_rate", "n_units"])
-        for row in report.to_rows():
-            writer.writerow([row["metric"]] +
-                            [f"{row[k]:.12g}" for k in ("mean_gap", "se", "ci_low",
-                                                        "ci_high", "win_rate")] +
-                            [row["n_units"]])
-
-
-def gap_report_to_json(report: PairedGapReport) -> str:
-    return json.dumps({"units": list(report.units), "rows": report.to_rows()},
-                      indent=2, sort_keys=True)
+    write_csv(([row[k] for k in GAP_CSV_HEADER] for row in report.to_rows()),
+              GAP_CSV_HEADER, path)

@@ -7,13 +7,12 @@ population-level L2 projection onto the agent span.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
 
-from .graphons import Graphon, LinearCombo, gram_and_target
+from .graphons import Graphon, gram_and_target
 
 SINGULAR_EIG_TOL = 1e-12
 SIMPLEX_MAX_AGENTS = 12
@@ -71,25 +70,6 @@ class WeightVector:
     @property
     def norm(self) -> float:
         return float(np.linalg.norm(self.beta))
-
-    def to_json(self) -> str:
-        return json.dumps({
-            "method": self.method,
-            "beta": self.beta.tolist(),
-            "lambda_reg": self.lambda_reg,
-            "condition_number": self.condition_number,
-            "m_train": self.m_train,
-            "kkt_residual": self.kkt_residual,
-        })
-
-    @staticmethod
-    def from_json(text: str) -> "WeightVector":
-        d = json.loads(text)
-        return WeightVector(beta=np.asarray(d["beta"], dtype=float), method=d["method"],
-                            lambda_reg=d.get("lambda_reg", 0.0),
-                            condition_number=d.get("condition_number", float("nan")),
-                            m_train=d.get("m_train", 0),
-                            kkt_residual=d.get("kkt_residual", 0.0))
 
 
 def _normal_equations(data: DyadData):
@@ -209,12 +189,6 @@ def population_projection(w_star: Graphon, agents, return_gram: bool = False):
     wv = WeightVector(beta=beta, method="LS",
                       condition_number=float(eigvals[-1] / eigvals[0]))
     return (wv, gram, target) if return_gram else wv
-
-
-def combo_graphon(weights: WeightVector | np.ndarray, agents, clipped: bool = False) -> LinearCombo:
-    """Linear-combination graphon for a fitted weight vector."""
-    beta = weights.beta if isinstance(weights, WeightVector) else np.asarray(weights, dtype=float)
-    return LinearCombo.make(beta, list(agents), clipped=clipped)
 
 
 def l2_risk(beta, beta_star, gram) -> float:

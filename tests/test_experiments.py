@@ -11,10 +11,11 @@ from graphsynth import (Block, Constant, ConfigError, ExperimentConfig,
                         SerializeError, StageFailure, agent_dyad_probs,
                         agent_from_dict, agent_to_dict, config_hash,
                         default_generator, edge_prob_matrix,
-                        fit_agents_to_graph, graphon_from_dict, graphon_to_dict,
-                        grid_values, load_edge_list, load_model, run_experiment,
-                        sample_graph, sample_sparse_graph, save_model,
-                        write_edge_list)
+                        fit_agents_to_graph, giant_fraction, graphon_from_dict,
+                        graphon_to_dict, grid_values, load_edge_list, load_model,
+                        run_experiment, sample_graph, sample_sparse_graph,
+                        save_model, write_edge_list)
+from graphsynth import experiments
 from graphsynth.cli import _read_metrics_csv, main as cli_main
 from graphsynth.evaluation import score_metrics
 from graphsynth.agents import SBM, ErgmSpec, TiltState
@@ -41,6 +42,18 @@ def test_config_rejects_unknown_keys():
         ExperimentConfig.from_dict({"experiment": "real", "regimes": ["bogus"]})
     with pytest.raises(ConfigError):
         ExperimentConfig.from_dict({"experiment": "s1", "replicates": 0})
+
+
+@pytest.mark.parametrize("keys", [{"n_grid": []}, {"lambda_grid": []}, {"pi_grid": []},
+                                  {"regimes": []}, {"n_grid": [200, 200]},
+                                  {"ridge_reg": -1.0}],
+                         ids=["n_grid", "lambda_grid", "pi_grid", "regimes",
+                              "repeated_n", "ridge_reg"])
+def test_config_rejects_degenerate_values(keys):
+    # an empty grid or regime list would run no unit and write NaN summaries;
+    # a negative ridge penalty would fail only after the data is loaded
+    with pytest.raises(ConfigError):
+        ExperimentConfig.from_dict({"experiment": "real", **keys})
 
 
 def test_config_round_trip_and_hash():
@@ -290,6 +303,8 @@ def test_s4_run_deterministic_outputs(tmp_path):
     a = (tmp_path / "a" / "s4" / "s4_tails.csv").read_bytes()
     b = (tmp_path / "b" / "s4" / "s4_tails.csv").read_bytes()
     assert a == b
+    assert hashlib.sha256(a).hexdigest() == (
+        "f5b661e333ef7d57333452e7b160c1625a8943beea0657670fe9b2c2f6afbe59")
     assert "s4/s4_tails.csv" in m1.outputs
     manifest = json.loads((tmp_path / "a" / "s4" / "manifest.json").read_text())
     assert manifest["config_hash"] == m1.config_hash
@@ -308,6 +323,9 @@ def test_s3_run_deterministic_outputs(tmp_path):
         a = (tmp_path / "a" / "s3" / fname).read_bytes()
         b = (tmp_path / "b" / "s3" / fname).read_bytes()
         assert a == b
+    curve = (tmp_path / "a" / "s3" / "s3_curve.csv").read_bytes()
+    assert hashlib.sha256(curve).hexdigest() == (
+        "e2765d86ecb46572435f0a6ce0ddbfe5f3328186fdb110240ebb77216d148790")
 
 
 def test_s1_run_deterministic_outputs(tmp_path):
@@ -335,16 +353,24 @@ def test_s2_run_deterministic_outputs(tmp_path):
         a = (tmp_path / "a" / "s2" / fname).read_bytes()
         b = (tmp_path / "b" / "s2" / fname).read_bytes()
         assert a == b
+    curve = (tmp_path / "a" / "s2" / "s2_curve.csv").read_bytes()
+    assert hashlib.sha256(curve).hexdigest() == (
+        "6d22b2e1128ade1dbdefdbbf3b31c810dbf37974569ee34711b0ff81f3535f56")
 
 
-def test_real_run_deterministic_outputs(tmp_path):
+def _real_config(tmp_path) -> dict:
+    """A two-split real run on a 600-node planted-block graph."""
     g = sample_sparse_graph(Block.from_arrays([0, 0.3, 0.7, 1],
                                               [[0.9, 0.1, 0.2], [0.1, 0.7, 0.1],
                                                [0.2, 0.1, 0.8]]), 600, 12.0, seed=5)
     dataset = tmp_path / "edges.txt"
     write_edge_list(g, str(dataset))
-    base = {"experiment": "real", "dataset": str(dataset),
+    return {"experiment": "real", "dataset": str(dataset),
             "regimes": ["edge_holdout", "node_holdout"], "splits_per_regime": 1}
+
+
+def test_real_run_deterministic_outputs(tmp_path, capsys):
+    base = _real_config(tmp_path)
     for name in ("a", "b"):
         run_experiment(ExperimentConfig.from_dict(dict(base, out_dir=str(tmp_path / name))))
     for fname in ("real_metrics.csv", "real_gaps.json"):
@@ -355,17 +381,72 @@ def test_real_run_deterministic_outputs(tmp_path):
     # or the scores moved
     metrics = (tmp_path / "a" / "real" / "real_metrics.csv").read_bytes()
     assert hashlib.sha256(metrics).hexdigest() == (
-        "48250a075d56dbd45453fb83f10d0a34806cc0c47ff79338bc566db2faeb546c")
+        "52e3c8a0e89b0746d6c5ea979155fe6eeeab5ec6680835e38c6f2396d98f5f91")
+    # the report verb prints the run's gap document, up to the 12 digits the
+    # metrics CSV keeps
+    assert cli_main(["report", str(tmp_path / "a" / "real" / "real_metrics.csv"),
+                     "--out", str(tmp_path / "report")]) == 0
+    printed = json.loads(capsys.readouterr().out.rsplit("}\n", 1)[0] + "}")
+    written = json.loads((tmp_path / "a" / "real" / "real_gaps.json").read_text())
+    assert printed["units"] == written["units"]
+    assert len(printed["rows"]) == len(written["rows"])
+    for got, want in zip(printed["rows"], written["rows"]):
+        assert got == pytest.approx(want, rel=1e-9)
 
 
-def test_manifest_replicate_seeds_distinct(tmp_path):
-    cfg = ExperimentConfig.from_dict({"experiment": "s4", "out_dir": str(tmp_path),
-                                      "tail_k_max": 20_000, "replicates": 3,
-                                      "base_seed": 7})
-    run_experiment(cfg)
-    seeds = json.loads((tmp_path / "s4" / "manifest.json").read_text())["replicate_seeds"]
-    assert len(seeds) == 3
-    assert len({tuple(s) for s in seeds}) == 3
+def test_real_fits_each_split_with_its_own_seed(tmp_path, monkeypatch):
+    seeds = []
+    fit = experiments.fit_agents_to_graph
+
+    def recorder(g, config, seed=0):
+        seeds.append(seed)
+        return fit(g, config, seed=seed)
+
+    monkeypatch.setattr(experiments, "fit_agents_to_graph", recorder)
+    manifest = run_experiment(ExperimentConfig.from_dict(
+        dict(_real_config(tmp_path), out_dir=str(tmp_path))))
+    assert [u["key"] for u in manifest.units] == [["edge_holdout", 0], ["node_holdout", 0]]
+    draws = [np.random.default_rng(s).random() for s in seeds]
+    assert len(draws) == 2 and draws[0] != draws[1]
+    # each agent seed is the first child of its split's unit seed
+    assert [list(s.spawn_key) for s in seeds] == [u["spawn_key"] + [0]
+                                                  for u in manifest.units]
+
+
+def test_manifest_records_each_unit_seed(tmp_path):
+    configs = {
+        "s1": ({"replicates": 3, "m_train": 300, "m_val": 100, "m_test": 500},
+               [[0], [1], [2]]),
+        "s2": ({"replicates": 2, "n_grid": [200, 300], "m_val": 200, "m_test": 500},
+               [[200, 0], [200, 1], [300, 0], [300, 1]]),
+        "s3": ({"lambda_grid": [0.5, 2.0], "phase_n": 500, "phase_reps": 2},
+               [[0.5, 0], [0.5, 1], [2.0, 0], [2.0, 1]]),
+        "s4": ({"tail_k_max": 20_000, "replicates": 3}, []),
+    }
+    for verb, (keys, expected) in configs.items():
+        run_experiment(ExperimentConfig.from_dict(
+            {"experiment": verb, "out_dir": str(tmp_path), "base_seed": 7, **keys}))
+        manifest = json.loads((tmp_path / verb / "manifest.json").read_text())
+        assert "replicate_seeds" not in manifest
+        units = manifest["units"]
+        assert [u["key"] for u in units] == expected
+        assert [u["spawn_key"] for u in units] == [[i] for i in range(len(expected))]
+
+
+def test_s3_curve_is_the_mean_over_the_manifest_seeds(tmp_path):
+    cfg = ExperimentConfig.from_dict({"experiment": "s3", "out_dir": str(tmp_path),
+                                      "lambda_grid": [0.5, 2.0], "phase_n": 2000,
+                                      "phase_reps": 3})
+    manifest = run_experiment(cfg)
+    rows = (tmp_path / "s3" / "s3_curve.csv").read_text().splitlines()[1:]
+    for lam, row in zip(cfg.lambda_grid, rows):
+        fracs = [giant_fraction(sample_sparse_graph(
+                     Constant(1.0), cfg.phase_n, lam,
+                     np.random.SeedSequence(cfg.base_seed,
+                                            spawn_key=tuple(u["spawn_key"]))))
+                 for u in manifest.units if u["key"][0] == lam]
+        assert len(fracs) == cfg.phase_reps
+        assert row.split(",")[1] == f"{np.asarray(fracs).mean():.12g}"
 
 
 def test_s3_mini_run(tmp_path):
@@ -390,7 +471,7 @@ def test_s1_mini_run(tmp_path):
     assert len(lines) == 1 + 2 * 5  # header + replicates x methods
     summary = json.loads((tmp_path / "s1" / "s1_summary.json").read_text())
     assert summary["wins"]["replicates"] == 2
-    assert len(manifest.replicate_seeds) == 2
+    assert [u["key"] for u in manifest.units] == [[0], [1]]
 
 
 def test_s2_mini_run(tmp_path):

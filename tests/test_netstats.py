@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from graphsynth import (Constant, NetstatsError, default_generator, bounded_tilt_bracket,
-                        centralities, degree_pmf_from_sample, fit_tail_exponent,
+                        centralities, fit_tail_exponent,
                         giant_fraction, graph_statistics, hill_tail_exponent,
                         mixture_degree_pmf, polynomial_tilt_exponent_bracket,
                         power_law_pmf, sample_graph, tilt_degree_pmf,
@@ -323,16 +323,6 @@ def test_hill_light_tail_grows_as_window_shrinks():
 def test_hill_needs_enough_positives():
     with pytest.raises(NetstatsError):
         hill_tail_exponent(np.zeros(100))
-
-
-def test_degree_pmf_from_sample():
-    pmf = degree_pmf_from_sample([0, 1, 1, 2, 2, 2])
-    np.testing.assert_allclose(pmf.probs, [1 / 6, 2 / 6, 3 / 6])
-    np.testing.assert_allclose(degree_pmf_from_sample([1, 1], k_max=3).probs,
-                               [0, 1, 0, 0])
-    for degrees, k_max in (([], None), ([0, -1, 2], None), ([0, 5, 5], 2)):
-        with pytest.raises(NetstatsError):
-            degree_pmf_from_sample(degrees, k_max=k_max)
 
 
 # ---------------------------------------------------------------------------

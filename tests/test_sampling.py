@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from graphsynth import (Block, Constant, LogisticLowRank, ProductWeight,
                         default_generator, functionals, giant_fraction,
                         graph_statistics, make_rng, phase_sweep, sample_dyads,
-                        sample_graph, sample_sparse_graph, split_rngs,
+                        sample_graph, sample_sparse_graph,
                         uniform_step_map)
 from graphsynth.graphons import Graphon
 from graphsynth.sampling import GraphSample, graph_from_edge_array, in_sorted, unique_keys
@@ -365,14 +365,6 @@ def test_degree_distribution_ks_limit():
 # ---------------------------------------------------------------------------
 # RNG plumbing
 # ---------------------------------------------------------------------------
-
-def test_split_rngs_deterministic_and_distinct():
-    a = [r.random(3) for r in split_rngs(7, 4)]
-    b = [r.random(3) for r in split_rngs(7, 4)]
-    for x, y in zip(a, b):
-        np.testing.assert_array_equal(x, y)
-    assert not np.allclose(a[0], a[1])
-
 
 def test_make_rng_accepts_seed_sequence():
     ss = np.random.SeedSequence(5)

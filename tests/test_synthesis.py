@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from graphsynth import (Block, Constant, DyadData, SingularDesign, WeightVector,
-                        combo_graphon, fit_ls, fit_ridge, fit_simplex,
+from graphsynth import (Block, Constant, DyadData, LinearCombo, SingularDesign,
+                        WeightVector, fit_ls, fit_ridge, fit_simplex,
                         gram_and_target, l2_distance, l2_risk,
                         population_projection, predict_clipped, project_simplex)
 
@@ -200,15 +200,6 @@ def test_predict_clipped_oracles():
         predict_clipped(w, np.array([0.0, 0.42]))
 
 
-def test_weight_vector_json_round_trip():
-    w = WeightVector(beta=np.array([0.1, 0.4, 0.5]), method="Ridge",
-                     lambda_reg=0.01, condition_number=12.0, m_train=500)
-    back = WeightVector.from_json(w.to_json())
-    np.testing.assert_allclose(back.beta, w.beta)
-    assert back.method == "Ridge" and back.lambda_reg == 0.01
-    assert back.m_train == 500
-
-
 # ---------------------------------------------------------------------------
 # population projection
 # ---------------------------------------------------------------------------
@@ -216,7 +207,7 @@ def test_weight_vector_json_round_trip():
 def test_projection_idempotent_on_span():
     parts = [Block.from_arrays([0, 0.5, 1], [[0.8, 0.1], [0.1, 0.8]]),
              Block.from_arrays([0, 0.25, 1], [[0.2, 0.6], [0.6, 0.3]])]
-    truth = combo_graphon(np.array([0.05, 0.3, 0.6]), parts)
+    truth = LinearCombo.make(np.array([0.05, 0.3, 0.6]), parts)
     beta = population_projection(truth, parts)
     np.testing.assert_allclose(beta.beta, [0.05, 0.3, 0.6], atol=1e-10)
 
@@ -262,9 +253,9 @@ def test_l2_risk_oracles():
 def test_l2_risk_matches_graphon_distance():
     parts = [Block.from_arrays([0, 0.5, 1], [[0.8, 0.1], [0.1, 0.8]]),
              Block.from_arrays([0, 0.3, 1], [[0.1, 0.7], [0.7, 0.2]])]
-    truth = combo_graphon(np.array([0.0, 0.5, 0.5]), parts)
+    truth = LinearCombo.make(np.array([0.0, 0.5, 0.5]), parts)
     beta_hat = np.array([0.1, 0.4, 0.45])
     _, gram, _ = population_projection(truth, parts, return_gram=True)
     risk = l2_risk(beta_hat, np.array([0.0, 0.5, 0.5]), gram)
-    dist = l2_distance(combo_graphon(beta_hat, parts), truth)
+    dist = l2_distance(LinearCombo.make(beta_hat, parts), truth)
     assert risk == pytest.approx(dist ** 2, abs=1e-12)
