@@ -15,7 +15,9 @@ from graphsynth import (Block, Constant, phase_sweep, spectral_bracket,
 
 # --- 1. homogeneous case: lambda_c = 1, fixed point zeta = 1 - e^(-l z) --
 lambdas = [0.5, 0.75, 1.0, 1.25, 1.5, 2.0, 3.0]
-curve = phase_sweep(Constant(1.0), lambdas, n=10_000, reps=5, seed=42)
+# five replicate graphs per lambda, each with its own seed
+curve = phase_sweep(Constant(1.0), lambdas, n=10_000,
+                    seeds=np.random.SeedSequence(42).spawn(5 * len(lambdas)))
 print(f"Constant(1): rho = {curve.rho:.6f}, lambda_c = {curve.lambda_critical:.6f}")
 print("\n  lambda   giant fraction (mean +/- sd)")
 for lam, mean, sd in zip(curve.lambdas, curve.mean_fraction, curve.sd_fraction):

@@ -273,7 +273,9 @@ class MetricReport:
     ap: float
     ece: float
     murphy: tuple  # (reliability, resolution, uncertainty)
-    reliability_bins: tuple  # per-bin (mean prediction, empirical rate, count)
+    # per-bin (mean prediction, empirical rate, count); population_metrics
+    # gives the bin's mass in place of the count
+    reliability_bins: tuple
     n: int
 
     @property
@@ -289,18 +291,32 @@ class MetricReport:
 
 
 def _descending_ties(predictions: np.ndarray):
-    """One stable descending sort of ``predictions`` and its tie groups.
+    """One descending sort of ``predictions`` and its tie groups.
 
     Returns ``order``, which keeps equal values in index order (so it equals
     ``np.lexsort((np.arange(m), -predictions))``, NaNs last), and
     ``starts``, the positions in ``order`` where a run of equal values
-    begins.
+    begins.  An unstable argsort ranks the values; each row's key is then
+    the start of its run (the NaNs, sorted last, share one) times m plus its
+    index.  The keys are distinct and already ordered by run, so one plain
+    sort of them puts every run in index order.  The steps work in place:
+    a fresh array per step costs as much as a step.
     """
-    order = np.argsort(-predictions, kind="stable")
+    m = predictions.size
+    order = np.argsort(-predictions)
     ranked = predictions[order]
-    new_run = np.empty(ranked.size, dtype=bool)
+    new_run = np.empty(m, dtype=bool)
     new_run[:1] = True
     np.not_equal(ranked[1:], ranked[:-1], out=new_run[1:])
+    offsets = np.arange(m)
+    offsets *= m
+    offsets *= new_run
+    np.maximum.accumulate(offsets, out=offsets)
+    first_nan = m - np.count_nonzero(np.isnan(ranked))
+    offsets[first_nan:] = first_nan * m
+    order += offsets
+    order.sort()
+    order -= offsets
     return order, np.flatnonzero(new_run)
 
 
@@ -398,6 +414,78 @@ def score_metrics(predictions, labels, bins: int = 10) -> MetricReport:
     return MetricReport(brier=brier, logloss=logloss, auc=auc, ap=ap, ece=float(ece),
                         murphy=(float(rel), float(res), unc),
                         reliability_bins=tuple(bin_rows), n=m)
+
+
+def population_metrics(predictions, truth, mass, bins: int = 10) -> MetricReport:
+    """The population limit of ``score_metrics``: every score of a forecast
+    that is constant on cells of the unit square, against labels drawn
+    Bernoulli(truth) on a dyad whose latent pair falls in a cell with
+    probability ``mass``.
+
+    Brier is sum mass * [W (1 - p)^2 + (1 - W) p^2], and the floored
+    log-loss is summed the same way.  Cells of equal prediction form one tie
+    group, with positive mass mass * W and negative mass mass * (1 - W).
+    AUC counts ties at one half.  AP is the limit of the index tiebreak,
+    where positives interleave at random within a group: a group of positive
+    mass b and total mass d, after groups of positive mass A and total mass
+    C, gives its positives the mean precision
+    b / d + (A d - b C) / d^2 * ln((C + d) / C).  ECE, the Murphy terms and
+    the reliability bins weight cells by mass; each bin's third entry is its
+    mass, not a count.  ``n`` is the number of cells.
+    """
+    predictions = np.asarray(predictions, dtype=float)
+    truth = np.asarray(truth, dtype=float)
+    mass = np.asarray(mass, dtype=float)
+    if not (predictions.shape == truth.shape == mass.shape) or predictions.size == 0:
+        raise ValueError("predictions, truth and mass must be equal-length and nonempty")
+    if bins < 1:
+        raise ValueError("need bins >= 1")
+    # written so that NaN fails them too
+    if not np.all((predictions >= 0) & (predictions <= 1)):
+        raise ValueError("predictions must lie in [0,1]")
+    if not np.all((truth >= 0) & (truth <= 1)):
+        raise ValueError("truth must lie in [0,1]")
+    if not (np.all(mass >= 0) and abs(mass.sum() - 1.0) <= 1e-9):
+        raise ValueError("cell masses must be nonnegative and sum to 1")
+    pos_mass = mass * truth
+    neg_mass = mass - pos_mass
+    brier = float(pos_mass @ (1.0 - predictions) ** 2 + neg_mass @ predictions ** 2)
+    clipped = np.clip(predictions, LOGLOSS_FLOOR, 1.0 - LOGLOSS_FLOOR)
+    logloss = float(-(pos_mass @ np.log(clipped) + neg_mass @ np.log1p(-clipped)))
+
+    # tie groups in descending order of prediction
+    _, group = np.unique(-predictions, return_inverse=True)
+    b = np.bincount(group, weights=pos_mass)
+    neg = np.bincount(group, weights=neg_mass)
+    d = b + neg
+    above = np.cumsum(b) - b          # positive mass ranked strictly higher
+    total_pos, total_neg = float(b.sum()), float(neg.sum())
+    auc = (float(neg @ (above + 0.5 * b)) / (total_pos * total_neg)
+           if total_pos > 0 and total_neg > 0 else float("nan"))
+    if total_pos > 0:
+        before = np.cumsum(d) - d     # total mass ranked strictly higher
+        live = d > 0
+        b, d, above, before = b[live], d[live], above[live], before[live]
+        # the first group has nothing before it: its precision is b / d
+        tail = np.where(before > 0, (above * d - b * before) / d ** 2
+                        * np.log1p(d / np.where(before > 0, before, 1.0)), 0.0)
+        ap = float(b @ (b / d + tail)) / total_pos
+    else:
+        ap = float("nan")
+
+    bin_idx = np.minimum((predictions * bins).astype(int), bins - 1)
+    wt = np.bincount(bin_idx, weights=mass, minlength=bins)
+    occupied = np.flatnonzero(wt > 0)
+    wt = wt[occupied]
+    p_bar = np.bincount(bin_idx, weights=mass * predictions, minlength=bins)[occupied] / wt
+    y_bar = np.bincount(bin_idx, weights=pos_mass, minlength=bins)[occupied] / wt
+    return MetricReport(
+        brier=brier, logloss=logloss, auc=auc, ap=ap,
+        ece=float(wt @ np.abs(p_bar - y_bar)),
+        murphy=(float(wt @ (p_bar - y_bar) ** 2), float(wt @ (y_bar - total_pos) ** 2),
+                total_pos * (1 - total_pos)),
+        reliability_bins=tuple(zip(p_bar.tolist(), y_bar.tolist(), wt.tolist())),
+        n=predictions.size)
 
 
 # ---------------------------------------------------------------------------

@@ -16,6 +16,7 @@ import hashlib
 import json
 import os
 import time
+import warnings
 from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
@@ -30,7 +31,7 @@ from . import graphons as gr
 # perfbench/tracing.py resolves it at this site
 from .evaluation import (MetricReport, audit_split, cv_best_agent,  # noqa: F401
                          fit_logistic_stack, make_split, paired_gaps,
-                         score_metrics)
+                         population_metrics, score_metrics)
 from .netstats import fit_tail_exponent, mixture_degree_pmf, power_law_pmf
 from .sampling import (GraphSample, graph_from_edge_array, phase_sweep, sample_dyads,
                        unique_keys)
@@ -43,6 +44,9 @@ ARTIFACT_VERSION = "0.1.0"
 EXPERIMENTS = ("s1", "s2", "s3", "s4", "real")
 SPLIT_REGIMES = ("edge_holdout", "node_holdout", "uniform_dyads")
 RDPG_INTERCEPT_PAIRS = 200_000
+# keys that earlier configs may still name and that nothing reads: from_dict
+# drops them with a warning
+RETIRED_KEYS = ("m_test",)
 
 
 class ConfigError(ValueError):
@@ -72,7 +76,6 @@ class ExperimentConfig:
     # synthetic dyad budgets
     m_train: int = 4000
     m_val: int = 1000
-    m_test: int = 20000
     # S2 learning curve
     n_grid: tuple = (200, 400, 800, 1200)
     dyads_per_n: int = 3
@@ -97,7 +100,7 @@ class ExperimentConfig:
             raise ConfigError(f"unknown experiment {self.experiment!r}; "
                               f"choose from {EXPERIMENTS}")
         for name in ("replicates", "sbm_k", "rdpg_d", "deghist_bins",
-                     "m_train", "m_val", "m_test", "phase_n", "phase_reps",
+                     "m_train", "m_val", "phase_n", "phase_reps",
                      "splits_per_regime", "dyads_per_n"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1")
@@ -114,13 +117,16 @@ class ExperimentConfig:
 
     @staticmethod
     def from_dict(d: dict) -> "ExperimentConfig":
+        for key in RETIRED_KEYS:
+            if key in d:
+                warnings.warn(f"config key {key!r} is retired and ignored", stacklevel=2)
+        d = {k: v for k, v in d.items() if k not in RETIRED_KEYS}
         known = {f.name for f in fields(ExperimentConfig)}
         unknown = set(d) - known
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
         if "experiment" not in d:
             raise ConfigError("config must name an experiment")
-        d = dict(d)
         for key in ("n_grid", "lambda_grid", "pi_grid", "regimes"):
             if key in d:
                 d[key] = tuple(d[key])
@@ -337,6 +343,32 @@ def default_generator():
     return w_star, parts
 
 
+@dataclass(frozen=True)
+class CellDesign:
+    """The cells of the common refinement of a truth and its parts, in
+    row-major order: each cell's mass mu_a mu_b, the truth W_ab, and the
+    features (1, w_1ab, ..., w_Jab) that ``sample_dyads`` gives a latent
+    pair in the cell."""
+
+    mass: np.ndarray
+    truth: np.ndarray
+    features: np.ndarray
+
+
+def cell_design(w_star, parts) -> CellDesign:
+    """The ``CellDesign`` of a truth and its parts; every one of them needs a
+    block form (``graphons.as_block``), else ``GraphonError``."""
+    try:
+        blocks = [gr.as_block(g) for g in (w_star, *parts)]
+    except gr.GraphonError as exc:
+        raise gr.GraphonError(f"exact population scoring needs block forms: {exc}") from exc
+    bounds, mats = gr._refine(blocks)
+    mu = np.diff(bounds)
+    return CellDesign(mass=np.outer(mu, mu).ravel(), truth=mats[0].ravel(),
+                      features=np.stack([np.ones(mu.size ** 2)]
+                                        + [m.ravel() for m in mats[1:]], axis=1))
+
+
 AGENT_NAMES_SYNTH = ("Block", "LowRank", "Product")
 METHODS = ("BPS_LS", "BPS_Ridge", "BPS_Simplex", "BestAgent", "Stack_Logistic")
 
@@ -344,7 +376,7 @@ METHODS = ("BPS_LS", "BPS_Ridge", "BPS_Simplex", "BestAgent", "Stack_Logistic")
 def _method_predictions(train: DyadData, val: DyadData, test_features: np.ndarray,
                         ridge_reg: float, synth_cols=None) -> dict:
     """Fit every method on train (+val for selection) and predict the test
-    features.  Returns name -> probability vector.
+    features (test dyads, or cells).  Returns name -> probability vector.
 
     ``synth_cols`` optionally restricts the columns used by the synthesis
     and stacking fits (column 0 must stay); BestAgent always selects over
@@ -378,23 +410,28 @@ def _summary_stats(values) -> dict:
 
 
 def _method_stats(per_method: dict, metrics) -> dict:
-    """method -> metric -> summary stats over that method's reports."""
-    return {m: {k: _summary_stats([getattr(rep, k) for rep in reps]) for k in metrics}
-            for m, reps in per_method.items()}
+    """method -> metric -> summary stats over that method's (report, L2
+    risk) pairs; the risk's stats are under "l2_risk"."""
+    return {m: {**{k: _summary_stats([getattr(rep, k) for rep, _ in scored])
+                   for k in metrics},
+                "l2_risk": _summary_stats([risk for _, risk in scored])}
+            for m, scored in per_method.items()}
 
 
-def _synthetic_replicate(truth, seed, m_train: int, m_val: int,
-                         config: ExperimentConfig) -> dict:
-    """One S1/S2 replicate: train, validation and test dyads drawn from the
-    seed's three children, every method fitted, and each scored on the test
-    dyads.  Returns method -> MetricReport."""
+def _synthetic_replicate(truth, cells: CellDesign, seed, m_train: int, m_val: int,
+                         ridge_reg: float) -> dict:
+    """One S1/S2 replicate: train and validation dyads drawn from the seed's
+    first two children, every method fitted, and each scored exactly on the
+    truth's cells.  Returns method -> (MetricReport, L2 risk), where the
+    risk is sum mass * (p - W)^2, the squared L2 distance to the truth."""
     w_star, parts = truth
-    s_train, s_val, s_test = seed.spawn(3)
+    s_train, s_val = seed.spawn(2)
     train = sample_dyads(w_star, parts, m_train, s_train)
     val = sample_dyads(w_star, parts, m_val, s_val)
-    test = sample_dyads(w_star, parts, config.m_test, s_test)
-    preds = _method_predictions(train, val, test.features, config.ridge_reg)
-    return {method: score_metrics(p, test.labels) for method, p in preds.items()}
+    preds = _method_predictions(train, val, cells.features, ridge_reg)
+    return {method: (population_metrics(p, cells.truth, cells.mass),
+                     float(cells.mass @ (p - cells.truth) ** 2))
+            for method, p in preds.items()}
 
 
 # Each runner takes the config and its unit -> seed map, and returns
@@ -402,21 +439,24 @@ def _synthetic_replicate(truth, seed, m_train: int, m_val: int,
 
 def _run_s1(config: ExperimentConfig, seeds: dict) -> dict:
     truth = default_generator()
+    cells = cell_design(*truth)
     rows = []
     per_method = {m: [] for m in METHODS}
     for (r,), seed in seeds.items():
-        for method, rep in _synthetic_replicate(truth, seed, config.m_train,
-                                                config.m_val, config).items():
-            rows.append((method, f"rep{r}", rep))
-            per_method[method].append(rep)
+        for method, scored in _synthetic_replicate(truth, cells, seed, config.m_train,
+                                                   config.m_val, config.ridge_reg).items():
+            rows.append((method, f"rep{r}", scored[0]))
+            per_method[method].append(scored)
     summary = _method_stats(per_method, ("brier", "logloss", "auc", "ap"))
-    pairs = list(zip(per_method["BPS_LS"], per_method["BestAgent"]))
+    pairs = [(a, b) for (a, _), (b, _) in zip(per_method["BPS_LS"], per_method["BestAgent"])]
     summary["wins"] = {
         "bps_ls_beats_best_agent_brier": sum(bool(a.brier < b.brier) for a, b in pairs),
         "bps_ls_beats_best_agent_logloss": sum(bool(a.logloss < b.logloss)
                                                for a, b in pairs),
         "replicates": config.replicates,
     }
+    # min_j ||W* - w_j||^2: no selector of a single agent gets below it
+    summary["selection_floor"] = min(gr.l2_distance(truth[0], p) ** 2 for p in truth[1])
     return {"s1_metrics.csv": (write_metric_reports_csv, rows),
             "s1_summary.json": (write_json, summary)}
 
@@ -427,27 +467,31 @@ S2_CSV_HEADER = ["n", "m_train", "method", "mean_brier", "se_brier",
 
 def _run_s2(config: ExperimentConfig, seeds: dict) -> dict:
     truth = default_generator()
+    cells = cell_design(*truth)
     m_val = max(config.m_val, len(truth[1]) + 2)
     per_n = {n: {m: [] for m in METHODS} for n in config.n_grid}
     for (n, r), seed in seeds.items():
-        for method, rep in _synthetic_replicate(truth, seed, config.dyads_per_n * int(n),
-                                                m_val, config).items():
-            per_n[n][method].append(rep)
+        for method, scored in _synthetic_replicate(truth, cells, seed,
+                                                   config.dyads_per_n * int(n), m_val,
+                                                   config.ridge_reg).items():
+            per_n[n][method].append(scored)
     rows = []
-    summary = {"per_n": {}}
+    # m * E||W_LS - W*||^2 per n, flat in m at the parametric rate
+    summary = {"per_n": {}, "bps_ls_m_times_l2_risk": {}}
     for n, per_method in per_n.items():
+        m_train = config.dyads_per_n * int(n)
         stats = summary["per_n"][str(n)] = _method_stats(per_method, ("brier", "logloss"))
-        rows.extend([n, config.dyads_per_n * int(n), m, s["brier"]["mean"], s["brier"]["se"],
+        summary["bps_ls_m_times_l2_risk"][str(n)] = m_train * stats["BPS_LS"]["l2_risk"]["mean"]
+        rows.extend([n, m_train, m, s["brier"]["mean"], s["brier"]["se"],
                      s["logloss"]["mean"], s["logloss"]["se"]] for m, s in stats.items())
     return {"s2_curve.csv": (write_csv, rows, S2_CSV_HEADER),
             "s2_summary.json": (write_json, summary)}
 
 
 def _run_s3(config: ExperimentConfig, seeds: dict) -> dict:
-    # phase_sweep spawns the same children of the base seed, in the same
-    # (lambda, r) order, as the units in ``seeds``
+    # the units are (lambda, r), lambda-major, as phase_sweep takes them
     curve = phase_sweep(gr.Constant(1.0), np.asarray(config.lambda_grid, dtype=float),
-                        config.phase_n, config.phase_reps, config.base_seed)
+                        config.phase_n, list(seeds.values()))
     onset = next((float(lam) for lam, frac in zip(curve.lambdas, curve.mean_fraction)
                   if frac > 0.05), None)
     return {"s3_curve.csv": (write_phase_curve_csv, curve),

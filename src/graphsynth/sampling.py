@@ -319,22 +319,24 @@ class PhaseCurve:
     lambda_critical: float
 
 
-def phase_sweep(w: Graphon, lambdas, n: int, reps: int, seed) -> PhaseCurve:
+def phase_sweep(w: Graphon, lambdas, n: int, seeds) -> PhaseCurve:
     """Giant-component fraction per sparsity level, with spectral threshold.
 
-    Replicate streams are split from the base seed; the predicted critical
-    value is 1/rho for the kernel's integral-operator spectral radius.
+    ``seeds`` holds one seed per (lambda, replicate), lambda-major, so each
+    level gets ``len(seeds) / len(lambdas)`` replicate graphs; the predicted
+    critical value is 1/rho for the kernel's integral-operator spectral
+    radius.
     """
-    if reps < 1:
-        raise ValueError("need reps >= 1")
     lambdas = np.asarray(lambdas, dtype=float)
-    seeds = np.random.SeedSequence(seed).spawn(lambdas.size * reps)
+    seeds = list(seeds)
+    reps = len(seeds) // max(lambdas.size, 1)
+    if reps < 1 or len(seeds) != lambdas.size * reps:
+        raise ValueError("need one or more seeds per lambda, the same number for each")
     means = np.empty(lambdas.size)
     sds = np.empty(lambdas.size)
     for li, lam in enumerate(lambdas):
         fracs = []
-        for r in range(reps):
-            child = seeds[li * reps + r]
+        for child in seeds[li * reps:(li + 1) * reps]:
             g = sample_sparse_graph(w, n, float(lam), child)
             fracs.append(giant_fraction(g))
         fracs = np.asarray(fracs)

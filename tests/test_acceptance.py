@@ -241,7 +241,8 @@ def test_acceptance_06_lln_functional_transfer():
 
 def test_acceptance_07_phase_transition():
     lambdas = [0.6, 0.8, 1.0, 1.1, 1.3, 2.0]
-    curve = phase_sweep(Constant(1.0), lambdas, n=20_000, reps=3, seed=707)
+    curve = phase_sweep(Constant(1.0), lambdas, n=20_000,
+                        seeds=np.random.SeedSequence(707).spawn(3 * len(lambdas)))
     assert curve.lambda_critical == pytest.approx(1.0, abs=1e-9)
     fractions = dict(zip(lambdas, curve.mean_fraction))
     onset = next(lam for lam in lambdas if fractions[lam] > 0.05)

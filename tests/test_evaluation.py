@@ -20,7 +20,8 @@ from graphsynth import (Block, SplitError, audit_split, auc_score,
                         average_precision, cv_best_agent, evaluation,
                         fit_logistic_stack, make_split, paired_gaps,
                         sample_graph, score_metrics)
-from graphsynth.evaluation import STACK_RIDGE, _sample_negatives
+from graphsynth.evaluation import (STACK_RIDGE, _descending_ties, _sample_negatives,
+                                   population_metrics)
 from graphsynth.sampling import graph_from_edge_array
 
 SPARSE_BLOCK = Block.from_arrays([0, 0.5, 1], [[0.08, 0.02], [0.02, 0.08]])
@@ -157,6 +158,84 @@ def test_ranking_metrics_match_brute_force_on_ties(rows):
     report = score_metrics(preds, labels)
     np.testing.assert_equal((report.auc, report.ap),
                             (auc_score(preds, labels), average_precision(preds, labels)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.sampled_from([0.0, -0.0, 0.1, 0.5, 1.0, np.nan]), max_size=40))
+def test_descending_ties_matches_lexsort(values):
+    preds = np.array(values, dtype=float)
+    order, starts = _descending_ties(preds)
+    np.testing.assert_array_equal(order, np.lexsort((np.arange(preds.size), -preds)))
+    # a run starts wherever the sorted value changes; NaN equals nothing
+    ranked = preds[order]
+    want = [k for k in range(preds.size) if k == 0 or not ranked[k] == ranked[k - 1]]
+    np.testing.assert_array_equal(starts, want)
+
+
+# ---------------------------------------------------------------------------
+# metrics: population limit
+# ---------------------------------------------------------------------------
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from([0.0, 0.05, 0.3, 0.35, 0.5, 0.99, 1.0]),
+                          st.integers(0, 4), st.integers(0, 4)),
+                min_size=1, max_size=12).filter(lambda rows: sum(a + b for _, a, b in rows)))
+def test_population_metrics_match_the_expanded_sample(rows):
+    # cells with integer positive and negative counts: scoring them on the
+    # population equals scoring the sample that lists every dyad once, up to
+    # AP, whose tie order differs (random interleaving, not index order)
+    pred = np.array([p for p, _, _ in rows])
+    pos = np.array([a for _, a, _ in rows], dtype=float)
+    neg = np.array([b for _, _, b in rows], dtype=float)
+    total = pos + neg
+    keep = total > 0
+    exact = population_metrics(pred[keep], pos[keep] / total[keep], total[keep] / total.sum())
+    preds = np.repeat(pred, (pos + neg).astype(int))
+    labels = np.concatenate([np.r_[np.ones(int(a)), np.zeros(int(b))] for a, b in zip(pos, neg)])
+    sample = score_metrics(preds, labels)
+    for key in ("brier", "logloss", "ece"):
+        assert getattr(exact, key) == pytest.approx(getattr(sample, key), abs=1e-12)
+    np.testing.assert_allclose(exact.murphy, sample.murphy, atol=1e-12)
+    if np.isnan(sample.auc):
+        assert np.isnan(exact.auc)
+    else:
+        assert exact.auc == pytest.approx(sample.auc, abs=1e-12)
+    np.testing.assert_allclose([b[:2] for b in exact.reliability_bins],
+                               [b[:2] for b in sample.reliability_bins], atol=1e-12)
+    np.testing.assert_allclose([b[2] for b in exact.reliability_bins],
+                               [b[2] / labels.size for b in sample.reliability_bins],
+                               atol=1e-12)
+    assert exact.n == keep.sum()
+    if pos.sum() == 0:
+        assert np.isnan(exact.ap)
+    elif np.unique(preds).size == preds.size:
+        # no ties: the two AP conventions agree
+        assert exact.ap == pytest.approx(sample.ap, abs=1e-12)
+
+
+def test_population_ap_hand_oracle():
+    # one tie group: every positive sits at precision b / d
+    assert population_metrics([0.5, 0.5], [0.2, 0.6], [0.5, 0.5]).ap == pytest.approx(0.4)
+    # a pure-positive group of mass 0.25 above a group of positive mass 0.25
+    # and total 0.75: the second group's positives average
+    # (1/d) int_0^d (A + (b/d) t) / (C + t) dt with A = C = 0.25, b = 0.25
+    b, d, a, c = 0.25, 0.75, 0.25, 0.25
+    t = np.linspace(0.0, d, 200_001)
+    inner = (a + b / d * t) / (c + t)
+    mean_precision = float(np.sum((inner[1:] + inner[:-1]) / 2 * np.diff(t))) / d
+    got = population_metrics([0.9, 0.1], [1.0, 1.0 / 3.0], [0.25, 0.75]).ap
+    assert got == pytest.approx((0.25 * 1.0 + 0.25 * mean_precision) / 0.5, abs=1e-9)
+
+
+def test_population_metrics_rejects_bad_inputs():
+    with pytest.raises(ValueError, match="equal-length"):
+        population_metrics([0.5], [0.5, 0.5], [0.5, 0.5])
+    with pytest.raises(ValueError, match="predictions"):
+        population_metrics([1.5], [0.5], [1.0])
+    with pytest.raises(ValueError, match="truth"):
+        population_metrics([0.5], [np.nan], [1.0])
+    with pytest.raises(ValueError, match="sum to 1"):
+        population_metrics([0.5, 0.5], [0.5, 0.5], [0.5, 0.4])
 
 
 def _loaded_after_import(module: str) -> bool:

@@ -7,17 +7,18 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from graphsynth import (Block, Constant, ConfigError, ExperimentConfig,
-                        SerializeError, StageFailure, agent_dyad_probs,
-                        agent_from_dict, agent_to_dict, config_hash,
-                        default_generator, edge_prob_matrix,
+from graphsynth import (Block, Constant, ConfigError, ExperimentConfig, Graphon,
+                        GraphonError, SerializeError, StageFailure,
+                        agent_dyad_probs, agent_from_dict, agent_to_dict,
+                        config_hash, default_generator, edge_prob_matrix,
                         fit_agents_to_graph, giant_fraction, graphon_from_dict,
-                        graphon_to_dict, grid_values, load_edge_list, load_model,
-                        run_experiment, sample_graph, sample_sparse_graph,
-                        save_model, write_edge_list)
+                        graphon_to_dict, grid_values, l2_distance, l2_inner,
+                        load_edge_list, load_model, run_experiment, sample_dyads,
+                        sample_graph, sample_sparse_graph, save_model,
+                        write_edge_list)
 from graphsynth import experiments
 from graphsynth.cli import _read_metrics_csv, main as cli_main
-from graphsynth.evaluation import score_metrics
+from graphsynth.evaluation import population_metrics, score_metrics
 from graphsynth.agents import SBM, ErgmSpec, TiltState
 from graphsynth.sampling import graph_from_edge_array
 from graphsynth.serialize import (AGENT_KINDS, GRAPHON_KINDS,
@@ -65,6 +66,15 @@ def test_config_round_trip_and_hash():
     other = ExperimentConfig.from_dict({"experiment": "s2", "replicates": 4,
                                         "n_grid": [100, 200]})
     assert config_hash(other) != config_hash(cfg)
+
+
+def test_config_drops_retired_m_test_with_a_warning():
+    # s1/s2 score on the population, so nothing reads a test-set size; older
+    # configs that still name one keep loading
+    with pytest.warns(UserWarning, match="'m_test' is retired"):
+        cfg = ExperimentConfig.from_dict({"experiment": "s1", "m_test": 2000})
+    assert cfg == ExperimentConfig.from_dict({"experiment": "s1"})
+    assert "m_test" not in cfg.to_dict()
 
 
 def test_config_from_file(tmp_path):
@@ -329,24 +339,22 @@ def test_s3_run_deterministic_outputs(tmp_path):
 
 
 def test_s1_run_deterministic_outputs(tmp_path):
-    base = {"experiment": "s1", "replicates": 2, "m_train": 300, "m_val": 100,
-            "m_test": 500}
+    base = {"experiment": "s1", "replicates": 2, "m_train": 300, "m_val": 100}
     for name in ("a", "b"):
         run_experiment(ExperimentConfig.from_dict(dict(base, out_dir=str(tmp_path / name))))
     for fname in ("s1_metrics.csv", "s1_summary.json"):
         a = (tmp_path / "a" / "s1" / fname).read_bytes()
         b = (tmp_path / "b" / "s1" / fname).read_bytes()
         assert a == b
-    # a change here means the dyad samplers, the synthesis fits or the scores
-    # moved
+    # a change here means the dyad samplers, the synthesis fits or the
+    # population scores moved
     metrics = (tmp_path / "a" / "s1" / "s1_metrics.csv").read_bytes()
     assert hashlib.sha256(metrics).hexdigest() == (
-        "3de8b3305fc4926baddb5fbcb0d3432d29c376b4080af22ae5f9066ac1cfd966")
+        "947085ed546afce5f78d20741f86cf0c3f5de4e9c25730de0a979b4839267726")
 
 
 def test_s2_run_deterministic_outputs(tmp_path):
-    base = {"experiment": "s2", "replicates": 2, "n_grid": [200], "m_val": 200,
-            "m_test": 1000}
+    base = {"experiment": "s2", "replicates": 2, "n_grid": [200], "m_val": 200}
     for name in ("a", "b"):
         run_experiment(ExperimentConfig.from_dict(dict(base, out_dir=str(tmp_path / name))))
     for fname in ("s2_curve.csv", "s2_summary.json"):
@@ -355,7 +363,112 @@ def test_s2_run_deterministic_outputs(tmp_path):
         assert a == b
     curve = (tmp_path / "a" / "s2" / "s2_curve.csv").read_bytes()
     assert hashlib.sha256(curve).hexdigest() == (
-        "6d22b2e1128ade1dbdefdbbf3b31c810dbf37974569ee34711b0ff81f3535f56")
+        "0a4d7eed445ee1623aeddba3cc459684c2542d4246f76ea0645c21b8065d94ec")
+
+
+# ---------------------------------------------------------------------------
+# exact population scoring of s1/s2
+# ---------------------------------------------------------------------------
+
+def _outside_span_truth():
+    """A truth with a breakpoint at 0.3, which no default part has, so no
+    combination of the parts reaches it."""
+    return (Block.from_arrays([0, 0.3, 1], [[0.7, 0.2], [0.2, 0.4]]),
+            default_generator()[1])
+
+
+def test_cell_design_holds_the_sampled_values():
+    for truth, k in ((default_generator(), 4), (_outside_span_truth(), 5)):
+        w_star, parts = truth
+        cells = experiments.cell_design(w_star, parts)
+        assert cells.mass.size == k * k
+        assert cells.mass.sum() == pytest.approx(1.0, abs=1e-15)
+        # a latent pair in cell (a, b) gets the truth and features stored there
+        bounds = np.unique(np.concatenate([w_star.block.boundaries]
+                                          + [p.block.boundaries for p in parts]))
+        mid = 0.5 * (bounds[:-1] + bounds[1:])
+        x, y = np.repeat(mid, k), np.tile(mid, k)
+        np.testing.assert_array_equal(cells.mass, np.outer(np.diff(bounds),
+                                                           np.diff(bounds)).ravel())
+        np.testing.assert_array_equal(cells.truth, w_star.evaluate(x, y))
+        np.testing.assert_array_equal(
+            cells.features, np.stack([np.ones(k * k)] + [p.evaluate(x, y) for p in parts],
+                                     axis=1))
+
+
+def test_cell_design_needs_block_forms():
+    class Smooth(Graphon):
+        def evaluate(self, x, y):
+            return 0.5 * (np.asarray(x, dtype=float) + y)
+
+    with pytest.raises(GraphonError, match="population scoring needs block forms"):
+        experiments.cell_design(Smooth(), default_generator()[1])
+
+
+@pytest.mark.parametrize("truth", [default_generator(), _outside_span_truth()],
+                         ids=["default", "outside_span"])
+def test_cell_scores_match_monte_carlo_test_sets(truth):
+    w_star, parts = truth
+    cells = experiments.cell_design(w_star, parts)
+    s_train, s_val, s_test = np.random.SeedSequence(515).spawn(3)
+    train = sample_dyads(w_star, parts, 4000, s_train)
+    val = sample_dyads(w_star, parts, 1000, s_val)
+    tests = [sample_dyads(w_star, parts, 20_000, s) for s in s_test.spawn(20)]
+    # one fit per method predicts the cells and every test set
+    preds = experiments._method_predictions(
+        train, val, np.vstack([cells.features] + [t.features for t in tests]), 1e-3)
+    k = cells.mass.size
+    for method, p in preds.items():
+        exact = population_metrics(p[:k], cells.truth, cells.mass)
+        sampled = [score_metrics(q, t.labels) for q, t in zip(np.split(p[k:], len(tests)),
+                                                              tests)]
+        for key in ("brier", "logloss", "auc", "ap"):
+            values = np.array([getattr(r, key) for r in sampled])
+            se = values.std(ddof=1) / np.sqrt(values.size)
+            assert abs(getattr(exact, key) - values.mean()) <= 3 * se, (method, key)
+        # the sampled ECE is biased upward, so only the bins' masses are checked
+        assert sum(mass for _, _, mass in exact.reliability_bins) == pytest.approx(
+            1.0, abs=1e-12)
+        assert exact.n == k
+
+
+def test_brier_minus_l2_risk_is_the_truth_variance():
+    for truth in (default_generator(), _outside_span_truth()):
+        w_star = truth[0]
+        variance = l2_inner(w_star, Constant(1.0)) - l2_inner(w_star, w_star)
+        cells = experiments.cell_design(*truth)
+        for seed in np.random.SeedSequence(3).spawn(3):
+            scored = experiments._synthetic_replicate(truth, cells, seed, 500, 200, 1e-3)
+            for report, risk in scored.values():
+                assert abs(report.brier - risk - variance) <= 1e-15
+
+
+def _fit_digest(monkeypatch, config) -> str:
+    """sha256 over every weight vector and agent choice the run's fits
+    return, in call order."""
+    fitted = []
+    for name in ("fit_ls", "fit_ridge", "fit_simplex", "fit_logistic_stack",
+                 "cv_best_agent"):
+        def recorder(*args, _fit=getattr(experiments, name), **kwargs):
+            out = _fit(*args, **kwargs)
+            fitted.append(np.asarray(getattr(out, "beta", out), dtype=float).tobytes())
+            return out
+        monkeypatch.setattr(experiments, name, recorder)
+    run_experiment(config)
+    return hashlib.sha256(b"".join(fitted)).hexdigest()
+
+
+@pytest.mark.parametrize("keys, digest", [
+    ({"experiment": "s1", "replicates": 2, "m_train": 300, "m_val": 100},
+     "60b3b6c2b803f759971f1d1fa4a2ee1d0c13a4bd77a2e03f16d590b32ed438cc"),
+    ({"experiment": "s2", "replicates": 2, "n_grid": [200], "m_val": 200},
+     "570fe34778e62c643461e83887af5ad4ac4133d9da8a5c80150d8973eaa48ee2"),
+], ids=["s1", "s2"])
+def test_population_scoring_leaves_every_fit_unchanged(tmp_path, monkeypatch, keys, digest):
+    # taken while each replicate also drew a test set from a third child of
+    # its seed: the train and validation draws, so every fit, are the same
+    config = ExperimentConfig.from_dict(dict(keys, out_dir=str(tmp_path)))
+    assert _fit_digest(monkeypatch, config) == digest
 
 
 def _real_config(tmp_path) -> dict:
@@ -415,9 +528,9 @@ def test_real_fits_each_split_with_its_own_seed(tmp_path, monkeypatch):
 
 def test_manifest_records_each_unit_seed(tmp_path):
     configs = {
-        "s1": ({"replicates": 3, "m_train": 300, "m_val": 100, "m_test": 500},
+        "s1": ({"replicates": 3, "m_train": 300, "m_val": 100},
                [[0], [1], [2]]),
-        "s2": ({"replicates": 2, "n_grid": [200, 300], "m_val": 200, "m_test": 500},
+        "s2": ({"replicates": 2, "n_grid": [200, 300], "m_val": 200},
                [[200, 0], [200, 1], [300, 0], [300, 1]]),
         "s3": ({"lambda_grid": [0.5, 2.0], "phase_n": 500, "phase_reps": 2},
                [[0.5, 0], [0.5, 1], [2.0, 0], [2.0, 1]]),
@@ -465,24 +578,35 @@ def test_s3_mini_run(tmp_path):
 def test_s1_mini_run(tmp_path):
     cfg = ExperimentConfig.from_dict({"experiment": "s1", "out_dir": str(tmp_path),
                                       "replicates": 2, "m_train": 500,
-                                      "m_val": 200, "m_test": 1000})
+                                      "m_val": 200})
     manifest = run_experiment(cfg)
     lines = (tmp_path / "s1" / "s1_metrics.csv").read_text().splitlines()
     assert len(lines) == 1 + 2 * 5  # header + replicates x methods
     summary = json.loads((tmp_path / "s1" / "s1_summary.json").read_text())
     assert summary["wins"]["replicates"] == 2
     assert [u["key"] for u in manifest.units] == [[0], [1]]
+    # the paper's quantities: each method's L2 risk and the selection floor
+    w_star, parts = default_generator()
+    assert summary["selection_floor"] == min(l2_distance(w_star, p) ** 2 for p in parts)
+    for method in experiments.METHODS:
+        risk = summary[method]["l2_risk"]
+        assert risk["n"] == 2 and risk["mean"] >= 0.0
+    assert summary["BPS_LS"]["l2_risk"]["mean"] < summary["selection_floor"]
+    assert summary["BestAgent"]["l2_risk"]["mean"] >= summary["selection_floor"]
 
 
 def test_s2_mini_run(tmp_path):
     cfg = ExperimentConfig.from_dict({"experiment": "s2", "out_dir": str(tmp_path),
                                       "replicates": 2, "n_grid": [200],
-                                      "m_val": 200, "m_test": 1000})
+                                      "m_val": 200})
     run_experiment(cfg)
     lines = (tmp_path / "s2" / "s2_curve.csv").read_text().splitlines()
     assert lines[0].startswith("n,m_train,method")
     assert len(lines) == 1 + 5
     assert all(line.startswith("200,600,") for line in lines[1:])
+    summary = json.loads((tmp_path / "s2" / "s2_summary.json").read_text())
+    ls_risk = summary["per_n"]["200"]["BPS_LS"]["l2_risk"]["mean"]
+    assert summary["bps_ls_m_times_l2_risk"] == {"200": 600 * ls_risk}
 
 
 def test_real_without_dataset_is_stage_tagged(tmp_path):

@@ -322,12 +322,20 @@ def test_giant_fraction_oracles():
 
 
 def test_phase_sweep_smoke():
-    curve = phase_sweep(Constant(1.0), [0.5, 1.5, 3.0], n=2000, reps=3, seed=21)
+    def sweep():
+        return phase_sweep(Constant(1.0), [0.5, 1.5, 3.0], n=2000,
+                           seeds=np.random.SeedSequence(21).spawn(9))
+    curve = sweep()
+    assert curve.reps == 3
     assert curve.lambda_critical == pytest.approx(1.0, abs=1e-6)
     assert curve.mean_fraction[0] < 0.05
     assert curve.mean_fraction[-1] > curve.mean_fraction[0]
-    again = phase_sweep(Constant(1.0), [0.5, 1.5, 3.0], n=2000, reps=3, seed=21)
-    np.testing.assert_array_equal(curve.mean_fraction, again.mean_fraction)
+    np.testing.assert_array_equal(curve.mean_fraction, sweep().mean_fraction)
+    # every lambda needs the same number of seeds, at least one
+    for count in (0, 8):
+        with pytest.raises(ValueError, match="seeds per lambda"):
+            phase_sweep(Constant(1.0), [0.5, 1.5, 3.0], n=2000,
+                        seeds=np.random.SeedSequence(21).spawn(count))
 
 
 # ---------------------------------------------------------------------------
