@@ -273,9 +273,7 @@ class MetricReport:
     ap: float
     ece: float
     murphy: tuple  # (reliability, resolution, uncertainty)
-    # per-bin (mean prediction, empirical rate, count); population_metrics
-    # gives the bin's mass in place of the count
-    reliability_bins: tuple
+    reliability_bins: tuple  # per-bin (mean prediction, empirical rate, mass)
     n: int
 
     @property
@@ -291,32 +289,18 @@ class MetricReport:
 
 
 def _descending_ties(predictions: np.ndarray):
-    """One descending sort of ``predictions`` and its tie groups.
+    """One stable descending sort of ``predictions`` and its tie groups.
 
     Returns ``order``, which keeps equal values in index order (so it equals
     ``np.lexsort((np.arange(m), -predictions))``, NaNs last), and
     ``starts``, the positions in ``order`` where a run of equal values
-    begins.  An unstable argsort ranks the values; each row's key is then
-    the start of its run (the NaNs, sorted last, share one) times m plus its
-    index.  The keys are distinct and already ordered by run, so one plain
-    sort of them puts every run in index order.  The steps work in place:
-    a fresh array per step costs as much as a step.
+    begins.
     """
-    m = predictions.size
-    order = np.argsort(-predictions)
+    order = np.argsort(-predictions, kind="stable")
     ranked = predictions[order]
-    new_run = np.empty(m, dtype=bool)
+    new_run = np.empty(ranked.size, dtype=bool)
     new_run[:1] = True
     np.not_equal(ranked[1:], ranked[:-1], out=new_run[1:])
-    offsets = np.arange(m)
-    offsets *= m
-    offsets *= new_run
-    np.maximum.accumulate(offsets, out=offsets)
-    first_nan = m - np.count_nonzero(np.isnan(ranked))
-    offsets[first_nan:] = first_nan * m
-    order += offsets
-    order.sort()
-    order -= offsets
     return order, np.flatnonzero(new_run)
 
 
@@ -409,7 +393,7 @@ def score_metrics(predictions, labels, bins: int = 10) -> MetricReport:
         ece += wt * abs(p_bar - y_bar)
         rel += wt * (p_bar - y_bar) ** 2
         res += wt * (y_bar - base_rate) ** 2
-        bin_rows.append((p_bar, y_bar, count))
+        bin_rows.append((p_bar, y_bar, wt))
     unc = float(base_rate * (1 - base_rate))
     return MetricReport(brier=brier, logloss=logloss, auc=auc, ap=ap, ece=float(ece),
                         murphy=(float(rel), float(res), unc),
@@ -430,8 +414,8 @@ def population_metrics(predictions, truth, mass, bins: int = 10) -> MetricReport
     mass b and total mass d, after groups of positive mass A and total mass
     C, gives its positives the mean precision
     b / d + (A d - b C) / d^2 * ln((C + d) / C).  ECE, the Murphy terms and
-    the reliability bins weight cells by mass; each bin's third entry is its
-    mass, not a count.  ``n`` is the number of cells.
+    the reliability bins weight cells by mass.  ``n`` is the number of
+    cells.
     """
     predictions = np.asarray(predictions, dtype=float)
     truth = np.asarray(truth, dtype=float)

@@ -343,30 +343,19 @@ def default_generator():
     return w_star, parts
 
 
-@dataclass(frozen=True)
-class CellDesign:
+def cell_design(w_star, parts):
     """The cells of the common refinement of a truth and its parts, in
-    row-major order: each cell's mass mu_a mu_b, the truth W_ab, and the
-    features (1, w_1ab, ..., w_Jab) that ``sample_dyads`` gives a latent
-    pair in the cell."""
-
-    mass: np.ndarray
-    truth: np.ndarray
-    features: np.ndarray
-
-
-def cell_design(w_star, parts) -> CellDesign:
-    """The ``CellDesign`` of a truth and its parts; every one of them needs a
-    block form (``graphons.as_block``), else ``GraphonError``."""
+    row-major order: (mass mu_a mu_b, truth W_ab, features (1, w_1ab, ...,
+    w_Jab)), the features being those ``sample_dyads`` gives a latent pair
+    in the cell.  Every graphon needs a block form (``graphons.as_block``),
+    else ``GraphonError``."""
     try:
-        blocks = [gr.as_block(g) for g in (w_star, *parts)]
+        mu, (truth, *agents) = gr.common_refinement(w_star, *parts)
     except gr.GraphonError as exc:
         raise gr.GraphonError(f"exact population scoring needs block forms: {exc}") from exc
-    bounds, mats = gr._refine(blocks)
-    mu = np.diff(bounds)
-    return CellDesign(mass=np.outer(mu, mu).ravel(), truth=mats[0].ravel(),
-                      features=np.stack([np.ones(mu.size ** 2)]
-                                        + [m.ravel() for m in mats[1:]], axis=1))
+    mass = np.outer(mu, mu).ravel()
+    return mass, truth.ravel(), np.stack([np.ones(mass.size)]
+                                         + [a.ravel() for a in agents], axis=1)
 
 
 AGENT_NAMES_SYNTH = ("Block", "LowRank", "Product")
@@ -418,19 +407,19 @@ def _method_stats(per_method: dict, metrics) -> dict:
             for m, scored in per_method.items()}
 
 
-def _synthetic_replicate(truth, cells: CellDesign, seed, m_train: int, m_val: int,
-                         ridge_reg: float) -> dict:
-    """One S1/S2 replicate: train and validation dyads drawn from the seed's
-    first two children, every method fitted, and each scored exactly on the
-    truth's cells.  Returns method -> (MetricReport, L2 risk), where the
-    risk is sum mass * (p - W)^2, the squared L2 distance to the truth."""
-    w_star, parts = truth
+def _synthetic_replicate(truth, seed, m_train: int, m_val: int, ridge_reg: float) -> dict:
+    """One S1/S2 replicate of ``truth`` = (w_star, parts, cell_design(w_star,
+    parts)): train and validation dyads drawn from the seed's first two
+    children, every method fitted, and each scored exactly on the cells.
+    Returns method -> (MetricReport, L2 risk), where the risk is
+    sum mass * (p - W)^2, the squared L2 distance to the truth."""
+    w_star, parts, (mass, cell_truth, features) = truth
     s_train, s_val = seed.spawn(2)
     train = sample_dyads(w_star, parts, m_train, s_train)
     val = sample_dyads(w_star, parts, m_val, s_val)
-    preds = _method_predictions(train, val, cells.features, ridge_reg)
-    return {method: (population_metrics(p, cells.truth, cells.mass),
-                     float(cells.mass @ (p - cells.truth) ** 2))
+    preds = _method_predictions(train, val, features, ridge_reg)
+    return {method: (population_metrics(p, cell_truth, mass),
+                     float(mass @ (p - cell_truth) ** 2))
             for method, p in preds.items()}
 
 
@@ -438,12 +427,12 @@ def _synthetic_replicate(truth, cells: CellDesign, seed, m_train: int, m_val: in
 # file name -> (writer, *arguments before the path).
 
 def _run_s1(config: ExperimentConfig, seeds: dict) -> dict:
-    truth = default_generator()
-    cells = cell_design(*truth)
+    w_star, parts = default_generator()
+    truth = (w_star, parts, cell_design(w_star, parts))
     rows = []
     per_method = {m: [] for m in METHODS}
     for (r,), seed in seeds.items():
-        for method, scored in _synthetic_replicate(truth, cells, seed, config.m_train,
+        for method, scored in _synthetic_replicate(truth, seed, config.m_train,
                                                    config.m_val, config.ridge_reg).items():
             rows.append((method, f"rep{r}", scored[0]))
             per_method[method].append(scored)
@@ -456,7 +445,7 @@ def _run_s1(config: ExperimentConfig, seeds: dict) -> dict:
         "replicates": config.replicates,
     }
     # min_j ||W* - w_j||^2: no selector of a single agent gets below it
-    summary["selection_floor"] = min(gr.l2_distance(truth[0], p) ** 2 for p in truth[1])
+    summary["selection_floor"] = min(gr.l2_distance(w_star, p) ** 2 for p in parts)
     return {"s1_metrics.csv": (write_metric_reports_csv, rows),
             "s1_summary.json": (write_json, summary)}
 
@@ -466,14 +455,13 @@ S2_CSV_HEADER = ["n", "m_train", "method", "mean_brier", "se_brier",
 
 
 def _run_s2(config: ExperimentConfig, seeds: dict) -> dict:
-    truth = default_generator()
-    cells = cell_design(*truth)
-    m_val = max(config.m_val, len(truth[1]) + 2)
+    w_star, parts = default_generator()
+    truth = (w_star, parts, cell_design(w_star, parts))
+    m_val = max(config.m_val, len(parts) + 2)
     per_n = {n: {m: [] for m in METHODS} for n in config.n_grid}
     for (n, r), seed in seeds.items():
-        for method, scored in _synthetic_replicate(truth, cells, seed,
-                                                   config.dyads_per_n * int(n), m_val,
-                                                   config.ridge_reg).items():
+        for method, scored in _synthetic_replicate(truth, seed, config.dyads_per_n * int(n),
+                                                   m_val, config.ridge_reg).items():
             per_n[n][method].append(scored)
     rows = []
     # m * E||W_LS - W*||^2 per n, flat in m at the parametric rate

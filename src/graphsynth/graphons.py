@@ -259,13 +259,13 @@ def as_block(w) -> Block:
     return w.block
 
 
-def common_refinement(w: Graphon, w2: Graphon):
-    """Block matrices of both graphons on a shared partition.
+def common_refinement(*graphons: Graphon):
+    """Block matrices of every graphon on one shared partition.
 
-    Returns (measures, M, M2).
+    Returns (measures, [M_1, M_2, ...]), the matrices in argument order.
     """
-    bounds, (m1, m2) = _refine([as_block(w), as_block(w2)])
-    return np.diff(bounds), m1, m2
+    bounds, mats = _refine([as_block(w) for w in graphons])
+    return np.diff(bounds), mats
 
 
 # ---------------------------------------------------------------------------
@@ -285,7 +285,7 @@ def grid_values(w: Graphon, g: int) -> np.ndarray:
 def l2_inner(w: Graphon, w2: Graphon) -> float:
     """L2 inner product <w, w2> over the unit square."""
     try:
-        mu, m1, m2 = common_refinement(w, w2)
+        mu, (m1, m2) = common_refinement(w, w2)
     except GraphonError:
         return float(np.mean(grid_values(w, QUAD_G) * grid_values(w2, QUAD_G)))
     return float(mu @ (m1 * m2) @ mu)
@@ -294,7 +294,7 @@ def l2_inner(w: Graphon, w2: Graphon) -> float:
 def l2_distance(w: Graphon, w2: Graphon) -> float:
     """||w - w2||_2, exact for block-reducible pairs."""
     try:
-        mu, m1, m2 = common_refinement(w, w2)
+        mu, (m1, m2) = common_refinement(w, w2)
     except GraphonError:
         return float(np.sqrt(np.mean((grid_values(w, QUAD_G) - grid_values(w2, QUAD_G)) ** 2)))
     return float(np.sqrt(mu @ (m1 - m2) ** 2 @ mu))

@@ -96,8 +96,8 @@ def test_reliability_bins_skip_empty():
     labels = np.array([0.0, 0.0, 1.0, 1.0])
     r = score_metrics(preds, labels)
     assert len(r.reliability_bins) == 2  # only bins 0 and 9 are occupied
-    counts = [row[2] for row in r.reliability_bins]
-    assert counts == [2, 2]
+    masses = [row[2] for row in r.reliability_bins]
+    assert masses == [0.5, 0.5]
 
 
 def test_constant_predictor_grid_minimized_at_base_rate():
@@ -200,11 +200,7 @@ def test_population_metrics_match_the_expanded_sample(rows):
         assert np.isnan(exact.auc)
     else:
         assert exact.auc == pytest.approx(sample.auc, abs=1e-12)
-    np.testing.assert_allclose([b[:2] for b in exact.reliability_bins],
-                               [b[:2] for b in sample.reliability_bins], atol=1e-12)
-    np.testing.assert_allclose([b[2] for b in exact.reliability_bins],
-                               [b[2] / labels.size for b in sample.reliability_bins],
-                               atol=1e-12)
+    np.testing.assert_allclose(exact.reliability_bins, sample.reliability_bins, atol=1e-12)
     assert exact.n == keep.sum()
     if pos.sum() == 0:
         assert np.isnan(exact.ap)

@@ -380,20 +380,18 @@ def _outside_span_truth():
 def test_cell_design_holds_the_sampled_values():
     for truth, k in ((default_generator(), 4), (_outside_span_truth(), 5)):
         w_star, parts = truth
-        cells = experiments.cell_design(w_star, parts)
-        assert cells.mass.size == k * k
-        assert cells.mass.sum() == pytest.approx(1.0, abs=1e-15)
+        mass, cell_truth, features = experiments.cell_design(w_star, parts)
+        assert mass.size == k * k
+        assert mass.sum() == pytest.approx(1.0, abs=1e-15)
         # a latent pair in cell (a, b) gets the truth and features stored there
         bounds = np.unique(np.concatenate([w_star.block.boundaries]
                                           + [p.block.boundaries for p in parts]))
         mid = 0.5 * (bounds[:-1] + bounds[1:])
         x, y = np.repeat(mid, k), np.tile(mid, k)
-        np.testing.assert_array_equal(cells.mass, np.outer(np.diff(bounds),
-                                                           np.diff(bounds)).ravel())
-        np.testing.assert_array_equal(cells.truth, w_star.evaluate(x, y))
+        np.testing.assert_array_equal(mass, np.outer(np.diff(bounds), np.diff(bounds)).ravel())
+        np.testing.assert_array_equal(cell_truth, w_star.evaluate(x, y))
         np.testing.assert_array_equal(
-            cells.features, np.stack([np.ones(k * k)] + [p.evaluate(x, y) for p in parts],
-                                     axis=1))
+            features, np.stack([np.ones(k * k)] + [p.evaluate(x, y) for p in parts], axis=1))
 
 
 def test_cell_design_needs_block_forms():
@@ -409,17 +407,17 @@ def test_cell_design_needs_block_forms():
                          ids=["default", "outside_span"])
 def test_cell_scores_match_monte_carlo_test_sets(truth):
     w_star, parts = truth
-    cells = experiments.cell_design(w_star, parts)
+    mass, cell_truth, features = experiments.cell_design(w_star, parts)
     s_train, s_val, s_test = np.random.SeedSequence(515).spawn(3)
     train = sample_dyads(w_star, parts, 4000, s_train)
     val = sample_dyads(w_star, parts, 1000, s_val)
     tests = [sample_dyads(w_star, parts, 20_000, s) for s in s_test.spawn(20)]
     # one fit per method predicts the cells and every test set
     preds = experiments._method_predictions(
-        train, val, np.vstack([cells.features] + [t.features for t in tests]), 1e-3)
-    k = cells.mass.size
+        train, val, np.vstack([features] + [t.features for t in tests]), 1e-3)
+    k = mass.size
     for method, p in preds.items():
-        exact = population_metrics(p[:k], cells.truth, cells.mass)
+        exact = population_metrics(p[:k], cell_truth, mass)
         sampled = [score_metrics(q, t.labels) for q, t in zip(np.split(p[k:], len(tests)),
                                                               tests)]
         for key in ("brier", "logloss", "auc", "ap"):
@@ -427,8 +425,7 @@ def test_cell_scores_match_monte_carlo_test_sets(truth):
             se = values.std(ddof=1) / np.sqrt(values.size)
             assert abs(getattr(exact, key) - values.mean()) <= 3 * se, (method, key)
         # the sampled ECE is biased upward, so only the bins' masses are checked
-        assert sum(mass for _, _, mass in exact.reliability_bins) == pytest.approx(
-            1.0, abs=1e-12)
+        assert sum(row[2] for row in exact.reliability_bins) == pytest.approx(1.0, abs=1e-12)
         assert exact.n == k
 
 
@@ -436,9 +433,9 @@ def test_brier_minus_l2_risk_is_the_truth_variance():
     for truth in (default_generator(), _outside_span_truth()):
         w_star = truth[0]
         variance = l2_inner(w_star, Constant(1.0)) - l2_inner(w_star, w_star)
-        cells = experiments.cell_design(*truth)
+        design = (*truth, experiments.cell_design(*truth))
         for seed in np.random.SeedSequence(3).spawn(3):
-            scored = experiments._synthetic_replicate(truth, cells, seed, 500, 200, 1e-3)
+            scored = experiments._synthetic_replicate(design, seed, 500, 200, 1e-3)
             for report, risk in scored.values():
                 assert abs(report.brier - risk - variance) <= 1e-15
 
@@ -592,7 +589,9 @@ def test_s1_mini_run(tmp_path):
         risk = summary[method]["l2_risk"]
         assert risk["n"] == 2 and risk["mean"] >= 0.0
     assert summary["BPS_LS"]["l2_risk"]["mean"] < summary["selection_floor"]
-    assert summary["BestAgent"]["l2_risk"]["mean"] >= summary["selection_floor"]
+    # no single agent beats the floor; when BestAgent picks the nearest one,
+    # its risk is the floor itself, summed over other cells in another order
+    assert summary["BestAgent"]["l2_risk"]["mean"] >= summary["selection_floor"] * (1 - 1e-12)
 
 
 def test_s2_mini_run(tmp_path):
