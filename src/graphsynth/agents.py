@@ -115,7 +115,7 @@ class RDPG:
 
     def dyad_logits(self, i, j) -> np.ndarray:
         z = np.asarray(self.positions, dtype=float)
-        return np.sum(z[i] * z[j], axis=-1) + self.intercept
+        return np.sum(np.take(z, i, axis=0) * np.take(z, j, axis=0), axis=-1) + self.intercept
 
     def dyad_probs(self, i, j) -> np.ndarray:
         return expit(self.dyad_logits(i, j))

@@ -531,29 +531,33 @@ def paired_gaps(scores_a: dict, scores_b: dict,
 # baselines
 # ---------------------------------------------------------------------------
 
-def _logloss_vec(pred, labels):
+def _logloss_vec(pred, labels, weights):
     p = np.clip(pred, LOGLOSS_FLOOR, 1.0 - LOGLOSS_FLOOR)
-    return float(-np.mean(labels * np.log(p) + (1 - labels) * np.log1p(-p)))
+    return float(-np.sum(weights * (labels * np.log(p) + (1 - labels) * np.log1p(-p)))
+                 / weights.sum())
 
 
-def cv_best_agent(val_features: np.ndarray, val_labels: np.ndarray) -> int:
+def cv_best_agent(val_features: np.ndarray, val_labels: np.ndarray, weights=None) -> int:
     """Index (0-based over agents) of the validation-log-loss-best agent;
-    ties break to the lowest index."""
+    ties break to the lowest index.  ``weights`` are row multiplicities
+    (``DyadData.weights``), one per row when absent."""
     if val_labels.size == 0:
         raise ValueError("validation set must be nonempty")
-    losses = [_logloss_vec(np.clip(val_features[:, 1 + j], 0.0, 1.0), val_labels)
+    weights = np.ones(val_labels.size) if weights is None else np.asarray(weights, dtype=float)
+    losses = [_logloss_vec(np.clip(val_features[:, 1 + j], 0.0, 1.0), val_labels, weights)
               for j in range(val_features.shape[1] - 1)]
     return int(np.argmin(losses))
 
 
-def _stack_objective(beta, features, labels):
-    """Mean log-loss of the stack plus ``STACK_RIDGE / 2 * |beta[1:]|^2``."""
+def _stack_objective(beta, features, labels, weights, total):
+    """Weighted mean log-loss of the stack plus
+    ``STACK_RIDGE / 2 * |beta[1:]|^2``."""
     z = features @ beta
-    loss = -np.mean(labels * log_expit(z) + (1.0 - labels) * log_expit(-z))
+    loss = -np.sum(weights * (labels * log_expit(z) + (1.0 - labels) * log_expit(-z))) / total
     return loss + 0.5 * STACK_RIDGE * float(beta[1:] @ beta[1:])
 
 
-def fit_logistic_stack(features: np.ndarray, labels: np.ndarray) -> np.ndarray:
+def fit_logistic_stack(features: np.ndarray, labels: np.ndarray, weights=None) -> np.ndarray:
     """Logistic stacking on (1, p_1, ..., p_J) by damped Newton (IRLS).
 
     Minimizes the mean log-loss plus a fixed ridge ``STACK_RIDGE / 2`` on
@@ -563,15 +567,21 @@ def fit_logistic_stack(features: np.ndarray, labels: np.ndarray) -> np.ndarray:
     until the Armijo condition holds.  Iteration stops once the gradient
     norm of the penalized objective is at most ``STACK_GRAD_TOL``; if that
     takes more than ``STACK_MAX_STEPS`` steps, the last iterate is returned
-    with a RuntimeWarning.  Degenerate one-class labels yield an
+    with a RuntimeWarning.  ``weights`` are row multiplicities
+    (``DyadData.weights``, one per row when absent) and ``labels`` the
+    positive fraction of each row, so the mean runs over the dyads the rows
+    stand for.  Degenerate one-class labels (no positives, or all) yield an
     intercept-only model (with a warning) since the MLE diverges.
     """
     features = np.asarray(features, dtype=float)
     labels = np.asarray(labels, dtype=float)
-    m, d = features.shape
-    if labels.min() == labels.max():
+    weights = np.ones(labels.size) if weights is None else np.asarray(weights, dtype=float)
+    d = features.shape[1]
+    total = weights.sum()
+    positives = float(np.sum(weights * labels))
+    if positives == 0.0 or positives == total:
         warnings.warn("one-class training labels: returning intercept-only stack")
-        rate = np.clip(labels.mean(), 1e-6, 1 - 1e-6)
+        rate = np.clip(positives / total, 1e-6, 1 - 1e-6)
         beta = np.zeros(d)
         beta[0] = float(logit(rate))
         return beta
@@ -579,13 +589,13 @@ def fit_logistic_stack(features: np.ndarray, labels: np.ndarray) -> np.ndarray:
     penalty = np.full(d, STACK_RIDGE)
     penalty[0] = 0.0
     beta = np.zeros(d)
-    loss = _stack_objective(beta, features, labels)
+    loss = _stack_objective(beta, features, labels, weights, total)
     for _ in range(STACK_MAX_STEPS):
         p = expit(features @ beta)
-        grad = features.T @ (p - labels) / m + penalty * beta
+        grad = features.T @ (weights * (p - labels)) / total + penalty * beta
         if np.linalg.norm(grad) <= STACK_GRAD_TOL:
             return beta
-        hess = (features.T * (p * (1.0 - p))) @ features / m + np.diag(penalty)
+        hess = (features.T * (weights * p * (1.0 - p))) @ features / total + np.diag(penalty)
         step = np.linalg.solve(hess, grad)
         decrease = float(grad @ step)
         # the loss is only known to rounding, so the sufficient-decrease test
@@ -594,7 +604,7 @@ def fit_logistic_stack(features: np.ndarray, labels: np.ndarray) -> np.ndarray:
         t = 1.0
         while True:
             cand = beta - t * step
-            cand_loss = _stack_objective(cand, features, labels)
+            cand_loss = _stack_objective(cand, features, labels, weights, total)
             if cand_loss <= loss - STACK_ARMIJO * t * decrease + slack or t < 1e-12:
                 break
             t *= 0.5

@@ -17,7 +17,7 @@ import json
 import os
 import time
 import warnings
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
 import scipy.sparse.csgraph
@@ -271,7 +271,8 @@ def fit_agents_to_graph(g: GraphSample, config: ExperimentConfig, seed=0):
     vals, u = scipy.sparse.linalg.eigsh(adj, k=d, which="LA",
                                         v0=np.ones(n) / np.sqrt(n))
     positions = u * np.sqrt(np.maximum(vals, 0.0))[None, :]
-    rdpg = ag.RDPG.make(positions, _fit_rdpg_intercept(ag.RDPG.make(positions), g, seed))
+    rdpg = ag.RDPG.make(positions)
+    rdpg = replace(rdpg, intercept=_fit_rdpg_intercept(rdpg, g, seed))
 
     return {"ER": er, "ChungLu": chung_lu, "DegHist": deg_hist,
             "SBM": sbm, "RDPG": rdpg}
@@ -366,6 +367,8 @@ def _method_predictions(train: DyadData, val: DyadData, test_features: np.ndarra
                         ridge_reg: float, synth_cols=None) -> dict:
     """Fit every method on train (+val for selection) and predict the test
     features (test dyads, or cells).  Returns name -> probability vector.
+    Every fit honours the row weights, so collapsed rows fit as the dyads
+    they stand for.
 
     ``synth_cols`` optionally restricts the columns used by the synthesis
     and stacking fits (column 0 must stay); BestAgent always selects over
@@ -375,15 +378,16 @@ def _method_predictions(train: DyadData, val: DyadData, test_features: np.ndarra
     if synth_cols is None:
         synth_cols = np.arange(train.features.shape[1])
     synth_cols = np.asarray(synth_cols, dtype=int)
-    synth_train = DyadData(features=train.features[:, synth_cols], labels=train.labels)
+    synth_train = DyadData(features=train.features[:, synth_cols], labels=train.labels,
+                           weights=train.weights)
     synth_test = test_features[:, synth_cols]
     preds = {}
     preds["BPS_LS"] = predict_clipped(fit_ls(synth_train), synth_test)
     preds["BPS_Ridge"] = predict_clipped(fit_ridge(synth_train, ridge_reg), synth_test)
     preds["BPS_Simplex"] = predict_clipped(fit_simplex(synth_train), synth_test)
-    best = cv_best_agent(val.features, val.labels)
+    best = cv_best_agent(val.features, val.labels, val.weights)
     preds["BestAgent"] = np.clip(test_features[:, 1 + best], 0.0, 1.0)
-    stack = fit_logistic_stack(synth_train.features, synth_train.labels)
+    stack = fit_logistic_stack(synth_train.features, synth_train.labels, synth_train.weights)
     preds["Stack_Logistic"] = expit(synth_test @ stack)
     return preds
 
@@ -410,13 +414,15 @@ def _method_stats(per_method: dict, metrics) -> dict:
 def _synthetic_replicate(truth, seed, m_train: int, m_val: int, ridge_reg: float) -> dict:
     """One S1/S2 replicate of ``truth`` = (w_star, parts, cell_design(w_star,
     parts)): train and validation dyads drawn from the seed's first two
-    children, every method fitted, and each scored exactly on the cells.
+    children, every method fitted on their collapsed rows (one weighted row
+    per distinct feature row, at most one per cell), and each scored exactly
+    on the cells.
     Returns method -> (MetricReport, L2 risk), where the risk is
     sum mass * (p - W)^2, the squared L2 distance to the truth."""
     w_star, parts, (mass, cell_truth, features) = truth
     s_train, s_val = seed.spawn(2)
-    train = sample_dyads(w_star, parts, m_train, s_train)
-    val = sample_dyads(w_star, parts, m_val, s_val)
+    train = sample_dyads(w_star, parts, m_train, s_train).collapsed()
+    val = sample_dyads(w_star, parts, m_val, s_val).collapsed()
     preds = _method_predictions(train, val, features, ridge_reg)
     return {method: (population_metrics(p, cell_truth, mass),
                      float(mass @ (p - cell_truth) ** 2))

@@ -128,18 +128,19 @@ def _dense_edges(prob_rows, n, rng):
     edge keys ``i * n + j`` in ascending order.
 
     ``prob_rows(start, stop)`` gives the edge probabilities of rows
-    ``start:stop`` against columns ``start:``.  Every chunk still draws full
-    rows of uniforms, so the stream, and every edge, does not depend on the
-    columns evaluated.  A hit at flat index ``f = r * width + c`` of a chunk
-    is the pair (start + r, start + c), whose key is
-    ``f + r * start + start * (n + 1)``; flat indices ascend, so each
+    ``start:stop`` against columns ``start:``, and the chunk draws one
+    uniform for each of those entries, row by row, so chunk ``start`` takes
+    ``(stop - start) * (n - start)`` values of the stream; the entries on and
+    below the diagonal are drawn and discarded.  A hit at flat index
+    ``f = r * width + c`` of a chunk is the pair (start + r, start + c),
+    whose key is ``f + r * start + start * (n + 1)``; flat indices ascend, so each
     chunk's keys, and their concatenation, come out sorted.
     """
     keys = [np.empty(0, dtype=np.int64)]
     for start in range(0, n, DENSE_CHUNK_ROWS):
         stop = min(start + DENSE_CHUNK_ROWS, n)
         height, width = stop - start, n - start
-        hits = rng.random((height, n))[:, start:] < prob_rows(start, stop)
+        hits = rng.random((height, width)) < prob_rows(start, stop)
         hits[:, :height] &= ~np.tri(height, dtype=bool)   # keep j > i only
         flat = np.flatnonzero(hits)
         keys.append(flat + (flat // width) * start + start * (n + 1))

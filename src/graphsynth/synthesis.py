@@ -24,15 +24,22 @@ class SingularDesign(ValueError):
 
 @dataclass
 class DyadData:
-    """Dyad samples for synthesis: features (1, p_1, ..., p_J) and labels.
+    """Dyad samples for synthesis: features (1, p_1, ..., p_J), labels and
+    row weights.
 
     ``features`` is (m, J+1) with a leading all-ones column; ``labels`` is
-    a 0/1 vector; ``dyads`` optionally records (i, j) ids with i < j.
+    a vector in [0, 1]; ``dyads`` optionally records (i, j) ids with i < j.
+    ``weights`` are row multiplicities, positive integers, one per row when
+    absent: a row of weight w and label y stands for w dyads with those
+    features, w * y of them edges.  Every fitter minimizes the same
+    weighted objective, so it fits a row set and its ``collapsed()`` form
+    alike, up to rounding.
     """
 
     features: np.ndarray
     labels: np.ndarray
     dyads: np.ndarray | None = None
+    weights: np.ndarray | None = None
 
     def __post_init__(self):
         self.features = np.asarray(self.features, dtype=float)
@@ -41,14 +48,38 @@ class DyadData:
             raise ValueError("features must be (m, J+1) matching the labels")
         if not np.all(self.features[:, 0] == 1.0):
             raise ValueError("leading feature must be exactly 1")
+        if self.weights is None:
+            self.weights = np.ones(self.labels.size)
+        self.weights = np.asarray(self.weights, dtype=float)
+        if self.weights.shape != self.labels.shape:
+            raise ValueError("weights must give one multiplicity per row")
+        if not np.all((self.weights >= 1.0) & (self.weights == np.floor(self.weights))):
+            raise ValueError("weights must be positive integers")
 
     @property
     def m(self) -> int:
-        return self.labels.size
+        """Number of dyads: the total weight."""
+        return int(self.weights.sum())
 
     @property
     def n_agents(self) -> int:
         return self.features.shape[1] - 1
+
+    def collapsed(self) -> "DyadData":
+        """One row per distinct feature row, weighted by its total weight and
+        labelled with its weighted positive fraction; ``dyads`` is dropped.
+
+        Rows group by exact equality of every feature (one ``np.lexsort``
+        over the columns, no rounding), and the groups come out in
+        lexicographic order of their features.
+        """
+        order = np.lexsort(self.features.T[::-1])
+        rows = self.features[order]
+        starts = np.flatnonzero(np.concatenate(
+            [[True], np.any(rows[1:] != rows[:-1], axis=1)]))
+        weights = np.add.reduceat(self.weights[order], starts)
+        positives = np.add.reduceat((self.weights * self.labels)[order], starts)
+        return DyadData(features=rows[starts], labels=positives / weights, weights=weights)
 
 
 @dataclass(frozen=True)
@@ -72,10 +103,20 @@ class WeightVector:
         return float(np.linalg.norm(self.beta))
 
 
+def _weighted_gram(x: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """sum_k w_k x_k x_k' as xs' xs with xs = sqrt(w) x.  numpy computes a
+    product of an array with its own transpose by a symmetric BLAS kernel,
+    so for unit weights this is ``x.T @ x`` bit for bit; ``x.T @ (x * w)``
+    goes through the general product and differs in the last bits."""
+    xs = x * np.sqrt(weights)[:, None]
+    return xs.T @ xs
+
+
 def _normal_equations(data: DyadData):
-    f = data.features
-    gram = f.T @ f / data.m
-    rhs = f.T @ data.labels / data.m
+    f, w = data.features, data.weights
+    total = w.sum()
+    gram = _weighted_gram(f, w) / total
+    rhs = f.T @ (w * data.labels) / total
     return gram, rhs
 
 
@@ -141,9 +182,12 @@ def fit_simplex(data: DyadData) -> WeightVector:
     j = data.n_agents
     if not 1 <= j <= SIMPLEX_MAX_AGENTS:
         raise ValueError(f"simplex fit needs 1 to {SIMPLEX_MAX_AGENTS} agents, got {j}")
-    p_mean, y_mean = data.features[:, 1:].mean(axis=0), data.labels.mean()
+    w = data.weights
+    total = w.sum()
+    p_mean = np.sum(data.features[:, 1:] * w[:, None], axis=0) / total
+    y_mean = np.sum(w * data.labels) / total
     pc = data.features[:, 1:] - p_mean
-    hess, lin = pc.T @ pc / data.m, pc.T @ (data.labels - y_mean) / data.m
+    hess, lin = _weighted_gram(pc, w) / total, pc.T @ (w * (data.labels - y_mean)) / total
     b, best = None, np.inf
     for mask in range(1, 2 ** j):
         s = np.flatnonzero(mask >> np.arange(j) & 1)

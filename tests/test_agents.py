@@ -66,6 +66,15 @@ def test_tilt_rdpg_intercept_shift():
     assert edge_prob_matrix(shifted, 2)[0, 1] == pytest.approx(0.5, abs=1e-15)
 
 
+@pytest.mark.parametrize("d", [3, 5, 9])
+def test_rdpg_dyad_logits_match_fancy_indexing(d):
+    rng = np.random.default_rng(d)
+    z = rng.normal(size=(400, d))
+    agent = RDPG.make(z, intercept=-2.5)
+    i, j = rng.integers(0, 400, size=(2, 5000))
+    assert np.array_equal(agent.dyad_logits(i, j), np.sum(z[i] * z[j], axis=-1) - 2.5)
+
+
 def test_apply_tilt_closed_families():
     er = apply_tilt(ER(0.3), TiltState(lambda_edge=0.7))
     assert er.p == pytest.approx(tilt_er(0.3, 0.7))

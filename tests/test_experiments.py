@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from graphsynth import (Block, Constant, ConfigError, ExperimentConfig, Graphon,
+from graphsynth import (Block, Constant, ConfigError, DyadData, ExperimentConfig, Graphon,
                         GraphonError, SerializeError, StageFailure,
                         agent_dyad_probs, agent_from_dict, agent_to_dict,
                         config_hash, default_generator, edge_prob_matrix,
@@ -363,7 +363,7 @@ def test_s2_run_deterministic_outputs(tmp_path):
         assert a == b
     curve = (tmp_path / "a" / "s2" / "s2_curve.csv").read_bytes()
     assert hashlib.sha256(curve).hexdigest() == (
-        "0a4d7eed445ee1623aeddba3cc459684c2542d4246f76ea0645c21b8065d94ec")
+        "02722dd964ccc90f3a6a8a3c95807c66cb54e6becd473f9dad1620afaab25582")
 
 
 # ---------------------------------------------------------------------------
@@ -440,32 +440,51 @@ def test_brier_minus_l2_risk_is_the_truth_variance():
                 assert abs(report.brier - risk - variance) <= 1e-15
 
 
-def _fit_digest(monkeypatch, config) -> str:
-    """sha256 over every weight vector and agent choice the run's fits
+def _recorded_fits(monkeypatch, config) -> list:
+    """(name, value) of every weight vector and agent choice the run's fits
     return, in call order."""
     fitted = []
     for name in ("fit_ls", "fit_ridge", "fit_simplex", "fit_logistic_stack",
                  "cv_best_agent"):
-        def recorder(*args, _fit=getattr(experiments, name), **kwargs):
+        def recorder(*args, _fit=getattr(experiments, name), _name=name, **kwargs):
             out = _fit(*args, **kwargs)
-            fitted.append(np.asarray(getattr(out, "beta", out), dtype=float).tobytes())
+            fitted.append((_name, np.asarray(getattr(out, "beta", out), dtype=float)))
             return out
         monkeypatch.setattr(experiments, name, recorder)
     run_experiment(config)
-    return hashlib.sha256(b"".join(fitted)).hexdigest()
+    return fitted
 
 
-@pytest.mark.parametrize("keys, digest", [
+def _digest(fitted) -> str:
+    return hashlib.sha256(b"".join(value.tobytes() for _, value in fitted)).hexdigest()
+
+
+@pytest.mark.parametrize("keys, row_digest, digest", [
     ({"experiment": "s1", "replicates": 2, "m_train": 300, "m_val": 100},
-     "60b3b6c2b803f759971f1d1fa4a2ee1d0c13a4bd77a2e03f16d590b32ed438cc"),
+     "60b3b6c2b803f759971f1d1fa4a2ee1d0c13a4bd77a2e03f16d590b32ed438cc",
+     "9e99eaae2bdbb0e5ba57abb9ed6426f014455a938c2907dc1b1213d37dd45107"),
     ({"experiment": "s2", "replicates": 2, "n_grid": [200], "m_val": 200},
-     "570fe34778e62c643461e83887af5ad4ac4133d9da8a5c80150d8973eaa48ee2"),
+     "570fe34778e62c643461e83887af5ad4ac4133d9da8a5c80150d8973eaa48ee2",
+     "fa8a750e04676c0c7c26a3919fb935ab8d5119b3b3820aec0009bef7752eda5a"),
 ], ids=["s1", "s2"])
-def test_population_scoring_leaves_every_fit_unchanged(tmp_path, monkeypatch, keys, digest):
-    # taken while each replicate also drew a test set from a third child of
-    # its seed: the train and validation draws, so every fit, are the same
+def test_collapsed_fits_match_row_fits(tmp_path, monkeypatch, keys, row_digest, digest):
+    """s1/s2 fit the collapsed rows of their dyads.  Every fit lies within
+    1e-12 of the fit to the sampled rows themselves, with the same agent
+    choice, and the row fits, on unit weights, are bit for bit the ones
+    taken before fits took weights (``row_digest``)."""
     config = ExperimentConfig.from_dict(dict(keys, out_dir=str(tmp_path)))
-    assert _fit_digest(monkeypatch, config) == digest
+    collapsed = _recorded_fits(monkeypatch, config)
+    monkeypatch.undo()
+    monkeypatch.setattr(DyadData, "collapsed", lambda self: self)
+    rows = _recorded_fits(monkeypatch, config)
+    assert _digest(rows) == row_digest
+    assert [name for name, _ in collapsed] == [name for name, _ in rows]
+    for (name, got), (_, want) in zip(collapsed, rows):
+        if name == "cv_best_agent":
+            assert got == want
+        else:
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-12, err_msg=name)
+    assert _digest(collapsed) == digest
 
 
 def _real_config(tmp_path) -> dict:

@@ -201,20 +201,20 @@ class Ridge(Graphon):
 PINNED_SAMPLES = {
     "dense_block": (
         lambda: sample_graph(TWO_BLOCK, 400, seed=21),
-        "f33afb3e15cbd1a5f9b877dcd436a9c1aa40d5aae2af39461e706e8c18bf9267",
-        "159494a3e891c985cf5bb9adcf3e78793d586e0eb559a115d1ed7fa6489d1a61"),
+        "abafd3bc8551d22e3cd8d29c2e38569e28496d573f746d8d53817a3b352c01d5",
+        "12c339a7652f811f3b721c2a87b4e05cdb7989b43e09e95f80c10baf5d215eb9"),
     "dense_linear_combo": (
         lambda: sample_graph(default_generator()[0], 600, seed=22),
-        "4f0c092220936388e549556792c3d00b2d170ef6370804dac7f31785c790a40f",
-        "ccadeb8e892cb14919b33b70684d358ed04988b6448a42d7c7b9b20ea4136127"),
+        "4d56fa25a67f7161f40fbdfe53e3cb379f4e85fdaf35e78f0b6b5f717ad8822e",
+        "45de798859823cf525e5fafc6bce0c715b29a90f79a254e1e529c6bb29a27efb"),
     "sparse_block": (
         lambda: sample_sparse_graph(TWO_BLOCK, 3000, 6.0, seed=23),
         "020c798e4807d6bd26c9dd77288be4752ee3438ecd27f6794df420eaa7f865a9",
         "d829ced5605736348dda5b96771464978a75978539d4f8239521103701529cb6"),
     "sparse_fallback": (
         lambda: sample_sparse_graph(Ridge(), 600, 40.0, seed=24),
-        "4c29f12686ab68f114661342fa0e71a8be510ebe0dc2dad9ac3c55d51a550c4f",
-        "a8d27e503901ed6a173247bd7771b867aaa79a5d52294e11b7f161ae29119c82"),
+        "d906d8cbe265b4fe3962949162328f6c37bd4631762d57535ab535d221060e48",
+        "3cd6729901f04d9ac7f9d35f9a369a35db8d8a5eb70200a5167e60c7d93460ac"),
 }
 
 

@@ -1,4 +1,7 @@
-"""Synthesis fits: LS, ridge, simplex, clipped prediction, projection."""
+"""Synthesis fits: LS, ridge, simplex, clipped prediction, projection, and
+weighted (collapsed) dyad rows."""
+
+import warnings
 
 import numpy as np
 import pytest
@@ -6,7 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from graphsynth import (Block, Constant, DyadData, LinearCombo, SingularDesign,
-                        WeightVector, fit_ls, fit_ridge, fit_simplex,
+                        WeightVector, cv_best_agent, fit_logistic_stack, fit_ls,
+                        fit_ridge, fit_simplex,
                         gram_and_target, l2_distance, l2_risk,
                         population_projection, predict_clipped, project_simplex)
 
@@ -54,6 +58,15 @@ def test_ls_duplicate_columns_singular():
 def test_dyad_data_validates_leading_ones():
     with pytest.raises(ValueError):
         DyadData(features=np.array([[0.9, 0.5]]), labels=np.array([1.0]))
+
+
+def test_dyad_data_weights_default_to_one_and_must_be_multiplicities():
+    feats, labels = np.array([[1.0, 0.5], [1.0, 0.2]]), np.array([1.0, 0.0])
+    assert np.array_equal(DyadData(features=feats, labels=labels).weights, [1.0, 1.0])
+    for weights in ([1.0], [1.0, 0.0], [1.0, 2.5], [1.0, np.nan]):
+        with pytest.raises(ValueError):
+            DyadData(features=feats, labels=labels, weights=weights)
+    assert DyadData(features=feats, labels=labels, weights=[3, 4]).m == 7
 
 
 # ---------------------------------------------------------------------------
@@ -259,3 +272,114 @@ def test_l2_risk_matches_graphon_distance():
     risk = l2_risk(beta_hat, np.array([0.0, 0.5, 0.5]), gram)
     dist = l2_distance(LinearCombo.make(beta_hat, parts), truth)
     assert risk == pytest.approx(dist ** 2, abs=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# weighted rows
+# ---------------------------------------------------------------------------
+
+def _expanded(feats, weights, positives) -> DyadData:
+    """The dyads that weighted rows stand for: row k repeated weights[k]
+    times, its first positives[k] copies labelled 1."""
+    labels = np.concatenate([np.arange(w) < p for w, p in zip(weights, positives)])
+    return DyadData(features=np.repeat(feats, weights, axis=0), labels=labels)
+
+
+def _five_fits(data: DyadData) -> dict:
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)    # the one-class stack
+        stack = fit_logistic_stack(data.features, data.labels, data.weights)
+    return {"LS": fit_ls(data).beta, "Ridge": fit_ridge(data, 1e-3).beta,
+            "Simplex": fit_simplex(data).beta, "Stack": stack,
+            "BestAgent": cv_best_agent(data.features, data.labels, data.weights)}
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.integers(1, 4), st.integers(0, 5),
+       st.sampled_from(["mixed", "none", "all"]), st.booleans())
+def test_weighted_fits_equal_expanded_fits(seed, j, extra, classes, tie):
+    """Each fitter on integer-weighted rows equals the same fitter on the
+    rows repeated by their weights.  The distinct rows are J + 1 spread-out
+    anchors (so the design is well conditioned) plus random ones; "mixed"
+    rows each hold both labels, so the stack's optimum is finite, while
+    "none" and "all" take the one-class path."""
+    rng = np.random.default_rng(seed)
+    base = rng.uniform(0.0, 0.3, size=j)
+    agents = np.vstack([base, base + 0.6 * np.eye(j), rng.random((extra, j))])
+    if tie:     # a copy of agent 1: BestAgent must still pick the lower index
+        agents = np.column_stack([agents, agents[:, 0]])
+    feats = np.column_stack([np.ones(len(agents)), agents])
+    weights = rng.integers(2, 21, size=len(feats))
+    positives = {"mixed": rng.integers(1, weights), "none": np.zeros_like(weights),
+                 "all": weights}[classes]
+    rows = _expanded(feats, weights, positives)
+    weighted = DyadData(features=feats, labels=positives / weights, weights=weights)
+    assert weighted.m == rows.m
+    if tie:
+        # the tie makes the LS design singular on both forms
+        for data in (weighted, rows):
+            with pytest.raises(SingularDesign):
+                fit_ls(data)
+        best = [cv_best_agent(d.features, d.labels, d.weights) for d in (weighted, rows)]
+        assert best[0] == best[1] != feats.shape[1] - 2
+        return
+    got, want = _five_fits(weighted), _five_fits(rows)
+    assert got.pop("BestAgent") == want.pop("BestAgent")
+    for name, beta in got.items():
+        np.testing.assert_allclose(beta, want[name], rtol=0, atol=1e-12, err_msg=name)
+    if classes != "mixed":
+        assert np.all(got["Stack"][1:] == 0.0)
+
+
+def test_weighted_ls_singular_on_too_few_distinct_rows():
+    # three distinct rows cannot determine four coefficients, however many
+    # dyads stand behind them
+    feats = np.array([[1.0, 0.2, 0.5, 0.9], [1.0, 0.7, 0.1, 0.3], [1.0, 0.4, 0.4, 0.6]])
+    weights, positives = np.array([50, 40, 30]), np.array([10, 20, 5])
+    for data in (DyadData(features=feats, labels=positives / weights, weights=weights),
+                 _expanded(feats, weights, positives)):
+        assert data.m == 120
+        with pytest.raises(SingularDesign):
+            fit_ls(data)
+
+
+def test_stack_one_class_is_decided_on_weighted_positives():
+    # every row half positive: equal fractions, but two classes
+    feats = np.array([[1.0, 0.2], [1.0, 0.8]])
+    weighted = DyadData(features=feats, labels=[0.5, 0.5], weights=[4, 6])
+    rows = _expanded(feats, [4, 6], [2, 3])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        beta = fit_logistic_stack(weighted.features, weighted.labels, weighted.weights)
+    np.testing.assert_allclose(beta, fit_logistic_stack(rows.features, rows.labels),
+                               rtol=0, atol=1e-12)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.integers(1, 300), st.integers(1, 3),
+       st.booleans())
+def test_collapsed_keeps_counts_and_positives(seed, m, j, weighted):
+    """``collapsed()`` against a dict oracle keyed by the feature row: one
+    row per distinct row, in lexicographic order, with its exact count and
+    positives."""
+    rng = np.random.default_rng(seed)
+    # few distinct values per column, so rows repeat; -0.0 equals 0.0
+    values = np.array([0.0, -0.0, 0.25, 0.5, 1e-300, 0.1 + 0.2])
+    feats = np.column_stack([np.ones(m), values[rng.integers(0, values.size, (m, j))]])
+    labels = (rng.random(m) < 0.4).astype(float)
+    weights = rng.integers(1, 9, size=m) if weighted else np.ones(m, dtype=int)
+    data = DyadData(features=feats, labels=labels,
+                    weights=weights if weighted else None)
+    oracle = {}
+    for row, y, w in zip(map(tuple, feats.tolist()), labels, weights):
+        count, pos = oracle.get(row, (0, 0))
+        oracle[row] = (count + int(w), pos + int(w) * int(y))
+    out = data.collapsed()
+    keys = list(map(tuple, out.features.tolist()))
+    assert keys == sorted(oracle) and out.dyads is None
+    assert [oracle[k][0] for k in keys] == out.weights.tolist()
+    positives = out.weights * out.labels
+    assert [oracle[k][1] for k in keys] == np.rint(positives).astype(int).tolist()
+    np.testing.assert_allclose(positives, np.rint(positives), rtol=1e-15, atol=0)
+    assert out.m == data.m == int(weights.sum())
+    assert np.rint(positives).sum() == np.sum(weights * labels)
