@@ -133,8 +133,8 @@ def _dense_edges(prob_rows, n, rng):
     ``(stop - start) * (n - start)`` values of the stream; the entries on and
     below the diagonal are drawn and discarded.  A hit at flat index
     ``f = r * width + c`` of a chunk is the pair (start + r, start + c),
-    whose key is ``f + r * start + start * (n + 1)``; flat indices ascend, so each
-    chunk's keys, and their concatenation, come out sorted.
+    whose key is ``f + r * start + start * (n + 1)``; flat indices ascend,
+    so each chunk's keys, and their concatenation, come out sorted.
     """
     keys = [np.empty(0, dtype=np.int64)]
     for start in range(0, n, DENSE_CHUNK_ROWS):

@@ -470,8 +470,9 @@ def _digest(fitted) -> str:
 def test_collapsed_fits_match_row_fits(tmp_path, monkeypatch, keys, row_digest, digest):
     """s1/s2 fit the collapsed rows of their dyads.  Every fit lies within
     1e-12 of the fit to the sampled rows themselves, with the same agent
-    choice, and the row fits, on unit weights, are bit for bit the ones
-    taken before fits took weights (``row_digest``)."""
+    choice.  The row fits match ``row_digest`` bit for bit, the digest of
+    the fitters before they took weights: unit weights reproduce the
+    unweighted arithmetic exactly."""
     config = ExperimentConfig.from_dict(dict(keys, out_dir=str(tmp_path)))
     collapsed = _recorded_fits(monkeypatch, config)
     monkeypatch.undo()
