@@ -33,8 +33,10 @@ from .evaluation import (MetricReport, audit_split, cv_best_agent,  # noqa: F401
                          fit_logistic_stack, make_split, paired_gaps,
                          population_metrics, score_metrics)
 from .netstats import fit_tail_exponent, mixture_degree_pmf, power_law_pmf
-from .sampling import (GraphSample, graph_from_edge_array, phase_sweep, sample_dyads,
-                       unique_keys)
+# s1/s2 draw cell counts (sample_cells), not dyads; sample_dyads stays
+# importable here because perfbench/tracing.py resolves it at this site
+from .sampling import (GraphSample, graph_from_edge_array, make_rng,  # noqa: F401
+                       phase_sweep, sample_dyads, unique_keys)
 from .serialize import (write_csv, write_gap_report_csv, write_json,
                         write_metric_reports_csv, write_phase_curve_csv)
 from .synthesis import DyadData, fit_ls, fit_ridge, fit_simplex, predict_clipped
@@ -347,9 +349,11 @@ def default_generator():
 def cell_design(w_star, parts):
     """The cells of the common refinement of a truth and its parts, in
     row-major order: (mass mu_a mu_b, truth W_ab, features (1, w_1ab, ...,
-    w_Jab)), the features being those ``sample_dyads`` gives a latent pair
-    in the cell.  Every graphon needs a block form (``graphons.as_block``),
-    else ``GraphonError``."""
+    w_Jab)).  A latent pair lands in cell (a, b) with probability
+    mu_a mu_b, is an edge with probability W_ab and has the features
+    ``sample_dyads`` would give it, so the cells carry both the draw of
+    ``sample_cells`` and the exact scoring.  Every graphon needs a block
+    form (``graphons.as_block``), else ``GraphonError``."""
     try:
         mu, (truth, *agents) = gr.common_refinement(w_star, *parts)
     except gr.GraphonError as exc:
@@ -357,6 +361,24 @@ def cell_design(w_star, parts):
     mass = np.outer(mu, mu).ravel()
     return mass, truth.ravel(), np.stack([np.ones(mass.size)]
                                          + [a.ravel() for a in agents], axis=1)
+
+
+def sample_cells(design, m: int, seed) -> DyadData:
+    """The sufficient statistics of m i.i.d. dyads on ``design`` =
+    ``cell_design(...)``: counts ~ Multinomial(m, mass) over the cells and
+    positives ~ Binomial(counts, truth), as one row per occupied cell (in
+    cell order) weighted by its count and labelled with its positive
+    fraction.  This is the law of the ``sample_dyads`` rows grouped by cell,
+    drawn in O(cells) instead of O(m)."""
+    if m < 1:
+        raise ValueError("need m >= 1 dyads")
+    mass, truth, features = design
+    rng = make_rng(seed)
+    counts = rng.multinomial(m, mass)
+    positives = rng.binomial(counts, truth)
+    seen = counts > 0
+    return DyadData(features=features[seen], labels=positives[seen] / counts[seen],
+                    weights=counts[seen])
 
 
 AGENT_NAMES_SYNTH = ("Block", "LowRank", "Product")
@@ -367,8 +389,8 @@ def _method_predictions(train: DyadData, val: DyadData, test_features: np.ndarra
                         ridge_reg: float, synth_cols=None) -> dict:
     """Fit every method on train (+val for selection) and predict the test
     features (test dyads, or cells).  Returns name -> probability vector.
-    Every fit honours the row weights, so collapsed rows fit as the dyads
-    they stand for.
+    Every fit honours the row weights, so cell counts fit as the dyads they
+    stand for.
 
     ``synth_cols`` optionally restricts the columns used by the synthesis
     and stacking fits (column 0 must stay); BestAgent always selects over
@@ -411,18 +433,17 @@ def _method_stats(per_method: dict, metrics) -> dict:
             for m, scored in per_method.items()}
 
 
-def _synthetic_replicate(truth, seed, m_train: int, m_val: int, ridge_reg: float) -> dict:
-    """One S1/S2 replicate of ``truth`` = (w_star, parts, cell_design(w_star,
-    parts)): train and validation dyads drawn from the seed's first two
-    children, every method fitted on their collapsed rows (one weighted row
-    per distinct feature row, at most one per cell), and each scored exactly
-    on the cells.
+def _synthetic_replicate(design, seed, m_train: int, m_val: int, ridge_reg: float) -> dict:
+    """One S1/S2 replicate on ``design`` = cell_design(w_star, parts): train
+    and validation cell counts drawn by ``sample_cells`` from the seed's
+    first two children, every method fitted on them (one weighted row per
+    occupied cell), and each scored exactly on the cells.
     Returns method -> (MetricReport, L2 risk), where the risk is
     sum mass * (p - W)^2, the squared L2 distance to the truth."""
-    w_star, parts, (mass, cell_truth, features) = truth
+    mass, cell_truth, features = design
     s_train, s_val = seed.spawn(2)
-    train = sample_dyads(w_star, parts, m_train, s_train).collapsed()
-    val = sample_dyads(w_star, parts, m_val, s_val).collapsed()
+    train = sample_cells(design, m_train, s_train)
+    val = sample_cells(design, m_val, s_val)
     preds = _method_predictions(train, val, features, ridge_reg)
     return {method: (population_metrics(p, cell_truth, mass),
                      float(mass @ (p - cell_truth) ** 2))
@@ -434,11 +455,11 @@ def _synthetic_replicate(truth, seed, m_train: int, m_val: int, ridge_reg: float
 
 def _run_s1(config: ExperimentConfig, seeds: dict) -> dict:
     w_star, parts = default_generator()
-    truth = (w_star, parts, cell_design(w_star, parts))
+    design = cell_design(w_star, parts)
     rows = []
     per_method = {m: [] for m in METHODS}
     for (r,), seed in seeds.items():
-        for method, scored in _synthetic_replicate(truth, seed, config.m_train,
+        for method, scored in _synthetic_replicate(design, seed, config.m_train,
                                                    config.m_val, config.ridge_reg).items():
             rows.append((method, f"rep{r}", scored[0]))
             per_method[method].append(scored)
@@ -462,11 +483,11 @@ S2_CSV_HEADER = ["n", "m_train", "method", "mean_brier", "se_brier",
 
 def _run_s2(config: ExperimentConfig, seeds: dict) -> dict:
     w_star, parts = default_generator()
-    truth = (w_star, parts, cell_design(w_star, parts))
+    design = cell_design(w_star, parts)
     m_val = max(config.m_val, len(parts) + 2)
     per_n = {n: {m: [] for m in METHODS} for n in config.n_grid}
     for (n, r), seed in seeds.items():
-        for method, scored in _synthetic_replicate(truth, seed, config.dyads_per_n * int(n),
+        for method, scored in _synthetic_replicate(design, seed, config.dyads_per_n * int(n),
                                                    m_val, config.ridge_reg).items():
             per_n[n][method].append(scored)
     rows = []

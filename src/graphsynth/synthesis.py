@@ -32,7 +32,7 @@ class DyadData:
     ``weights`` are row multiplicities, positive integers, one per row when
     absent: a row of weight w and label y stands for w dyads with those
     features, w * y of them edges.  Every fitter minimizes the same
-    weighted objective, so it fits a row set and its ``collapsed()`` form
+    weighted objective, so it fits a count form and the rows it stands for
     alike, up to rounding.
     """
 
@@ -64,22 +64,6 @@ class DyadData:
     @property
     def n_agents(self) -> int:
         return self.features.shape[1] - 1
-
-    def collapsed(self) -> "DyadData":
-        """One row per distinct feature row, weighted by its total weight and
-        labelled with its weighted positive fraction; ``dyads`` is dropped.
-
-        Rows group by exact equality of every feature (one ``np.lexsort``
-        over the columns, no rounding), and the groups come out in
-        lexicographic order of their features.
-        """
-        order = np.lexsort(self.features.T[::-1])
-        rows = self.features[order]
-        starts = np.flatnonzero(np.concatenate(
-            [[True], np.any(rows[1:] != rows[:-1], axis=1)]))
-        weights = np.add.reduceat(self.weights[order], starts)
-        positives = np.add.reduceat((self.weights * self.labels)[order], starts)
-        return DyadData(features=rows[starts], labels=positives / weights, weights=weights)
 
 
 @dataclass(frozen=True)
@@ -177,9 +161,13 @@ def fit_simplex(data: DyadData) -> WeightVector:
     With the intercept free, the centred fit is the convex QP
     min b'Hb - 2c'b over the simplex, whose minimum is the equality-
     constrained one on some face.  Every support S solves
-    [[H_SS, 1], [1', 0]] [b_S; nu] = [c_S; 1], singular systems are skipped,
-    and the candidate with b_S >= 0 and the lowest objective wins: 2^J - 1
-    small solves, so J is capped at ``SIMPLEX_MAX_AGENTS``.
+    [[H_SS, 1], [1', 0]] [b_S; nu] = [c_S; 1], and the candidate with
+    b_S >= 0 and the lowest objective wins, the first support in mask order
+    on ties.  The 2^J - 1 systems are stacked as (J+1) x (J+1) matrices
+    whose off-support coordinates are pinned to 0 by identity rows and
+    solved in one batch; exactly singular ones (an LU pivot of 0,
+    ``slogdet`` sign 0) are skipped.  The work grows as 2^J, so J is capped
+    at ``SIMPLEX_MAX_AGENTS``.
     """
     j = data.n_agents
     if not 1 <= j <= SIMPLEX_MAX_AGENTS:
@@ -190,20 +178,20 @@ def fit_simplex(data: DyadData) -> WeightVector:
     y_mean = np.sum(w * data.labels) / total
     pc = data.features[:, 1:] - p_mean
     hess, lin = _weighted_gram(pc, w) / total, pc.T @ (w * (data.labels - y_mean)) / total
-    b, best = None, np.inf
-    for mask in range(1, 2 ** j):
-        s = np.flatnonzero(mask >> np.arange(j) & 1)
-        kkt = np.pad(hess[np.ix_(s, s)], (0, 1), constant_values=1.0)
-        kkt[-1, -1] = 0.0
-        try:
-            sol = np.linalg.solve(kkt, np.append(lin[s], 1.0))[:-1]
-        except np.linalg.LinAlgError:
-            continue
-        cand = np.zeros(j)
-        cand[s] = sol
-        obj = cand @ hess @ cand - 2.0 * lin @ cand
-        if np.all(sol >= 0.0) and obj < best:
-            b, best = cand, obj
+    # one row per support, in mask order; bit k of the mask is agent k
+    on = (np.arange(1, 2 ** j)[:, None] >> np.arange(j) & 1).astype(bool)
+    kkt = np.zeros((on.shape[0], j + 1, j + 1))
+    kkt[:, :j, :j] = np.where(on[:, :, None] & on[:, None, :], hess, 0.0)
+    kkt[:, np.arange(j), np.arange(j)] += ~on
+    kkt[:, :j, j] = kkt[:, j, :j] = on
+    rhs = np.column_stack([np.where(on, lin, 0.0), np.ones(on.shape[0])])
+    solvable = np.linalg.slogdet(kkt)[0] != 0
+    on = on[solvable]
+    sol = np.linalg.solve(kkt[solvable], rhs[solvable, :, None])[:, :j, 0]
+    cand = np.where(on, sol, 0.0)
+    obj = np.einsum("si,ij,sj->s", cand, hess, cand) - 2.0 * cand @ lin
+    feasible = np.flatnonzero(np.all(cand >= 0.0, axis=1) & (obj < np.inf))
+    b = cand[feasible[np.argmin(obj[feasible])]]
     grad = 2.0 * (hess @ b - lin)
     # KKT: the projected gradient step is a fixed point
     residual = float(np.linalg.norm(project_simplex(b - grad) - b))

@@ -16,7 +16,7 @@ from graphsynth import (Block, Constant, ConfigError, DyadData, ExperimentConfig
                         load_edge_list, load_model, run_experiment, sample_dyads,
                         sample_graph, sample_sparse_graph, save_model,
                         write_edge_list)
-from graphsynth import experiments
+from graphsynth import experiments, fit_ls, predict_clipped
 from graphsynth.cli import _read_metrics_csv, main as cli_main
 from graphsynth.evaluation import population_metrics, score_metrics
 from graphsynth.agents import SBM, ErgmSpec, TiltState
@@ -346,11 +346,11 @@ def test_s1_run_deterministic_outputs(tmp_path):
         a = (tmp_path / "a" / "s1" / fname).read_bytes()
         b = (tmp_path / "b" / "s1" / fname).read_bytes()
         assert a == b
-    # a change here means the dyad samplers, the synthesis fits or the
+    # a change here means the cell-count draw, the synthesis fits or the
     # population scores moved
     metrics = (tmp_path / "a" / "s1" / "s1_metrics.csv").read_bytes()
     assert hashlib.sha256(metrics).hexdigest() == (
-        "947085ed546afce5f78d20741f86cf0c3f5de4e9c25730de0a979b4839267726")
+        "fe3860c76e54e5fb9bcfc040578d5e176b1c89b52f64048fff249a8a6ebcfb63")
 
 
 def test_s2_run_deterministic_outputs(tmp_path):
@@ -363,7 +363,7 @@ def test_s2_run_deterministic_outputs(tmp_path):
         assert a == b
     curve = (tmp_path / "a" / "s2" / "s2_curve.csv").read_bytes()
     assert hashlib.sha256(curve).hexdigest() == (
-        "02722dd964ccc90f3a6a8a3c95807c66cb54e6becd473f9dad1620afaab25582")
+        "d139c936d571f96897fe6246c6ed668155923196b1172a442fd1f0e58dd10f35")
 
 
 # ---------------------------------------------------------------------------
@@ -433,25 +433,85 @@ def test_brier_minus_l2_risk_is_the_truth_variance():
     for truth in (default_generator(), _outside_span_truth()):
         w_star = truth[0]
         variance = l2_inner(w_star, Constant(1.0)) - l2_inner(w_star, w_star)
-        design = (*truth, experiments.cell_design(*truth))
+        design = experiments.cell_design(*truth)
         for seed in np.random.SeedSequence(3).spawn(3):
             scored = experiments._synthetic_replicate(design, seed, 500, 200, 1e-3)
             for report, risk in scored.values():
                 assert abs(report.brier - risk - variance) <= 1e-15
 
 
-def _recorded_fits(monkeypatch, config) -> list:
-    """(name, value) of every weight vector and agent choice the run's fits
-    return, in call order."""
+# ---------------------------------------------------------------------------
+# s1/s2 cell counts
+# ---------------------------------------------------------------------------
+
+def test_cell_counts_match_the_dyad_law():
+    """Per cell, the mean count over seeds is m mu_a mu_b and the mean
+    positives m mu_a mu_b W_ab, within 4 standard errors."""
+    mass, truth, _ = experiments.cell_design(*default_generator())
+    k = mass.size
+    # a feature column naming the cell maps each row back to it
+    tagged = (mass, truth, np.column_stack([np.ones(k), np.arange(k)]))
+    m, reps = 4000, 400
+    counts, positives = np.zeros((reps, k)), np.zeros((reps, k))
+    for r, seed in enumerate(np.random.SeedSequence(77).spawn(reps)):
+        data = experiments.sample_cells(tagged, m, seed)
+        cells = data.features[:, 1].astype(int)
+        assert np.all(np.diff(cells) > 0) and data.m == m
+        counts[r, cells] = data.weights
+        positives[r, cells] = data.weights * data.labels
+    np.testing.assert_allclose(positives, np.rint(positives), rtol=1e-15, atol=0)
+    # marginally, either count is Binomial(m, p)
+    for observed, p in ((counts, mass), (positives, mass * truth)):
+        se = np.sqrt(m * p * (1.0 - p) / reps)
+        assert np.all(np.abs(observed.mean(axis=0) - m * p) <= 4.0 * se)
+
+
+def _collapsed(data: DyadData) -> DyadData:
+    """A dict oracle for the count form of unit-weight rows: one row per
+    distinct feature row, with its count and positive fraction."""
+    groups = {}
+    for row, y in zip(map(tuple, data.features.tolist()), data.labels.tolist()):
+        count, pos = groups.get(row, (0, 0.0))
+        groups[row] = (count + 1, pos + y)
+    counts, pos = map(np.array, zip(*groups.values()))
+    return DyadData(features=np.array(list(groups)), labels=pos / counts, weights=counts)
+
+
+def test_cell_counts_and_collapsed_dyads_give_one_ls_risk():
+    """The mean BPS_LS L2 risk over 200 replicates agrees within 3 combined
+    standard errors between ``sample_cells`` and the collapsed
+    ``sample_dyads`` rows."""
+    w_star, parts = default_generator()
+    design = mass, truth, features = experiments.cell_design(w_star, parts)
+    m, reps = 400, 200
+
+    def risk(data):
+        return mass @ (predict_clipped(fit_ls(data), features) - truth) ** 2
+
+    cells_seeds, dyad_seeds = np.random.SeedSequence(88).spawn(2)
+    by_cells = [risk(experiments.sample_cells(design, m, s))
+                for s in cells_seeds.spawn(reps)]
+    by_dyads = [risk(_collapsed(sample_dyads(w_star, parts, m, s)))
+                for s in dyad_seeds.spawn(reps)]
+    se = np.hypot(*(np.std(r, ddof=1) / np.sqrt(reps) for r in (by_cells, by_dyads)))
+    assert abs(np.mean(by_cells) - np.mean(by_dyads)) <= 3.0 * se
+
+
+def _recorded_fits(draws, design) -> list:
+    """(name, value) of every weight vector and agent choice that
+    ``_method_predictions`` returns on each (train, val) pair, in call
+    order, with the runs' ridge penalty."""
     fitted = []
-    for name in ("fit_ls", "fit_ridge", "fit_simplex", "fit_logistic_stack",
-                 "cv_best_agent"):
-        def recorder(*args, _fit=getattr(experiments, name), _name=name, **kwargs):
-            out = _fit(*args, **kwargs)
-            fitted.append((_name, np.asarray(getattr(out, "beta", out), dtype=float)))
-            return out
-        monkeypatch.setattr(experiments, name, recorder)
-    run_experiment(config)
+    with pytest.MonkeyPatch.context() as mp:
+        for name in ("fit_ls", "fit_ridge", "fit_simplex", "fit_logistic_stack",
+                     "cv_best_agent"):
+            def recorder(*args, _fit=getattr(experiments, name), _name=name, **kwargs):
+                out = _fit(*args, **kwargs)
+                fitted.append((_name, np.asarray(getattr(out, "beta", out), dtype=float)))
+                return out
+            mp.setattr(experiments, name, recorder)
+        for train, val in draws:
+            experiments._method_predictions(train, val, design[2], 1e-3)
     return fitted
 
 
@@ -459,33 +519,57 @@ def _digest(fitted) -> str:
     return hashlib.sha256(b"".join(value.tobytes() for _, value in fitted)).hexdigest()
 
 
-@pytest.mark.parametrize("keys, row_digest, digest", [
-    ({"experiment": "s1", "replicates": 2, "m_train": 300, "m_val": 100},
-     "60b3b6c2b803f759971f1d1fa4a2ee1d0c13a4bd77a2e03f16d590b32ed438cc",
-     "9e99eaae2bdbb0e5ba57abb9ed6426f014455a938c2907dc1b1213d37dd45107"),
-    ({"experiment": "s2", "replicates": 2, "n_grid": [200], "m_val": 200},
-     "570fe34778e62c643461e83887af5ad4ac4133d9da8a5c80150d8973eaa48ee2",
-     "fa8a750e04676c0c7c26a3919fb935ab8d5119b3b3820aec0009bef7752eda5a"),
+def _replicate_seeds():
+    """The (train, val) seeds of the first two replicates of an s1 or s2 run
+    with one n and the default base seed."""
+    return [seed.spawn(2) for seed in
+            np.random.SeedSequence(ExperimentConfig.base_seed).spawn(2)]
+
+
+@pytest.mark.parametrize("m_train, m_val, row_digest", [
+    # s1 with replicates 2, m_train 300, m_val 100
+    (300, 100, "60b3b6c2b803f759971f1d1fa4a2ee1d0c13a4bd77a2e03f16d590b32ed438cc"),
+    # s2 with replicates 2, n_grid [200] (m_train 3 * 200), m_val 200
+    (600, 200, "570fe34778e62c643461e83887af5ad4ac4133d9da8a5c80150d8973eaa48ee2"),
 ], ids=["s1", "s2"])
-def test_collapsed_fits_match_row_fits(tmp_path, monkeypatch, keys, row_digest, digest):
-    """s1/s2 fit the collapsed rows of their dyads.  Every fit lies within
-    1e-12 of the fit to the sampled rows themselves, with the same agent
-    choice.  The row fits match ``row_digest`` bit for bit, the digest of
-    the fitters before they took weights: unit weights reproduce the
-    unweighted arithmetic exactly."""
-    config = ExperimentConfig.from_dict(dict(keys, out_dir=str(tmp_path)))
-    collapsed = _recorded_fits(monkeypatch, config)
-    monkeypatch.undo()
-    monkeypatch.setattr(DyadData, "collapsed", lambda self: self)
-    rows = _recorded_fits(monkeypatch, config)
-    assert _digest(rows) == row_digest
-    assert [name for name, _ in collapsed] == [name for name, _ in rows]
-    for (name, got), (_, want) in zip(collapsed, rows):
+def test_dyad_row_fits_keep_their_digest(m_train, m_val, row_digest):
+    """Fits on the seeded ``sample_dyads`` rows of two replicates, with unit
+    weights, match ``row_digest`` bit for bit, the digest of the fitters
+    before they took weights: unit weights reproduce the unweighted
+    arithmetic exactly."""
+    w_star, parts = default_generator()
+    draws = [(sample_dyads(w_star, parts, m_train, s_train),
+              sample_dyads(w_star, parts, m_val, s_val))
+             for s_train, s_val in _replicate_seeds()]
+    assert _digest(_recorded_fits(draws, experiments.cell_design(w_star, parts))) == row_digest
+
+
+def _expanded(data: DyadData) -> DyadData:
+    """The unit-weight rows a count form stands for: each row repeated by
+    its count, its positives first."""
+    counts = data.weights.astype(int)
+    positives = np.rint(data.weights * data.labels).astype(int)
+    rank = np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
+    return DyadData(features=np.repeat(data.features, counts, axis=0),
+                    labels=(rank < np.repeat(positives, counts)).astype(float))
+
+
+@pytest.mark.parametrize("m_train, m_val", [(300, 100), (4000, 1000)])
+def test_count_fits_match_their_expanded_rows(m_train, m_val):
+    """Every fit on a count form lies within 1e-12 of the fit to the rows it
+    stands for, with the same agent choice."""
+    design = experiments.cell_design(*default_generator())
+    draws = [(experiments.sample_cells(design, m_train, s_train),
+              experiments.sample_cells(design, m_val, s_val))
+             for s_train, s_val in _replicate_seeds()]
+    counted = _recorded_fits(draws, design)
+    rows = _recorded_fits([(_expanded(t), _expanded(v)) for t, v in draws], design)
+    assert [name for name, _ in counted] == [name for name, _ in rows]
+    for (name, got), (_, want) in zip(counted, rows):
         if name == "cv_best_agent":
             assert got == want
         else:
             np.testing.assert_allclose(got, want, rtol=0, atol=1e-12, err_msg=name)
-    assert _digest(collapsed) == digest
 
 
 def _real_config(tmp_path) -> dict:

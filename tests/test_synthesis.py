@@ -1,5 +1,5 @@
 """Synthesis fits: LS, ridge, simplex, clipped prediction, projection, and
-weighted (collapsed) dyad rows."""
+weighted dyad rows."""
 
 import warnings
 
@@ -190,6 +190,69 @@ def test_simplex_duplicate_agent_columns():
                                single.beta, atol=1e-12)
 
 
+def _simplex_by_support_loop(data: DyadData):
+    """Simplex LS by one solve per support, in mask order: (b, support).
+    Each support S solves [[H_SS, 1], [1', 0]] [b_S; nu] = [c_S; 1] on its
+    own, a singular system is skipped, and a feasible candidate replaces
+    the best only at a strictly lower objective."""
+    j = data.n_agents
+    w = data.weights
+    total = w.sum()
+    p_mean = np.sum(data.features[:, 1:] * w[:, None], axis=0) / total
+    y_mean = np.sum(w * data.labels) / total
+    pc = data.features[:, 1:] - p_mean
+    xs = pc if np.all(w == 1.0) else pc * np.sqrt(w)[:, None]
+    hess, lin = xs.T @ xs / total, pc.T @ (w * (data.labels - y_mean)) / total
+    b, support, best = None, None, np.inf
+    for mask in range(1, 2 ** j):
+        s = np.flatnonzero(mask >> np.arange(j) & 1)
+        kkt = np.pad(hess[np.ix_(s, s)], (0, 1), constant_values=1.0)
+        kkt[-1, -1] = 0.0
+        try:
+            sol = np.linalg.solve(kkt, np.append(lin[s], 1.0))[:-1]
+        except np.linalg.LinAlgError:
+            continue
+        cand = np.zeros(j)
+        cand[s] = sol
+        obj = cand @ hess @ cand - 2.0 * lin @ cand
+        if np.all(sol >= 0.0) and obj < best:
+            b, support, best = cand, s, obj
+    return b, support
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.integers(1, 6), st.integers(0, 30),
+       st.lists(st.sampled_from(["random", "duplicate", "constant"]), min_size=6, max_size=6),
+       st.booleans())
+def test_batched_simplex_matches_the_support_loop(seed, j, extra, kinds, weighted):
+    """The batched solve picks the support the per-support loop picks, with
+    coefficients within 1e-12.  Copies of one agent column (duplicates, or
+    constant columns, which all hold 0.5) tie exactly, so either fit may
+    split their weight in any way: coefficients are summed and supports
+    compared over the distinct columns."""
+    rng = np.random.default_rng(seed)
+    m = j + 2 + extra
+    agents = rng.random((m, j))
+    for k, kind in enumerate(kinds[:j]):
+        if kind == "duplicate":
+            agents[:, k] = agents[:, rng.integers(0, j)]
+        elif kind == "constant":
+            agents[:, k] = 0.5
+    weights = rng.integers(1, 6, size=m) if weighted else None
+    data = DyadData(features=np.column_stack([np.ones(m), agents]),
+                    labels=(rng.random(m) < agents.mean(axis=1)).astype(float),
+                    weights=weights)
+    # each column's first exact copy
+    first = [next(i for i in range(j) if np.array_equal(agents[:, i], agents[:, k]))
+             for k in range(j)]
+    b, support = _simplex_by_support_loop(data)
+    got = fit_simplex(data).beta[1:]
+    np.testing.assert_allclose(np.bincount(first, weights=got, minlength=j),
+                               np.bincount(first, weights=b, minlength=j), rtol=0, atol=1e-12)
+    assert ({first[k] for k in np.flatnonzero(got)}
+            == {first[k] for k in np.flatnonzero(b)} <= {first[k] for k in support})
+
+
 def test_simplex_agent_cap():
     rng = np.random.default_rng(10)
     data = make_dyads(rng, 500, np.concatenate([[0.0], np.full(12, 1 / 12)]))
@@ -353,33 +416,3 @@ def test_stack_one_class_is_decided_on_weighted_positives():
         beta = fit_logistic_stack(weighted.features, weighted.labels, weighted.weights)
     np.testing.assert_allclose(beta, fit_logistic_stack(rows.features, rows.labels),
                                rtol=0, atol=1e-12)
-
-
-@settings(max_examples=40, deadline=None)
-@given(st.integers(0, 2 ** 32 - 1), st.integers(1, 300), st.integers(1, 3),
-       st.booleans())
-def test_collapsed_keeps_counts_and_positives(seed, m, j, weighted):
-    """``collapsed()`` against a dict oracle keyed by the feature row: one
-    row per distinct row, in lexicographic order, with its exact count and
-    positives."""
-    rng = np.random.default_rng(seed)
-    # few distinct values per column, so rows repeat; -0.0 equals 0.0
-    values = np.array([0.0, -0.0, 0.25, 0.5, 1e-300, 0.1 + 0.2])
-    feats = np.column_stack([np.ones(m), values[rng.integers(0, values.size, (m, j))]])
-    labels = (rng.random(m) < 0.4).astype(float)
-    weights = rng.integers(1, 9, size=m) if weighted else np.ones(m, dtype=int)
-    data = DyadData(features=feats, labels=labels,
-                    weights=weights if weighted else None)
-    oracle = {}
-    for row, y, w in zip(map(tuple, feats.tolist()), labels, weights):
-        count, pos = oracle.get(row, (0, 0))
-        oracle[row] = (count + int(w), pos + int(w) * int(y))
-    out = data.collapsed()
-    keys = list(map(tuple, out.features.tolist()))
-    assert keys == sorted(oracle) and out.dyads is None
-    assert [oracle[k][0] for k in keys] == out.weights.tolist()
-    positives = out.weights * out.labels
-    assert [oracle[k][1] for k in keys] == np.rint(positives).astype(int).tolist()
-    np.testing.assert_allclose(positives, np.rint(positives), rtol=1e-15, atol=0)
-    assert out.m == data.m == int(weights.sum())
-    assert np.rint(positives).sum() == np.sum(weights * labels)
