@@ -13,6 +13,7 @@ from graphsynth import (Block, Constant, DyadData, LinearCombo, SingularDesign,
                         fit_ridge, fit_simplex,
                         gram_and_target, l2_distance, l2_risk,
                         population_projection, predict_clipped, project_simplex)
+from graphsynth.synthesis import _weighted_gram
 
 
 def make_dyads(rng, m, betas, noise_labels=True):
@@ -201,8 +202,7 @@ def _simplex_by_support_loop(data: DyadData):
     p_mean = np.sum(data.features[:, 1:] * w[:, None], axis=0) / total
     y_mean = np.sum(w * data.labels) / total
     pc = data.features[:, 1:] - p_mean
-    xs = pc if np.all(w == 1.0) else pc * np.sqrt(w)[:, None]
-    hess, lin = xs.T @ xs / total, pc.T @ (w * (data.labels - y_mean)) / total
+    hess, lin = _weighted_gram(pc, w) / total, pc.T @ (w * (data.labels - y_mean)) / total
     b, support, best = None, None, np.inf
     for mask in range(1, 2 ** j):
         s = np.flatnonzero(mask >> np.arange(j) & 1)
