@@ -35,9 +35,8 @@ from .netstats import (DegreePmf, GraphStatistics, NetstatsError,
                        power_law_pmf, tilt_degree_pmf, triangle_count,
                        verify_tail_bracket)
 from .evaluation import (MetricReport, PairedGapReport, SplitError, SplitSpec,
-                         audit_split, auc_score, average_precision,
-                         cv_best_agent, fit_logistic_stack, make_split,
-                         paired_gaps, score_metrics)
+                         audit_split, cv_best_agent, fit_logistic_stack,
+                         make_split, paired_gaps, score_metrics)
 from .experiments import (ConfigError, ExperimentConfig, RunManifest,
                           StageFailure, agent_dyad_probs, config_hash,
                           default_generator, fit_agents_to_graph,

@@ -17,7 +17,7 @@ import numpy as np
 from .evaluation import MetricReport, make_split, paired_gaps
 from .experiments import (SPLIT_REGIMES, ConfigError, ExperimentConfig,
                           StageFailure, load_edge_list, run_experiment)
-from .serialize import json_text, write_gap_report_csv
+from .serialize import METRIC_CSV_HEADER, json_text, write_gap_report_csv
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -82,17 +82,30 @@ def _cmd_run(args) -> int:
 
 
 def _read_metrics_csv(path):
+    """method -> split -> MetricReport from a metrics CSV; ValueError when a
+    column is missing, a value is malformed or a (method, split) repeats."""
     rows = {}
     with open(path, newline="") as fh:
-        for record in csv.DictReader(fh):
-            rep = MetricReport(
-                brier=float(record["brier"]), logloss=float(record["logloss"]),
-                auc=float(record["auc"]), ap=float(record["ap"]),
-                ece=float(record["ece"]),
-                murphy=(float(record["reliability"]), float(record["resolution"]),
-                        float(record["uncertainty"])),
-                reliability_bins=(), n=int(record["n"]))
-            rows.setdefault(record["method"], {})[record["split"]] = rep
+        reader = csv.DictReader(fh)
+        missing = [k for k in METRIC_CSV_HEADER if k not in (reader.fieldnames or ())]
+        if missing:
+            raise ValueError(f"{path}: missing columns {missing}")
+        for record in reader:
+            try:
+                rep = MetricReport(
+                    brier=float(record["brier"]), logloss=float(record["logloss"]),
+                    auc=float(record["auc"]), ap=float(record["ap"]),
+                    ece=float(record["ece"]),
+                    murphy=(float(record["reliability"]), float(record["resolution"]),
+                            float(record["uncertainty"])),
+                    reliability_bins=(), n=int(record["n"]))
+            except (TypeError, ValueError) as exc:
+                raise ValueError(f"{path}:{reader.line_num}: malformed row") from exc
+            by_split = rows.setdefault(record["method"], {})
+            if record["split"] in by_split:
+                raise ValueError(f"{path}:{reader.line_num}: repeated row for "
+                                 f"({record['method']}, {record['split']})")
+            by_split[record["split"]] = rep
     return rows
 
 

@@ -1,4 +1,9 @@
-"""Holdout protocols, proper-score metrics, calibration, and paired gaps."""
+"""Holdout protocols, proper-score metrics, calibration, and paired gaps.
+
+Every metric is written once, over entries with a positive and a negative
+weight: ``score_metrics`` scores 0/1 rows, ``population_metrics`` the cells
+of a piecewise-constant truth weighted by their mass.
+"""
 
 from __future__ import annotations
 
@@ -304,172 +309,119 @@ def _descending_ties(predictions: np.ndarray):
     return order, np.flatnonzero(new_run)
 
 
-def _auc_sorted(predictions, pos, order, starts) -> float:
-    n_pos = int(pos.sum())
-    n_neg = pos.size - n_pos
-    if n_pos == 0 or n_neg == 0:
-        return float("nan")
-    if np.isnan(predictions[order[-1]]):
-        return float("nan")
-    # a run at positions [start, stop) of the descending order has ascending
-    # midrank m - (start + stop - 1) / 2, an exact half-integer, so the rank
-    # sum below is exact whatever the summation order
-    stops = np.append(starts[1:], pos.size)
-    midranks = pos.size - 0.5 * (starts + stops - 1)
-    pos_per_run = np.add.reduceat(pos[order].astype(np.int64), starts)
-    rank_sum = float(midranks @ pos_per_run)
-    return (rank_sum - n_pos * (n_pos + 1) / 2) / (n_pos * n_neg)
-
-
-def _average_precision_sorted(labels, order) -> float:
-    n_pos = int((labels == 1).sum())
-    if n_pos == 0:
-        return float("nan")
-    sorted_labels = labels[order]
-    tp = np.cumsum(sorted_labels)
-    precision = tp / np.arange(1, labels.size + 1)
-    return float(np.sum(precision * sorted_labels) / n_pos)
-
-
-def auc_score(predictions: np.ndarray, labels: np.ndarray) -> float:
-    """Rank-statistic AUC with midranks for ties; NaN when a class is missing
-    or a prediction is NaN."""
-    predictions = np.asarray(predictions, dtype=float)
-    return _auc_sorted(predictions, np.asarray(labels) == 1,
-                       *_descending_ties(predictions))
-
-
-def average_precision(predictions: np.ndarray, labels: np.ndarray) -> float:
-    """Step-integrated precision-recall (deterministic index tiebreak)."""
-    predictions = np.asarray(predictions, dtype=float)
-    order, _ = _descending_ties(predictions)
-    return _average_precision_sorted(np.asarray(labels), order)
-
-
-def score_metrics(predictions, labels, bins: int = 10) -> MetricReport:
-    """Brier, floored log-loss, AUC, AP, ECE, and the Brier decomposition.
-
-    The reliability/resolution/uncertainty decomposition and ECE share the
-    same equal-width bins; empty bins are skipped.  AUC and AP share one
-    sort of the predictions.
-    """
-    predictions = np.asarray(predictions, dtype=float)
-    labels = np.asarray(labels, dtype=float)
-    if predictions.shape != labels.shape or predictions.size == 0:
-        raise ValueError("predictions and labels must be equal-length and nonempty")
-    if bins < 1:
-        raise ValueError("need bins >= 1")
-    # written so that NaN fails it too
-    if not np.all((predictions >= 0) & (predictions <= 1)):
-        raise ValueError("predictions must lie in [0,1]")
-    m = predictions.size
-    brier = float(np.mean((predictions - labels) ** 2))
+def _logloss_sum(predictions, pos, neg) -> float:
+    """The floored log-loss summed over positive weights ``pos`` and negative
+    weights ``neg``."""
     clipped = np.clip(predictions, LOGLOSS_FLOOR, 1.0 - LOGLOSS_FLOOR)
-    logloss = float(-np.mean(labels * np.log(clipped) + (1 - labels) * np.log1p(-clipped)))
+    return -float(pos @ np.log(clipped) + neg @ np.log1p(-clipped))
+
+
+def _weighted_report(predictions, pos, neg, bins: int, index_ties: bool) -> MetricReport:
+    """Every metric of a forecast whose entry k carries positive weight
+    ``pos[k]`` and negative weight ``neg[k]``, normalised by the total.
+
+    Brier is sum pos (1 - p)^2 + neg p^2, and the floored log-loss is summed
+    the same way.  Entries of equal prediction form one tie group.  AUC
+    counts ties at one half.  AP depends on the order within a tie group:
+    with ``index_ties`` the entries rank in index order (unit rows), else
+    each group's positives interleave evenly through its weight, the limit
+    of a random order: a group of positive weight b and total d, after
+    groups of positive weight A and total C, gives its positives the mean
+    precision b / d + (A d - b C) / d^2 * ln((C + d) / C).  ECE, the Murphy
+    terms and the reliability bins share equal-width bins, weighted, and
+    skip empty bins.  Unit weights stay integers until the final divides,
+    so AUC on 0/1 rows is exact.
+    """
+    weight = pos + neg
+    total = float(weight.sum())
+    total_pos = float(pos.sum())
+    total_neg = total - total_pos
+    brier = float(pos @ (1.0 - predictions) ** 2 + neg @ predictions ** 2) / total
+    logloss = _logloss_sum(predictions, pos, neg) / total
+
     order, starts = _descending_ties(predictions)
-    auc = _auc_sorted(predictions, labels == 1, order, starts)
-    ap = _average_precision_sorted(labels, order)
-
-    # each bin is a contiguous slice of a stable sort by bin that keeps its
-    # rows in index order, so a bin's mean sums its rows in index order; the
-    # smallest integer type that holds the bins makes that sort a radix sort
-    bin_idx = np.minimum((predictions * bins).astype(np.min_scalar_type(bins)), bins - 1)
-    counts = np.bincount(bin_idx, minlength=bins)
-    by_bin = np.argsort(bin_idx, kind="stable")
-    binned_p = predictions[by_bin]
-    binned_y = labels[by_bin]
-    stops = np.cumsum(counts)
-    base_rate = labels.mean()
-    ece = 0.0
-    rel = 0.0
-    res = 0.0
-    bin_rows = []
-    for b in np.flatnonzero(counts):
-        count = int(counts[b])
-        rows = slice(stops[b] - count, stops[b])
-        p_bar = float(binned_p[rows].mean())
-        y_bar = float(binned_y[rows].mean())
-        wt = count / m
-        ece += wt * abs(p_bar - y_bar)
-        rel += wt * (p_bar - y_bar) ** 2
-        res += wt * (y_bar - base_rate) ** 2
-        bin_rows.append((p_bar, y_bar, wt))
-    unc = float(base_rate * (1 - base_rate))
-    return MetricReport(brier=brier, logloss=logloss, auc=auc, ap=ap, ece=float(ece),
-                        murphy=(float(rel), float(res), unc),
-                        reliability_bins=tuple(bin_rows), n=m)
-
-
-def population_metrics(predictions, truth, mass, bins: int = 10) -> MetricReport:
-    """The population limit of ``score_metrics``: every score of a forecast
-    that is constant on cells of the unit square, against labels drawn
-    Bernoulli(truth) on a dyad whose latent pair falls in a cell with
-    probability ``mass``.
-
-    Brier is sum mass * [W (1 - p)^2 + (1 - W) p^2], and the floored
-    log-loss is summed the same way.  Cells of equal prediction form one tie
-    group, with positive mass mass * W and negative mass mass * (1 - W).
-    AUC counts ties at one half.  AP is the limit of the index tiebreak,
-    where positives interleave at random within a group: a group of positive
-    mass b and total mass d, after groups of positive mass A and total mass
-    C, gives its positives the mean precision
-    b / d + (A d - b C) / d^2 * ln((C + d) / C).  ECE, the Murphy terms and
-    the reliability bins weight cells by mass.  ``n`` is the number of
-    cells.
-    """
-    predictions = np.asarray(predictions, dtype=float)
-    truth = np.asarray(truth, dtype=float)
-    mass = np.asarray(mass, dtype=float)
-    if not (predictions.shape == truth.shape == mass.shape) or predictions.size == 0:
-        raise ValueError("predictions, truth and mass must be equal-length and nonempty")
-    if bins < 1:
-        raise ValueError("need bins >= 1")
-    # written so that NaN fails them too
-    if not np.all((predictions >= 0) & (predictions <= 1)):
-        raise ValueError("predictions must lie in [0,1]")
-    if not np.all((truth >= 0) & (truth <= 1)):
-        raise ValueError("truth must lie in [0,1]")
-    if not (np.all(mass >= 0) and abs(mass.sum() - 1.0) <= 1e-9):
-        raise ValueError("cell masses must be nonnegative and sum to 1")
-    pos_mass = mass * truth
-    neg_mass = mass - pos_mass
-    brier = float(pos_mass @ (1.0 - predictions) ** 2 + neg_mass @ predictions ** 2)
-    clipped = np.clip(predictions, LOGLOSS_FLOOR, 1.0 - LOGLOSS_FLOOR)
-    logloss = float(-(pos_mass @ np.log(clipped) + neg_mass @ np.log1p(-clipped)))
-
-    # tie groups in descending order of prediction
-    _, group = np.unique(-predictions, return_inverse=True)
-    b = np.bincount(group, weights=pos_mass)
-    neg = np.bincount(group, weights=neg_mass)
-    d = b + neg
-    above = np.cumsum(b) - b          # positive mass ranked strictly higher
-    total_pos, total_neg = float(b.sum()), float(neg.sum())
-    auc = (float(neg @ (above + 0.5 * b)) / (total_pos * total_neg)
+    ranked = pos[order]
+    # positive, negative and total weight per tie group
+    b = np.add.reduceat(ranked, starts)
+    b_neg = np.add.reduceat(neg[order], starts)
+    d = b + b_neg
+    above = np.cumsum(b) - b          # positive weight ranked strictly higher
+    auc = (float(b_neg @ (above + 0.5 * b)) / (total_pos * total_neg)
            if total_pos > 0 and total_neg > 0 else float("nan"))
-    if total_pos > 0:
-        before = np.cumsum(d) - d     # total mass ranked strictly higher
+    if total_pos == 0:
+        ap = float("nan")
+    elif index_ties:
+        precision = np.cumsum(ranked) / np.cumsum(weight[order])
+        ap = float(np.sum(precision * ranked) / total_pos)
+    else:
+        before = np.cumsum(d) - d     # total weight ranked strictly higher
         live = d > 0
         b, d, above, before = b[live], d[live], above[live], before[live]
         # the first group has nothing before it: its precision is b / d
         tail = np.where(before > 0, (above * d - b * before) / d ** 2
                         * np.log1p(d / np.where(before > 0, before, 1.0)), 0.0)
         ap = float(b @ (b / d + tail)) / total_pos
-    else:
-        ap = float("nan")
 
     bin_idx = np.minimum((predictions * bins).astype(int), bins - 1)
-    wt = np.bincount(bin_idx, weights=mass, minlength=bins)
+    wt = np.bincount(bin_idx, weights=weight, minlength=bins)
     occupied = np.flatnonzero(wt > 0)
     wt = wt[occupied]
-    p_bar = np.bincount(bin_idx, weights=mass * predictions, minlength=bins)[occupied] / wt
-    y_bar = np.bincount(bin_idx, weights=pos_mass, minlength=bins)[occupied] / wt
+    p_bar = np.bincount(bin_idx, weights=weight * predictions, minlength=bins)[occupied] / wt
+    y_bar = np.bincount(bin_idx, weights=pos, minlength=bins)[occupied] / wt
+    wt = wt / total
+    base_rate = total_pos / total
     return MetricReport(
         brier=brier, logloss=logloss, auc=auc, ap=ap,
         ece=float(wt @ np.abs(p_bar - y_bar)),
-        murphy=(float(wt @ (p_bar - y_bar) ** 2), float(wt @ (y_bar - total_pos) ** 2),
-                total_pos * (1 - total_pos)),
+        murphy=(float(wt @ (p_bar - y_bar) ** 2), float(wt @ (y_bar - base_rate) ** 2),
+                base_rate * (1 - base_rate)),
         reliability_bins=tuple(zip(p_bar.tolist(), y_bar.tolist(), wt.tolist())),
         n=predictions.size)
+
+
+def _check_predictions(predictions: np.ndarray, bins: int) -> None:
+    if bins < 1:
+        raise ValueError("need bins >= 1")
+    # written so that NaN fails it too
+    if not np.all((predictions >= 0) & (predictions <= 1)):
+        raise ValueError("predictions must lie in [0,1]")
+
+
+def score_metrics(predictions, labels, bins: int = 10) -> MetricReport:
+    """Brier, floored log-loss, AUC, AP, ECE, and the Brier decomposition of
+    a sample of 0/1 labels.  AP ranks tied predictions in index order."""
+    predictions = np.asarray(predictions, dtype=float)
+    labels = np.asarray(labels, dtype=float)
+    if predictions.shape != labels.shape or predictions.size == 0:
+        raise ValueError("predictions and labels must be equal-length and nonempty")
+    _check_predictions(predictions, bins)
+    if not np.all((labels == 0) | (labels == 1)):
+        raise ValueError("labels must be 0 or 1")
+    return _weighted_report(predictions, labels, 1.0 - labels, bins, index_ties=True)
+
+
+def population_metrics(predictions, truth, mass, bins: int = 10) -> MetricReport:
+    """The population limit of ``score_metrics``: every score of a forecast
+    that is constant on cells of the unit square, against labels drawn
+    Bernoulli(truth) on a dyad whose latent pair falls in a cell with
+    probability ``mass``.  A cell has positive weight mass * truth and
+    negative weight mass * (1 - truth); AP is the limit of the index
+    tiebreak, where positives interleave at random within a tie group.
+    ``n`` is the number of cells.
+    """
+    predictions = np.asarray(predictions, dtype=float)
+    truth = np.asarray(truth, dtype=float)
+    mass = np.asarray(mass, dtype=float)
+    if not (predictions.shape == truth.shape == mass.shape) or predictions.size == 0:
+        raise ValueError("predictions, truth and mass must be equal-length and nonempty")
+    _check_predictions(predictions, bins)
+    # written so that NaN fails them too
+    if not np.all((truth >= 0) & (truth <= 1)):
+        raise ValueError("truth must lie in [0,1]")
+    if not (np.all(mass >= 0) and abs(mass.sum() - 1.0) <= 1e-9):
+        raise ValueError("cell masses must be nonnegative and sum to 1")
+    return _weighted_report(predictions, mass * truth, mass * (1.0 - truth), bins,
+                            index_ties=False)
 
 
 # ---------------------------------------------------------------------------
@@ -531,12 +483,6 @@ def paired_gaps(scores_a: dict, scores_b: dict,
 # baselines
 # ---------------------------------------------------------------------------
 
-def _logloss_vec(pred, labels, weights):
-    p = np.clip(pred, LOGLOSS_FLOOR, 1.0 - LOGLOSS_FLOOR)
-    return float(-np.sum(weights * (labels * np.log(p) + (1 - labels) * np.log1p(-p)))
-                 / weights.sum())
-
-
 def cv_best_agent(val_features: np.ndarray, val_labels: np.ndarray, weights=None) -> int:
     """Index (0-based over agents) of the validation-log-loss-best agent;
     ties break to the lowest index.  ``weights`` are row multiplicities
@@ -544,7 +490,8 @@ def cv_best_agent(val_features: np.ndarray, val_labels: np.ndarray, weights=None
     if val_labels.size == 0:
         raise ValueError("validation set must be nonempty")
     weights = np.ones(val_labels.size) if weights is None else np.asarray(weights, dtype=float)
-    losses = [_logloss_vec(np.clip(val_features[:, 1 + j], 0.0, 1.0), val_labels, weights)
+    pos = weights * val_labels
+    losses = [_logloss_sum(np.clip(val_features[:, 1 + j], 0.0, 1.0), pos, weights - pos)
               for j in range(val_features.shape[1] - 1)]
     return int(np.argmin(losses))
 

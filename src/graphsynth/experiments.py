@@ -347,20 +347,22 @@ def default_generator():
 
 
 def cell_design(w_star, parts):
-    """The cells of the common refinement of a truth and its parts, in
-    row-major order: (mass mu_a mu_b, truth W_ab, features (1, w_1ab, ...,
-    w_Jab)).  A latent pair lands in cell (a, b) with probability
-    mu_a mu_b, is an edge with probability W_ab and has the features
-    ``sample_dyads`` would give it, so the cells carry both the draw of
-    ``sample_cells`` and the exact scoring.  Every graphon needs a block
-    form (``graphons.as_block``), else ``GraphonError``."""
+    """The unordered cells a <= b of the common refinement of a truth and
+    its parts, in row-major order: (mass, truth W_ab, features (1, w_1ab,
+    ..., w_Jab)), with mass mu_a^2 on the diagonal and 2 mu_a mu_b off it.
+    A latent pair lands in cell {a, b} with that probability, is an edge
+    with probability W_ab and has the features ``sample_dyads`` would give
+    it, so the cells carry both the draw of ``sample_cells`` and the exact
+    scoring.  Every graphon needs a block form (``graphons.as_block``),
+    else ``GraphonError``."""
     try:
         mu, (truth, *agents) = gr.common_refinement(w_star, *parts)
     except gr.GraphonError as exc:
         raise gr.GraphonError(f"exact population scoring needs block forms: {exc}") from exc
-    mass = np.outer(mu, mu).ravel()
-    return mass, truth.ravel(), np.stack([np.ones(mass.size)]
-                                         + [a.ravel() for a in agents], axis=1)
+    a, b = np.triu_indices(mu.size)
+    mass = np.where(a == b, 1.0, 2.0) * mu[a] * mu[b]
+    return mass, truth[a, b], np.stack([np.ones(mass.size)]
+                                       + [w[a, b] for w in agents], axis=1)
 
 
 def sample_cells(design, m: int, seed) -> DyadData:
@@ -547,10 +549,8 @@ def _run_real(config: ExperimentConfig, seeds: dict) -> dict:
             cols = [np.ones(len(dyads))]
             cols.extend(agent_dyad_probs(a, dyads) for a in agents.values())
             feats[part] = np.stack(cols, axis=1)
-        train = DyadData(features=feats["train"], labels=split.train_labels,
-                         dyads=split.train_dyads)
-        val = DyadData(features=feats["val"], labels=split.val_labels,
-                       dyads=split.val_dyads)
+        train = DyadData(features=feats["train"], labels=split.train_labels)
+        val = DyadData(features=feats["val"], labels=split.val_labels)
         # the ER column is constant, hence collinear with the intercept;
         # keep it for BestAgent selection but not in the synthesis design
         names = list(agents)

@@ -28,17 +28,15 @@ class DyadData:
     row weights.
 
     ``features`` is (m, J+1) with a leading all-ones column; ``labels`` is
-    a vector in [0, 1]; ``dyads`` optionally records (i, j) ids with i < j.
-    ``weights`` are row multiplicities, positive integers, one per row when
-    absent: a row of weight w and label y stands for w dyads with those
-    features, w * y of them edges.  Every fitter minimizes the same
-    weighted objective, so it fits a count form and the rows it stands for
-    alike, up to rounding.
+    a vector in [0, 1].  ``weights`` are row multiplicities, positive
+    integers, one per row when absent: a row of weight w and label y stands
+    for w dyads with those features, w * y of them edges.  Every fitter
+    minimizes the same weighted objective, so it fits a count form and the
+    rows it stands for alike, up to rounding.
     """
 
     features: np.ndarray
     labels: np.ndarray
-    dyads: np.ndarray | None = None
     weights: np.ndarray | None = None
 
     def __post_init__(self):

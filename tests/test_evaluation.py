@@ -16,8 +16,7 @@ from scipy.optimize import minimize
 from scipy.special import expit, log_expit, logit
 
 import graphsynth
-from graphsynth import (Block, SplitError, audit_split, auc_score,
-                        average_precision, cv_best_agent, evaluation,
+from graphsynth import (Block, SplitError, audit_split, cv_best_agent, evaluation,
                         fit_logistic_stack, make_split, paired_gaps,
                         sample_graph, score_metrics)
 from graphsynth.evaluation import (STACK_RIDGE, _descending_ties, _sample_negatives,
@@ -119,14 +118,14 @@ def test_ranking_metrics_monotone_invariant():
     preds = rng.random(200)
     labels = (rng.random(200) < preds).astype(float)
     warped = expit(4.0 * preds - 2.0)  # strictly increasing into (0,1)
-    assert auc_score(warped, labels) == pytest.approx(auc_score(preds, labels), abs=1e-12)
-    assert average_precision(warped, labels) == pytest.approx(
-        average_precision(preds, labels), abs=1e-12)
+    warped_report, report = score_metrics(warped, labels), score_metrics(preds, labels)
+    assert warped_report.auc == pytest.approx(report.auc, abs=1e-12)
+    assert warped_report.ap == pytest.approx(report.ap, abs=1e-12)
 
 
 def test_metrics_degenerate_and_invalid_inputs():
-    assert np.isnan(auc_score(np.array([0.2, 0.4]), np.array([1.0, 1.0])))
-    assert np.isnan(average_precision(np.array([0.2]), np.array([0.0])))
+    assert np.isnan(score_metrics(np.array([0.2, 0.4]), np.array([1.0, 1.0])).auc)
+    assert np.isnan(score_metrics(np.array([0.2]), np.array([0.0])).ap)
     with pytest.raises(ValueError):
         score_metrics(np.array([0.5]), np.array([1.0, 0.0]))
     with pytest.raises(ValueError):
@@ -136,6 +135,14 @@ def test_metrics_degenerate_and_invalid_inputs():
             score_metrics(np.array([bad, 0.5, 0.2]), np.array([1.0, 0.0, 1.0]))
 
 
+@pytest.mark.parametrize("labels", [[1, 2, 0], [1, 0.5, 0], [1, np.nan, 0], [1, -1, 0]],
+                         ids=["two", "half", "nan", "minus_one"])
+def test_score_metrics_rejects_labels_other_than_0_and_1(labels):
+    # such labels used to score without error, e.g. AP = 4.0 for [1, 2, 0]
+    with pytest.raises(ValueError, match="labels must be 0 or 1"):
+        score_metrics(np.array([0.9, 0.5, 0.1]), np.array(labels, dtype=float))
+
+
 @settings(max_examples=300, deadline=None)
 @given(st.lists(st.tuples(st.sampled_from([0.0, 0.25, 0.5, 0.75, 1.0]), st.booleans()),
                 min_size=1, max_size=30))
@@ -143,21 +150,19 @@ def test_ranking_metrics_match_brute_force_on_ties(rows):
     preds = np.array([p for p, _ in rows])
     labels = np.array([float(y) for _, y in rows])
     pos, neg = preds[labels == 1], preds[labels == 0]
+    report = score_metrics(preds, labels)
     if pos.size and neg.size:
         # every (positive, negative) pair: 1 when ordered right, 1/2 on a tie
         wins = (pos[:, None] > neg[None, :]) + 0.5 * (pos[:, None] == neg[None, :])
-        assert auc_score(preds, labels) == wins.sum() / (pos.size * neg.size)
+        assert report.auc == wins.sum() / (pos.size * neg.size)
     else:
-        assert np.isnan(auc_score(preds, labels))
+        assert np.isnan(report.auc)
     if pos.size:
         sorted_labels = labels[np.lexsort((np.arange(preds.size), -preds))]
         precision = np.cumsum(sorted_labels) / np.arange(1, preds.size + 1)
-        assert average_precision(preds, labels) == np.sum(precision * sorted_labels) / pos.size
+        assert report.ap == np.sum(precision * sorted_labels) / pos.size
     else:
-        assert np.isnan(average_precision(preds, labels))
-    report = score_metrics(preds, labels)
-    np.testing.assert_equal((report.auc, report.ap),
-                            (auc_score(preds, labels), average_precision(preds, labels)))
+        assert np.isnan(report.ap)
 
 
 @settings(max_examples=300, deadline=None)

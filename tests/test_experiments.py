@@ -10,6 +10,7 @@ import pytest
 from graphsynth import (Block, Constant, ConfigError, DyadData, ExperimentConfig, Graphon,
                         GraphonError, SerializeError, StageFailure,
                         agent_dyad_probs, agent_from_dict, agent_to_dict,
+                        common_refinement,
                         config_hash, default_generator, edge_prob_matrix,
                         fit_agents_to_graph, giant_fraction, graphon_from_dict,
                         graphon_to_dict, grid_values, l2_distance, l2_inner,
@@ -350,7 +351,7 @@ def test_s1_run_deterministic_outputs(tmp_path):
     # population scores moved
     metrics = (tmp_path / "a" / "s1" / "s1_metrics.csv").read_bytes()
     assert hashlib.sha256(metrics).hexdigest() == (
-        "fe3860c76e54e5fb9bcfc040578d5e176b1c89b52f64048fff249a8a6ebcfb63")
+        "8113e32f6ea8fbfad3c6c32932066f03d64fa40938a88684d509821b4426d809")
 
 
 def test_s2_run_deterministic_outputs(tmp_path):
@@ -363,7 +364,7 @@ def test_s2_run_deterministic_outputs(tmp_path):
         assert a == b
     curve = (tmp_path / "a" / "s2" / "s2_curve.csv").read_bytes()
     assert hashlib.sha256(curve).hexdigest() == (
-        "d139c936d571f96897fe6246c6ed668155923196b1172a442fd1f0e58dd10f35")
+        "445d4e4904a7f9f3930ae380de31d51f438ad433bd2638325125a1c4dc274ab7")
 
 
 # ---------------------------------------------------------------------------
@@ -381,17 +382,49 @@ def test_cell_design_holds_the_sampled_values():
     for truth, k in ((default_generator(), 4), (_outside_span_truth(), 5)):
         w_star, parts = truth
         mass, cell_truth, features = experiments.cell_design(w_star, parts)
-        assert mass.size == k * k
+        assert mass.size == k * (k + 1) // 2
         assert mass.sum() == pytest.approx(1.0, abs=1e-15)
-        # a latent pair in cell (a, b) gets the truth and features stored there
+        # a latent pair in cell {a, b}, a <= b, gets the truth and features
+        # stored there, with probability mu_a^2 if a = b and 2 mu_a mu_b else
         bounds = np.unique(np.concatenate([w_star.block.boundaries]
                                           + [p.block.boundaries for p in parts]))
-        mid = 0.5 * (bounds[:-1] + bounds[1:])
-        x, y = np.repeat(mid, k), np.tile(mid, k)
-        np.testing.assert_array_equal(mass, np.outer(np.diff(bounds), np.diff(bounds)).ravel())
-        np.testing.assert_array_equal(cell_truth, w_star.evaluate(x, y))
+        mid, mu = 0.5 * (bounds[:-1] + bounds[1:]), np.diff(bounds)
+        a, b = zip(*[(a, b) for a in range(k) for b in range(a, k)])
+        a, b = np.array(a), np.array(b)
+        np.testing.assert_array_equal(mass, np.where(a == b, 1.0, 2.0) * mu[a] * mu[b])
+        np.testing.assert_array_equal(cell_truth, w_star.evaluate(mid[a], mid[b]))
         np.testing.assert_array_equal(
-            features, np.stack([np.ones(k * k)] + [p.evaluate(x, y) for p in parts], axis=1))
+            features, np.stack([np.ones(a.size)] + [p.evaluate(mid[a], mid[b]) for p in parts],
+                               axis=1))
+
+
+@pytest.mark.parametrize("truth", [default_generator(), _outside_span_truth()],
+                         ids=["default", "outside_span"])
+def test_unordered_cells_score_as_the_ordered_cells(truth):
+    """Population scores and the L2 risk of forecasts that are symmetric in
+    the cell agree within 1e-14 between ``cell_design``'s unordered cells
+    and the k * k ordered cells of the common refinement."""
+    w_star, parts = truth
+    mu, (cell_truth, *_) = common_refinement(w_star, *parts)
+    k = mu.size
+    ordered_mass, ordered_truth = np.outer(mu, mu).ravel(), cell_truth.ravel()
+    mass, merged_truth, _ = experiments.cell_design(w_star, parts)
+    upper = np.triu_indices(k)
+    rng = np.random.default_rng(1616)
+    for r in range(200):
+        forecast = np.zeros((k, k))
+        # a coarse grid half the time, so that cells tie across the table
+        forecast[upper] = rng.random(mass.size) if r % 2 else rng.integers(0, 5, mass.size) / 4
+        forecast = np.maximum(forecast, forecast.T)
+        merged = population_metrics(forecast[upper], merged_truth, mass)
+        full = population_metrics(forecast.ravel(), ordered_truth, ordered_mass)
+        for key in ("brier", "logloss", "auc", "ap", "ece"):
+            assert getattr(merged, key) == pytest.approx(getattr(full, key), rel=0, abs=1e-14)
+        np.testing.assert_allclose(merged.murphy, full.murphy, rtol=0, atol=1e-14)
+        np.testing.assert_allclose(merged.reliability_bins, full.reliability_bins,
+                                   rtol=0, atol=1e-14)
+        assert mass @ (forecast[upper] - merged_truth) ** 2 == pytest.approx(
+            ordered_mass @ (forecast.ravel() - ordered_truth) ** 2, rel=0, abs=1e-14)
 
 
 def test_cell_design_needs_block_forms():
@@ -445,8 +478,9 @@ def test_brier_minus_l2_risk_is_the_truth_variance():
 # ---------------------------------------------------------------------------
 
 def test_cell_counts_match_the_dyad_law():
-    """Per cell, the mean count over seeds is m mu_a mu_b and the mean
-    positives m mu_a mu_b W_ab, within 4 standard errors."""
+    """Per cell, the mean count over seeds is m times the cell's mass and
+    the mean positives m times its mass times W_ab, within 4 standard
+    errors."""
     mass, truth, _ = experiments.cell_design(*default_generator())
     k = mass.size
     # a feature column naming the cell maps each row back to it
@@ -595,7 +629,7 @@ def test_real_run_deterministic_outputs(tmp_path, capsys):
     # or the scores moved
     metrics = (tmp_path / "a" / "real" / "real_metrics.csv").read_bytes()
     assert hashlib.sha256(metrics).hexdigest() == (
-        "52e3c8a0e89b0746d6c5ea979155fe6eeeab5ec6680835e38c6f2396d98f5f91")
+        "2fc5dfc60bfa72047fef905c445538d8724c841fac4280b707d2da547ecc6bbd")
     # the report verb prints the run's gap document, up to the 12 digits the
     # metrics CSV keeps
     assert cli_main(["report", str(tmp_path / "a" / "real" / "real_metrics.csv"),
@@ -748,6 +782,46 @@ def test_cli_report_verb(tmp_path, capsys):
     assert (tmp_path / "paired_gaps.csv").exists()
     assert cli_main(["report", str(path), "--method", "Nope"]) == 2
     assert "[report]" in capsys.readouterr().err
+
+
+def _report_csv(tmp_path) -> Path:
+    rng = np.random.default_rng(15)
+    rows = [(method, split, score_metrics(rng.random(50), (rng.random(50) < 0.5) * 1.0))
+            for method in ("BestAgent", "BPS_LS") for split in ("eh/0", "eh/1")]
+    path = tmp_path / "metrics.csv"
+    write_metric_reports_csv(rows, str(path))
+    return path
+
+
+def test_cli_report_rejects_a_missing_column(tmp_path, capsys):
+    path = _report_csv(tmp_path)
+    lines = path.read_text().splitlines()
+    drop = lines[0].split(",").index("ap")
+    path.write_text("".join(",".join(c for k, c in enumerate(line.split(",")) if k != drop)
+                            + "\n" for line in lines))
+    assert cli_main(["report", str(path), "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("[report]") and "missing columns ['ap']" in err
+    assert not (tmp_path / "paired_gaps.csv").exists()
+
+
+def test_cli_report_rejects_a_repeated_row(tmp_path, capsys):
+    path = _report_csv(tmp_path)
+    lines = path.read_text().splitlines()
+    path.write_text("\n".join(lines + lines[-1:]) + "\n")
+    assert cli_main(["report", str(path), "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("[report]") and "repeated row for (BPS_LS, eh/1)" in err
+    assert not (tmp_path / "paired_gaps.csv").exists()
+
+
+def test_cli_report_rejects_a_short_row(tmp_path, capsys):
+    path = _report_csv(tmp_path)
+    lines = path.read_text().splitlines()
+    lines[2] = lines[2].rsplit(",", 1)[0]
+    path.write_text("\n".join(lines) + "\n")
+    assert cli_main(["report", str(path), "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err.startswith(f"[report] {path}:3: malformed row")
 
 
 def test_cli_run_verb_s4(tmp_path, capsys):
