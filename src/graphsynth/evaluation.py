@@ -294,31 +294,49 @@ class MetricReport:
 
 
 def _descending_ties(predictions: np.ndarray):
-    """One stable descending sort of ``predictions`` and its tie groups.
+    """One stable descending sort of each row of ``predictions`` and its
+    tie groups.
 
-    Returns ``order``, which keeps equal values in index order (so it equals
-    ``np.lexsort((np.arange(m), -predictions))``, NaNs last), and
-    ``starts``, the positions in ``order`` where a run of equal values
-    begins.
+    Returns ``order``, which keeps equal values of a row in index order (so
+    a row of it equals ``np.lexsort((np.arange(m), -row))``, NaNs last), and
+    ``starts``, the flat positions in the sorted rows, read row after row,
+    where a run of equal values begins; every row begins one.
     """
-    order = np.argsort(-predictions, kind="stable")
-    ranked = predictions[order]
-    new_run = np.empty(ranked.size, dtype=bool)
-    new_run[:1] = True
-    np.not_equal(ranked[1:], ranked[:-1], out=new_run[1:])
+    order = np.argsort(-predictions, axis=-1, kind="stable")
+    ranked = np.take_along_axis(predictions, order, axis=-1)
+    new_run = np.empty(ranked.shape, dtype=bool)
+    new_run[..., :1] = True
+    np.not_equal(ranked[..., 1:], ranked[..., :-1], out=new_run[..., 1:])
     return order, np.flatnonzero(new_run)
 
 
-def _logloss_sum(predictions, pos, neg) -> float:
+def _group_sums(starts: np.ndarray, *values: np.ndarray) -> list:
+    """For each (R, k) array of ``values``, its sums over the runs that
+    ``starts`` begins, each by ``np.add.reduceat`` in sorted order, left-
+    aligned in an (R, k) array whose rows end in zeros."""
+    rows, k = values[0].shape
+    row = starts // k
+    group = np.arange(starts.size) - np.searchsorted(starts, np.arange(rows) * k)[row]
+    sums = []
+    for v in values:
+        out = np.zeros((rows, k))
+        out[row, group] = np.add.reduceat(v.ravel(), starts)
+        sums.append(out)
+    return sums
+
+
+def _logloss_sum(predictions, pos, neg):
     """The floored log-loss summed over positive weights ``pos`` and negative
-    weights ``neg``."""
+    weights ``neg``, along the last axis."""
     clipped = np.clip(predictions, LOGLOSS_FLOOR, 1.0 - LOGLOSS_FLOOR)
-    return -float(pos @ np.log(clipped) + neg @ np.log1p(-clipped))
+    return -(np.vecdot(pos, np.log(clipped)) + np.vecdot(neg, np.log1p(-clipped)))
 
 
-def _weighted_report(predictions, pos, neg, bins: int, index_ties: bool) -> MetricReport:
+def _weighted_report(predictions, pos, neg, bins: int, index_ties: bool):
     """Every metric of a forecast whose entry k carries positive weight
-    ``pos[k]`` and negative weight ``neg[k]``, normalised by the total.
+    ``pos[k]`` and negative weight ``neg[k]``, normalised by the total: one
+    MetricReport for a vector of ``predictions``, a list of them for each
+    row of an (R, k) matrix, with ``pos`` and ``neg`` per row or shared.
 
     Brier is sum pos (1 - p)^2 + neg p^2, and the floored log-loss is summed
     the same way.  Entries of equal prediction form one tie group.  AUC
@@ -328,55 +346,75 @@ def _weighted_report(predictions, pos, neg, bins: int, index_ties: bool) -> Metr
     of a random order: a group of positive weight b and total d, after
     groups of positive weight A and total C, gives its positives the mean
     precision b / d + (A d - b C) / d^2 * ln((C + d) / C).  ECE, the Murphy
-    terms and the reliability bins share equal-width bins, weighted, and
-    skip empty bins.  Unit weights stay integers until the final divides,
-    so AUC on 0/1 rows is exact.
+    terms and the reliability bins share equal-width bins, weighted; the
+    bins list only occupied bins.  Unit weights stay integers until the
+    final divides, so AUC on 0/1 rows is exact.  The per-group and per-bin
+    sums fill rows of fixed length (k groups, ``bins`` bins) padded with
+    zeros, so a row of a batch goes through the arithmetic of that row
+    alone.
     """
+    p = np.ascontiguousarray(np.atleast_2d(predictions))
+    pos = np.ascontiguousarray(np.broadcast_to(pos, p.shape))
+    neg = np.ascontiguousarray(np.broadcast_to(neg, p.shape))
     weight = pos + neg
-    total = float(weight.sum())
-    total_pos = float(pos.sum())
+    total = weight.sum(axis=-1)
+    total_pos = pos.sum(axis=-1)
     total_neg = total - total_pos
-    brier = float(pos @ (1.0 - predictions) ** 2 + neg @ predictions ** 2) / total
-    logloss = _logloss_sum(predictions, pos, neg) / total
+    brier = (np.vecdot(pos, (1.0 - p) ** 2) + np.vecdot(neg, p ** 2)) / total
+    logloss = _logloss_sum(p, pos, neg) / total
 
-    order, starts = _descending_ties(predictions)
-    ranked = pos[order]
+    order, starts = _descending_ties(p)
+    ranked = np.take_along_axis(pos, order, axis=-1)
     # positive, negative and total weight per tie group
-    b = np.add.reduceat(ranked, starts)
-    b_neg = np.add.reduceat(neg[order], starts)
+    b, b_neg = _group_sums(starts, ranked, np.take_along_axis(neg, order, axis=-1))
     d = b + b_neg
-    above = np.cumsum(b) - b          # positive weight ranked strictly higher
-    auc = (float(b_neg @ (above + 0.5 * b)) / (total_pos * total_neg)
-           if total_pos > 0 and total_neg > 0 else float("nan"))
-    if total_pos == 0:
-        ap = float("nan")
-    elif index_ties:
-        precision = np.cumsum(ranked) / np.cumsum(weight[order])
-        ap = float(np.sum(precision * ranked) / total_pos)
-    else:
-        before = np.cumsum(d) - d     # total weight ranked strictly higher
-        live = d > 0
-        b, d, above, before = b[live], d[live], above[live], before[live]
-        # the first group has nothing before it: its precision is b / d
-        tail = np.where(before > 0, (above * d - b * before) / d ** 2
-                        * np.log1p(d / np.where(before > 0, before, 1.0)), 0.0)
-        ap = float(b @ (b / d + tail)) / total_pos
+    above = np.cumsum(b, axis=-1) - b          # positive weight ranked strictly higher
+    with np.errstate(invalid="ignore", divide="ignore"):
+        auc = np.where((total_pos > 0) & (total_neg > 0),
+                       np.vecdot(b_neg, above + 0.5 * b) / (total_pos * total_neg), np.nan)
+        if index_ties:
+            precision = (np.cumsum(ranked, axis=-1)
+                         / np.cumsum(np.take_along_axis(weight, order, axis=-1), axis=-1))
+            ap = np.sum(precision * ranked, axis=-1) / total_pos
+        else:
+            before = np.cumsum(d, axis=-1) - d     # total weight ranked strictly higher
+            live = d > 0
+            d_live = np.where(live, d, 1.0)
+            # the first group has nothing before it: its precision is b / d
+            tail = np.where(before > 0, (above * d_live - b * before) / d_live ** 2
+                            * np.log1p(d_live / np.where(before > 0, before, 1.0)), 0.0)
+            ap = np.vecdot(b, np.where(live, b / d_live + tail, 0.0)) / total_pos
+    ap = np.where(total_pos > 0, ap, np.nan)
 
-    bin_idx = np.minimum((predictions * bins).astype(int), bins - 1)
-    wt = np.bincount(bin_idx, weights=weight, minlength=bins)
-    occupied = np.flatnonzero(wt > 0)
-    wt = wt[occupied]
-    p_bar = np.bincount(bin_idx, weights=weight * predictions, minlength=bins)[occupied] / wt
-    y_bar = np.bincount(bin_idx, weights=pos, minlength=bins)[occupied] / wt
-    wt = wt / total
+    rows, k = p.shape
+    bin_idx = np.minimum((p * bins).astype(int), bins - 1)
+    flat = (bin_idx + bins * np.arange(rows)[:, None]).ravel()
+
+    def per_bin(values):
+        return np.bincount(flat, weights=values.ravel(), minlength=rows * bins).reshape(rows, bins)
+
+    wt = per_bin(weight)
+    occupied = wt > 0
+    wt_safe = np.where(occupied, wt, 1.0)
+    p_bar = np.where(occupied, per_bin(weight * p) / wt_safe, 0.0)
+    y_bar = np.where(occupied, per_bin(pos) / wt_safe, 0.0)
+    wt = wt / total[:, None]
     base_rate = total_pos / total
-    return MetricReport(
-        brier=brier, logloss=logloss, auc=auc, ap=ap,
-        ece=float(wt @ np.abs(p_bar - y_bar)),
-        murphy=(float(wt @ (p_bar - y_bar) ** 2), float(wt @ (y_bar - base_rate) ** 2),
-                base_rate * (1 - base_rate)),
-        reliability_bins=tuple(zip(p_bar.tolist(), y_bar.tolist(), wt.tolist())),
-        n=predictions.size)
+    ece = np.vecdot(wt, np.abs(p_bar - y_bar))
+    reliability = np.vecdot(wt, (p_bar - y_bar) ** 2)
+    resolution = np.vecdot(wt, (y_bar - base_rate[:, None]) ** 2)
+    reports = [
+        MetricReport(
+            brier=row[0], logloss=row[1], auc=row[2], ap=row[3], ece=row[4],
+            murphy=(row[5], row[6], row[7] * (1 - row[7])),
+            reliability_bins=tuple(tuple(bin_row) for bin_row, live in zip(bins_r, occ_r)
+                                   if live),
+            n=k)
+        for row, bins_r, occ_r in zip(
+            np.column_stack([brier, logloss, auc, ap, ece, reliability, resolution,
+                             base_rate]).tolist(),
+            np.stack([p_bar, y_bar, wt], axis=-1).tolist(), occupied.tolist())]
+    return reports if np.ndim(predictions) == 2 else reports[0]
 
 
 def _check_predictions(predictions: np.ndarray, bins: int) -> None:
@@ -400,19 +438,22 @@ def score_metrics(predictions, labels, bins: int = 10) -> MetricReport:
     return _weighted_report(predictions, labels, 1.0 - labels, bins, index_ties=True)
 
 
-def population_metrics(predictions, truth, mass, bins: int = 10) -> MetricReport:
+def population_metrics(predictions, truth, mass, bins: int = 10):
     """The population limit of ``score_metrics``: every score of a forecast
     that is constant on cells of the unit square, against labels drawn
     Bernoulli(truth) on a dyad whose latent pair falls in a cell with
     probability ``mass``.  A cell has positive weight mass * truth and
     negative weight mass * (1 - truth); AP is the limit of the index
     tiebreak, where positives interleave at random within a tie group.
-    ``n`` is the number of cells.
+    ``n`` is the number of cells.  ``predictions`` is one forecast (k,),
+    scored as a MetricReport, or R forecasts (R, k) on the same cells,
+    scored as a list of R reports, each equal to its row's score alone.
     """
     predictions = np.asarray(predictions, dtype=float)
     truth = np.asarray(truth, dtype=float)
     mass = np.asarray(mass, dtype=float)
-    if not (predictions.shape == truth.shape == mass.shape) or predictions.size == 0:
+    if (predictions.ndim not in (1, 2) or not (predictions.shape[-1:] == truth.shape
+                                                == mass.shape) or predictions.size == 0):
         raise ValueError("predictions, truth and mass must be equal-length and nonempty")
     _check_predictions(predictions, bins)
     # written so that NaN fails them too
@@ -483,25 +524,39 @@ def paired_gaps(scores_a: dict, scores_b: dict,
 # baselines
 # ---------------------------------------------------------------------------
 
-def cv_best_agent(val_features: np.ndarray, val_labels: np.ndarray, weights=None) -> int:
+def cv_best_agent(val_features: np.ndarray, val_labels: np.ndarray, weights=None):
     """Index (0-based over agents) of the validation-log-loss-best agent;
     ties break to the lowest index.  ``weights`` are row multiplicities
-    (``DyadData.weights``), one per row when absent."""
-    if val_labels.size == 0:
+    (``DyadData.weights``), one per row when absent.  Labels and weights of
+    shape (R, m) on the shared rows give one index per sample, an (R,)
+    array."""
+    val_labels = np.asarray(val_labels, dtype=float)
+    if val_labels.shape[-1] == 0:
         raise ValueError("validation set must be nonempty")
-    weights = np.ones(val_labels.size) if weights is None else np.asarray(weights, dtype=float)
+    weights = (np.ones(val_labels.shape) if weights is None
+               else np.asarray(weights, dtype=float))
     pos = weights * val_labels
-    losses = [_logloss_sum(np.clip(val_features[:, 1 + j], 0.0, 1.0), pos, weights - pos)
-              for j in range(val_features.shape[1] - 1)]
-    return int(np.argmin(losses))
+    # one contiguous row per agent, as a column of its own would be
+    agents = np.ascontiguousarray(np.asarray(val_features)[:, 1:].T)
+    np.clip(agents, 0.0, 1.0, out=agents)
+    losses = _logloss_sum(agents, pos[..., None, :], (weights - pos)[..., None, :])
+    best = np.argmin(losses, axis=-1)
+    return int(best) if best.ndim == 0 else best
 
 
 def _stack_objective(beta, features, labels, weights, total):
     """Weighted mean log-loss of the stack plus
-    ``STACK_RIDGE / 2 * |beta[1:]|^2``."""
-    z = features @ beta
-    loss = -np.sum(weights * (labels * log_expit(z) + (1.0 - labels) * log_expit(-z))) / total
-    return loss + 0.5 * STACK_RIDGE * float(beta[1:] @ beta[1:])
+    ``STACK_RIDGE / 2 * |beta[1:]|^2``, per row of the (R, d) ``beta``."""
+    z = (features @ beta[..., None])[..., 0]
+    loss = -np.sum(weights * (labels * log_expit(z) + (1.0 - labels) * log_expit(-z)),
+                   axis=-1) / total
+    return loss + 0.5 * STACK_RIDGE * np.vecdot(beta[:, 1:], beta[:, 1:])
+
+
+def _rows(mask: np.ndarray):
+    """Index of the rows where ``mask`` holds: a full slice when all do, so
+    that a batch of one is never copied."""
+    return slice(None) if mask.all() else np.flatnonzero(mask)
 
 
 def fit_logistic_stack(features: np.ndarray, labels: np.ndarray, weights=None) -> np.ndarray:
@@ -519,42 +574,75 @@ def fit_logistic_stack(features: np.ndarray, labels: np.ndarray, weights=None) -
     positive fraction of each row, so the mean runs over the dyads the rows
     stand for.  Degenerate one-class labels (no positives, or all) yield an
     intercept-only model (with a warning) since the MLE diverges.
+
+    Labels and weights of shape (R, m) on the shared (m, d) ``features``
+    fit R stacks at once and return (R, d) coefficients: every sample
+    takes its own Newton and Armijo steps, stops at its own convergence
+    and equals its fit alone; the iteration ends when every sample has
+    stopped.
     """
     features = np.asarray(features, dtype=float)
     labels = np.asarray(labels, dtype=float)
-    weights = np.ones(labels.size) if weights is None else np.asarray(weights, dtype=float)
+    weights = np.ones(labels.shape) if weights is None else np.asarray(weights, dtype=float)
+    y, w = np.atleast_2d(labels), np.atleast_2d(weights)
+
+    def which(mask):
+        return f" in {int(mask.sum())} of {mask.size} samples" if labels.ndim == 2 else ""
+
     d = features.shape[1]
-    total = weights.sum()
-    positives = float(np.sum(weights * labels))
-    if positives == 0.0 or positives == total:
-        warnings.warn("one-class training labels: returning intercept-only stack")
-        rate = np.clip(positives / total, 1e-6, 1 - 1e-6)
-        beta = np.zeros(d)
-        beta[0] = float(logit(rate))
-        return beta
+    total = w.sum(axis=-1)
+    positives = np.sum(w * y, axis=-1)
+    beta = np.zeros((y.shape[0], d))
+    one_class = (positives == 0.0) | (positives == total)
+    if one_class.any():
+        warnings.warn(f"one-class training labels{which(one_class)}: "
+                      "returning intercept-only stack")
+        rate = np.clip(positives[one_class] / total[one_class], 1e-6, 1 - 1e-6)
+        beta[one_class, 0] = logit(rate)
 
     penalty = np.full(d, STACK_RIDGE)
     penalty[0] = 0.0
-    beta = np.zeros(d)
-    loss = _stack_objective(beta, features, labels, weights, total)
+    active = ~one_class
+    loss = np.zeros(y.shape[0])
+    rows = _rows(active)
+    loss[rows] = _stack_objective(beta[rows], features, y[rows], w[rows], total[rows])
     for _ in range(STACK_MAX_STEPS):
-        p = expit(features @ beta)
-        grad = features.T @ (weights * (p - labels)) / total + penalty * beta
-        if np.linalg.norm(grad) <= STACK_GRAD_TOL:
-            return beta
-        hess = (features.T * (weights * p * (1.0 - p))) @ features / total + np.diag(penalty)
-        step = np.linalg.solve(hess, grad)
-        decrease = float(grad @ step)
+        if not active.any():
+            break
+        rows = _rows(active)
+        b, yr, wr, tr = beta[rows], y[rows], w[rows], total[rows]
+        p = expit((features @ b[..., None])[..., 0])
+        grad = (features.T @ (wr * (p - yr))[..., None])[..., 0] / tr[:, None] + penalty * b
+        going = ~(np.sqrt(np.vecdot(grad, grad)) <= STACK_GRAD_TOL)
+        if not going.all():
+            active[np.flatnonzero(active)[~going]] = False
+            if not going.any():
+                break
+            keep = np.flatnonzero(going)
+            rows = np.flatnonzero(active)
+            b, yr, wr, tr, p, grad = b[keep], yr[keep], wr[keep], tr[keep], p[keep], grad[keep]
+        hess = ((features.T * (wr * p * (1.0 - p))[:, None, :]) @ features / tr[:, None, None]
+                + np.diag(penalty))
+        step = np.linalg.solve(hess, grad[..., None])[..., 0]
+        decrease = np.vecdot(grad, step)
+        lr = loss[rows]
         # the loss is only known to rounding, so the sufficient-decrease test
         # allows that much slack; otherwise it would stall next to the optimum
-        slack = 8.0 * np.finfo(float).eps * max(1.0, abs(loss))
-        t = 1.0
-        while True:
-            cand = beta - t * step
-            cand_loss = _stack_objective(cand, features, labels, weights, total)
-            if cand_loss <= loss - STACK_ARMIJO * t * decrease + slack or t < 1e-12:
-                break
-            t *= 0.5
-        beta, loss = cand, cand_loss
-    warnings.warn("logistic stack did not converge", RuntimeWarning)
-    return beta
+        slack = 8.0 * np.finfo(float).eps * np.maximum(1.0, np.abs(lr))
+        t = np.ones(lr.size)
+        cand, cand_loss = np.empty_like(b), np.empty_like(lr)
+        searching = np.ones(lr.size, dtype=bool)
+        while searching.any():
+            s = _rows(searching)
+            cand[s] = b[s] - t[s, None] * step[s]
+            cand_loss[s] = _stack_objective(cand[s], features, yr[s], wr[s], tr[s])
+            accept = ((cand_loss[s] <= lr[s] - STACK_ARMIJO * t[s] * decrease[s] + slack[s])
+                      | (t[s] < 1e-12))
+            idx = np.flatnonzero(searching)
+            searching[idx[accept]] = False
+            t[idx[~accept]] *= 0.5
+        beta[rows], loss[rows] = cand, cand_loss
+    else:
+        if active.any():
+            warnings.warn(f"logistic stack did not converge{which(active)}", RuntimeWarning)
+    return beta if labels.ndim == 2 else beta[0]

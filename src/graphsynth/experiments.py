@@ -35,8 +35,8 @@ from .evaluation import (MetricReport, audit_split, cv_best_agent,  # noqa: F401
 from .netstats import fit_tail_exponent, mixture_degree_pmf, power_law_pmf
 # s1/s2 draw cell counts (sample_cells), not dyads; sample_dyads stays
 # importable here because perfbench/tracing.py resolves it at this site
-from .sampling import (GraphSample, graph_from_edge_array, make_rng,  # noqa: F401
-                       phase_sweep, sample_dyads, unique_keys)
+from .sampling import (GraphSample, child_seeds, graph_from_edge_array,  # noqa: F401
+                       make_rng, phase_sweep, sample_dyads, unique_keys)
 from .serialize import (write_csv, write_gap_report_csv, write_json,
                         write_metric_reports_csv, write_phase_curve_csv)
 from .synthesis import DyadData, fit_ls, fit_ridge, fit_simplex, predict_clipped
@@ -56,11 +56,14 @@ class ConfigError(ValueError):
 
 
 class StageFailure(RuntimeError):
-    """Experiment sub-stage failure, tagged with the stage name."""
+    """Experiment sub-stage failure, tagged with the stage name and, when
+    one seeded unit failed, that unit's key."""
 
-    def __init__(self, stage: str, message: str):
-        super().__init__(f"[{stage}] {message}")
+    def __init__(self, stage: str, message: str, unit: tuple | None = None):
+        where = stage if unit is None else f"{stage} unit {list(unit)}"
+        super().__init__(f"[{where}] {message}")
         self.stage = stage
+        self.unit = unit
 
 
 @dataclass(frozen=True)
@@ -365,22 +368,33 @@ def cell_design(w_star, parts):
                                        + [w[a, b] for w in agents], axis=1)
 
 
-def sample_cells(design, m: int, seed) -> DyadData:
+def sample_cells(design, m, seed) -> DyadData:
     """The sufficient statistics of m i.i.d. dyads on ``design`` =
     ``cell_design(...)``: counts ~ Multinomial(m, mass) over the cells and
-    positives ~ Binomial(counts, truth), as one row per occupied cell (in
-    cell order) weighted by its count and labelled with its positive
-    fraction.  This is the law of the ``sample_dyads`` rows grouped by cell,
-    drawn in O(cells) instead of O(m)."""
-    if m < 1:
+    positives ~ Binomial(counts, truth), as one row per cell (in cell order)
+    weighted by its count and labelled with its positive fraction (0 in an
+    empty cell, whose weight is 0).  This is the law of the ``sample_dyads``
+    rows grouped by cell, drawn in O(cells) instead of O(m).
+
+    One seed gives 1-D labels and weights over the cells.  A list of R
+    seeds, with ``m`` one count or one per seed, gives an (R, cells) batch
+    whose row r is what seed r alone gives."""
+    batched = isinstance(seed, list)
+    seeds = seed if batched else [seed]
+    m = np.broadcast_to(m, len(seeds))
+    if np.any(m < 1):
         raise ValueError("need m >= 1 dyads")
     mass, truth, features = design
-    rng = make_rng(seed)
-    counts = rng.multinomial(m, mass)
-    positives = rng.binomial(counts, truth)
-    seen = counts > 0
-    return DyadData(features=features[seen], labels=positives[seen] / counts[seen],
-                    weights=counts[seen])
+    counts = np.empty((len(seeds), mass.size), dtype=np.int64)
+    positives = np.empty_like(counts)
+    for r, (s, m_r) in enumerate(zip(seeds, m)):
+        rng = make_rng(s)
+        counts[r] = rng.multinomial(m_r, mass)
+        positives[r] = rng.binomial(counts[r], truth)
+    labels = np.divide(positives, counts, out=np.zeros(counts.shape), where=counts > 0)
+    if not batched:
+        labels, counts = labels[0], counts[0]
+    return DyadData(features=features, labels=labels, weights=counts)
 
 
 AGENT_NAMES_SYNTH = ("Block", "LowRank", "Product")
@@ -389,10 +403,11 @@ METHODS = ("BPS_LS", "BPS_Ridge", "BPS_Simplex", "BestAgent", "Stack_Logistic")
 
 def _method_predictions(train: DyadData, val: DyadData, test_features: np.ndarray,
                         ridge_reg: float, synth_cols=None) -> dict:
-    """Fit every method on train (+val for selection) and predict the test
-    features (test dyads, or cells).  Returns name -> probability vector.
-    Every fit honours the row weights, so cell counts fit as the dyads they
-    stand for.
+    """Fit every method on train (+val for selection) and predict the (k,
+    J+1) test features (test dyads, or cells).  Returns name -> probability
+    vector (k,), or (R, k) when train and val are batches of R samples:
+    one call per method fits the whole batch.  Every fit honours the row
+    weights, so cell counts fit as the dyads they stand for.
 
     ``synth_cols`` optionally restricts the columns used by the synthesis
     and stacking fits (column 0 must stay); BestAgent always selects over
@@ -410,9 +425,9 @@ def _method_predictions(train: DyadData, val: DyadData, test_features: np.ndarra
     preds["BPS_Ridge"] = predict_clipped(fit_ridge(synth_train, ridge_reg), synth_test)
     preds["BPS_Simplex"] = predict_clipped(fit_simplex(synth_train), synth_test)
     best = cv_best_agent(val.features, val.labels, val.weights)
-    preds["BestAgent"] = np.clip(test_features[:, 1 + best], 0.0, 1.0)
+    preds["BestAgent"] = np.clip(test_features.T[1 + best], 0.0, 1.0)
     stack = fit_logistic_stack(synth_train.features, synth_train.labels, synth_train.weights)
-    preds["Stack_Logistic"] = expit(synth_test @ stack)
+    preds["Stack_Logistic"] = expit((synth_test @ stack[..., None])[..., 0])
     return preds
 
 
@@ -435,21 +450,34 @@ def _method_stats(per_method: dict, metrics) -> dict:
             for m, scored in per_method.items()}
 
 
-def _synthetic_replicate(design, seed, m_train: int, m_val: int, ridge_reg: float) -> dict:
-    """One S1/S2 replicate on ``design`` = cell_design(w_star, parts): train
-    and validation cell counts drawn by ``sample_cells`` from the seed's
-    first two children, every method fitted on them (one weighted row per
-    occupied cell), and each scored exactly on the cells.
-    Returns method -> (MetricReport, L2 risk), where the risk is
-    sum mass * (p - W)^2, the squared L2 distance to the truth."""
+def _synthetic_replicates(design, seeds: list, m_train, m_val: int,
+                          ridge_reg: float) -> dict:
+    """S1/S2 replicates on ``design`` = cell_design(w_star, parts), in one
+    batched pass.  Replicate r draws its train and validation cell counts by
+    ``sample_cells`` from the first two children of ``seeds[r]``, with
+    ``m_train`` one count or one per replicate; every method is fitted on
+    all replicates by one call, and each is scored exactly on the cells.
+    Returns method -> one (MetricReport, L2 risk) per replicate, where the
+    risk is sum mass * (p - W)^2, the squared L2 distance to the truth."""
     mass, cell_truth, features = design
-    s_train, s_val = seed.spawn(2)
-    train = sample_cells(design, m_train, s_train)
-    val = sample_cells(design, m_val, s_val)
+    children = [child_seeds(seed, 2) for seed in seeds]
+    train = sample_cells(design, m_train, [c[0] for c in children])
+    val = sample_cells(design, m_val, [c[1] for c in children])
     preds = _method_predictions(train, val, features, ridge_reg)
-    return {method: (population_metrics(p, cell_truth, mass),
-                     float(mass @ (p - cell_truth) ** 2))
+    return {method: list(zip(population_metrics(p, cell_truth, mass),
+                             np.vecdot((p - cell_truth) ** 2, mass).tolist()))
             for method, p in preds.items()}
+
+
+def _score_units(config: ExperimentConfig, design, seeds: dict, m_train, m_val: int) -> dict:
+    """``_synthetic_replicates`` over the run's units; a fit that fails
+    names the verb and the first unit it failed on."""
+    try:
+        return _synthetic_replicates(design, list(seeds.values()), m_train, m_val,
+                                     config.ridge_reg)
+    except ValueError as exc:
+        unit = list(seeds)[exc.replicate] if hasattr(exc, "replicate") else None
+        raise StageFailure(config.experiment, str(exc), unit) from exc
 
 
 # Each runner takes the config and its unit -> seed map, and returns
@@ -457,14 +485,10 @@ def _synthetic_replicate(design, seed, m_train: int, m_val: int, ridge_reg: floa
 
 def _run_s1(config: ExperimentConfig, seeds: dict) -> dict:
     w_star, parts = default_generator()
-    design = cell_design(w_star, parts)
-    rows = []
-    per_method = {m: [] for m in METHODS}
-    for (r,), seed in seeds.items():
-        for method, scored in _synthetic_replicate(design, seed, config.m_train,
-                                                   config.m_val, config.ridge_reg).items():
-            rows.append((method, f"rep{r}", scored[0]))
-            per_method[method].append(scored)
+    per_method = _score_units(config, cell_design(w_star, parts), seeds, config.m_train,
+                              config.m_val)
+    rows = [(method, f"rep{r}", per_method[method][i][0])
+            for i, (r,) in enumerate(seeds) for method in METHODS]
     summary = _method_stats(per_method, ("brier", "logloss", "auc", "ap"))
     pairs = [(a, b) for (a, _), (b, _) in zip(per_method["BPS_LS"], per_method["BestAgent"])]
     summary["wins"] = {
@@ -485,13 +509,14 @@ S2_CSV_HEADER = ["n", "m_train", "method", "mean_brier", "se_brier",
 
 def _run_s2(config: ExperimentConfig, seeds: dict) -> dict:
     w_star, parts = default_generator()
-    design = cell_design(w_star, parts)
-    m_val = max(config.m_val, len(parts) + 2)
+    # every n's replicates fit in one batch, each with its own m_train
+    scored = _score_units(config, cell_design(w_star, parts), seeds,
+                          [config.dyads_per_n * int(n) for n, _ in seeds],
+                          max(config.m_val, len(parts) + 2))
     per_n = {n: {m: [] for m in METHODS} for n in config.n_grid}
-    for (n, r), seed in seeds.items():
-        for method, scored in _synthetic_replicate(design, seed, config.dyads_per_n * int(n),
-                                                   m_val, config.ridge_reg).items():
-            per_n[n][method].append(scored)
+    for i, (n, _) in enumerate(seeds):
+        for method in METHODS:
+            per_n[n][method].append(scored[method][i])
     rows = []
     # m * E||W_LS - W*||^2 per n, flat in m at the parametric rate
     summary = {"per_n": {}, "bps_ls_m_times_l2_risk": {}}
@@ -542,7 +567,7 @@ def _run_real(config: ExperimentConfig, seeds: dict) -> dict:
         train_graph = graph_from_edge_array(
             graph.n, split.train_dyads[split.train_labels == 1])
         # a child of the split's seed, so make_split's own stream is unchanged
-        agents = fit_agents_to_graph(train_graph, config, seed=seed.spawn(1)[0])
+        agents = fit_agents_to_graph(train_graph, config, seed=child_seeds(seed, 1)[0])
         feats = {}
         for part, dyads in (("train", split.train_dyads), ("val", split.val_dyads),
                             ("test", split.test_dyads)):
@@ -555,8 +580,11 @@ def _run_real(config: ExperimentConfig, seeds: dict) -> dict:
         # keep it for BestAgent selection but not in the synthesis design
         names = list(agents)
         synth_cols = [0] + [1 + k for k, name in enumerate(names) if name != "ER"]
-        preds = _method_predictions(train, val, feats["test"], config.ridge_reg,
-                                    synth_cols=synth_cols)
+        try:
+            preds = _method_predictions(train, val, feats["test"], config.ridge_reg,
+                                        synth_cols=synth_cols)
+        except ValueError as exc:
+            raise StageFailure(config.experiment, str(exc), (regime, s)) from exc
         key = f"{regime}/{s}"
         for method, p in preds.items():
             rep = score_metrics(p, split.test_labels)

@@ -25,6 +25,15 @@ def make_rng(seed) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(seed))
 
 
+def child_seeds(seed: np.random.SeedSequence, k: int) -> list:
+    """The first ``k`` children of ``seed``: what ``seed.spawn(k)`` returns on
+    a fresh copy of it.  ``spawn`` itself advances the object's child
+    counter, so a second call on one object would give other children; this
+    is a pure function of (entropy, spawn_key, pool_size)."""
+    return [np.random.SeedSequence(seed.entropy, spawn_key=seed.spawn_key + (i,),
+                                   pool_size=seed.pool_size) for i in range(k)]
+
+
 def unique_keys(a) -> np.ndarray:
     """The sorted distinct values of an integer array; equals ``np.unique(a)``.
 

@@ -25,14 +25,18 @@ class SingularDesign(ValueError):
 @dataclass
 class DyadData:
     """Dyad samples for synthesis: features (1, p_1, ..., p_J), labels and
-    row weights.
+    row weights, for one sample or a batch of samples on shared rows.
 
-    ``features`` is (m, J+1) with a leading all-ones column; ``labels`` is
-    a vector in [0, 1].  ``weights`` are row multiplicities, positive
-    integers, one per row when absent: a row of weight w and label y stands
-    for w dyads with those features, w * y of them edges.  Every fitter
-    minimizes the same weighted objective, so it fits a count form and the
-    rows it stands for alike, up to rounding.
+    ``features`` is (m, J+1) with a leading all-ones column.  ``labels`` is
+    (m,) for one sample or (R, m) for a batch of R samples, in [0, 1];
+    ``weights`` has the labels' shape and holds row multiplicities,
+    nonnegative integers with a positive total per sample, one per row when
+    absent.  A row of weight w and label y stands for w dyads with those
+    features, w * y of them edges, and a row of weight 0 for none.  Every
+    fitter minimizes the same weighted objective, so it fits a count form
+    and the rows it stands for alike, up to rounding.  Every fitter takes a
+    batch in one call and returns one result per sample, each equal to the
+    fit of that sample alone; 1-D data is a batch of one.
     """
 
     features: np.ndarray
@@ -42,114 +46,158 @@ class DyadData:
     def __post_init__(self):
         self.features = np.asarray(self.features, dtype=float)
         self.labels = np.asarray(self.labels, dtype=float)
-        if self.features.ndim != 2 or self.features.shape[0] != self.labels.size:
+        if (self.features.ndim != 2 or self.labels.ndim not in (1, 2)
+                or self.labels.shape[-1] != self.features.shape[0]):
             raise ValueError("features must be (m, J+1) matching the labels")
         if not np.all(self.features[:, 0] == 1.0):
             raise ValueError("leading feature must be exactly 1")
         if self.weights is None:
-            self.weights = np.ones(self.labels.size)
+            self.weights = np.ones(self.labels.shape)
         self.weights = np.asarray(self.weights, dtype=float)
         if self.weights.shape != self.labels.shape:
             raise ValueError("weights must give one multiplicity per row")
-        if not np.all((self.weights >= 1.0) & (self.weights == np.floor(self.weights))):
-            raise ValueError("weights must be positive integers")
+        if not np.all((self.weights >= 0.0) & (self.weights == np.floor(self.weights))):
+            raise ValueError("weights must be nonnegative integers")
+        if not np.all(self.weights.sum(axis=-1) >= 1.0):
+            raise ValueError("every sample needs a positive total weight")
 
     @property
-    def m(self) -> int:
-        """Number of dyads: the total weight."""
-        return int(self.weights.sum())
+    def m(self):
+        """Number of dyads, the total weight: an int, or one per sample of a
+        batch."""
+        m = self.weights.sum(axis=-1).astype(np.int64)
+        return int(m) if m.ndim == 0 else m
 
     @property
     def n_agents(self) -> int:
         return self.features.shape[1] - 1
 
+    def batch(self):
+        """(labels, weights) as (R, m) arrays; a view for 1-D data."""
+        return np.atleast_2d(self.labels), np.atleast_2d(self.weights)
+
 
 @dataclass(frozen=True)
 class WeightVector:
-    """Fitted synthesis coefficients with fit metadata."""
+    """Fitted synthesis coefficients with fit metadata: ``beta`` is (J+1,)
+    with scalar diagnostics for one sample, (R, J+1) with (R,) diagnostics
+    for a batch."""
 
     beta: np.ndarray = field(repr=False)
     method: str = "LS"
     lambda_reg: float = 0.0
-    condition_number: float = float("nan")
-    m_train: int = 0
-    kkt_residual: float = 0.0
+    condition_number: float | np.ndarray = float("nan")
+    m_train: int | np.ndarray = 0
+    kkt_residual: float | np.ndarray = 0.0
 
     def __post_init__(self):
         object.__setattr__(self, "beta", np.asarray(self.beta, dtype=float))
         if not np.all(np.isfinite(self.beta)):
             raise ValueError("weight vector has non-finite entries")
 
-    @property
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.beta))
+
+def _raise_first(*checks) -> None:
+    """Raise for the first sample of a batch that fails one of ``checks``,
+    (bad, error, message) triples in the order a single sample meets them:
+    ``error(message(r))`` of sample r's first failed check, with r as the
+    error's ``replicate``, so that a caller can name the unit that failed."""
+    failed = np.any([bad for bad, _, _ in checks], axis=0)
+    if failed.any():
+        r = int(np.argmax(failed))
+        _, error, message = next(check for check in checks if check[0][r])
+        exc = error(message(r))
+        exc.replicate = r
+        raise exc
+
+
+def _weight_vector(data: DyadData, beta: np.ndarray, method: str, lambda_reg: float = 0.0,
+                   **diagnostics) -> WeightVector:
+    """The WeightVector of (R, J+1) fitted ``beta`` and (R,) diagnostics;
+    1-D data gets its sample's vector and scalars."""
+    _raise_first((~np.all(np.isfinite(beta), axis=-1), ValueError,
+                  lambda r: "weight vector has non-finite entries"))
+    if data.labels.ndim == 1:
+        beta = beta[0]
+        diagnostics = {k: v[0].item() for k, v in diagnostics.items()}
+    return WeightVector(beta=beta, method=method, lambda_reg=lambda_reg, **diagnostics)
 
 
 def _weighted_gram(x: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """sum_k w_k x_k x_k' as xs' xs with xs = sqrt(w) x.  numpy computes a
-    product of an array with its own transpose by a symmetric BLAS kernel,
-    so for unit weights this is ``x.T @ x`` bit for bit; ``x.T @ (x * w)``
-    goes through the general product and differs in the last bits.  Unit
-    weights skip the scaled copy, which on ``real``'s uniform-dyad designs
-    (about 120k rows) would be the run's largest allocation."""
-    xs = x if np.all(weights == 1.0) else x * np.sqrt(weights)[:, None]
-    return xs.T @ xs
+    """sum_k w_k x_k x_k' per sample, as xs' xs with xs = sqrt(w) x, for
+    (R, m) ``weights`` and rows ``x`` that are (m, d) or (R, m, d).  numpy
+    computes a product of an array with its own transpose by a symmetric
+    BLAS kernel, slice by slice, so for unit weights this is ``x.T @ x`` bit
+    for bit; ``x.T @ (x * w)`` goes through the general product and differs
+    in the last bits.  Unit weights skip the scaled copy, which on
+    ``real``'s uniform-dyad designs (about 120k rows) would be the run's
+    largest allocation."""
+    xs = x if np.all(weights == 1.0) else x * np.sqrt(weights)[..., None]
+    xs = np.broadcast_to(xs, weights.shape + x.shape[-1:])
+    return xs.mT @ xs
 
 
 def _normal_equations(data: DyadData):
-    f, w = data.features, data.weights
-    total = w.sum()
-    gram = _weighted_gram(f, w) / total
-    rhs = f.T @ (w * data.labels) / total
+    """The (R, d, d) scaled Gram matrices and (R, d) targets."""
+    f = data.features
+    labels, w = data.batch()
+    total = w.sum(axis=-1)
+    gram = _weighted_gram(f, w) / total[:, None, None]
+    rhs = (f.T @ (w * labels)[..., None])[..., 0] / total[:, None]
     return gram, rhs
 
 
 def fit_ls(data: DyadData) -> WeightVector:
-    """Unconstrained least squares on the dyad samples.
+    """Unconstrained least squares on the dyad samples: beta is (J+1,), or
+    (R, J+1) for a batch.
 
-    Raises SingularDesign when the scaled Gram matrix has an eigenvalue
-    below 1e-12; no silent ridge fallback.
+    Raises ValueError below J+1 dyads and SingularDesign when the scaled
+    Gram matrix has an eigenvalue below 1e-12; no silent ridge fallback.
+    In a batch, the first failing sample raises, its index the error's
+    ``replicate``.
     """
-    if data.m < data.features.shape[1]:
-        raise ValueError("need at least J+1 samples for least squares")
+    m = np.atleast_1d(data.m)
     gram, rhs = _normal_equations(data)
     eigvals = scipy.linalg.eigvalsh(gram)
-    scale = max(eigvals[-1], 1.0)
-    if eigvals[0] < SINGULAR_EIG_TOL * scale:
-        raise SingularDesign(
-            f"minimum Gram eigenvalue {eigvals[0]:.3e} below tolerance; use fit_ridge")
-    beta = scipy.linalg.solve(gram, rhs, assume_a="pos")
-    return WeightVector(beta=beta, method="LS",
-                        condition_number=float(eigvals[-1] / eigvals[0]),
-                        m_train=data.m)
+    scale = np.maximum(eigvals[:, -1], 1.0)
+    _raise_first((m < data.features.shape[1], ValueError,
+                  lambda r: "need at least J+1 samples for least squares"),
+                 (eigvals[:, 0] < SINGULAR_EIG_TOL * scale, SingularDesign,
+                  lambda r: f"minimum Gram eigenvalue {eigvals[r, 0]:.3e} below tolerance; "
+                            "use fit_ridge"))
+    beta = scipy.linalg.solve(gram, rhs[..., None], assume_a="pos")[..., 0]
+    return _weight_vector(data, beta, "LS", condition_number=eigvals[:, -1] / eigvals[:, 0],
+                          m_train=m)
 
 
 def fit_ridge(data: DyadData, lambda_reg: float) -> WeightVector:
     """Least squares with an L2 penalty on the agent weights (not the
-    intercept); lambda_reg = 0 reproduces plain LS on nonsingular designs."""
+    intercept); lambda_reg = 0 reproduces plain LS on nonsingular designs.
+    Shapes and failures follow ``fit_ls``."""
     if lambda_reg < 0:
         raise ValueError("ridge penalty must be nonnegative")
+    m = np.atleast_1d(data.m)
     gram, rhs = _normal_equations(data)
-    penalty = np.eye(gram.shape[0]) * (lambda_reg / data.m)
-    penalty[0, 0] = 0.0
+    penalty = np.eye(gram.shape[-1]) * (lambda_reg / m)[:, None, None]
+    penalty[:, 0, 0] = 0.0
     eigvals = scipy.linalg.eigvalsh(gram + penalty)
-    if eigvals[0] <= 0:
-        raise SingularDesign("penalized Gram matrix not positive definite")
-    beta = scipy.linalg.solve(gram + penalty, rhs, assume_a="pos")
-    return WeightVector(beta=beta, method="Ridge", lambda_reg=lambda_reg,
-                        condition_number=float(eigvals[-1] / eigvals[0]),
-                        m_train=data.m)
+    _raise_first((eigvals[:, 0] <= 0, SingularDesign,
+                  lambda r: "penalized Gram matrix not positive definite"))
+    beta = scipy.linalg.solve(gram + penalty, rhs[..., None], assume_a="pos")[..., 0]
+    return _weight_vector(data, beta, "Ridge", lambda_reg,
+                          condition_number=eigvals[:, -1] / eigvals[:, 0], m_train=m)
 
 
 def project_simplex(v: np.ndarray) -> np.ndarray:
-    """Euclidean projection onto the probability simplex (sort-based)."""
+    """Euclidean projection onto the probability simplex (sort-based), of a
+    vector or of each row of a matrix."""
     v = np.asarray(v, dtype=float)
-    u = np.sort(v)[::-1]
-    css = np.cumsum(u) - 1.0
-    idx = np.arange(1, v.size + 1)
+    u = np.sort(v, axis=-1)[..., ::-1]
+    css = np.cumsum(u, axis=-1) - 1.0
+    idx = np.arange(1, v.shape[-1] + 1)
     cond = u - css / idx > 0
-    rho = idx[cond][-1]
-    tau = css[rho - 1] / rho
+    # the last index where cond holds; it holds at the first
+    rho = v.shape[-1] - np.argmax(cond[..., ::-1], axis=-1)
+    tau = np.take_along_axis(css, rho[..., None] - 1, axis=-1) / rho[..., None]
     return np.maximum(v - tau, 0.0)
 
 
@@ -161,50 +209,56 @@ def fit_simplex(data: DyadData) -> WeightVector:
     constrained one on some face.  Every support S solves
     [[H_SS, 1], [1', 0]] [b_S; nu] = [c_S; 1], and the candidate with
     b_S >= 0 and the lowest objective wins, the first support in mask order
-    on ties.  The 2^J - 1 systems are stacked as (J+1) x (J+1) matrices
-    whose off-support coordinates are pinned to 0 by identity rows and
-    solved in one batch; exactly singular ones (an LU pivot of 0,
-    ``slogdet`` sign 0) are skipped.  The work grows as 2^J, so J is capped
-    at ``SIMPLEX_MAX_AGENTS``.
+    on ties.  The 2^J - 1 systems of every sample are stacked as
+    (J+1) x (J+1) matrices whose off-support coordinates are pinned to 0 by
+    identity rows and solved in one batch; exactly singular ones (an LU
+    pivot of 0, ``slogdet`` sign 0) are skipped.  The work grows as 2^J, so
+    J is capped at ``SIMPLEX_MAX_AGENTS``.
     """
     j = data.n_agents
     if not 1 <= j <= SIMPLEX_MAX_AGENTS:
         raise ValueError(f"simplex fit needs 1 to {SIMPLEX_MAX_AGENTS} agents, got {j}")
-    w = data.weights
-    total = w.sum()
-    p_mean = np.sum(data.features[:, 1:] * w[:, None], axis=0) / total
-    y_mean = np.sum(w * data.labels) / total
-    pc = data.features[:, 1:] - p_mean
-    hess, lin = _weighted_gram(pc, w) / total, pc.T @ (w * (data.labels - y_mean)) / total
+    labels, w = data.batch()
+    total = w.sum(axis=-1)
+    p_mean = np.sum(data.features[:, 1:] * w[..., None], axis=-2) / total[:, None]
+    y_mean = np.sum(w * labels, axis=-1) / total
+    pc = data.features[:, 1:] - p_mean[:, None, :]
+    hess = _weighted_gram(pc, w) / total[:, None, None]
+    lin = (pc.mT @ (w * (labels - y_mean[:, None]))[..., None])[..., 0] / total[:, None]
     # one row per support, in mask order; bit k of the mask is agent k
     on = (np.arange(1, 2 ** j)[:, None] >> np.arange(j) & 1).astype(bool)
-    kkt = np.zeros((on.shape[0], j + 1, j + 1))
-    kkt[:, :j, :j] = np.where(on[:, :, None] & on[:, None, :], hess, 0.0)
-    kkt[:, np.arange(j), np.arange(j)] += ~on
-    kkt[:, :j, j] = kkt[:, j, :j] = on
-    rhs = np.column_stack([np.where(on, lin, 0.0), np.ones(on.shape[0])])
+    kkt = np.zeros((w.shape[0], on.shape[0], j + 1, j + 1))
+    kkt[..., :j, :j] = np.where(on[:, :, None] & on[:, None, :], hess[:, None], 0.0)
+    kkt[..., np.arange(j), np.arange(j)] += ~on
+    kkt[..., :j, j] = kkt[..., j, :j] = on
+    rhs = np.ones(kkt.shape[:-1])
+    rhs[..., :j] = np.where(on, lin[:, None], 0.0)
     solvable = np.linalg.slogdet(kkt)[0] != 0
-    on = on[solvable]
-    sol = np.linalg.solve(kkt[solvable], rhs[solvable, :, None])[:, :j, 0]
-    cand = np.where(on, sol, 0.0)
-    obj = np.einsum("si,ij,sj->s", cand, hess, cand) - 2.0 * cand @ lin
-    feasible = np.flatnonzero(np.all(cand >= 0.0, axis=1) & (obj < np.inf))
-    b = cand[feasible[np.argmin(obj[feasible])]]
-    grad = 2.0 * (hess @ b - lin)
+    sol = np.full(rhs.shape, np.nan)
+    sol[solvable] = np.linalg.solve(kkt[solvable], rhs[solvable][..., None])[..., 0]
+    cand = np.where(on, sol[..., :j], 0.0)
+    obj = (np.einsum("rsi,rij,rsj->rs", cand, hess, cand)
+           - 2.0 * (cand @ lin[..., None])[..., 0])
+    feasible = solvable & np.all(cand >= 0.0, axis=-1) & (obj < np.inf)
+    rows = np.arange(w.shape[0])
+    b = cand[rows, np.argmin(np.where(feasible, obj, np.inf), axis=-1)]
+    grad = 2.0 * ((hess @ b[..., None])[..., 0] - lin)
     # KKT: the projected gradient step is a fixed point
-    residual = float(np.linalg.norm(project_simplex(b - grad) - b))
-    beta = np.concatenate([[y_mean - p_mean @ b], b])
-    return WeightVector(beta=beta, method="Simplex", m_train=data.m, kkt_residual=residual)
+    gap = project_simplex(b - grad) - b
+    beta = np.column_stack([y_mean - np.vecdot(p_mean, b), b])
+    return _weight_vector(data, beta, "Simplex", m_train=np.atleast_1d(data.m),
+                          kkt_residual=np.sqrt(np.vecdot(gap, gap)))
 
 
 def predict_clipped(weights: WeightVector | np.ndarray, features: np.ndarray) -> np.ndarray:
-    """Clipped linear prediction: (beta . F) clamped into [0,1]."""
+    """Clipped linear prediction: (beta . F) clamped into [0,1].  A batch of
+    R weight vectors predicts (R, ...) values."""
     beta = weights.beta if isinstance(weights, WeightVector) else np.asarray(weights, dtype=float)
     features = np.asarray(features, dtype=float)
     lead = features[..., 0]
     if not np.all(lead == 1.0):
         raise ValueError("feature vectors must lead with the constant 1")
-    return np.clip(features @ beta, 0.0, 1.0)
+    return np.clip((features @ beta[..., None])[..., 0], 0.0, 1.0)
 
 
 def population_projection(w_star: Graphon, agents, return_gram: bool = False):

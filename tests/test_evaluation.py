@@ -1,5 +1,6 @@
 """Split protocols, proper-score metrics, paired gaps, and baselines."""
 
+import hashlib
 import os
 import subprocess
 import sys
@@ -225,6 +226,24 @@ def test_population_metrics_match_the_expanded_sample(rows):
             labels.append(((slot + 1) * a // (a + b) - slot * a // (a + b)).astype(float))
         fine = score_metrics(np.concatenate(preds), np.concatenate(labels))
         assert abs(exact.ap - fine.ap) <= 1.0 / k
+
+
+def test_score_metrics_rows_keep_their_digest():
+    """``score_metrics`` scores 0/1 rows as a batch of one in the batched
+    metric core, with the arithmetic of the core before it took batches:
+    the digest of these reports, ties and one-class rows included, was
+    taken on that core."""
+    rng = np.random.default_rng(1717)
+    reports = []
+    for r in range(60):
+        m = int(rng.integers(1, 400))
+        preds = rng.random(m) if r % 2 else rng.integers(0, 9, m) / 8
+        labels = (rng.random(m) < preds).astype(float)
+        if r % 7 == 3:
+            labels[:] = r % 2
+        reports.append(repr(score_metrics(preds, labels)))
+    assert hashlib.sha256("\n".join(reports).encode()).hexdigest() == (
+        "da332fbae185dbf9e70ed57cea7dc9dbe637890a56bf28a6fa341e584310a4f3")
 
 
 def test_population_ap_hand_oracle():

@@ -2,10 +2,13 @@
 
 import hashlib
 import json
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from graphsynth import (Block, Constant, ConfigError, DyadData, ExperimentConfig, Graphon,
                         GraphonError, SerializeError, StageFailure,
@@ -17,11 +20,12 @@ from graphsynth import (Block, Constant, ConfigError, DyadData, ExperimentConfig
                         load_edge_list, load_model, run_experiment, sample_dyads,
                         sample_graph, sample_sparse_graph, save_model,
                         write_edge_list)
-from graphsynth import experiments, fit_ls, predict_clipped
+from graphsynth import (cv_best_agent, experiments, fit_logistic_stack, fit_ls, fit_ridge,
+                        fit_simplex, predict_clipped)
 from graphsynth.cli import _read_metrics_csv, main as cli_main
 from graphsynth.evaluation import population_metrics, score_metrics
 from graphsynth.agents import SBM, ErgmSpec, TiltState
-from graphsynth.sampling import graph_from_edge_array
+from graphsynth.sampling import child_seeds, graph_from_edge_array
 from graphsynth.serialize import (AGENT_KINDS, GRAPHON_KINDS,
                                   write_metric_reports_csv)
 
@@ -467,9 +471,10 @@ def test_brier_minus_l2_risk_is_the_truth_variance():
         w_star = truth[0]
         variance = l2_inner(w_star, Constant(1.0)) - l2_inner(w_star, w_star)
         design = experiments.cell_design(*truth)
-        for seed in np.random.SeedSequence(3).spawn(3):
-            scored = experiments._synthetic_replicate(design, seed, 500, 200, 1e-3)
-            for report, risk in scored.values():
+        seeds = np.random.SeedSequence(3).spawn(3)
+        for scored in experiments._synthetic_replicates(design, seeds, 500, 200, 1e-3).values():
+            assert len(scored) == len(seeds)
+            for report, risk in scored:
                 assert abs(report.brier - risk - variance) <= 1e-15
 
 
@@ -604,6 +609,166 @@ def test_count_fits_match_their_expanded_rows(m_train, m_val):
             assert got == want
         else:
             np.testing.assert_allclose(got, want, rtol=0, atol=1e-12, err_msg=name)
+
+
+# ---------------------------------------------------------------------------
+# batched s1/s2 fits
+# ---------------------------------------------------------------------------
+
+def _twin_design():
+    """The default cell table with agent 1 repeated as a fourth agent, so
+    the LS design is singular in every sample."""
+    mass, truth, features = experiments.cell_design(*default_generator())
+    return mass, truth, np.column_stack([features, features[:, 1]])
+
+
+def _outcome(call):
+    """(result, None), or (None, (type, message)) if ``call`` raises a
+    ValueError."""
+    try:
+        return call(), None
+    except ValueError as exc:
+        return None, (type(exc), str(exc))
+
+
+def _assert_row_equals(batched, i: int, single) -> None:
+    """Sample ``i`` of a batched result equals a single call's result bit
+    for bit: a weight vector's beta and diagnostics, or the array."""
+    if not hasattr(single, "beta"):
+        np.testing.assert_array_equal(batched[i], single)
+        return
+    for name in ("beta", "condition_number", "m_train", "kkt_residual"):
+        value = getattr(batched, name)
+        np.testing.assert_array_equal(value[i] if np.ndim(value) else value,
+                                      getattr(single, name), err_msg=name)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.integers(1, 40), st.integers(1, 60),
+       st.booleans())
+def test_batched_fits_equal_single_calls(seed, reps, m_max, twin):
+    """Every fitter and ``population_metrics`` on R samples of cell counts
+    over one cell table, in one call, give each sample's single-call result
+    bit for bit: betas, agent choices, diagnostics and reports.  Small m
+    leaves cells empty (weight 0) and some samples one-class, on purpose;
+    where single calls fail, the batch raises the first failure, tagged
+    with its sample, and the other samples fit as a batch of their own."""
+    design = _twin_design() if twin else experiments.cell_design(*default_generator())
+    mass, truth, features = design
+    rng = np.random.default_rng(seed)
+    counts = rng.multinomial(1, mass, size=reps) + np.stack(
+        [rng.multinomial(m, mass) for m in rng.integers(0, m_max, size=reps)])
+    positives = rng.binomial(counts, truth)
+    # a few samples with no edges, or only edges
+    kind = rng.integers(0, 6, size=reps)
+    positives = np.where(kind[:, None] == 0, 0, np.where(kind[:, None] == 1, counts, positives))
+    labels = positives / np.maximum(counts, 1)
+    batch = DyadData(features=features, labels=labels, weights=counts)
+    singles = [DyadData(features=features, labels=y, weights=w) for y, w in zip(labels, counts)]
+    fits = {"fit_ls": fit_ls, "fit_ridge": lambda d: fit_ridge(d, 1e-3),
+            "fit_simplex": fit_simplex,
+            "fit_logistic_stack": lambda d: fit_logistic_stack(d.features, d.labels, d.weights),
+            "cv_best_agent": lambda d: cv_best_agent(d.features, d.labels, d.weights)}
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)    # one-class stacks
+        for name, fit in fits.items():
+            want = [_outcome(lambda d=d: fit(d)) for d in singles]
+            failed = [r for r, (_, err) in enumerate(want) if err is not None]
+            if failed:
+                with pytest.raises(want[failed[0]][1][0]) as info:
+                    fit(batch)
+                assert (str(info.value), info.value.replicate) == (want[failed[0]][1][1],
+                                                                   failed[0]), name
+                if twin and name == "fit_ls":
+                    assert len(failed) == reps
+            ok = [r for r, (_, err) in enumerate(want) if err is None]
+            if not ok:
+                continue
+            got = fit(DyadData(features=features, labels=labels[ok], weights=counts[ok]))
+            for i, r in enumerate(ok):
+                _assert_row_equals(got, i, want[r][0])
+            if name == "fit_ridge":
+                preds = predict_clipped(got, features)
+                # half the forecasts on a coarse grid, so that cells tie
+                preds[::2] = np.round(preds[::2] * 4) / 4
+                reports = population_metrics(preds, truth, mass)
+                assert [repr(rep) for rep in reports] == [
+                    repr(population_metrics(p, truth, mass)) for p in preds]
+
+
+def test_sample_cells_batch_rows_are_single_draws():
+    """Row r of a batch of ``sample_cells`` draws is the 1-D draw of seed r,
+    with each m, every cell listed and empty cells at weight 0."""
+    design = experiments.cell_design(*default_generator())
+    seeds = np.random.SeedSequence(4).spawn(5)
+    m = [3, 40, 1, 4000, 12]
+    batch = experiments.sample_cells(design, m, seeds)
+    assert batch.labels.shape == batch.weights.shape == (5, design[0].size)
+    np.testing.assert_array_equal(batch.m, m)
+    assert np.any(batch.weights == 0)
+    for r, (seed, m_r) in enumerate(zip(seeds, m)):
+        one = experiments.sample_cells(design, m_r, seed)
+        np.testing.assert_array_equal(one.weights, batch.weights[r])
+        np.testing.assert_array_equal(one.labels, batch.labels[r])
+    with pytest.raises(ValueError, match="m >= 1"):
+        experiments.sample_cells(design, [5, 0], seeds[:2])
+
+
+def test_child_seeds_do_not_depend_on_earlier_use():
+    """``child_seeds`` gives what ``spawn`` gives on a fresh seed, however
+    often the seed object was used before; ``spawn`` itself does not."""
+    seed = np.random.SeedSequence(20240601).spawn(3)[2]
+    fresh = np.random.SeedSequence(20240601).spawn(3)[2].spawn(2)
+    first, second = child_seeds(seed, 2), child_seeds(seed, 2)
+    for got in (first, second):
+        assert [s.spawn_key for s in got] == [s.spawn_key for s in fresh]
+        assert [s.generate_state(4).tolist() for s in got] == [
+            s.generate_state(4).tolist() for s in fresh]
+    seed.spawn(2)
+    assert [s.spawn_key for s in child_seeds(seed, 2)] == [s.spawn_key for s in fresh]
+    assert [s.spawn_key for s in seed.spawn(2)] != [s.spawn_key for s in fresh]
+
+
+def test_scoring_one_seed_twice_gives_one_result():
+    """A unit's seed object scored twice in one process gives the same
+    reports: its children do not depend on earlier use."""
+    design = experiments.cell_design(*default_generator())
+    seeds = np.random.SeedSequence(5).spawn(3)
+    runs = [experiments._synthetic_replicates(design, seeds, 300, 100, 1e-3)
+            for _ in range(2)]
+    assert repr(runs[0]) == repr(runs[1])
+
+
+def _first_failing_unit(config: ExperimentConfig) -> tuple:
+    """The key of the first unit whose train draw ``fit_ls`` rejects when
+    the units are fitted one by one."""
+    design = experiments.cell_design(*default_generator())
+    keys = experiments._unit_keys(config)
+    for key, seed in zip(keys, np.random.SeedSequence(config.base_seed).spawn(len(keys))):
+        m = config.m_train if config.experiment == "s1" else config.dyads_per_n * key[0]
+        try:
+            fit_ls(experiments.sample_cells(design, m, child_seeds(seed, 2)[0]))
+        except ValueError:
+            return key
+    raise AssertionError("no unit fails")
+
+
+@pytest.mark.parametrize("keys", [
+    {"experiment": "s1", "m_train": 2, "replicates": 3},
+    {"experiment": "s1", "m_train": 6, "replicates": 8, "base_seed": 1},
+    {"experiment": "s2", "n_grid": [50, 1], "replicates": 3},
+], ids=["s1_all", "s1_later", "s2"])
+def test_failed_fit_names_the_first_failing_unit(tmp_path, keys):
+    config = ExperimentConfig.from_dict(dict(keys, out_dir=str(tmp_path)))
+    unit = _first_failing_unit(config)
+    with pytest.raises(StageFailure) as info:
+        run_experiment(config)
+    assert info.value.stage == config.experiment and info.value.unit == unit
+    assert str(info.value).startswith(f"[{config.experiment} unit {list(unit)}] ")
+    if keys.get("m_train") == 2:
+        assert str(info.value).endswith("need at least J+1 samples for least squares")
+    if config.experiment == "s2":
+        assert unit == (1, 0)
 
 
 def _real_config(tmp_path) -> dict:

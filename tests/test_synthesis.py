@@ -64,10 +64,16 @@ def test_dyad_data_validates_leading_ones():
 def test_dyad_data_weights_default_to_one_and_must_be_multiplicities():
     feats, labels = np.array([[1.0, 0.5], [1.0, 0.2]]), np.array([1.0, 0.0])
     assert np.array_equal(DyadData(features=feats, labels=labels).weights, [1.0, 1.0])
-    for weights in ([1.0], [1.0, 0.0], [1.0, 2.5], [1.0, np.nan]):
+    for weights in ([1.0], [0.0, 0.0], [1.0, -1.0], [1.0, 2.5], [1.0, np.nan]):
         with pytest.raises(ValueError):
             DyadData(features=feats, labels=labels, weights=weights)
     assert DyadData(features=feats, labels=labels, weights=[3, 4]).m == 7
+    # a row of weight 0 stands for no dyad, as an empty cell of a batch does
+    assert DyadData(features=feats, labels=labels, weights=[3, 0]).m == 3
+    batch = DyadData(features=feats, labels=[[1.0, 0.0], [0.5, 0.0]], weights=[[1, 1], [2, 0]])
+    np.testing.assert_array_equal(batch.m, [2, 2])
+    with pytest.raises(ValueError):
+        DyadData(features=feats, labels=[[1.0, 0.0], [0.5, 0.0]], weights=[[1, 1], [0, 0]])
 
 
 # ---------------------------------------------------------------------------
