@@ -20,9 +20,6 @@ import warnings
 from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
-import scipy.sparse.csgraph
-import scipy.sparse.linalg
-from scipy.cluster.vq import kmeans2
 from scipy.special import expit
 
 from . import agents as ag
@@ -64,6 +61,7 @@ class StageFailure(RuntimeError):
         super().__init__(f"[{where}] {message}")
         self.stage = stage
         self.unit = unit
+        self.message = message
 
 
 @dataclass(frozen=True)
@@ -105,7 +103,7 @@ class ExperimentConfig:
             raise ConfigError(f"unknown experiment {self.experiment!r}; "
                               f"choose from {EXPERIMENTS}")
         for name in ("replicates", "sbm_k", "rdpg_d", "deghist_bins",
-                     "m_train", "m_val", "phase_n", "phase_reps",
+                     "m_train", "m_val", "phase_reps",
                      "splits_per_regime", "dyads_per_n"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1")
@@ -119,6 +117,21 @@ class ExperimentConfig:
                 raise ConfigError(f"{name} must be nonempty and without repeats")
         if not self.ridge_reg >= 0:
             raise ConfigError("ridge_reg must be >= 0")
+        # values the runners would reject only mid-run, after their data is
+        # drawn or parsed
+        if self.phase_n < 2:
+            raise ConfigError("phase_n must be >= 2")
+        if not all(n >= 1 for n in self.n_grid):
+            raise ConfigError("n_grid values must be >= 1")
+        if not all(lam > 0 for lam in self.lambda_grid):
+            raise ConfigError("lambda_grid values must be > 0")
+        if not all(0 <= pi <= 1 for pi in self.pi_grid):
+            raise ConfigError("pi_grid values must lie in [0, 1]")
+        for name in ("gamma_light", "gamma_heavy"):
+            if not getattr(self, name) > 0:
+                raise ConfigError(f"{name} must be > 0")
+        if not self.negpos_ratio >= 1:
+            raise ConfigError("negpos_ratio must be >= 1")
 
     @staticmethod
     def from_dict(d: dict) -> "ExperimentConfig":
@@ -234,6 +247,10 @@ def fit_agents_to_graph(g: GraphSample, config: ExperimentConfig, seed=0):
 
     Returns an ordered dict name -> agent.
     """
+    import scipy.sparse.csgraph
+    import scipy.sparse.linalg
+    from scipy.cluster.vq import kmeans2
+
     n = g.n
     if n < 10:
         raise ValueError("agent fitting needs n >= 10")
@@ -616,10 +633,14 @@ def run_experiment(config: ExperimentConfig) -> RunManifest:
 
     Spawns one child of ``SeedSequence(base_seed)`` per seeded unit, hands
     the runner the unit -> seed map and writes the files it returns.  Any
-    sub-stage failure aborts with a stage-tagged diagnostic and removes the
-    partial outputs of this run.
+    sub-stage failure aborts with a stage-tagged diagnostic, removes the
+    partial outputs of this run and any earlier run's ``manifest.json``, and
+    writes ``failure.json`` (stage, unit, message) in their place; a
+    successful run removes a stale ``failure.json``.
     """
     out_dir = os.path.join(config.out_dir, config.experiment)
+    manifest_path = os.path.join(out_dir, "manifest.json")
+    failure_path = os.path.join(out_dir, "failure.json")
     os.makedirs(out_dir, exist_ok=True)
     keys = _unit_keys(config)
     seeds = dict(zip(keys, np.random.SeedSequence(config.base_seed).spawn(len(keys))))
@@ -634,15 +655,23 @@ def run_experiment(config: ExperimentConfig) -> RunManifest:
             outputs.append(os.path.join(out_dir, name))
             write(*args, outputs[-1])
     except Exception as exc:
-        for path in outputs:
+        failure = exc if isinstance(exc, StageFailure) else StageFailure(
+            config.experiment, str(exc))
+        # no manifest may vouch for the directory: the outputs it lists are
+        # an earlier run's, or gone
+        for path in outputs + [manifest_path]:
             if os.path.exists(path):
                 os.remove(path)
-        if isinstance(exc, StageFailure):
+        write_json({"stage": failure.stage, "message": failure.message,
+                    "unit": None if failure.unit is None else list(failure.unit)},
+                   failure_path)
+        if failure is exc:
             raise
-        raise StageFailure(config.experiment, str(exc)) from exc
+        raise failure from exc
+    if os.path.exists(failure_path):
+        os.remove(failure_path)
     manifest.outputs = [os.path.relpath(p, config.out_dir) for p in outputs]
     manifest.wall_times[config.experiment] = time.perf_counter() - start
-    manifest_path = os.path.join(out_dir, "manifest.json")
     manifest.save(manifest_path)
     manifest.outputs.append(os.path.relpath(manifest_path, config.out_dir))
     return manifest

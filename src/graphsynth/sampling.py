@@ -7,14 +7,16 @@ streams are derived by seed-splitting so replicates are order-independent.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.sparse
-import scipy.sparse.csgraph
 
 from . import graphons
 from .graphons import Block, Graphon, GraphonError, as_block
 from .synthesis import DyadData
+
+if TYPE_CHECKING:
+    import scipy.sparse
 
 DENSE_CHUNK_ROWS = 256
 
@@ -97,6 +99,8 @@ class GraphSample:
         return self.edges.shape[0]
 
     def adjacency(self) -> scipy.sparse.csr_matrix:
+        import scipy.sparse
+
         i, j = self.edges[:, 0], self.edges[:, 1]
         data = np.ones(2 * self.n_edges, dtype=np.int8)
         return scipy.sparse.csr_matrix(
@@ -308,6 +312,9 @@ def giant_fraction(g: GraphSample) -> float:
     follows every edge both ways itself, so the symmetric matrix is never
     built.
     """
+    import scipy.sparse
+    import scipy.sparse.csgraph
+
     indptr = np.zeros(g.n + 1, dtype=np.int64)
     np.cumsum(np.bincount(g.edges[:, 0], minlength=g.n), out=indptr[1:])
     upper = scipy.sparse.csr_matrix((np.ones(g.n_edges), g.edges[:, 1], indptr),

@@ -157,7 +157,7 @@ def fit_ls(data: DyadData) -> WeightVector:
     """
     m = np.atleast_1d(data.m)
     gram, rhs = _normal_equations(data)
-    eigvals = scipy.linalg.eigvalsh(gram)
+    eigvals = np.linalg.eigvalsh(gram)
     scale = np.maximum(eigvals[:, -1], 1.0)
     _raise_first((m < data.features.shape[1], ValueError,
                   lambda r: "need at least J+1 samples for least squares"),
@@ -179,7 +179,7 @@ def fit_ridge(data: DyadData, lambda_reg: float) -> WeightVector:
     gram, rhs = _normal_equations(data)
     penalty = np.eye(gram.shape[-1]) * (lambda_reg / m)[:, None, None]
     penalty[:, 0, 0] = 0.0
-    eigvals = scipy.linalg.eigvalsh(gram + penalty)
+    eigvals = np.linalg.eigvalsh(gram + penalty)
     _raise_first((eigvals[:, 0] <= 0, SingularDesign,
                   lambda r: "penalized Gram matrix not positive definite"))
     beta = scipy.linalg.solve(gram + penalty, rhs[..., None], assume_a="pos")[..., 0]
@@ -268,7 +268,7 @@ def population_projection(w_star: Graphon, agents, return_gram: bool = False):
     orthogonal to the span up to quadrature tolerance.
     """
     gram, target = gram_and_target(list(agents), w_star)
-    eigvals = scipy.linalg.eigvalsh(gram)
+    eigvals = np.linalg.eigvalsh(gram)
     if eigvals[0] < SINGULAR_EIG_TOL * max(eigvals[-1], 1.0):
         raise SingularDesign("agent graphons plus constant are linearly dependent")
     beta = scipy.linalg.solve(gram, target, assume_a="pos")

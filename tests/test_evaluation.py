@@ -1,6 +1,7 @@
 """Split protocols, proper-score metrics, paired gaps, and baselines."""
 
 import hashlib
+import json
 import os
 import subprocess
 import sys
@@ -271,24 +272,66 @@ def test_population_metrics_rejects_bad_inputs():
         population_metrics([0.5, 0.5], [0.5, 0.5], [0.5, 0.4])
 
 
-def _loaded_after_import(module: str) -> bool:
-    """Whether ``import graphsynth`` in a fresh interpreter loads ``module``."""
+# loaded only by the code that calls them: the sparse graph code behind s3
+# and the structure statistics, and the agent fits of real
+SPARSE_STACK = ("scipy.sparse", "scipy.cluster", "scipy.spatial")
+
+
+def _loaded_after(code: str, modules) -> list:
+    """The ``modules`` a fresh interpreter has loaded after running ``code``."""
     src = str(Path(graphsynth.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
-    code = f"import sys, graphsynth; print({module!r} in sys.modules)"
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+    script = (f"import json, sys\n{code}\n"
+              f"print(json.dumps([m for m in {list(modules)!r} if m in sys.modules]))")
+    out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
                          text=True, check=True, timeout=120)
-    return out.stdout.strip() == "True"
+    return json.loads(out.stdout.strip().splitlines()[-1])
+
+
+def _cli_run(verb: str, config: dict, tmp_path) -> str:
+    """Code that runs ``verb`` on ``config`` in process through the CLI."""
+    path = tmp_path / f"{verb}.json"
+    path.write_text(json.dumps({"experiment": verb, **config}))
+    return ("from graphsynth.cli import main\n"
+            f"assert main([{verb!r}, '--config', {str(path)!r}, "
+            f"'--out', {str(tmp_path)!r}]) == 0")
 
 
 def test_import_leaves_scipy_stats_unloaded():
-    assert not _loaded_after_import("scipy.stats")
+    assert _loaded_after("import graphsynth", ["scipy.stats"]) == []
 
 
 def test_import_leaves_scipy_optimize_unloaded():
     # the scalar roots are bracketed Newton in agents.logit_shift
-    assert not _loaded_after_import("scipy.optimize")
+    assert _loaded_after("import graphsynth", ["scipy.optimize"]) == []
+
+
+def test_import_leaves_the_sparse_stack_unloaded():
+    assert _loaded_after("import graphsynth", SPARSE_STACK) == []
+
+
+@pytest.mark.parametrize("verb, config", [
+    ("s1", {"replicates": 2, "m_train": 500, "m_val": 200}),
+    ("s4", {"tail_k_max": 20_000}),
+])
+def test_synthetic_runs_leave_the_sparse_stack_unloaded(tmp_path, verb, config):
+    assert _loaded_after(_cli_run(verb, config, tmp_path), SPARSE_STACK) == []
+
+
+def test_s3_run_loads_csgraph_but_not_kmeans(tmp_path):
+    code = _cli_run("s3", {"lambda_grid": [0.5, 2.0], "phase_n": 500, "phase_reps": 1},
+                    tmp_path)
+    assert _loaded_after(code, ["scipy.sparse.csgraph", "scipy.cluster",
+                                "scipy.spatial"]) == ["scipy.sparse.csgraph"]
+
+
+def test_first_agent_fit_imports_what_it_needs():
+    code = ("from graphsynth import Constant, ExperimentConfig, fit_agents_to_graph, "
+            "sample_sparse_graph\n"
+            "g = sample_sparse_graph(Constant(1.0), 300, 8.0, seed=3)\n"
+            "assert len(fit_agents_to_graph(g, ExperimentConfig('real'), seed=1)) == 5")
+    assert _loaded_after(code, SPARSE_STACK) == list(SPARSE_STACK)
 
 
 # ---------------------------------------------------------------------------

@@ -52,13 +52,19 @@ def test_config_rejects_unknown_keys():
 
 @pytest.mark.parametrize("keys", [{"n_grid": []}, {"lambda_grid": []}, {"pi_grid": []},
                                   {"regimes": []}, {"n_grid": [200, 200]},
-                                  {"ridge_reg": -1.0}],
+                                  {"ridge_reg": -1.0}, {"lambda_grid": [-1, 1]},
+                                  {"phase_n": 1}, {"pi_grid": [0, 1.5]},
+                                  {"gamma_light": -1}, {"gamma_heavy": 0},
+                                  {"negpos_ratio": 0}, {"n_grid": [0, 200]}],
                          ids=["n_grid", "lambda_grid", "pi_grid", "regimes",
-                              "repeated_n", "ridge_reg"])
+                              "repeated_n", "ridge_reg", "lambda", "phase_n", "pi",
+                              "gamma_light", "gamma_heavy", "negpos_ratio", "n"])
 def test_config_rejects_degenerate_values(keys):
     # an empty grid or regime list would run no unit and write NaN summaries;
-    # a negative ridge penalty would fail only after the data is loaded
-    with pytest.raises(ConfigError):
+    # the other values would fail only mid-run, after the data is drawn or
+    # loaded
+    key = next(iter(keys))
+    with pytest.raises(ConfigError, match=key):
         ExperimentConfig.from_dict({"experiment": "real", **keys})
 
 
@@ -771,6 +777,24 @@ def test_failed_fit_names_the_first_failing_unit(tmp_path, keys):
         assert unit == (1, 0)
 
 
+def test_failed_rerun_replaces_the_manifest_with_failure_json(tmp_path):
+    base = {"experiment": "s1", "out_dir": str(tmp_path), "replicates": 2,
+            "m_train": 500, "m_val": 200}
+    run_dir = tmp_path / "s1"
+    run_experiment(ExperimentConfig.from_dict(base))
+    assert (run_dir / "manifest.json").exists()
+    with pytest.raises(StageFailure):
+        run_experiment(ExperimentConfig.from_dict(dict(base, m_train=3)))
+    # the first run's outputs stay, but no manifest vouches for them
+    assert not (run_dir / "manifest.json").exists()
+    assert json.loads((run_dir / "failure.json").read_text()) == {
+        "stage": "s1", "unit": [0],
+        "message": "need at least J+1 samples for least squares"}
+    run_experiment(ExperimentConfig.from_dict(base))
+    assert not (run_dir / "failure.json").exists()
+    assert (run_dir / "manifest.json").exists()
+
+
 def _real_config(tmp_path) -> dict:
     """A two-split real run on a 600-node planted-block graph."""
     g = sample_sparse_graph(Block.from_arrays([0, 0.3, 0.7, 1],
@@ -915,6 +939,8 @@ def test_real_without_dataset_is_stage_tagged(tmp_path):
     cfg = ExperimentConfig.from_dict({"experiment": "real", "out_dir": str(tmp_path)})
     with pytest.raises(StageFailure, match=r"\[real\]"):
         run_experiment(cfg)
+    assert json.loads((tmp_path / "real" / "failure.json").read_text()) == {
+        "stage": "real", "unit": None, "message": "real experiment needs a dataset path"}
 
 
 # ---------------------------------------------------------------------------
