@@ -52,6 +52,34 @@ class ConfigError(ValueError):
     pass
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_real(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _is_str(value) -> bool:
+    return isinstance(value, str)
+
+
+# What each config value, or each entry of a grid, must be.  A config file
+# can hold any JSON type: a wrong one would fail the range checks below with
+# a TypeError, or (a float count) run on a value no draw can use.
+_VALUE_TYPES = {
+    **dict.fromkeys(("base_seed", "replicates", "sbm_k", "rdpg_d", "deghist_bins",
+                     "m_train", "m_val", "dyads_per_n", "phase_n", "phase_reps",
+                     "tail_k_max", "splits_per_regime"), (_is_int, "an integer")),
+    **dict.fromkeys(("gamma_light", "gamma_heavy", "negpos_ratio", "ridge_reg"),
+                    (_is_real, "a number")),
+    **dict.fromkeys(("experiment", "out_dir"), (_is_str, "a string")),
+    "dataset": (lambda v: v is None or _is_str(v), "a string or null"),
+}
+_GRID_TYPES = {"n_grid": (_is_int, "integers"), "lambda_grid": (_is_real, "numbers"),
+               "pi_grid": (_is_real, "numbers"), "regimes": (_is_str, "strings")}
+
+
 class StageFailure(RuntimeError):
     """Experiment sub-stage failure, tagged with the stage name and, when
     one seeded unit failed, that unit's key."""
@@ -99,6 +127,16 @@ class ExperimentConfig:
     ridge_reg: float = 1e-3
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.name in _GRID_TYPES:
+                is_entry, kind = _GRID_TYPES[f.name]
+                if not (isinstance(value, tuple) and all(map(is_entry, value))):
+                    raise ConfigError(f"{f.name} must be a list of {kind}, not {value!r}")
+            else:
+                is_value, kind = _VALUE_TYPES[f.name]
+                if not is_value(value):
+                    raise ConfigError(f"{f.name} must be {kind}, not {value!r}")
         if self.experiment not in EXPERIMENTS:
             raise ConfigError(f"unknown experiment {self.experiment!r}; "
                               f"choose from {EXPERIMENTS}")
@@ -145,8 +183,8 @@ class ExperimentConfig:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
         if "experiment" not in d:
             raise ConfigError("config must name an experiment")
-        for key in ("n_grid", "lambda_grid", "pi_grid", "regimes"):
-            if key in d:
+        for key in _GRID_TYPES:
+            if isinstance(d.get(key), list):
                 d[key] = tuple(d[key])
         return ExperimentConfig(**d)
 
@@ -528,7 +566,7 @@ def _run_s2(config: ExperimentConfig, seeds: dict) -> dict:
     w_star, parts = default_generator()
     # every n's replicates fit in one batch, each with its own m_train
     scored = _score_units(config, cell_design(w_star, parts), seeds,
-                          [config.dyads_per_n * int(n) for n, _ in seeds],
+                          [config.dyads_per_n * n for n, _ in seeds],
                           max(config.m_val, len(parts) + 2))
     per_n = {n: {m: [] for m in METHODS} for n in config.n_grid}
     for i, (n, _) in enumerate(seeds):
@@ -538,7 +576,7 @@ def _run_s2(config: ExperimentConfig, seeds: dict) -> dict:
     # m * E||W_LS - W*||^2 per n, flat in m at the parametric rate
     summary = {"per_n": {}, "bps_ls_m_times_l2_risk": {}}
     for n, per_method in per_n.items():
-        m_train = config.dyads_per_n * int(n)
+        m_train = config.dyads_per_n * n
         stats = summary["per_n"][str(n)] = _method_stats(per_method, ("brier", "logloss"))
         summary["bps_ls_m_times_l2_risk"][str(n)] = m_train * stats["BPS_LS"]["l2_risk"]["mean"]
         rows.extend([n, m_train, m, s["brier"]["mean"], s["brier"]["se"],

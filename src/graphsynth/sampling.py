@@ -19,6 +19,7 @@ if TYPE_CHECKING:
     import scipy.sparse
 
 DENSE_CHUNK_ROWS = 256
+EDGE_CHECK_ROWS = 1 << 16
 
 
 def make_rng(seed) -> np.random.Generator:
@@ -86,12 +87,21 @@ class GraphSample:
     seed: int | None = None
 
     def __post_init__(self):
+        # Checked EDGE_CHECK_ROWS rows at a time, so that the checks'
+        # temporaries stay small next to the edge list; the order check's
+        # slices overlap by one row, so it also compares each slice's first
+        # row with the row before it.
         e = np.asarray(self.edges, dtype=np.int64).reshape(-1, 2)
-        if e.size and (np.any(e[:, 0] >= e[:, 1]) or e.min() < 0 or e.max() >= self.n):
-            raise ValueError("edges must satisfy 0 <= i < j < n")
-        keys = e[:, 0] * self.n + e[:, 1]
-        if np.any(keys[1:] <= keys[:-1]):
-            raise ValueError("edges must be distinct and sorted by (i, j)")
+        starts = range(0, e.shape[0], EDGE_CHECK_ROWS)
+        for start in starts:
+            part = e[start:start + EDGE_CHECK_ROWS]
+            if np.any(part[:, 0] >= part[:, 1]) or part.min() < 0 or part.max() >= self.n:
+                raise ValueError("edges must satisfy 0 <= i < j < n")
+        for start in starts:
+            part = e[max(start - 1, 0):start + EDGE_CHECK_ROWS]
+            keys = part[:, 0] * self.n + part[:, 1]
+            if np.any(keys[1:] <= keys[:-1]):
+                raise ValueError("edges must be distinct and sorted by (i, j)")
         self.edges = e
 
     @property
@@ -171,16 +181,18 @@ def _block_form(w: Graphon) -> Block | None:
 def _kernel_rows(w: Graphon, blk: Block | None, latents):
     """``rows(start, stop)``: w on latents ``start:stop`` against ``start:``.
 
-    With a block form the values are gathered from its matrix by piece
-    labels computed once; they equal ``w.evaluate`` bit for bit.  Without
-    one, ``w.evaluate`` runs on every chunk.
+    With a block form the values are read from ``matrix[:, labels]``, one
+    column per latent, built once from piece labels: each chunk takes the
+    rows of its latents' pieces and the columns ``start:``, which equals
+    ``w.evaluate`` bit for bit.  Without one, ``w.evaluate`` runs on every
+    chunk.
     """
     if blk is None:
         return lambda start, stop: np.asarray(
             w.evaluate(latents[start:stop, None], latents[None, start:]), dtype=float)
     labels = blk.piece_index(latents)
-    mat = np.asarray(blk.matrix, dtype=float)
-    return lambda start, stop: mat[labels[start:stop, None], labels[None, start:]]
+    by_latent = np.asarray(blk.matrix, dtype=float)[:, labels]
+    return lambda start, stop: by_latent[labels[start:stop], start:]
 
 
 def sample_graph(w: Graphon, n: int, seed) -> GraphSample:

@@ -1022,6 +1022,25 @@ def test_cli_run_verb_s4(tmp_path, capsys):
     assert manifest["config"]["base_seed"] == 7
 
 
+@pytest.mark.parametrize("keys", [{"phase_n": "big"}, {"m_train": 4000.5},
+                                  {"replicates": True}, {"n_grid": [200, 400.0]},
+                                  {"n_grid": 200}, {"lambda_grid": ["1"]},
+                                  {"ridge_reg": None}, {"out_dir": 3}],
+                         ids=["string", "float_count", "bool_count", "float_n",
+                              "scalar_grid", "string_lambda", "null_number", "out_dir"])
+def test_cli_rejects_a_wrong_typed_config_value(tmp_path, capsys, keys):
+    # a wrong type used to crash with a TypeError traceback, or, for a float
+    # count, run and record a value no draw can use
+    key = next(iter(keys))
+    cfg_path = tmp_path / "c.json"
+    cfg_path.write_text(json.dumps({"experiment": "s1", **keys}))
+    with pytest.raises(ConfigError, match=key):
+        ExperimentConfig.from_file(str(cfg_path))
+    assert cli_main(["s1", "--config", str(cfg_path), "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err.startswith(f"[s1] {key} must be ")
+    assert not (tmp_path / "s1").exists()
+
+
 def test_cli_config_file_and_overrides(tmp_path):
     cfg_path = tmp_path / "c.json"
     cfg_path.write_text(json.dumps({"experiment": "s3", "phase_n": 1000,

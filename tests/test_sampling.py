@@ -14,7 +14,8 @@ from graphsynth import (Block, Constant, LogisticLowRank, ProductWeight,
                         sample_graph, sample_sparse_graph,
                         uniform_step_map)
 from graphsynth.graphons import Graphon
-from graphsynth.sampling import GraphSample, graph_from_edge_array, in_sorted, unique_keys
+from graphsynth.sampling import (EDGE_CHECK_ROWS, GraphSample, graph_from_edge_array,
+                                 in_sorted, unique_keys)
 
 TWO_BLOCK = Block.from_arrays([0, 0.5, 1], [[0.8, 0.1], [0.1, 0.8]])
 
@@ -126,9 +127,33 @@ def test_graph_sample_rejects_unsorted_or_repeated_edges():
             GraphSample(n=3, edges=np.asarray(edges), degrees=np.zeros(3, dtype=np.int64))
 
 
+@pytest.mark.parametrize("row", [EDGE_CHECK_ROWS - 1, EDGE_CHECK_ROWS],
+                         ids=["last_of_slice", "first_of_next"])
+@pytest.mark.parametrize("fault", ["out_of_order", "repeated", "i_not_below_j"])
+def test_graph_sample_rejects_a_bad_pair_at_a_check_slice_boundary(row, fault):
+    """GraphSample checks its edges in slices of EDGE_CHECK_ROWS rows.  A bad
+    row at either side of a slice boundary is rejected; at the first row of
+    a slice, an order fault is seen only against the previous slice's last
+    row."""
+    k = np.arange(2 * EDGE_CHECK_ROWS + 3)
+    edges = np.stack([k, k + 1], axis=1)
+    degrees = np.zeros(k.size + 1, dtype=np.int64)
+    GraphSample(n=k.size + 1, edges=edges.copy(), degrees=degrees)
+    if fault == "out_of_order":
+        edges[[row - 1, row]] = edges[[row, row - 1]]
+    elif fault == "repeated":
+        edges[row] = edges[row - 1]
+    else:
+        edges[row] = edges[row, ::-1]
+    match = "0 <= i < j < n" if fault == "i_not_below_j" else "distinct and sorted"
+    with pytest.raises(ValueError, match=match):
+        GraphSample(n=k.size + 1, edges=edges, degrees=degrees)
+
+
 def test_dense_sampler_peak_memory():
-    """The dense sampler holds at most the keys and the decoded edges at
-    once, besides one chunk of draws."""
+    """The dense sampler holds the keys and the decoded edges at once,
+    besides one chunk of draws, and GraphSample checks the edges in row
+    slices, so no full-length key or mask array joins them."""
     w = default_generator()[0]
     tracemalloc.start()
     try:
@@ -136,7 +161,7 @@ def test_dense_sampler_peak_memory():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 2.5 * g.edges.nbytes
+    assert peak <= 1.75 * g.edges.nbytes
 
 
 # ---------------------------------------------------------------------------
