@@ -7,12 +7,12 @@ method with proper scores, ranking metrics, and paired gaps.
 """
 
 import numpy as np
-from scipy.special import expit
 
 from graphsynth import (Block, DyadData, ExperimentConfig, agent_dyad_probs,
                         cv_best_agent, fit_agents_to_graph, fit_logistic_stack,
                         fit_ls, fit_simplex, make_split, paired_gaps,
                         predict_clipped, sample_graph, score_metrics)
+from graphsynth.logistic import expit
 from graphsynth.sampling import graph_from_edge_array
 
 truth = Block.from_arrays([0, 0.5, 1], [[0.10, 0.02], [0.02, 0.08]])

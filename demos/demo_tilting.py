@@ -8,11 +8,11 @@ moment target.
 """
 
 import numpy as np
-from scipy.special import expit, logit
 
 from graphsynth import (ER, ErgmSpec, GraphEnumeration, calibrate_moment,
                         exact_enumeration_pmf, statistic_matrix, tilt_er,
                         tilt_sbm)
+from graphsynth.logistic import expit, logit
 
 # --- 1. ER tilt is a log-odds shift --------------------------------------
 p, lam = 0.3, np.log(3.0)

@@ -14,7 +14,8 @@ import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.special import expit, logit, logsumexp
+
+from .logistic import expit, logit, logsumexp
 
 
 class AgentError(ValueError):

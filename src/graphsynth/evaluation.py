@@ -11,8 +11,8 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import expit, log_expit, logit
 
+from .logistic import expit, log_expit, logit
 from .sampling import GraphSample, in_sorted, make_rng, unique_keys
 
 LOGLOSS_FLOOR = 1e-12

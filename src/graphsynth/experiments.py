@@ -20,7 +20,6 @@ import warnings
 from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
-from scipy.special import expit
 
 from . import agents as ag
 from . import graphons as gr
@@ -29,7 +28,9 @@ from . import graphons as gr
 from .evaluation import (MetricReport, audit_split, cv_best_agent,  # noqa: F401
                          fit_logistic_stack, make_split, paired_gaps,
                          population_metrics, score_metrics)
-from .netstats import fit_tail_exponent, mixture_degree_pmf, power_law_pmf
+from .logistic import expit
+from .netstats import (TAIL_FIT_MIN_POINTS, TAIL_WINDOW, fit_tail_exponent,
+                       mixture_degree_pmf, power_law_pmf)
 # s1/s2 draw cell counts (sample_cells), not dyads; sample_dyads stays
 # importable here because perfbench/tracing.py resolves it at this site
 from .sampling import (GraphSample, child_seeds, graph_from_edge_array,  # noqa: F401
@@ -155,6 +156,9 @@ class ExperimentConfig:
                 raise ConfigError(f"{name} must be nonempty and without repeats")
         if not self.ridge_reg >= 0:
             raise ConfigError("ridge_reg must be >= 0")
+        # SeedSequence takes only non-negative entropy
+        if self.base_seed < 0:
+            raise ConfigError("base_seed must be >= 0")
         # values the runners would reject only mid-run, after their data is
         # drawn or parsed
         if self.phase_n < 2:
@@ -170,6 +174,12 @@ class ExperimentConfig:
                 raise ConfigError(f"{name} must be > 0")
         if not self.negpos_ratio >= 1:
             raise ConfigError("negpos_ratio must be >= 1")
+        # s4 fits the tail from k = TAIL_WINDOW[0] on, to at least
+        # TAIL_FIT_MIN_POINTS degrees of the support
+        min_k_max = TAIL_WINDOW[0] + TAIL_FIT_MIN_POINTS - 1
+        if self.tail_k_max < min_k_max:
+            raise ConfigError(f"tail_k_max must be >= {min_k_max}, the smallest support "
+                              "the s4 tail fit can use")
 
     @staticmethod
     def from_dict(d: dict) -> "ExperimentConfig":

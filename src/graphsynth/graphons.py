@@ -15,7 +15,8 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-from scipy.special import expit
+
+from .logistic import expit
 
 
 class GraphonError(ValueError):

@@ -157,6 +157,9 @@ def centralities(g: GraphSample):
 # ---------------------------------------------------------------------------
 
 MAX_PMF_SUPPORT = 1_000_000
+# fit_tail_exponent's default k-window, and the fewest points it fits a line to
+TAIL_WINDOW = (100, 10_000)
+TAIL_FIT_MIN_POINTS = 10
 
 
 @dataclass(frozen=True)
@@ -240,7 +243,7 @@ def tilt_degree_pmf(pmf: DegreePmf, rho: float) -> DegreePmf:
     return DegreePmf(probs=new / total, gamma=gamma)
 
 
-def fit_tail_exponent(pmf: DegreePmf, k_window=(100, 10_000)):
+def fit_tail_exponent(pmf: DegreePmf, k_window=TAIL_WINDOW):
     """Least-squares slope of log ccdf against log k over a k-window.
 
     Returns (gamma_hat, r_squared, window actually used).
@@ -251,7 +254,7 @@ def fit_tail_exponent(pmf: DegreePmf, k_window=(100, 10_000)):
     k = np.arange(lo, hi + 1)
     mask = ccdf[lo:hi + 1] > 0
     k = k[mask]
-    if k.size < 10:
+    if k.size < TAIL_FIT_MIN_POINTS:
         raise NetstatsError("tail window too small for a log-log fit")
     x = np.log(k.astype(float))
     y = np.log(ccdf[k])

@@ -10,7 +10,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
 from .graphons import Graphon, gram_and_target
 
@@ -164,7 +163,7 @@ def fit_ls(data: DyadData) -> WeightVector:
                  (eigvals[:, 0] < SINGULAR_EIG_TOL * scale, SingularDesign,
                   lambda r: f"minimum Gram eigenvalue {eigvals[r, 0]:.3e} below tolerance; "
                             "use fit_ridge"))
-    beta = scipy.linalg.solve(gram, rhs[..., None], assume_a="pos")[..., 0]
+    beta = np.linalg.solve(gram, rhs[..., None])[..., 0]
     return _weight_vector(data, beta, "LS", condition_number=eigvals[:, -1] / eigvals[:, 0],
                           m_train=m)
 
@@ -182,7 +181,7 @@ def fit_ridge(data: DyadData, lambda_reg: float) -> WeightVector:
     eigvals = np.linalg.eigvalsh(gram + penalty)
     _raise_first((eigvals[:, 0] <= 0, SingularDesign,
                   lambda r: "penalized Gram matrix not positive definite"))
-    beta = scipy.linalg.solve(gram + penalty, rhs[..., None], assume_a="pos")[..., 0]
+    beta = np.linalg.solve(gram + penalty, rhs[..., None])[..., 0]
     return _weight_vector(data, beta, "Ridge", lambda_reg,
                           condition_number=eigvals[:, -1] / eigvals[:, 0], m_train=m)
 
@@ -271,7 +270,7 @@ def population_projection(w_star: Graphon, agents, return_gram: bool = False):
     eigvals = np.linalg.eigvalsh(gram)
     if eigvals[0] < SINGULAR_EIG_TOL * max(eigvals[-1], 1.0):
         raise SingularDesign("agent graphons plus constant are linearly dependent")
-    beta = scipy.linalg.solve(gram, target, assume_a="pos")
+    beta = np.linalg.solve(gram, target)
     wv = WeightVector(beta=beta, method="LS",
                       condition_number=float(eigvals[-1] / eigvals[0]))
     return (wv, gram, target) if return_gram else wv

@@ -272,8 +272,9 @@ def test_population_metrics_rejects_bad_inputs():
         population_metrics([0.5, 0.5], [0.5, 0.5], [0.5, 0.4])
 
 
-# loaded only by the code that calls them: the sparse graph code behind s3
-# and the structure statistics, and the agent fits of real
+# the only scipy that graphsynth loads, each part by the code that calls it:
+# the sparse graph code behind s3 and the structure statistics, and the
+# agent fits of real
 SPARSE_STACK = ("scipy.sparse", "scipy.cluster", "scipy.spatial")
 
 
@@ -298,25 +299,20 @@ def _cli_run(verb: str, config: dict, tmp_path) -> str:
             f"'--out', {str(tmp_path)!r}]) == 0")
 
 
-def test_import_leaves_scipy_stats_unloaded():
-    assert _loaded_after("import graphsynth", ["scipy.stats"]) == []
-
-
-def test_import_leaves_scipy_optimize_unloaded():
-    # the scalar roots are bracketed Newton in agents.logit_shift
-    assert _loaded_after("import graphsynth", ["scipy.optimize"]) == []
-
-
-def test_import_leaves_the_sparse_stack_unloaded():
-    assert _loaded_after("import graphsynth", SPARSE_STACK) == []
+def test_import_loads_no_scipy():
+    # the logistic helpers and the Gram solve are numpy, the scalar roots
+    # bracketed Newton in agents.logit_shift; every scipy module imports
+    # the scipy package first
+    assert _loaded_after("import graphsynth", ["scipy"]) == []
 
 
 @pytest.mark.parametrize("verb, config", [
     ("s1", {"replicates": 2, "m_train": 500, "m_val": 200}),
+    ("s2", {"replicates": 2, "n_grid": [100, 200], "m_val": 200}),
     ("s4", {"tail_k_max": 20_000}),
-])
-def test_synthetic_runs_leave_the_sparse_stack_unloaded(tmp_path, verb, config):
-    assert _loaded_after(_cli_run(verb, config, tmp_path), SPARSE_STACK) == []
+], ids=["s1", "s2", "s4"])
+def test_synthetic_runs_load_no_scipy(tmp_path, verb, config):
+    assert _loaded_after(_cli_run(verb, config, tmp_path), ["scipy"]) == []
 
 
 def test_s3_run_loads_csgraph_but_not_kmeans(tmp_path):

@@ -1,5 +1,6 @@
 """Config handling, data ingestion, agent fitting, serialization, runs, CLI."""
 
+import csv
 import hashlib
 import json
 import warnings
@@ -573,15 +574,17 @@ def _replicate_seeds():
 
 @pytest.mark.parametrize("m_train, m_val, row_digest", [
     # s1 with replicates 2, m_train 300, m_val 100
-    (300, 100, "60b3b6c2b803f759971f1d1fa4a2ee1d0c13a4bd77a2e03f16d590b32ed438cc"),
+    (300, 100, "da1fb506d865aea0e031e339157f5015b9f7649397e721875caba15194d8c77a"),
     # s2 with replicates 2, n_grid [200] (m_train 3 * 200), m_val 200
-    (600, 200, "570fe34778e62c643461e83887af5ad4ac4133d9da8a5c80150d8973eaa48ee2"),
+    (600, 200, "ef6b4d77ab1e3f3b10117bfc6b3b23f4e929677e242091ed631bf9358a9aef36"),
 ], ids=["s1", "s2"])
 def test_dyad_row_fits_keep_their_digest(m_train, m_val, row_digest):
     """Fits on the seeded ``sample_dyads`` rows of two replicates, with unit
-    weights, match ``row_digest`` bit for bit, the digest of the fitters
-    before they took weights: unit weights reproduce the unweighted
-    arithmetic exactly."""
+    weights, match ``row_digest`` bit for bit.  It was pinned before the
+    fitters took weights (unit weights reproduce the unweighted arithmetic
+    exactly) and re-pinned once when the Gram solve moved from Cholesky to
+    LU and the logistic helpers to numpy, which moved the fits by at most
+    7.4e-15 relative."""
     w_star, parts = default_generator()
     draws = [(sample_dyads(w_star, parts, m_train, s_train),
               sample_dyads(w_star, parts, m_val, s_val))
@@ -1039,6 +1042,29 @@ def test_cli_rejects_a_wrong_typed_config_value(tmp_path, capsys, keys):
     assert cli_main(["s1", "--config", str(cfg_path), "--out", str(tmp_path)]) == 2
     assert capsys.readouterr().err.startswith(f"[s1] {key} must be ")
     assert not (tmp_path / "s1").exists()
+
+
+@pytest.mark.parametrize("verb, keys", [("s4", {"tail_k_max": 108}), ("s4", {"tail_k_max": 0}),
+                                        ("s4", {"tail_k_max": -1}), ("s1", {"base_seed": -1})],
+                         ids=["tail_k_max_108", "tail_k_max_0", "tail_k_max_-1", "base_seed"])
+def test_cli_rejects_an_out_of_range_config_value(tmp_path, capsys, verb, keys):
+    # each used to fail mid-run, or at SeedSequence, with a message that
+    # did not name the key
+    key = next(iter(keys))
+    cfg_path = tmp_path / "c.json"
+    cfg_path.write_text(json.dumps({"experiment": verb, **keys}))
+    assert cli_main([verb, "--config", str(cfg_path), "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err.startswith(f"[{verb}] {key} must be >= ")
+    assert not (tmp_path / verb).exists()
+
+
+def test_s4_runs_on_the_smallest_tail_support(tmp_path):
+    cfg_path = tmp_path / "c.json"
+    cfg_path.write_text(json.dumps({"experiment": "s4", "tail_k_max": 109}))
+    assert cli_main(["s4", "--config", str(cfg_path), "--out", str(tmp_path)]) == 0
+    with open(tmp_path / "s4" / "s4_tails.csv") as fh:
+        rows = list(csv.DictReader(fh))
+    assert {(int(r["window_lo"]), int(r["window_hi"])) for r in rows} == {(100, 109)}
 
 
 def test_cli_config_file_and_overrides(tmp_path):

@@ -5,6 +5,7 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -316,6 +317,47 @@ def test_projection_hand_linear_solve():
     expected = np.linalg.solve(gram, target)
     beta = population_projection(truth, [agent])
     np.testing.assert_allclose(beta.beta, expected, atol=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# the Gram solve against a Cholesky oracle
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("lambda_reg", [None, 0.0, 1e-3, 5.0])
+def test_dyad_fits_match_a_cholesky_solve(seed, lambda_reg):
+    """LS and ridge betas of a weighted batch equal the positive-definite
+    solve of each sample's normal equations within 1e-12 relative."""
+    rng = np.random.default_rng(seed)
+    j, m, reps = int(rng.integers(1, 6)), int(rng.integers(20, 400)), 3
+    feats = np.column_stack([np.ones(m), rng.beta(0.5, 2.0, size=(m, j))])
+    labels = (rng.random((reps, m)) < 0.3).astype(float)
+    weights = rng.integers(0, 4, size=(reps, m)).astype(float)
+    weights[:, :j + 1] += 1.0
+    data = DyadData(features=feats, labels=labels, weights=weights)
+    fit = fit_ls(data) if lambda_reg is None else fit_ridge(data, lambda_reg)
+    for r in range(reps):
+        w = weights[r]
+        gram = feats.T @ (feats * w[:, None]) / w.sum()
+        if lambda_reg is not None:
+            gram[1:, 1:] += np.eye(j) * lambda_reg / w.sum()
+        expected = scipy.linalg.solve(gram, feats.T @ (w * labels[r]) / w.sum(),
+                                      assume_a="pos")
+        np.testing.assert_allclose(fit.beta[r], expected, rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_population_projection_matches_a_cholesky_solve(seed):
+    rng = np.random.default_rng(seed)
+    def block(k):
+        cuts = np.concatenate([[0.0], np.sort(rng.uniform(0.05, 0.95, k - 1)), [1.0]])
+        values = rng.uniform(0.05, 0.95, size=(k, k))
+        return Block.from_arrays(cuts, (values + values.T) / 2)
+    agents = [block(int(rng.integers(2, 5))) for _ in range(int(rng.integers(1, 4)))]
+    truth = block(3)
+    beta, gram, target = population_projection(truth, agents, return_gram=True)
+    expected = scipy.linalg.solve(gram, target, assume_a="pos")
+    np.testing.assert_allclose(beta.beta, expected, rtol=1e-12, atol=0)
 
 
 # ---------------------------------------------------------------------------
