@@ -306,6 +306,19 @@ def test_import_loads_no_scipy():
     assert _loaded_after("import graphsynth", ["scipy"]) == []
 
 
+def test_import_leaves_scipy_stats_unloaded():
+    assert _loaded_after("import graphsynth", ["scipy.stats"]) == []
+
+
+def test_import_leaves_scipy_optimize_unloaded():
+    # the scalar roots are bracketed Newton in agents.logit_shift
+    assert _loaded_after("import graphsynth", ["scipy.optimize"]) == []
+
+
+def test_import_leaves_the_sparse_stack_unloaded():
+    assert _loaded_after("import graphsynth", SPARSE_STACK) == []
+
+
 @pytest.mark.parametrize("verb, config", [
     ("s1", {"replicates": 2, "m_train": 500, "m_val": 200}),
     ("s2", {"replicates": 2, "n_grid": [100, 200], "m_val": 200}),
