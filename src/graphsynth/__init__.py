@@ -17,11 +17,10 @@ from .graphons import (Block, Constant, FunctionalSet, Graphon, GraphonError,
                        spectral_bracket, spectral_radius, uniform_step_map)
 from .agents import (AgentError, CalibrationFailure, ChungLu, DegHist, ER,
                      ErgmSpec, GraphEnumeration, GraphPmf, InfeasibleTarget,
-                     RDPG, SBM, TiltState, apply_tilt, calibrate_moment,
-                     edge_prob_matrix, edge_tilt_weights, er_as_ergm,
-                     ergm_stack_tilt, exact_enumeration_pmf, mixture_pmf,
-                     stat_tilt_weights, statistic_matrix, tilt_er, tilt_rdpg,
-                     tilt_sbm)
+                     RDPG, SBM, calibrate_moment, edge_prob_matrix,
+                     edge_tilt_weights, er_as_ergm, ergm_stack_tilt,
+                     exact_enumeration_pmf, mixture_pmf, stat_tilt_weights,
+                     statistic_matrix, tilt_er, tilt_rdpg, tilt_sbm)
 from .synthesis import (DyadData, SingularDesign, WeightVector, fit_ls,
                         fit_ridge, fit_simplex, l2_risk, population_projection,
                         predict_clipped, project_simplex)
@@ -41,8 +40,6 @@ from .experiments import (ConfigError, ExperimentConfig, RunManifest,
                           StageFailure, agent_dyad_probs, config_hash,
                           default_generator, fit_agents_to_graph,
                           load_edge_list, run_experiment)
-from .serialize import (SerializeError, agent_from_dict, agent_to_dict,
-                        graphon_from_dict, graphon_to_dict, load_model,
-                        save_model, write_edge_list)
+from .serialize import write_edge_list
 
 __version__ = "0.1.0"

@@ -42,19 +42,8 @@ CALIBRATE_ARMIJO = 1e-4
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class TiltState:
-    """Applied entropic-tilt parameters: a global edge shift and, for block
-    models, a symmetric blockwise shift matrix."""
-
-    lambda_edge: float = 0.0
-    lambda_block: tuple | None = None
-    applied: bool = False
-
-
-@dataclass(frozen=True)
 class ER:
     p: float
-    tilt: TiltState = TiltState()
 
     def __post_init__(self):
         if not 0.0 < self.p < 1.0:
@@ -71,7 +60,6 @@ class SBM:
 
     assignment: tuple
     matrix: tuple
-    tilt: TiltState = TiltState()
 
     def __post_init__(self):
         m = np.asarray(self.matrix, dtype=float)
@@ -84,9 +72,9 @@ class SBM:
             raise AgentError("assignment labels must index the rate matrix")
 
     @staticmethod
-    def make(assignment, matrix, tilt=TiltState()) -> "SBM":
+    def make(assignment, matrix) -> "SBM":
         return SBM(tuple(np.asarray(assignment, dtype=int).tolist()),
-                   tuple(map(tuple, np.asarray(matrix, dtype=float))), tilt)
+                   tuple(map(tuple, np.asarray(matrix, dtype=float))))
 
     @property
     def n(self) -> int:
@@ -103,12 +91,11 @@ class RDPG:
 
     positions: tuple
     intercept: float = 0.0
-    tilt: TiltState = TiltState()
 
     @staticmethod
-    def make(positions, intercept=0.0, tilt=TiltState()) -> "RDPG":
+    def make(positions, intercept=0.0) -> "RDPG":
         z = np.atleast_2d(np.asarray(positions, dtype=float))
-        return RDPG(tuple(map(tuple, z)), float(intercept), tilt)
+        return RDPG(tuple(map(tuple, z)), float(intercept))
 
     @property
     def n(self) -> int:
@@ -127,15 +114,14 @@ class ChungLu:
     """Product-weight agent: P(edge ij) = min(theta_i theta_j, cap)."""
 
     theta: tuple
-    tilt: TiltState = TiltState()
 
     def __post_init__(self):
         if np.any(np.asarray(self.theta, dtype=float) < 0.0):
             raise AgentError("Chung-Lu weights must be nonnegative")
 
     @staticmethod
-    def make(theta, tilt=TiltState()) -> "ChungLu":
-        return ChungLu(tuple(np.asarray(theta, dtype=float).tolist()), tilt)
+    def make(theta) -> "ChungLu":
+        return ChungLu(tuple(np.asarray(theta, dtype=float).tolist()))
 
     @property
     def n(self) -> int:
@@ -153,13 +139,12 @@ class DegHist:
     node_bins: tuple
     rates: tuple
     bin_edges: tuple = ()
-    tilt: TiltState = TiltState()
 
     @staticmethod
-    def make(node_bins, rates, bin_edges=(), tilt=TiltState()) -> "DegHist":
+    def make(node_bins, rates, bin_edges=()) -> "DegHist":
         return DegHist(tuple(np.asarray(node_bins, dtype=int).tolist()),
                        tuple(map(tuple, np.asarray(rates, dtype=float))),
-                       tuple(np.asarray(bin_edges, dtype=float).tolist()), tilt)
+                       tuple(np.asarray(bin_edges, dtype=float).tolist()))
 
     @property
     def n(self) -> int:
@@ -204,23 +189,7 @@ def tilt_sbm(matrix, lam_matrix) -> np.ndarray:
 
 def tilt_rdpg(agent: RDPG, lam: float) -> RDPG:
     """Global edge tilt of a logistic dot-product agent: intercept shift."""
-    return replace(agent, intercept=agent.intercept + lam,
-                   tilt=TiltState(lambda_edge=agent.tilt.lambda_edge + lam, applied=True))
-
-
-def apply_tilt(agent: AgentModel, tilt: TiltState) -> AgentModel:
-    """Return the tilted agent within its own family."""
-    if isinstance(agent, ER):
-        return replace(agent, p=tilt_er(agent.p, tilt.lambda_edge),
-                       tilt=replace(tilt, applied=True))
-    if isinstance(agent, SBM):
-        lam = (np.asarray(tilt.lambda_block, dtype=float) if tilt.lambda_block is not None
-               else np.full((len(agent.matrix),) * 2, tilt.lambda_edge))
-        return SBM.make(agent.assignment, tilt_sbm(agent.matrix, lam),
-                        replace(tilt, applied=True))
-    if isinstance(agent, RDPG):
-        return tilt_rdpg(agent, tilt.lambda_edge)
-    raise AgentError(f"no closed-form tilt for {type(agent).__name__}")
+    return replace(agent, intercept=agent.intercept + lam)
 
 
 # ---------------------------------------------------------------------------
@@ -595,14 +564,17 @@ def _newton_calibrate(stat: np.ndarray, base_logits: np.ndarray, target: np.ndar
 
 
 def calibrate_moment(model, target, n: int | None = None):
-    """KL-optimal entropic tilt hitting a moment target.
+    """KL-optimal entropic tilt hitting a moment target, returned as the
+    shift in the family's own parameter.
 
-    ER: ``target`` is the expected edge count; the tilt is the closed-form
-    log-odds shift.  SBM: ``target`` is the expected edge count per
-    unordered block pair.  RDPG: ``target`` is the expected edge count; the
-    scalar intercept shift is the ``logit_shift`` root on the exact mean map.
-    Exponential-family specs (n <= 6): stacked tilt tau by Newton on the
-    dual over the enumerated mean map.
+    ER: ``target`` is the expected edge count; returns the float log-odds
+    shift lambda for ``tilt_er``.  SBM: ``target`` is the expected edge
+    count per unordered block pair; returns the symmetric (k, k) log-odds
+    shift for ``tilt_sbm``, 0 on block pairs with no vertex pairs.  RDPG:
+    ``target`` is the expected edge count; returns the float intercept
+    shift for ``tilt_rdpg``, the ``logit_shift`` root on the exact mean map.
+    Exponential-family specs (n <= 6): returns the stacked shift tau of
+    theta, by Newton on the dual over the enumerated mean map.
     """
     if isinstance(model, ER):
         if n is None:
@@ -610,8 +582,7 @@ def calibrate_moment(model, target, n: int | None = None):
         m_n = n * (n - 1) // 2
         if not 0.0 < target < m_n:
             raise InfeasibleTarget(f"edge target must lie in (0, {m_n})")
-        lam = float(logit(target / m_n) - logit(model.p))
-        return TiltState(lambda_edge=lam)
+        return float(logit(target / m_n) - logit(model.p))
 
     if isinstance(model, SBM):
         c = np.asarray(model.assignment, dtype=int)
@@ -631,14 +602,14 @@ def calibrate_moment(model, target, n: int | None = None):
                 if not 0.0 < frac < 1.0:
                     raise InfeasibleTarget(f"block ({a},{bb}) target outside (0, {counts[a, bb]})")
                 lam[a, bb] = lam[bb, a] = float(logit(frac) - logit(b[a, bb]))
-        return TiltState(lambda_block=tuple(map(tuple, lam)))
+        return lam
 
     if isinstance(model, RDPG):
         logits = model.dyad_logits(*np.triu_indices(model.n, k=1))
         m_n = logits.size
         if not 0.0 < target < m_n:
             raise InfeasibleTarget(f"edge target must lie in (0, {m_n})")
-        return TiltState(lambda_edge=logit_shift(logits, target / m_n))
+        return logit_shift(logits, target / m_n)
 
     if isinstance(model, ErgmSpec):
         enum = GraphEnumeration.get(model.n)

@@ -185,7 +185,7 @@ class DegreePmf:
     def ccdf(self) -> np.ndarray:
         """P(D >= k) for k = 0..k_max."""
         p = np.asarray(self.probs, dtype=float)
-        return np.concatenate([np.cumsum(p[::-1])[::-1]])
+        return np.cumsum(p[::-1])[::-1]
 
     def sample(self, m: int, rng: np.random.Generator) -> np.ndarray:
         return rng.choice(len(self.probs), size=m, p=self.probs / self.probs.sum())
@@ -246,23 +246,30 @@ def tilt_degree_pmf(pmf: DegreePmf, rho: float) -> DegreePmf:
 def fit_tail_exponent(pmf: DegreePmf, k_window=TAIL_WINDOW):
     """Least-squares slope of log ccdf against log k over a k-window.
 
-    Returns (gamma_hat, r_squared, window actually used).
+    The window is clipped to the support 1..k_max.  A ccdf that is 0
+    anywhere in the window has no logarithm there, so it raises rather than
+    fitting a shorter window.
+
+    Returns (gamma_hat, r_squared, window (lo, hi) fitted).
     """
-    ccdf = pmf.ccdf()
     lo = max(1, int(k_window[0]))
     hi = min(pmf.k_max, int(k_window[1]))
-    k = np.arange(lo, hi + 1)
-    mask = ccdf[lo:hi + 1] > 0
-    k = k[mask]
-    if k.size < TAIL_FIT_MIN_POINTS:
+    if hi - lo + 1 < TAIL_FIT_MIN_POINTS:
         raise NetstatsError("tail window too small for a log-log fit")
+    ccdf = pmf.ccdf()
+    # the ccdf is nonincreasing, so its zeros in the window are a suffix
+    if ccdf[hi] == 0:
+        first = lo + int(np.argmin(ccdf[lo:hi + 1] > 0))
+        raise NetstatsError(f"ccdf underflows to 0 at k = {first} "
+                            f"inside the window {lo}-{hi}")
+    k = np.arange(lo, hi + 1)
     x = np.log(k.astype(float))
     y = np.log(ccdf[k])
     slope, intercept = np.polyfit(x, y, 1)
     resid = y - (slope * x + intercept)
     ss_tot = float(np.sum((y - y.mean()) ** 2))
     r2 = 1.0 - float(np.sum(resid ** 2)) / ss_tot if ss_tot > 0 else 1.0
-    return float(-slope), r2, (int(k[0]), int(k[-1]))
+    return float(-slope), r2, (lo, hi)
 
 
 def hill_tail_exponent(degrees, k_frac: float = 0.05) -> float:

@@ -8,11 +8,11 @@ import pytest
 from scipy.special import expit, logit
 
 from graphsynth import (ER, RDPG, SBM, AgentError, ChungLu, DegHist, ErgmSpec,
-                        GraphEnumeration, GraphPmf, InfeasibleTarget, TiltState,
-                        apply_tilt, calibrate_moment, edge_prob_matrix,
-                        edge_tilt_weights, er_as_ergm, ergm_stack_tilt,
-                        exact_enumeration_pmf, mixture_pmf, stat_tilt_weights,
-                        statistic_matrix, tilt_er, tilt_rdpg, tilt_sbm)
+                        GraphEnumeration, GraphPmf, InfeasibleTarget,
+                        calibrate_moment, edge_prob_matrix, edge_tilt_weights,
+                        er_as_ergm, ergm_stack_tilt, exact_enumeration_pmf,
+                        mixture_pmf, stat_tilt_weights, statistic_matrix,
+                        tilt_er, tilt_rdpg, tilt_sbm)
 from graphsynth.agents import logit_shift
 
 
@@ -73,16 +73,6 @@ def test_rdpg_dyad_logits_match_fancy_indexing(d):
     agent = RDPG.make(z, intercept=-2.5)
     i, j = rng.integers(0, 400, size=(2, 5000))
     assert np.array_equal(agent.dyad_logits(i, j), np.sum(z[i] * z[j], axis=-1) - 2.5)
-
-
-def test_apply_tilt_closed_families():
-    er = apply_tilt(ER(0.3), TiltState(lambda_edge=0.7))
-    assert er.p == pytest.approx(tilt_er(0.3, 0.7))
-    sbm = SBM.make([0, 0, 1, 1], [[0.5, 0.2], [0.2, 0.6]])
-    tilted = apply_tilt(sbm, TiltState(lambda_edge=0.3))
-    assert tilted.matrix[0][0] == pytest.approx(tilt_er(0.5, 0.3))
-    with pytest.raises(AgentError):
-        apply_tilt(ChungLu.make([0.5, 0.5]), TiltState(lambda_edge=0.1))
 
 
 # ---------------------------------------------------------------------------
@@ -192,7 +182,8 @@ def test_sbm_and_rdpg_tilt_enumeration_equivalence():
     base = exact_enumeration_pmf(sbm)
     tilted = base.probs * edge_tilt_weights(n, lam)
     tilted = GraphPmf(n, tilted / tilted.sum())
-    direct = exact_enumeration_pmf(apply_tilt(sbm, TiltState(lambda_edge=lam)))
+    direct = exact_enumeration_pmf(
+        SBM.make(sbm.assignment, tilt_sbm(sbm.matrix, np.full((2, 2), lam))))
     assert tilted.tv_distance(direct) <= 1e-10
 
     rdpg = RDPG.make(np.random.default_rng(3).normal(size=(n, 2)), intercept=-0.2)
@@ -263,10 +254,11 @@ def test_tilted_er_degrees_are_binomial():
 # ---------------------------------------------------------------------------
 
 def test_calibrate_er_closed_form():
-    tilt = calibrate_moment(ER(0.2), 22.5, n=10)
-    assert tilt.lambda_edge == pytest.approx(math.log(4.0), abs=1e-12)
+    lam = calibrate_moment(ER(0.2), 22.5, n=10)
+    assert lam == pytest.approx(math.log(4.0), abs=1e-12)
+    assert tilt_er(0.2, lam) * 45 == pytest.approx(22.5, abs=1e-12)
     fixed = calibrate_moment(ER(0.2), 0.2 * 45, n=10)
-    assert fixed.lambda_edge == pytest.approx(0.0, abs=1e-12)
+    assert fixed == pytest.approx(0.0, abs=1e-12)
     with pytest.raises(InfeasibleTarget):
         calibrate_moment(ER(0.2), 45.0, n=10)
 
@@ -275,9 +267,7 @@ def test_calibrate_sbm_blockwise():
     sbm = SBM.make([0, 0, 0, 1, 1, 1], [[0.3, 0.1], [0.1, 0.4]])
     # block pair counts: within 3 each, across 9
     target = np.array([[1.5, 4.5], [4.5, 2.1]])
-    tilt = calibrate_moment(sbm, target)
-    tilted = apply_tilt(sbm, tilt)
-    b = np.asarray(tilted.matrix)
+    b = tilt_sbm(sbm.matrix, calibrate_moment(sbm, target))
     assert 3 * b[0, 0] == pytest.approx(1.5, abs=1e-10)
     assert 9 * b[0, 1] == pytest.approx(4.5, abs=1e-10)
     assert 3 * b[1, 1] == pytest.approx(2.1, abs=1e-10)
@@ -288,9 +278,9 @@ def test_calibrate_sbm_uneven_blocks_against_pair_enumeration():
     c = [0, 2, 2, 0, 2, 2, 0]
     sbm = SBM.make(c, [[0.3, 0.2, 0.1], [0.2, 0.5, 0.25], [0.1, 0.25, 0.4]])
     target = np.array([[1.0, 0.0, 3.0], [0.0, 0.0, 0.0], [3.0, 0.0, 2.5]])
-    tilt = calibrate_moment(sbm, target)
-    assert np.all(np.asarray(tilt.lambda_block)[1] == 0.0)
-    probs = edge_prob_matrix(apply_tilt(sbm, tilt), len(c))
+    lam = calibrate_moment(sbm, target)
+    assert np.all(lam[1] == 0.0)
+    probs = edge_prob_matrix(SBM.make(c, tilt_sbm(sbm.matrix, lam)), len(c))
     got = np.zeros((3, 3))
     for i, j in itertools.combinations(range(len(c)), 2):
         a, b = sorted((c[i], c[j]))
@@ -303,8 +293,7 @@ def test_calibrate_rdpg_hits_edge_target():
     rng = np.random.default_rng(8)
     agent = RDPG.make(rng.normal(scale=0.7, size=(6, 2)), intercept=-0.4)
     target = 9.0
-    tilt = calibrate_moment(agent, target)
-    tilted = tilt_rdpg(agent, tilt.lambda_edge)
+    tilted = tilt_rdpg(agent, calibrate_moment(agent, target))
     mat = edge_prob_matrix(tilted, 6)
     assert np.triu(mat, 1).sum() == pytest.approx(target, abs=1e-13)
 

@@ -1,4 +1,4 @@
-"""Config handling, data ingestion, agent fitting, serialization, runs, CLI."""
+"""Config handling, data ingestion, agent fitting, CSV export, runs, CLI."""
 
 import csv
 import hashlib
@@ -12,26 +12,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from graphsynth import (Block, Constant, ConfigError, DyadData, ExperimentConfig, Graphon,
-                        GraphonError, SerializeError, StageFailure,
-                        agent_dyad_probs, agent_from_dict, agent_to_dict,
-                        common_refinement,
-                        config_hash, default_generator, edge_prob_matrix,
-                        fit_agents_to_graph, giant_fraction, graphon_from_dict,
-                        graphon_to_dict, grid_values, l2_distance, l2_inner,
-                        load_edge_list, load_model, run_experiment, sample_dyads,
-                        sample_graph, sample_sparse_graph, save_model,
+                        GraphonError, StageFailure, agent_dyad_probs,
+                        common_refinement, config_hash, default_generator,
+                        edge_prob_matrix, fit_agents_to_graph, giant_fraction,
+                        l2_distance, l2_inner, load_edge_list, run_experiment,
+                        sample_dyads, sample_graph, sample_sparse_graph,
                         write_edge_list)
 from graphsynth import (cv_best_agent, experiments, fit_logistic_stack, fit_ls, fit_ridge,
                         fit_simplex, predict_clipped)
 from graphsynth.cli import _read_metrics_csv, main as cli_main
 from graphsynth.evaluation import population_metrics, score_metrics
-from graphsynth.agents import SBM, ErgmSpec, TiltState
 from graphsynth.sampling import child_seeds, graph_from_edge_array
-from graphsynth.serialize import (AGENT_KINDS, GRAPHON_KINDS,
-                                  write_metric_reports_csv)
+from graphsynth.serialize import write_metric_reports_csv
 
 SPARSE_BLOCK = Block.from_arrays([0, 0.5, 1], [[0.08, 0.02], [0.02, 0.08]])
-GOLDEN = Path(__file__).parent / "golden"
 
 
 # ---------------------------------------------------------------------------
@@ -219,82 +213,8 @@ def test_fit_agents_validation():
 
 
 # ---------------------------------------------------------------------------
-# serialization round trips
+# CSV exports
 # ---------------------------------------------------------------------------
-
-def test_graphon_serialization_round_trip():
-    w_star, parts = default_generator()
-    for w in [Constant(0.3), parts[0], parts[1], parts[2], w_star]:
-        back = graphon_from_dict(graphon_to_dict(w))
-        np.testing.assert_allclose(grid_values(back, 16), grid_values(w, 16),
-                                   atol=1e-12)
-
-
-def test_agent_serialization_round_trip():
-    g = sample_graph(SPARSE_BLOCK, 60, seed=9)
-    cfg = ExperimentConfig.from_dict({"experiment": "real", "sbm_k": 2, "rdpg_d": 2})
-    agents = fit_agents_to_graph(g, cfg)
-    dyads = np.array([[0, 5], [10, 30], [2, 59]])
-    for agent in agents.values():
-        back = agent_from_dict(agent_to_dict(agent))
-        np.testing.assert_allclose(agent_dyad_probs(back, dyads),
-                                   agent_dyad_probs(agent, dyads), atol=1e-12)
-
-
-@pytest.fixture(scope="module")
-def model_of_kind():
-    """One example model per registered kind, keyed by class name."""
-    w_star, parts = default_generator()
-    g = sample_graph(SPARSE_BLOCK, 60, seed=9)
-    cfg = ExperimentConfig.from_dict({"experiment": "real", "sbm_k": 2, "rdpg_d": 2})
-    ergm = ErgmSpec.make([("edges",), ("kstar", 2), ("block_counts", (0, 1, 1, 0))],
-                         [0.1, -0.2, 0.3, 0.4, 0.5], 4)
-    models = [Constant(0.3), *parts, w_star, *fit_agents_to_graph(g, cfg).values(), ergm]
-    return {type(m).__name__: m for m in models}
-
-
-@pytest.mark.parametrize("kind", sorted({**GRAPHON_KINDS, **AGENT_KINDS}))
-def test_save_load_model_file(tmp_path, model_of_kind, kind):
-    model = model_of_kind[kind]
-    path = tmp_path / "m.json"
-    save_model(model, str(path))
-    back = load_model(str(path))
-    assert type(back) is type(model)
-    assert back == model
-    save_model(back, str(tmp_path / "again.json"))
-    assert (tmp_path / "again.json").read_text() == path.read_text()
-
-
-def tilted_sbm():
-    return SBM.make([0, 1, 1, 0, 2],
-                    [[0.3, 0.1, 0.05], [0.1, 0.6, 0.2], [0.05, 0.2, 0.7]],
-                    TiltState(lambda_block=((0.5, -0.25, 0.0), (-0.25, 1.0, 0.0),
-                                            (0.0, 0.0, -0.5)), applied=True))
-
-
-@pytest.mark.parametrize("name, model", [("linear_combo.json", default_generator()[0]),
-                                         ("sbm_tilted.json", tilted_sbm())],
-                         ids=["linear_combo", "sbm_tilted"])
-def test_model_format_golden(tmp_path, name, model):
-    """The on-disk model format is pinned byte for byte."""
-    path = tmp_path / name
-    save_model(model, str(path))
-    assert path.read_text() == (GOLDEN / name).read_text()
-    assert load_model(str(GOLDEN / name)) == model
-
-
-def test_malformed_model_documents_rejected():
-    with pytest.raises(SerializeError, match="unknown graphon kind"):
-        graphon_from_dict({"kind": "ER", "p": 0.1})
-    with pytest.raises(SerializeError, match="unknown agent kind"):
-        agent_from_dict({"kind": "Wobbly"})
-    with pytest.raises(SerializeError, match="cannot serialize agent kind"):
-        agent_to_dict(Constant(0.3))
-    with pytest.raises(SerializeError, match="malformed Constant"):
-        graphon_from_dict({"kind": "Constant"})
-    with pytest.raises(SerializeError, match="malformed ER"):
-        agent_from_dict({"kind": "ER", "p": 0.1, "tilt": {"lambda": 1.0}})
-
 
 def test_metrics_csv_round_trip(tmp_path):
     rng = np.random.default_rng(12)
@@ -1065,6 +985,21 @@ def test_s4_runs_on_the_smallest_tail_support(tmp_path):
     with open(tmp_path / "s4" / "s4_tails.csv") as fh:
         rows = list(csv.DictReader(fh))
     assert {(int(r["window_lo"]), int(r["window_hi"])) for r in rows} == {(100, 109)}
+
+
+@pytest.mark.parametrize("gamma_light, k", [(150, 140), (300, 100)])
+def test_s4_fails_when_the_light_tail_underflows_in_the_window(tmp_path, capsys,
+                                                               gamma_light, k):
+    # the pi = 0 row is the light tail alone, so its fit hits the zeros
+    cfg_path = tmp_path / "c.json"
+    cfg_path.write_text(json.dumps({"experiment": "s4", "gamma_light": gamma_light,
+                                    "tail_k_max": 20_000}))
+    assert cli_main(["s4", "--config", str(cfg_path), "--out", str(tmp_path)]) == 2
+    message = f"ccdf underflows to 0 at k = {k} inside the window 100-10000"
+    assert capsys.readouterr().err.strip() == f"[s4] {message}"
+    failure = json.loads((tmp_path / "s4" / "failure.json").read_text())
+    assert failure == {"stage": "s4", "unit": None, "message": message}
+    assert not (tmp_path / "s4" / "s4_tails.csv").exists()
 
 
 def test_cli_config_file_and_overrides(tmp_path):

@@ -267,6 +267,19 @@ def test_fit_tail_exponent_recovers_gamma():
         assert r2 > 0.99
 
 
+def test_fit_tail_exponent_rejects_a_ccdf_that_underflows_in_the_window():
+    # p_k ~ k^-151 underflows past k = 139; a fit on 100-139 alone would
+    # report a window that was never asked for
+    pmf = power_law_pmf(150.0, 20_000)
+    assert pmf.ccdf()[139] > 0 and pmf.ccdf()[140] == 0
+    with pytest.raises(NetstatsError,
+                       match="ccdf underflows to 0 at k = 140 inside the window 100-10000"):
+        fit_tail_exponent(pmf)
+    # the window's size is checked before its values
+    with pytest.raises(NetstatsError, match="tail window too small"):
+        fit_tail_exponent(power_law_pmf(300.0, 105))
+
+
 def test_tilt_degree_pmf_shifts_exponent():
     for gamma, rho in ((2.5, 0.5), (2.5, 1.0), (3.5, 0.5), (3.5, 1.0)):
         pmf = power_law_pmf(gamma, 100_000)
