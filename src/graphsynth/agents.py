@@ -35,6 +35,8 @@ CHUNG_LU_CAP = 1.0 - 1e-12
 CALIBRATE_TOL = 1e-8
 CALIBRATE_MAX_STEPS = 100
 CALIBRATE_ARMIJO = 1e-4
+# RDPG.dyad_logits gathers positions for this many dyads at a time
+DYAD_BLOCK_ROWS = 16_384
 
 
 # ---------------------------------------------------------------------------
@@ -102,8 +104,17 @@ class RDPG:
         return len(self.positions)
 
     def dyad_logits(self, i, j) -> np.ndarray:
+        # each row's sum is the same in a block as in one full-length gather
         z = np.asarray(self.positions, dtype=float)
-        return np.sum(np.take(z, i, axis=0) * np.take(z, j, axis=0), axis=-1) + self.intercept
+        i, j = np.broadcast_arrays(i, j)
+        flat_i, flat_j = i.ravel(), j.ravel()
+        out = np.empty(flat_i.size)
+        for lo in range(0, flat_i.size, DYAD_BLOCK_ROWS):
+            rows = slice(lo, lo + DYAD_BLOCK_ROWS)
+            out[rows] = np.sum(np.take(z, flat_i[rows], axis=0)
+                               * np.take(z, flat_j[rows], axis=0), axis=-1)
+        out += self.intercept
+        return out.reshape(i.shape)[()]
 
     def dyad_probs(self, i, j) -> np.ndarray:
         return expit(self.dyad_logits(i, j))

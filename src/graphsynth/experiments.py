@@ -44,6 +44,7 @@ ARTIFACT_VERSION = "0.1.0"
 EXPERIMENTS = ("s1", "s2", "s3", "s4", "real")
 SPLIT_REGIMES = ("edge_holdout", "node_holdout", "uniform_dyads")
 RDPG_INTERCEPT_PAIRS = 200_000
+KMEANS_ROUNDS = 10
 # keys that earlier configs may still name and that nothing reads: from_dict
 # drops them with a warning
 RETIRED_KEYS = ("m_test",)
@@ -290,14 +291,15 @@ def fit_agents_to_graph(g: GraphSample, config: ExperimentConfig, seed=0):
     ER: empirical density.  ChungLu: theta_i = d_i / sqrt(2 * edges).
     DegHist: degree-decile node bins with empirical bin-pair rates.
     SBM: spectral clustering of the normalized adjacency of the largest
-    connected component plus add-one smoothed block rates.  RDPG: top-d
+    connected component (its top-K eigenvectors by ARPACK, rows normalized,
+    then ``_kmeans``: k-means++ and KMEANS_ROUNDS Lloyd rounds in numpy, no
+    BLAS call) plus add-one smoothed block rates.  RDPG: top-d
     adjacency spectral embedding with a moment-matched logistic intercept.
 
     Returns an ordered dict name -> agent.
     """
     import scipy.sparse.csgraph
     import scipy.sparse.linalg
-    from scipy.cluster.vq import kmeans2
 
     n = g.n
     if n < 10:
@@ -333,8 +335,7 @@ def fit_agents_to_graph(g: GraphSample, config: ExperimentConfig, seed=0):
                                         v0=np.ones(n) / np.sqrt(n))
     row_norm = np.linalg.norm(vecs, axis=1, keepdims=True)
     embedding = vecs / np.maximum(row_norm, 1e-12)
-    _, labels = kmeans2(embedding, k, minit="++",
-                        seed=np.random.default_rng(seed).integers(2 ** 31))
+    labels = _kmeans(embedding, k, np.random.default_rng(seed).integers(2 ** 31))
     sbm = ag.SBM.make(labels, _pair_rates(g, labels, smooth=True))
 
     d = config.rdpg_d
@@ -346,6 +347,72 @@ def fit_agents_to_graph(g: GraphSample, config: ExperimentConfig, seed=0):
 
     return {"ER": er, "ChungLu": chung_lu, "DegHist": deg_hist,
             "SBM": sbm, "RDPG": rdpg}
+
+
+def _sq_dists(data: np.ndarray, centers: np.ndarray) -> np.ndarray:
+    """(n, k) squared distances of ``data``'s rows to ``centers``, summed
+    feature by feature with no BLAS product."""
+    dist = np.zeros((len(data), len(centers)))
+    for f in range(data.shape[1]):
+        diff = data[:, f, None] - centers[None, :, f]
+        dist += diff * diff
+    return dist
+
+
+def _kmeans_pp(data: np.ndarray, k: int, rng) -> np.ndarray:
+    """k-means++ seeding: ``k`` rows of ``data`` as centers, drawn from
+    ``rng`` (a ``RandomState``) as scipy's ``kmeans2(minit="++")`` draws
+    them.
+
+    The first center is the row ``rng.randint(n)``, each further one the
+    row where a ``rng.uniform()`` draw falls in the cumulative
+    D^2 / sum D^2.  Where ``kmeans2`` would fail, this picks a row: a draw
+    above the cumulative sum's rounded top takes the last row of positive
+    weight (``kmeans2`` raises ``IndexError``), and when every row already
+    is a center (sum D^2 = 0) row 0 is taken, as ``kmeans2``'s NaN
+    cumulative sum does, without its divide warning.
+    """
+    n = len(data)
+    centers = np.empty((k, data.shape[1]))
+    centers[0] = data[rng.randint(n, dtype=np.int64)]
+    d2 = _sq_dists(data, centers[:1])[:, 0]
+    for c in range(1, k):
+        total = d2.sum()
+        r = rng.uniform()
+        if total > 0:
+            cum = np.cumsum(d2 / total)
+            row = int(np.searchsorted(cum, min(r, cum[-1])))
+        else:
+            row = 0
+        centers[c] = data[row]
+        d2 = np.minimum(d2, _sq_dists(data, centers[c:c + 1])[:, 0])
+    return centers
+
+
+def _kmeans(data: np.ndarray, k: int, seed) -> np.ndarray:
+    """Labels of k-means on the rows of ``data``: ``_kmeans_pp`` seeding from
+    ``RandomState(seed)``, then KMEANS_ROUNDS Lloyd rounds.
+
+    Step for step, this is scipy's ``kmeans2(data, k, minit="++",
+    seed=seed)`` with its distances summed feature by feature, as ``kmeans2``
+    sums them below 5 features (from 5 on it takes a BLAS product).  Each
+    round assigns every row to its nearest center, the first on ties, and
+    moves each center to its members' mean; an empty cluster keeps its
+    center, with a warning.  The labels are those of the last assignment.
+    """
+    data = np.asarray(data, dtype=float)
+    centers = _kmeans_pp(data, k, np.random.RandomState(seed))
+    for _ in range(KMEANS_ROUNDS):
+        labels = np.argmin(_sq_dists(data, centers), axis=1)
+        sizes = np.bincount(labels, minlength=k)
+        filled = sizes > 0
+        if not filled.all():
+            warnings.warn("k-means left a cluster empty; it keeps its previous center",
+                          stacklevel=2)
+        sums = np.stack([np.bincount(labels, weights=col, minlength=k) for col in data.T],
+                        axis=1)
+        centers[filled] = sums[filled] / sizes[filled, None]
+    return labels
 
 
 def _pair_rates(g: GraphSample, labels, smooth: bool) -> np.ndarray:

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,7 +14,7 @@ from graphsynth import (ER, RDPG, SBM, AgentError, ChungLu, DegHist, ErgmSpec,
                         er_as_ergm, ergm_stack_tilt, exact_enumeration_pmf,
                         mixture_pmf, stat_tilt_weights, statistic_matrix,
                         tilt_er, tilt_rdpg, tilt_sbm)
-from graphsynth.agents import logit_shift
+from graphsynth.agents import DYAD_BLOCK_ROWS, logit_shift
 
 
 # ---------------------------------------------------------------------------
@@ -66,13 +67,36 @@ def test_tilt_rdpg_intercept_shift():
     assert edge_prob_matrix(shifted, 2)[0, 1] == pytest.approx(0.5, abs=1e-15)
 
 
-@pytest.mark.parametrize("d", [3, 5, 9])
+@pytest.mark.parametrize("d", [1, 3, 5, 8, 9, 17])
 def test_rdpg_dyad_logits_match_fancy_indexing(d):
+    # bit for bit, across the DYAD_BLOCK_ROWS block boundaries
     rng = np.random.default_rng(d)
     z = rng.normal(size=(400, d))
     agent = RDPG.make(z, intercept=-2.5)
-    i, j = rng.integers(0, 400, size=(2, 5000))
-    assert np.array_equal(agent.dyad_logits(i, j), np.sum(z[i] * z[j], axis=-1) - 2.5)
+    i, j = rng.integers(0, 400, size=(2, 2 * DYAD_BLOCK_ROWS + 5))
+    want = np.sum(z[i] * z[j], axis=-1) - 2.5
+    assert agent.dyad_logits(i, j).tobytes() == want.tobytes()
+    # broadcast index arrays, as edge_prob_matrix passes them
+    idx = np.arange(400)
+    want = np.sum(z[:, None] * z[None, :], axis=-1) - 2.5
+    assert agent.dyad_logits(idx[:, None], idx[None, :]).tobytes() == want.tobytes()
+
+
+def test_rdpg_dyad_logits_peak_memory():
+    # 200,000 dyads at d = 3, as _fit_rdpg_intercept evaluates them: beside
+    # the output and the positions, at most three block-sized gathers
+    # (all at once, the three (m, d) temporaries took 6.1 times the output)
+    rng = np.random.default_rng(7)
+    z = rng.normal(size=(5000, 3))
+    agent = RDPG.make(z)
+    i, j = rng.integers(0, 5000, size=(2, 200_000))
+    tracemalloc.start()
+    try:
+        out = agent.dyad_logits(i, j)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < out.nbytes + z.nbytes + 3 * DYAD_BLOCK_ROWS * z.shape[1] * 8
 
 
 # ---------------------------------------------------------------------------

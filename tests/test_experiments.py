@@ -3,6 +3,9 @@
 import csv
 import hashlib
 import json
+import os
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
@@ -15,7 +18,7 @@ from graphsynth import (Block, Constant, ConfigError, DyadData, ExperimentConfig
                         GraphonError, StageFailure, agent_dyad_probs,
                         common_refinement, config_hash, default_generator,
                         edge_prob_matrix, fit_agents_to_graph, giant_fraction,
-                        l2_distance, l2_inner, load_edge_list, run_experiment,
+                        l2_distance, l2_inner, load_edge_list, make_split, run_experiment,
                         sample_dyads, sample_graph, sample_sparse_graph,
                         write_edge_list)
 from graphsynth import (cv_best_agent, experiments, fit_logistic_stack, fit_ls, fit_ridge,
@@ -210,6 +213,133 @@ def test_fit_agents_validation():
     cfg = ExperimentConfig.from_dict({"experiment": "real"})
     with pytest.raises(ValueError):
         fit_agents_to_graph(tiny, cfg)
+
+
+def _fresh_python(code: str, **env) -> str:
+    """Standard output of ``code`` in a fresh interpreter that imports this
+    graphsynth, with ``env`` added to the environment."""
+    src = str(Path(experiments.__file__).resolve().parents[1])
+    path = os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p])
+    return subprocess.run([sys.executable, "-c", code],
+                          env=dict(os.environ, PYTHONPATH=path, **env),
+                          capture_output=True, text=True, check=True, timeout=120).stdout
+
+
+# ---------------------------------------------------------------------------
+# the SBM step's k-means
+# ---------------------------------------------------------------------------
+
+def _kmeans2_labels(data, k, seed):
+    from scipy.cluster.vq import kmeans2
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        return kmeans2(data, k, minit="++", seed=seed)[1]
+
+
+@pytest.mark.parametrize("k", range(2, 7))
+@pytest.mark.parametrize("d", range(1, 5))
+def test_kmeans_matches_kmeans2(d, k):
+    # below 5 features kmeans2 sums squared differences feature by feature,
+    # as _kmeans does, so every label agrees; rounded rows add exact ties
+    rng = np.random.default_rng(10 * d + k)
+    for trial in range(6):
+        data = rng.normal(size=(int(rng.integers(k, 300)), d))
+        if trial % 3 == 1:
+            data /= np.linalg.norm(data, axis=1, keepdims=True)
+        elif trial % 3 == 2:
+            data = np.round(data, 1)
+        seed = rng.integers(2 ** 31)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            got = experiments._kmeans(data, k, seed)
+        np.testing.assert_array_equal(got, _kmeans2_labels(data, k, seed))
+
+
+def test_kmeans_with_fewer_distinct_rows_than_clusters():
+    # three distinct rows and k = 5: seeding reaches sum D^2 = 0 twice, and
+    # duplicate centers leave clusters empty
+    data = np.repeat([[0.0, 1.0], [1.0, 0.0], [0.5, 0.5]], [7, 5, 3], axis=0)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        got = experiments._kmeans(data, 5, 11)
+    assert {type(w.message) for w in caught} == {UserWarning}
+    assert "empty" in str(caught[0].message)
+    np.testing.assert_array_equal(got, _kmeans2_labels(data, 5, 11))
+    assert np.unique(got).size == 3
+    for row in np.unique(data, axis=0):
+        assert np.unique(got[(data == row).all(axis=1)]).size == 1
+
+
+def test_kmeans_on_equal_rows():
+    data = np.full((20, 3), 0.25)
+    with pytest.warns(UserWarning, match="empty"):
+        got = experiments._kmeans(data, 4, 5)
+    assert np.array_equal(got, np.zeros(20)) and np.array_equal(got, _kmeans2_labels(data, 4, 5))
+
+
+class _TopDraw:
+    """A RandomState stand-in whose first center is row 0 and whose every
+    uniform() draw is 1 - 2**-53, the largest a RandomState returns."""
+
+    def randint(self, n, dtype):
+        return 0
+
+    def uniform(self):
+        return np.nextafter(1.0, 0.0)
+
+
+def test_kmeans_pp_clamps_a_draw_above_the_rounded_cumulative_sum():
+    # the normalized cumulative D^2 from row 0 ends at 1 - 2**-52, below the
+    # draw, where kmeans2 would index past the end; the last row repeats
+    # row 0, so the draw falls on the last row of positive weight
+    data = np.array([[0.0], [85 / 7], [170 / 7], [255 / 7], [0.0]])
+    d2 = data[:, 0] ** 2
+    assert np.cumsum(d2 / d2.sum())[-1] < _TopDraw().uniform()
+    centers = experiments._kmeans_pp(data, 2, _TopDraw())
+    np.testing.assert_array_equal(centers, data[[0, 3]])
+
+
+# k-means on a 5-feature embedding, where kmeans2 would take a BLAS product
+_KMEANS_PROBE = """
+import hashlib
+import numpy as np
+from graphsynth import experiments
+x = np.random.default_rng(2201).normal(size=(3000, 5))
+x /= np.linalg.norm(x, axis=1, keepdims=True)
+print(hashlib.sha256(experiments._kmeans(x, 5, 1234).tobytes()).hexdigest())
+"""
+
+
+def test_kmeans_labels_do_not_depend_on_the_blas_kernel(capsys):
+    exec(_KMEANS_PROBE, {})
+    here = capsys.readouterr().out
+    assert _fresh_python(_KMEANS_PROBE, OPENBLAS_CORETYPE="Haswell") == here
+
+
+# the agents of the edge_holdout/0 training graph of a run on CONFIG, with
+# the unit seed run_experiment gives that split
+_EDGE_HOLDOUT_FIT = """
+import hashlib
+import numpy as np
+from graphsynth import ExperimentConfig, fit_agents_to_graph, load_edge_list, make_split
+from graphsynth.sampling import child_seeds, graph_from_edge_array
+cfg = ExperimentConfig.from_dict(CONFIG)
+graph, _ = load_edge_list(cfg.dataset)
+seed = np.random.SeedSequence(cfg.base_seed).spawn(2)[0]
+split = make_split(graph, "edge_holdout", seed, negpos_ratio=cfg.negpos_ratio)
+train = graph_from_edge_array(graph.n, split.train_dyads[split.train_labels == 1])
+agents = fit_agents_to_graph(train, cfg, seed=child_seeds(seed, 1)[0])
+for name in ("SBM", "RDPG"):
+    print(name, hashlib.sha256(repr(agents[name]).encode()).hexdigest())
+"""
+
+
+def test_fit_agents_repeatable_across_processes(tmp_path):
+    code = f"CONFIG = {_real_config(tmp_path)!r}\n" + _EDGE_HOLDOUT_FIT
+    runs = [_fresh_python(code) for _ in range(2)]
+    assert runs[0] == runs[1]
+    assert runs[0].split()[::2] == ["SBM", "RDPG"]
 
 
 # ---------------------------------------------------------------------------
