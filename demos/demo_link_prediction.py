@@ -15,7 +15,7 @@ from graphsynth import (Block, DyadData, ExperimentConfig, agent_dyad_probs,
 from graphsynth.logistic import expit
 from graphsynth.sampling import graph_from_edge_array
 
-truth = Block.from_arrays([0, 0.5, 1], [[0.10, 0.02], [0.02, 0.08]])
+truth = Block([0, 0.5, 1], [[0.10, 0.02], [0.02, 0.08]])
 graph = sample_graph(truth, 400, seed=3)
 print(f"observed graph: n={graph.n}, edges={graph.n_edges}")
 

@@ -37,8 +37,8 @@ for lam in (1.25, 1.5, 2.0, 3.0):
     print(f"   lambda={lam:4.2f}  zeta={fixed_point(lam):.4f}")
 
 # --- 2. combined kernel: the critical point moves with the weights -------
-parts = [Block.from_arrays([0, 0.5, 1], [[0.8, 0.1], [0.1, 0.8]]),
-         Block.from_arrays([0, 0.25, 1], [[0.3, 0.6], [0.6, 0.2]])]
+parts = [Block([0, 0.5, 1], [[0.8, 0.1], [0.1, 0.8]]),
+         Block([0, 0.25, 1], [[0.3, 0.6], [0.6, 0.2]])]
 beta = [0.05, 0.55, 0.40]
 lower, upper, rho = spectral_bracket(beta, parts)
 print(f"\nnonnegative combo beta={beta}:")

@@ -37,12 +37,12 @@ print(f"\nenumeration cross-check at n={n}: TV(tilted pmf, closed form) = {tv:.2
 
 # --- 4. calibrate an edge+triangle model to a moment target --------------
 stats = [("edges",), ("triangles",)]
-spec = ErgmSpec.make(stats, [-0.2, 0.1], n)
+spec = ErgmSpec(stats, [-0.2, 0.1], n)
 stat = statistic_matrix(enum, stats)
 base_mean = exact_enumeration_pmf(spec).probs @ stat
 target = base_mean + np.array([0.6, 0.3])
 tau = calibrate_moment(spec, target)
-tilted = ErgmSpec.make(stats, np.asarray(spec.theta) + tau, n)
+tilted = ErgmSpec(stats, spec.theta + tau, n)
 achieved = exact_enumeration_pmf(tilted).probs @ stat
 print(f"\nERGM calibration at n={n} (edges, triangles):")
 print(f"  base mean      = {base_mean.round(4)}")

@@ -15,6 +15,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from .graphons import set_readonly
 from .logistic import expit, logit, logsumexp
 
 
@@ -55,49 +56,44 @@ class ER:
         return np.full(np.broadcast(i, j).shape, self.p)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SBM:
     """Block model with node assignment c : [n] -> {0..K-1} and symmetric
     rate matrix with entries in (0,1)."""
 
-    assignment: tuple
-    matrix: tuple
+    assignment: np.ndarray
+    matrix: np.ndarray
 
     def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=float)
+        set_readonly(self, int, assignment=self.assignment)
+        set_readonly(self, matrix=self.matrix)
+        c, m = self.assignment, self.matrix
         if not np.allclose(m, m.T, atol=0.0):
             raise AgentError("SBM rate matrix must be symmetric")
         if np.any(m <= 0.0) or np.any(m >= 1.0):
             raise AgentError("SBM rates must lie in the open interval (0,1)")
-        c = np.asarray(self.assignment, dtype=int)
         if c.min() < 0 or c.max() >= m.shape[0]:
             raise AgentError("assignment labels must index the rate matrix")
-
-    @staticmethod
-    def make(assignment, matrix) -> "SBM":
-        return SBM(tuple(np.asarray(assignment, dtype=int).tolist()),
-                   tuple(map(tuple, np.asarray(matrix, dtype=float))))
 
     @property
     def n(self) -> int:
         return len(self.assignment)
 
     def dyad_probs(self, i, j) -> np.ndarray:
-        c = np.asarray(self.assignment, dtype=int)
-        return np.asarray(self.matrix, dtype=float)[c[i], c[j]]
+        return self.matrix[self.assignment[i], self.assignment[j]]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RDPG:
     """Logistic random dot product agent: P(edge ij) = sigmoid(z_i.z_j + b)."""
 
-    positions: tuple
+    positions: np.ndarray
     intercept: float = 0.0
 
-    @staticmethod
-    def make(positions, intercept=0.0) -> "RDPG":
-        z = np.atleast_2d(np.asarray(positions, dtype=float))
-        return RDPG(tuple(map(tuple, z)), float(intercept))
+    def __post_init__(self):
+        set_readonly(self, positions=self.positions)
+        if self.positions.ndim != 2:
+            raise AgentError("RDPG positions must be an (n, d) array")
 
     @property
     def n(self) -> int:
@@ -105,7 +101,7 @@ class RDPG:
 
     def dyad_logits(self, i, j) -> np.ndarray:
         # each row's sum is the same in a block as in one full-length gather
-        z = np.asarray(self.positions, dtype=float)
+        z = self.positions
         i, j = np.broadcast_arrays(i, j)
         flat_i, flat_j = i.ravel(), j.ravel()
         out = np.empty(flat_i.size)
@@ -120,50 +116,42 @@ class RDPG:
         return expit(self.dyad_logits(i, j))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ChungLu:
     """Product-weight agent: P(edge ij) = min(theta_i theta_j, cap)."""
 
-    theta: tuple
+    theta: np.ndarray
 
     def __post_init__(self):
-        if np.any(np.asarray(self.theta, dtype=float) < 0.0):
+        set_readonly(self, theta=self.theta)
+        if np.any(self.theta < 0.0):
             raise AgentError("Chung-Lu weights must be nonnegative")
-
-    @staticmethod
-    def make(theta) -> "ChungLu":
-        return ChungLu(tuple(np.asarray(theta, dtype=float).tolist()))
 
     @property
     def n(self) -> int:
         return len(self.theta)
 
     def dyad_probs(self, i, j) -> np.ndarray:
-        th = np.asarray(self.theta, dtype=float)
-        return np.minimum(th[i] * th[j], CHUNG_LU_CAP)
+        return np.minimum(self.theta[i] * self.theta[j], CHUNG_LU_CAP)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DegHist:
     """Degree-bin agent: nodes carry a bin label, edges use bin-pair rates."""
 
-    node_bins: tuple
-    rates: tuple
-    bin_edges: tuple = ()
+    node_bins: np.ndarray
+    rates: np.ndarray
 
-    @staticmethod
-    def make(node_bins, rates, bin_edges=()) -> "DegHist":
-        return DegHist(tuple(np.asarray(node_bins, dtype=int).tolist()),
-                       tuple(map(tuple, np.asarray(rates, dtype=float))),
-                       tuple(np.asarray(bin_edges, dtype=float).tolist()))
+    def __post_init__(self):
+        set_readonly(self, int, node_bins=self.node_bins)
+        set_readonly(self, rates=self.rates)
 
     @property
     def n(self) -> int:
         return len(self.node_bins)
 
     def dyad_probs(self, i, j) -> np.ndarray:
-        b = np.asarray(self.node_bins, dtype=int)
-        return np.asarray(self.rates, dtype=float)[b[i], b[j]]
+        return self.rates[self.node_bins[i], self.node_bins[j]]
 
 
 # each kind's ``dyad_probs(i, j)`` holds its edge-probability formula on
@@ -306,7 +294,7 @@ class GraphEnumeration:
 # ERGM specifications
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ErgmSpec:
     """Exponential-family graph model on a stacked statistic vector.
 
@@ -316,17 +304,14 @@ class ErgmSpec:
     """
 
     stats: tuple
-    theta: tuple
+    theta: np.ndarray
     n: int
 
     def __post_init__(self):
+        object.__setattr__(self, "stats", tuple(map(tuple, self.stats)))
+        set_readonly(self, theta=self.theta)
         if len(self.theta) != stat_dimension(self.stats):
             raise AgentError("theta length must match the stacked statistic dimension")
-
-    @staticmethod
-    def make(stats, theta, n) -> "ErgmSpec":
-        return ErgmSpec(tuple(tuple(s) for s in stats),
-                        tuple(np.asarray(theta, dtype=float).tolist()), n)
 
 
 def stat_dimension(stats) -> int:
@@ -365,7 +350,7 @@ def statistic_matrix(enum: GraphEnumeration, stats) -> np.ndarray:
 
 def er_as_ergm(p: float, n: int) -> ErgmSpec:
     """ER model as an edge-statistic exponential family, theta = logit(p)."""
-    return ErgmSpec.make([("edges",)], [float(logit(p))], n)
+    return ErgmSpec([("edges",)], [float(logit(p))], n)
 
 
 def ergm_stack_tilt(weighted_specs, tau) -> ErgmSpec:
@@ -390,9 +375,9 @@ def ergm_stack_tilt(weighted_specs, tau) -> ErgmSpec:
     for spec, omega in weighted_specs:
         dim = stat_dimension(spec.stats)
         stats.extend(spec.stats)
-        theta.extend(omega * np.asarray(spec.theta) + tau[offset:offset + dim])
+        theta.extend(omega * spec.theta + tau[offset:offset + dim])
         offset += dim
-    return ErgmSpec.make(stats, theta, ns.pop())
+    return ErgmSpec(stats, theta, ns.pop())
 
 
 # ---------------------------------------------------------------------------
@@ -435,7 +420,7 @@ def exact_enumeration_pmf(model, n: int | None = None) -> GraphPmf:
     if isinstance(model, ErgmSpec):
         enum = GraphEnumeration.get(model.n)
         stat = statistic_matrix(enum, model.stats)
-        logits = stat @ np.asarray(model.theta, dtype=float)
+        logits = stat @ model.theta
         psi = float(logsumexp(logits))
         return GraphPmf(model.n, np.exp(logits - psi), log_normalizer=psi)
     if n is None:
@@ -596,8 +581,7 @@ def calibrate_moment(model, target, n: int | None = None):
         return float(logit(target / m_n) - logit(model.p))
 
     if isinstance(model, SBM):
-        c = np.asarray(model.assignment, dtype=int)
-        b = np.asarray(model.matrix, dtype=float)
+        c, b = model.assignment, model.matrix
         k = b.shape[0]
         sizes = np.bincount(c, minlength=k)
         # unordered pairs: n_a n_b across blocks, n_a (n_a - 1) / 2 within one
@@ -625,7 +609,7 @@ def calibrate_moment(model, target, n: int | None = None):
     if isinstance(model, ErgmSpec):
         enum = GraphEnumeration.get(model.n)
         stat = statistic_matrix(enum, model.stats)
-        base_logits = stat @ np.asarray(model.theta, dtype=float)
+        base_logits = stat @ model.theta
         return _newton_calibrate(stat, base_logits, np.asarray(target, dtype=float))
 
     raise AgentError(f"no calibration rule for {type(model).__name__}")

@@ -304,22 +304,22 @@ def fit_agents_to_graph(g: GraphSample, config: ExperimentConfig, seed=0):
     n = g.n
     if n < 10:
         raise ValueError("agent fitting needs n >= 10")
-    if config.sbm_k > n or config.rdpg_d > n:
-        raise ValueError("SBM K and RDPG d must not exceed n")
+    for key in ("sbm_k", "rdpg_d"):
+        if getattr(config, key) >= n:
+            raise ValueError(f"{key} = {getattr(config, key)} must be below the node count {n}")
     if g.n_edges == 0:
         raise ValueError("cannot fit agents to an empty graph")
     deg = g.degrees.astype(float)
     total_pairs = n * (n - 1) / 2
 
     er = ag.ER(_clip_rate(g.n_edges / total_pairs))
-    chung_lu = ag.ChungLu.make(deg / np.sqrt(2.0 * g.n_edges))
+    chung_lu = ag.ChungLu(deg / np.sqrt(2.0 * g.n_edges))
 
     # degree-decile bins (duplicate quantiles collapse for skewed degrees)
     k_bins = config.deghist_bins
     edges_q = np.unique(np.quantile(deg, np.linspace(0, 1, k_bins + 1)[1:-1]))
     node_bins = np.searchsorted(edges_q, deg, side="right")
-    deg_hist = ag.DegHist.make(node_bins, _pair_rates(g, node_bins, smooth=False),
-                               bin_edges=edges_q)
+    deg_hist = ag.DegHist(node_bins, _pair_rates(g, node_bins, smooth=False))
 
     adj = g.adjacency().astype(float)
     # spectral step on the largest component only: every further component
@@ -336,13 +336,13 @@ def fit_agents_to_graph(g: GraphSample, config: ExperimentConfig, seed=0):
     row_norm = np.linalg.norm(vecs, axis=1, keepdims=True)
     embedding = vecs / np.maximum(row_norm, 1e-12)
     labels = _kmeans(embedding, k, np.random.default_rng(seed).integers(2 ** 31))
-    sbm = ag.SBM.make(labels, _pair_rates(g, labels, smooth=True))
+    sbm = ag.SBM(labels, _pair_rates(g, labels, smooth=True))
 
     d = config.rdpg_d
     vals, u = scipy.sparse.linalg.eigsh(adj, k=d, which="LA",
                                         v0=np.ones(n) / np.sqrt(n))
     positions = u * np.sqrt(np.maximum(vals, 0.0))[None, :]
-    rdpg = ag.RDPG.make(positions)
+    rdpg = ag.RDPG(positions)
     rdpg = replace(rdpg, intercept=_fit_rdpg_intercept(rdpg, g, seed))
 
     return {"ER": er, "ChungLu": chung_lu, "DegHist": deg_hist,
@@ -471,13 +471,13 @@ def default_generator():
     geometry + 0.25 * capped product-weight degree heterogeneity; the three
     parts double as the agent kernels.
     """
-    block = gr.Block.from_arrays([0.0, 0.5, 1.0], [[0.8, 0.1], [0.1, 0.8]])
+    block = gr.Block([0.0, 0.5, 1.0], [[0.8, 0.1], [0.1, 0.8]])
     latent = gr.uniform_step_map([(1.2, 0.0), (0.4, 0.9), (-0.4, 0.9), (-1.2, 0.0)])
     low_rank = gr.LogisticLowRank(latent, intercept=-0.3)
     weights = gr.uniform_step_map([0.95, 0.65, 0.45, 0.25])
     product = gr.ProductWeight(weights)
     parts = [block, low_rank, product]
-    w_star = gr.LinearCombo.make([0.0, 0.4, 0.35, 0.25], parts, clipped=False)
+    w_star = gr.LinearCombo([0.0, 0.4, 0.35, 0.25], parts)
     return w_star, parts
 
 

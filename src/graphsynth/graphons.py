@@ -23,11 +23,20 @@ class GraphonError(ValueError):
     pass
 
 
+def set_readonly(obj, dtype=float, **fields) -> None:
+    """Set each of ``fields`` on the frozen dataclass ``obj`` to a read-only
+    ``dtype`` copy of its value; an array the caller passed keeps its flags."""
+    for name, value in fields.items():
+        arr = np.array(value, dtype=dtype)
+        arr.flags.writeable = False
+        object.__setattr__(obj, name, arr)
+
+
 # ---------------------------------------------------------------------------
 # step maps (piecewise-constant functions on [0,1])
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class StepMap:
     """Piecewise-constant map [0,1] -> R^d given by breakpoints and values.
 
@@ -35,11 +44,12 @@ class StepMap:
     ending at 1; ``values`` has K rows (scalar values allowed for d=1).
     """
 
-    boundaries: tuple
-    values: tuple
+    boundaries: np.ndarray
+    values: np.ndarray
 
     def __post_init__(self):
-        b = np.asarray(self.boundaries, dtype=float)
+        set_readonly(self, boundaries=self.boundaries, values=self.values)
+        b = self.boundaries
         if b.ndim != 1 or b.size < 2:
             raise GraphonError("boundaries must be a 1-d sequence of length >= 2")
         if b[0] != 0.0 or b[-1] != 1.0:
@@ -56,11 +66,7 @@ class StepMap:
 
 def uniform_step_map(values) -> StepMap:
     """StepMap with equal-measure pieces."""
-    values = (tuple(map(tuple, np.asarray(values).tolist())) if np.ndim(values) > 1
-              else tuple(values))
-    k = len(values)
-    bounds = tuple(np.linspace(0.0, 1.0, k + 1).tolist())
-    return StepMap(bounds, values)
+    return StepMap(np.linspace(0.0, 1.0, len(values) + 1), values)
 
 
 # ---------------------------------------------------------------------------
@@ -98,21 +104,21 @@ class Constant(Graphon):
 
     @cached_property
     def block(self) -> Block:
-        return Block.from_arrays([0.0, 1.0], [[self.p]])
+        return Block([0.0, 1.0], [[self.p]])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Block(Graphon):
     """Piecewise-constant graphon: K blocks with symmetric rate matrix."""
 
-    boundaries: tuple
-    matrix: tuple
+    boundaries: np.ndarray
+    matrix: np.ndarray
 
     def __post_init__(self):
-        b = np.asarray(self.boundaries, dtype=float)
+        set_readonly(self, boundaries=self.boundaries, matrix=self.matrix)
+        b, m = self.boundaries, self.matrix
         if b[0] != 0.0 or b[-1] != 1.0 or np.any(np.diff(b) <= 0):
             raise GraphonError("block boundaries must increase strictly from 0 to 1")
-        m = np.asarray(self.matrix, dtype=float)
         k = b.size - 1
         if m.shape != (k, k):
             raise GraphonError(f"rate matrix must be {k}x{k}")
@@ -121,10 +127,10 @@ class Block(Graphon):
         if np.any(m < 0.0) or np.any(m > 1.0):
             raise GraphonError("block rates must lie in [0,1]")
 
+    # the constructor under its former name, for perfbench/workloads.py
     @staticmethod
     def from_arrays(boundaries, matrix) -> "Block":
-        return Block(tuple(np.asarray(boundaries, dtype=float).tolist()),
-                     tuple(map(tuple, np.asarray(matrix, dtype=float))))
+        return Block(boundaries, matrix)
 
     @property
     def k(self) -> int:
@@ -135,15 +141,13 @@ class Block(Graphon):
         return self
 
     def measures(self) -> np.ndarray:
-        return np.diff(np.asarray(self.boundaries, dtype=float))
+        return np.diff(self.boundaries)
 
     def piece_index(self, x) -> np.ndarray:
-        b = np.asarray(self.boundaries, dtype=float)
-        return np.searchsorted(b[1:-1], np.asarray(x, dtype=float), side="right")
+        return np.searchsorted(self.boundaries[1:-1], np.asarray(x, dtype=float), side="right")
 
     def evaluate(self, x, y):
-        m = np.asarray(self.matrix, dtype=float)
-        return m[self.piece_index(x), self.piece_index(y)]
+        return self.matrix[self.piece_index(x), self.piece_index(y)]
 
 
 @dataclass(frozen=True)
@@ -157,9 +161,9 @@ class LogisticLowRank(Graphon):
     def block(self) -> Block:
         # (K, d) latent values, d = 1 for scalars; np.sum, not z @ z.T, so
         # each rate is bit for bit sigmoid(sum_k z_k(x) z_k(y) + intercept)
-        z = np.asarray(self.latent.values, dtype=float).reshape(self.latent.k, -1)
+        z = self.latent.values.reshape(self.latent.k, -1)
         mat = expit(np.sum(z[:, None, :] * z[None, :, :], axis=-1) + self.intercept)
-        return Block.from_arrays(self.latent.boundaries, mat)
+        return Block(self.latent.boundaries, mat)
 
 
 @dataclass(frozen=True)
@@ -169,16 +173,16 @@ class ProductWeight(Graphon):
     weights: StepMap
 
     def __post_init__(self):
-        if np.any(np.asarray(self.weights.values, dtype=float) < 0.0):
+        if np.any(self.weights.values < 0.0):
             raise GraphonError("product weights must be nonnegative")
 
     @cached_property
     def block(self) -> Block:
-        th = np.asarray(self.weights.values, dtype=float)
-        return Block.from_arrays(self.weights.boundaries, np.minimum(np.outer(th, th), 1.0))
+        th = self.weights.values
+        return Block(self.weights.boundaries, np.minimum(np.outer(th, th), 1.0))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LinearCombo(Graphon):
     """beta0 + sum_j beta_j * parts[j]; optionally clipped into [0,1].
 
@@ -187,37 +191,32 @@ class LinearCombo(Graphon):
     parts' values, so it also serves parts without a block form.
     """
 
-    beta: tuple
+    beta: np.ndarray
     parts: tuple
     clipped: bool = False
 
     def __post_init__(self):
+        set_readonly(self, beta=self.beta)
+        object.__setattr__(self, "parts", tuple(self.parts))
         if len(self.beta) != len(self.parts) + 1:
             raise GraphonError("beta must have one intercept plus one weight per part")
-
-    @staticmethod
-    def make(beta, parts, clipped=False) -> "LinearCombo":
-        return LinearCombo(tuple(np.asarray(beta, dtype=float).tolist()), tuple(parts), clipped)
 
     @cached_property
     def block(self) -> Block:
         bounds, mats = _refine([as_block(p) for p in self.parts])
-        beta = np.asarray(self.beta, dtype=float)
-        mat = np.full((bounds.size - 1,) * 2, beta[0])
-        for b_j, m in zip(beta[1:], mats):
+        mat = np.full((bounds.size - 1,) * 2, self.beta[0])
+        for b_j, m in zip(self.beta[1:], mats):
             mat += b_j * m
         if self.clipped:
             mat = np.clip(mat, 0.0, 1.0)
         # bypass Block's [0,1] validation for unclipped combinations
         blk = object.__new__(Block)
-        object.__setattr__(blk, "boundaries", tuple(bounds.tolist()))
-        object.__setattr__(blk, "matrix", tuple(map(tuple, mat)))
+        set_readonly(blk, boundaries=bounds, matrix=mat)
         return blk
 
     def evaluate(self, x, y):
-        beta = np.asarray(self.beta, dtype=float)
-        out = np.full(np.broadcast(np.asarray(x, dtype=float), y).shape, beta[0])
-        for b_j, part in zip(beta[1:], self.parts):
+        out = np.full(np.broadcast(np.asarray(x, dtype=float), y).shape, self.beta[0])
+        for b_j, part in zip(self.beta[1:], self.parts):
             out = out + b_j * np.asarray(part.evaluate(x, y))
         if self.clipped:
             out = np.clip(out, 0.0, 1.0)
@@ -240,12 +239,11 @@ def _refine(blocks):
     piece lies inside one piece of every block and the refined matrices
     take the blocks' values at every point.
     """
-    bounds = np.unique(np.concatenate(
-        [np.asarray(b.boundaries, dtype=float) for b in blocks] or [[0.0, 1.0]]))
+    bounds = np.unique(np.concatenate([b.boundaries for b in blocks] or [[0.0, 1.0]]))
     mats = []
     for b in blocks:
         i = b.piece_index(bounds[:-1])
-        mats.append(np.asarray(b.matrix, dtype=float)[np.ix_(i, i)])
+        mats.append(b.matrix[np.ix_(i, i)])
     return bounds, mats
 
 
@@ -351,7 +349,7 @@ def functionals(w: Graphon) -> FunctionalSet:
         t = float(np.einsum("ab,bc,ac->", vals, vals, vals)) / QUAD_G ** 3
     else:
         mu = blk.measures()
-        mat = np.asarray(blk.matrix, dtype=float)
+        mat = blk.matrix
         deg = mat @ mu
         e = float(mu @ deg)
         s = float(mu @ deg ** 2)
@@ -416,7 +414,7 @@ def spectral_radius(w: Graphon) -> float:
         mat = grid_values(w, QUAD_G) / QUAD_G
     else:
         root = np.sqrt(blk.measures())
-        mat = root[:, None] * np.asarray(blk.matrix, dtype=float) * root[None, :]
+        mat = root[:, None] * blk.matrix * root[None, :]
     return float(np.abs(np.linalg.eigvalsh(mat)).max())
 
 
@@ -436,5 +434,5 @@ def spectral_bracket(beta, parts):
         raise GraphonError("spectral bracket requires nonnegative coefficients")
     rhos = np.array([1.0] + [spectral_radius(p) for p in parts])
     terms = beta * rhos
-    rho_combo = spectral_radius(LinearCombo.make(beta, parts, clipped=False))
+    rho_combo = spectral_radius(LinearCombo(beta, parts))
     return float(terms.max()), float(terms.sum()), rho_combo

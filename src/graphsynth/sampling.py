@@ -191,7 +191,7 @@ def _kernel_rows(w: Graphon, blk: Block | None, latents):
         return lambda start, stop: np.asarray(
             w.evaluate(latents[start:stop, None], latents[None, start:]), dtype=float)
     labels = blk.piece_index(latents)
-    by_latent = np.asarray(blk.matrix, dtype=float)[:, labels]
+    by_latent = blk.matrix[:, labels]
     return lambda start, stop: by_latent[labels[start:stop], start:]
 
 
@@ -241,7 +241,7 @@ def sample_sparse_graph(w: Graphon, n: int, lam: float, seed) -> GraphSample:
         return _finish_edges(n, keys, latents=latents, seed=seed)
 
     labels = blk.piece_index(latents)
-    mat = np.asarray(blk.matrix, dtype=float)
+    mat = blk.matrix
     k = mat.shape[0]
     members = [np.flatnonzero(labels == a) for a in range(k)]
     all_keys = [np.empty(0, dtype=np.int64)]
@@ -298,11 +298,11 @@ def sample_dyads(w: Graphon, agents, m: int, seed) -> DyadData:
         blk = _block_form(g)
         if blk is None:
             return np.asarray(g.evaluate(u1, u2), dtype=float)
-        key = tuple(blk.boundaries)
+        key = blk.boundaries.tobytes()
         if key not in piece_labels:
             piece_labels[key] = blk.piece_index(u1), blk.piece_index(u2)
         lab1, lab2 = piece_labels[key]
-        return np.asarray(blk.matrix, dtype=float)[lab1, lab2]
+        return blk.matrix[lab1, lab2]
 
     truth = values(w)
     labels = (rng.random(m) < truth).astype(float)

@@ -53,7 +53,7 @@ def test_acceptance_01_tilt_closed_forms():
         assert np.max(np.abs(tilt_sbm(b, lm) - expit(logit(b) + lm))) <= 1e-14
 
     for _ in range(500):
-        agent = RDPG.make(rng.normal(scale=0.4, size=(4, 2)), rng.normal())
+        agent = RDPG(rng.normal(scale=0.4, size=(4, 2)), rng.normal())
         li = rng.uniform(-2, 2)
         before = edge_prob_matrix(agent, 4)
         after = edge_prob_matrix(tilt_rdpg(agent, li), 4)
@@ -85,16 +85,16 @@ def test_acceptance_02_ergm_calibration_kl_optimal():
     start = time.perf_counter()
     n = 4
     stats = [("edges",), ("triangles",)]
-    spec = ErgmSpec.make(stats, [-0.2, 0.1], n)
+    spec = ErgmSpec(stats, [-0.2, 0.1], n)
     enum = GraphEnumeration.get(n)
     stat = statistic_matrix(enum, stats)
 
     # feasible target: the mean map of a shifted parameter
-    shifted = ErgmSpec.make(stats, [0.1, 0.3], n)
+    shifted = ErgmSpec(stats, [0.1, 0.3], n)
     target = exact_enumeration_pmf(shifted).probs @ stat
 
     tau = calibrate_moment(spec, target)
-    tilted = ErgmSpec.make(stats, np.asarray(spec.theta) + tau, n)
+    tilted = ErgmSpec(stats, np.asarray(spec.theta) + tau, n)
     f_star = exact_enumeration_pmf(tilted).probs
     assert np.max(np.abs(f_star @ stat - target)) <= 1e-8
     # closure: the tilt is exactly a parameter shift
@@ -155,11 +155,11 @@ def test_acceptance_03_projection_parametric_rate():
 # ---------------------------------------------------------------------------
 
 def test_acceptance_04_combination_beats_components():
-    w1 = Block.from_arrays([0, 0.5, 1], [[0.8, 0.1], [0.1, 0.8]])
-    w2 = Block.from_arrays([0, 0.5, 1], [[0.2, 0.6], [0.6, 0.3]])
+    w1 = Block([0, 0.5, 1], [[0.8, 0.1], [0.1, 0.8]])
+    w2 = Block([0, 0.5, 1], [[0.2, 0.6], [0.6, 0.3]])
     parts = [w1, w2]
-    w_star = Block.from_arrays([0, 0.5, 1],
-                               0.5 * (np.asarray(w1.matrix) + np.asarray(w2.matrix)))
+    w_star = Block([0, 0.5, 1],
+                   0.5 * (np.asarray(w1.matrix) + np.asarray(w2.matrix)))
     delta_sq = min(l2_distance(w_star, w1), l2_distance(w_star, w2)) ** 2
     assert delta_sq > 0.0
     gram, _ = gram_and_target(parts, w_star)
@@ -188,8 +188,8 @@ def test_acceptance_05_lipschitz_no_violations():
         for _ in range(2):
             m = rng.uniform(0.05, 0.95, size=(k, k))
             mats.append(0.5 * (m + m.T))
-        b1 = Block.from_arrays(bounds, mats[0])
-        b2 = Block.from_arrays(bounds, mats[1])
+        b1 = Block(bounds, mats[0])
+        b2 = Block(bounds, mats[1])
         delta = l2_distance(b1, b2)
         f1, f2 = functionals(b1), functionals(b2)
         budget = lipschitz_budget(delta, s0=min(f1.wedge, f2.wedge))
@@ -214,7 +214,7 @@ def test_acceptance_05_lipschitz_no_violations():
 def test_acceptance_06_lln_functional_transfer():
     references = {
         "constant": Constant(0.35),
-        "two_block": Block.from_arrays([0, 0.5, 1], [[0.8, 0.1], [0.1, 0.8]]),
+        "two_block": Block([0, 0.5, 1], [[0.8, 0.1], [0.1, 0.8]]),
         # moderate weight spread keeps the latent-sampling noise of the
         # cubic functionals inside the 5% band at n=3000
         "degree_weight": ProductWeight(uniform_step_map([0.8, 0.7, 0.6, 0.5])),
@@ -254,8 +254,8 @@ def test_acceptance_07_phase_transition():
     assert fractions[0.6] <= 0.05
     assert fractions[1.1] < fractions[1.3] < fractions[2.0]
 
-    parts = [Block.from_arrays([0, 0.5, 1], [[0.8, 0.1], [0.1, 0.8]]),
-             Block.from_arrays([0, 0.25, 1], [[0.3, 0.6], [0.6, 0.2]])]
+    parts = [Block([0, 0.5, 1], [[0.8, 0.1], [0.1, 0.8]]),
+             Block([0, 0.25, 1], [[0.3, 0.6], [0.6, 0.2]])]
     lower, upper, rho = spectral_bracket([0.1, 0.5, 0.4], parts)
     assert lower - 1e-6 <= rho <= upper + 1e-6
     _done(f"07 onset {onset} in [0.8,1.3]; fraction at lambda=2 near {zeta:.3f}; "
@@ -378,7 +378,7 @@ def test_acceptance_10_s1_s2_signatures():
 # ---------------------------------------------------------------------------
 
 def test_acceptance_11_real_protocol_hygiene(tmp_path, capsys):
-    w = Block.from_arrays([0, 0.5, 1], [[0.08, 0.02], [0.02, 0.08]])
+    w = Block([0, 0.5, 1], [[0.08, 0.02], [0.02, 0.08]])
     g = sample_graph(w, 300, seed=1111)
     path = tmp_path / "graph.txt"
     write_edge_list(g, str(path))

@@ -1,5 +1,6 @@
 """Agent models: closed-form tilts, ERGM stacking, calibration, enumeration."""
 
+import dataclasses
 import itertools
 import math
 import tracemalloc
@@ -8,8 +9,9 @@ import numpy as np
 import pytest
 from scipy.special import expit, logit
 
-from graphsynth import (ER, RDPG, SBM, AgentError, ChungLu, DegHist, ErgmSpec,
-                        GraphEnumeration, GraphPmf, InfeasibleTarget,
+from graphsynth import (ER, RDPG, SBM, AgentError, Block, ChungLu, Constant,
+                        DegHist, ErgmSpec, GraphEnumeration, GraphPmf,
+                        InfeasibleTarget, LinearCombo, StepMap,
                         calibrate_moment, edge_prob_matrix, edge_tilt_weights,
                         er_as_ergm, ergm_stack_tilt, exact_enumeration_pmf,
                         mixture_pmf, stat_tilt_weights, statistic_matrix,
@@ -59,11 +61,11 @@ def test_tilt_sbm_oracles():
 
 
 def test_tilt_rdpg_intercept_shift():
-    agent = RDPG.make([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]], intercept=0.0)
+    agent = RDPG([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]], intercept=0.0)
     same = tilt_rdpg(agent, 0.0)
     np.testing.assert_allclose(edge_prob_matrix(same, 3), edge_prob_matrix(agent, 3))
     # dot product 1 with lambda = -1 cancels to sigma(0) = 0.5
-    shifted = tilt_rdpg(RDPG.make([[1.0], [1.0]]), -1.0)
+    shifted = tilt_rdpg(RDPG([[1.0], [1.0]]), -1.0)
     assert edge_prob_matrix(shifted, 2)[0, 1] == pytest.approx(0.5, abs=1e-15)
 
 
@@ -72,7 +74,7 @@ def test_rdpg_dyad_logits_match_fancy_indexing(d):
     # bit for bit, across the DYAD_BLOCK_ROWS block boundaries
     rng = np.random.default_rng(d)
     z = rng.normal(size=(400, d))
-    agent = RDPG.make(z, intercept=-2.5)
+    agent = RDPG(z, intercept=-2.5)
     i, j = rng.integers(0, 400, size=(2, 2 * DYAD_BLOCK_ROWS + 5))
     want = np.sum(z[i] * z[j], axis=-1) - 2.5
     assert agent.dyad_logits(i, j).tobytes() == want.tobytes()
@@ -88,7 +90,7 @@ def test_rdpg_dyad_logits_peak_memory():
     # (all at once, the three (m, d) temporaries took 6.1 times the output)
     rng = np.random.default_rng(7)
     z = rng.normal(size=(5000, 3))
-    agent = RDPG.make(z)
+    agent = RDPG(z)
     i, j = rng.integers(0, 5000, size=(2, 200_000))
     tracemalloc.start()
     try:
@@ -106,15 +108,65 @@ def test_rdpg_dyad_logits_peak_memory():
 def test_edge_prob_matrix_kinds():
     np.testing.assert_allclose(edge_prob_matrix(ER(0.4), 3),
                                0.4 * (1 - np.eye(3)))
-    sbm = SBM.make([0, 1], [[0.5, 0.2], [0.2, 0.6]])
+    sbm = SBM([0, 1], [[0.5, 0.2], [0.2, 0.6]])
     assert edge_prob_matrix(sbm, 2)[0, 1] == 0.2
-    cl = ChungLu.make([2.0, 0.9])
+    cl = ChungLu([2.0, 0.9])
     assert edge_prob_matrix(cl, 2)[0, 1] == pytest.approx(1.0, abs=1e-11)
-    dh = DegHist.make([0, 1, 1], [[0.1, 0.3], [0.3, 0.8]])
+    dh = DegHist([0, 1, 1], [[0.1, 0.3], [0.3, 0.8]])
     mat = edge_prob_matrix(dh, 3)
     assert mat[0, 1] == 0.3 and mat[1, 2] == 0.8
     with pytest.raises(AgentError):
         edge_prob_matrix(sbm, 5)
+
+
+# ---------------------------------------------------------------------------
+# model parameters
+# ---------------------------------------------------------------------------
+
+# every kind with array fields, and constructor arguments with writable arrays
+MODEL_KINDS = {
+    "StepMap": (StepMap, {"boundaries": np.array([0.0, 0.5, 1.0]),
+                          "values": np.array([[0.3, 1.0], [0.2, 0.1]])}),
+    "Block": (Block, {"boundaries": np.array([0.0, 0.5, 1.0]),
+                      "matrix": np.array([[0.5, 0.2], [0.2, 0.6]])}),
+    "LinearCombo": (LinearCombo, {"beta": np.array([0.1, 0.9]), "parts": (Constant(0.5),)}),
+    "SBM": (SBM, {"assignment": np.array([0, 1, 1], dtype=np.int32),
+                  "matrix": np.array([[0.5, 0.2], [0.2, 0.6]])}),
+    "RDPG": (RDPG, {"positions": np.array([[1.0, 0.0], [0.5, 0.5]]), "intercept": -0.5}),
+    "ChungLu": (ChungLu, {"theta": np.array([0.3, 0.9])}),
+    "DegHist": (DegHist, {"node_bins": np.array([0, 1, 1]),
+                          "rates": np.array([[0.1, 0.3], [0.3, 0.8]])}),
+    "ErgmSpec": (ErgmSpec, {"stats": [("edges",)], "theta": np.array([0.2]), "n": 4}),
+}
+
+
+@pytest.mark.parametrize("name", MODEL_KINDS)
+def test_model_arrays_are_read_only_copies(name):
+    kind, args = MODEL_KINDS[name]
+    model = kind(**args)
+    given = {key: value for key, value in args.items() if isinstance(value, np.ndarray)}
+    stored = {f.name: getattr(model, f.name) for f in dataclasses.fields(model)
+              if isinstance(getattr(model, f.name), np.ndarray)}
+    assert stored.keys() == given.keys()
+    for key, arr in stored.items():
+        assert arr.dtype == (int if key in ("assignment", "node_bins") else float)
+        np.testing.assert_array_equal(arr, given[key])
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            arr[(0,) * arr.ndim] = 1
+        # the caller's array keeps its flags and is not aliased
+        assert given[key].flags.writeable
+        assert not np.shares_memory(arr, given[key])
+    # models compare and hash by identity
+    assert model == model and model != kind(**args)
+    assert len({model, model, kind(**args)}) == 2
+
+
+def test_unclipped_combo_block_is_read_only():
+    # this block skips Block's [0, 1] check and still stores read-only arrays
+    blk = LinearCombo([0.9, 0.5], [Constant(0.8)]).block
+    assert blk.matrix.max() > 1.0
+    assert not blk.matrix.flags.writeable and not blk.boundaries.flags.writeable
 
 
 # ---------------------------------------------------------------------------
@@ -143,7 +195,7 @@ def test_exact_pmf_er_triangle_probability():
 
 
 def test_theta_zero_ergm_is_uniform():
-    spec = ErgmSpec.make([("edges",)], [0.0], 4)
+    spec = ErgmSpec([("edges",)], [0.0], 4)
     pmf = exact_enumeration_pmf(spec)
     np.testing.assert_allclose(pmf.probs, 1.0 / pmf.probs.size, atol=1e-15)
 
@@ -165,12 +217,12 @@ def test_enumeration_rejects_large_n():
 # ---------------------------------------------------------------------------
 
 def test_stack_tilt_parameter_arithmetic():
-    s1 = ErgmSpec.make([("edges",)], [1.0], 4)
-    s2 = ErgmSpec.make([("edges",)], [3.0], 4)
+    s1 = ErgmSpec([("edges",)], [1.0], 4)
+    s2 = ErgmSpec([("edges",)], [3.0], 4)
     pooled = ergm_stack_tilt([(s1, 0.5), (s2, 0.5)], [0.0, 0.0])
-    assert pooled.theta == (0.5, 1.5)
+    assert pooled.theta.tolist() == [0.5, 1.5]
     solo = ergm_stack_tilt([(s1, 1.0)], [0.0])
-    assert solo.theta == (1.0,)
+    assert solo.theta.tolist() == [1.0]
     with pytest.raises(AgentError):
         ergm_stack_tilt([(s1, 0.5), (s2, 0.5)], [0.0])
 
@@ -181,11 +233,11 @@ def test_ergm_closure_tilt_equals_shifted_theta():
         stats = [("edges",), ("triangles",)]
         theta = np.array([-0.4, 0.3])
         tau = np.array([0.6, -0.2])
-        base = exact_enumeration_pmf(ErgmSpec.make(stats, theta, n))
+        base = exact_enumeration_pmf(ErgmSpec(stats, theta, n))
         weights = stat_tilt_weights(n, stats, tau)
         tilted = base.probs * weights
         tilted = GraphPmf(n, tilted / tilted.sum())
-        direct = exact_enumeration_pmf(ErgmSpec.make(stats, theta + tau, n))
+        direct = exact_enumeration_pmf(ErgmSpec(stats, theta + tau, n))
         assert tilted.tv_distance(direct) <= 1e-10
 
 
@@ -201,16 +253,16 @@ def test_er_edge_tilt_matches_tilt_er_via_enumeration():
 
 def test_sbm_and_rdpg_tilt_enumeration_equivalence():
     n = 4
-    sbm = SBM.make([0, 0, 1, 1], [[0.6, 0.2], [0.2, 0.5]])
+    sbm = SBM([0, 0, 1, 1], [[0.6, 0.2], [0.2, 0.5]])
     lam = 0.7
     base = exact_enumeration_pmf(sbm)
     tilted = base.probs * edge_tilt_weights(n, lam)
     tilted = GraphPmf(n, tilted / tilted.sum())
     direct = exact_enumeration_pmf(
-        SBM.make(sbm.assignment, tilt_sbm(sbm.matrix, np.full((2, 2), lam))))
+        SBM(sbm.assignment, tilt_sbm(sbm.matrix, np.full((2, 2), lam))))
     assert tilted.tv_distance(direct) <= 1e-10
 
-    rdpg = RDPG.make(np.random.default_rng(3).normal(size=(n, 2)), intercept=-0.2)
+    rdpg = RDPG(np.random.default_rng(3).normal(size=(n, 2)), intercept=-0.2)
     base = exact_enumeration_pmf(rdpg)
     tilted = base.probs * edge_tilt_weights(n, lam)
     tilted = GraphPmf(n, tilted / tilted.sum())
@@ -252,8 +304,8 @@ def test_mixture_exchangeable_under_all_permutations():
     n = 4
     enum = GraphEnumeration.get(n)
     a = exact_enumeration_pmf(ER(0.3), n=n)
-    b = exact_enumeration_pmf(ErgmSpec.make([("edges",), ("triangles",)],
-                                            [-0.2, 0.4], n))
+    b = exact_enumeration_pmf(ErgmSpec([("edges",), ("triangles",)],
+                                       [-0.2, 0.4], n))
     mixed, _ = mixture_pmf([a, b], [edge_tilt_weights(n, 0.5), None], [0.6, 0.4])
     # invariance up to summation-order ulps in the enumeration dot products
     for perm in itertools.permutations(range(n)):
@@ -288,7 +340,7 @@ def test_calibrate_er_closed_form():
 
 
 def test_calibrate_sbm_blockwise():
-    sbm = SBM.make([0, 0, 0, 1, 1, 1], [[0.3, 0.1], [0.1, 0.4]])
+    sbm = SBM([0, 0, 0, 1, 1, 1], [[0.3, 0.1], [0.1, 0.4]])
     # block pair counts: within 3 each, across 9
     target = np.array([[1.5, 4.5], [4.5, 2.1]])
     b = tilt_sbm(sbm.matrix, calibrate_moment(sbm, target))
@@ -300,11 +352,11 @@ def test_calibrate_sbm_blockwise():
 def test_calibrate_sbm_uneven_blocks_against_pair_enumeration():
     # block 1 is empty, so it has no pairs and keeps a zero tilt
     c = [0, 2, 2, 0, 2, 2, 0]
-    sbm = SBM.make(c, [[0.3, 0.2, 0.1], [0.2, 0.5, 0.25], [0.1, 0.25, 0.4]])
+    sbm = SBM(c, [[0.3, 0.2, 0.1], [0.2, 0.5, 0.25], [0.1, 0.25, 0.4]])
     target = np.array([[1.0, 0.0, 3.0], [0.0, 0.0, 0.0], [3.0, 0.0, 2.5]])
     lam = calibrate_moment(sbm, target)
     assert np.all(lam[1] == 0.0)
-    probs = edge_prob_matrix(SBM.make(c, tilt_sbm(sbm.matrix, lam)), len(c))
+    probs = edge_prob_matrix(SBM(c, tilt_sbm(sbm.matrix, lam)), len(c))
     got = np.zeros((3, 3))
     for i, j in itertools.combinations(range(len(c)), 2):
         a, b = sorted((c[i], c[j]))
@@ -315,7 +367,7 @@ def test_calibrate_sbm_uneven_blocks_against_pair_enumeration():
 
 def test_calibrate_rdpg_hits_edge_target():
     rng = np.random.default_rng(8)
-    agent = RDPG.make(rng.normal(scale=0.7, size=(6, 2)), intercept=-0.4)
+    agent = RDPG(rng.normal(scale=0.7, size=(6, 2)), intercept=-0.4)
     target = 9.0
     tilted = tilt_rdpg(agent, calibrate_moment(agent, target))
     mat = edge_prob_matrix(tilted, 6)
@@ -327,16 +379,16 @@ def test_calibrate_ergm_round_trip():
     stats = [("edges",), ("triangles",)]
     theta = np.array([-0.3, 0.2])
     delta = np.array([0.4, -0.3])
-    shifted = exact_enumeration_pmf(ErgmSpec.make(stats, theta + delta, n))
+    shifted = exact_enumeration_pmf(ErgmSpec(stats, theta + delta, n))
     enum = GraphEnumeration.get(n)
     stat = statistic_matrix(enum, stats)
     target = shifted.probs @ stat
-    tau = calibrate_moment(ErgmSpec.make(stats, theta, n), target)
+    tau = calibrate_moment(ErgmSpec(stats, theta, n), target)
     np.testing.assert_allclose(tau, delta, atol=1e-6)
 
 
 def test_calibrate_ergm_infeasible_target():
-    spec = ErgmSpec.make([("edges",)], [0.0], 4)
+    spec = ErgmSpec([("edges",)], [0.0], 4)
     with pytest.raises(InfeasibleTarget):
         calibrate_moment(spec, np.array([6.0]))  # max edges on n=4 is 6
 
@@ -347,8 +399,8 @@ def test_calibrate_ergm_far_tilt():
     stats = [("edges",), ("triangles",)]
     delta = np.array([3.0, 1.5])
     stat = statistic_matrix(GraphEnumeration.get(4), stats)
-    target = exact_enumeration_pmf(ErgmSpec.make(stats, delta, 4)).probs @ stat
-    tau = calibrate_moment(ErgmSpec.make(stats, [0.0, 0.0], 4), target)
+    target = exact_enumeration_pmf(ErgmSpec(stats, delta, 4)).probs @ stat
+    tau = calibrate_moment(ErgmSpec(stats, [0.0, 0.0], 4), target)
     np.testing.assert_allclose(tau, delta, atol=1e-6)
 
 

@@ -25,7 +25,7 @@ from graphsynth.evaluation import (STACK_RIDGE, _descending_ties, _sample_negati
                                    population_metrics)
 from graphsynth.sampling import graph_from_edge_array
 
-SPARSE_BLOCK = Block.from_arrays([0, 0.5, 1], [[0.08, 0.02], [0.02, 0.08]])
+SPARSE_BLOCK = Block([0, 0.5, 1], [[0.08, 0.02], [0.02, 0.08]])
 
 
 def sparse_graph(seed=7, n=300):

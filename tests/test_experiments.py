@@ -1,7 +1,9 @@
 """Config handling, data ingestion, agent fitting, CSV export, runs, CLI."""
 
 import csv
+import dataclasses
 import hashlib
+import inspect
 import json
 import os
 import subprocess
@@ -28,7 +30,7 @@ from graphsynth.evaluation import population_metrics, score_metrics
 from graphsynth.sampling import child_seeds, graph_from_edge_array
 from graphsynth.serialize import write_metric_reports_csv
 
-SPARSE_BLOCK = Block.from_arrays([0, 0.5, 1], [[0.08, 0.02], [0.02, 0.08]])
+SPARSE_BLOCK = Block([0, 0.5, 1], [[0.08, 0.02], [0.02, 0.08]])
 
 
 # ---------------------------------------------------------------------------
@@ -165,7 +167,7 @@ def test_fit_agents_rdpg_intercept_matches_density():
 
 
 def test_fit_agents_sbm_recovers_planted_blocks():
-    planted = Block.from_arrays([0, 0.5, 1], [[0.30, 0.05], [0.05, 0.30]])
+    planted = Block([0, 0.5, 1], [[0.30, 0.05], [0.05, 0.30]])
     g = sample_graph(planted, 500, seed=5)
     cfg = ExperimentConfig.from_dict({"experiment": "real", "sbm_k": 2, "rdpg_d": 2})
     agents = fit_agents_to_graph(g, cfg, seed=1)
@@ -199,13 +201,28 @@ def test_agent_dyad_probs_match_matrices():
 def test_fit_agents_repeatable_on_disconnected_graph():
     # a sparse block graph with many components: the top eigenvalue of its
     # normalized adjacency is repeated far more than sbm_k times
-    blocks = Block.from_arrays([0.0, 0.3, 0.7, 1.0],
-                               [[0.9, 0.1, 0.2], [0.1, 0.7, 0.1], [0.2, 0.1, 0.8]])
+    blocks = Block([0.0, 0.3, 0.7, 1.0],
+                   [[0.9, 0.1, 0.2], [0.1, 0.7, 0.1], [0.2, 0.1, 0.8]])
     g = sample_sparse_graph(blocks, 300, 2.0, 1)
     cfg = ExperimentConfig.from_dict({"experiment": "real"})
-    first = fit_agents_to_graph(g, cfg, seed=1)
+    first = _agent_digests(fit_agents_to_graph(g, cfg, seed=1))
     for _ in range(3):
-        assert fit_agents_to_graph(g, cfg, seed=1) == first
+        assert _agent_digests(fit_agents_to_graph(g, cfg, seed=1)) == first
+
+
+def _agent_digests(agents) -> dict:
+    """Per agent name, a sha256 over every field's name, dtype, shape and
+    bytes: two fits compare on every stored value, which ``==`` (identity)
+    and ``repr`` (elides arrays over 1000 entries) do not."""
+    out = {}
+    for name, agent in agents.items():
+        h = hashlib.sha256()
+        for f in dataclasses.fields(agent):
+            value = np.asarray(getattr(agent, f.name))
+            h.update(f"{f.name} {value.dtype} {value.shape}".encode())
+            h.update(value.tobytes())
+        out[name] = h.hexdigest()
+    return out
 
 
 def test_fit_agents_validation():
@@ -213,6 +230,16 @@ def test_fit_agents_validation():
     cfg = ExperimentConfig.from_dict({"experiment": "real"})
     with pytest.raises(ValueError):
         fit_agents_to_graph(tiny, cfg)
+
+
+@pytest.mark.parametrize("key", ["sbm_k", "rdpg_d"])
+def test_fit_agents_needs_fewer_eigenvectors_than_nodes(key):
+    # eigsh takes k = n - 1 and raises a TypeError at k = n
+    g = graph_from_edge_array(12, [[i, (i + 1) % 12] for i in range(12)]
+                              + [[i, i + 6] for i in range(6)])
+    fit_agents_to_graph(g, ExperimentConfig.from_dict({"experiment": "real", key: 11}))
+    with pytest.raises(ValueError, match=f"^{key} = 12 must be below the node count 12$"):
+        fit_agents_to_graph(g, ExperimentConfig.from_dict({"experiment": "real", key: 12}))
 
 
 def _fresh_python(code: str, **env) -> str:
@@ -320,6 +347,7 @@ def test_kmeans_labels_do_not_depend_on_the_blas_kernel(capsys):
 # the agents of the edge_holdout/0 training graph of a run on CONFIG, with
 # the unit seed run_experiment gives that split
 _EDGE_HOLDOUT_FIT = """
+import dataclasses
 import hashlib
 import numpy as np
 from graphsynth import ExperimentConfig, fit_agents_to_graph, load_edge_list, make_split
@@ -330,16 +358,17 @@ seed = np.random.SeedSequence(cfg.base_seed).spawn(2)[0]
 split = make_split(graph, "edge_holdout", seed, negpos_ratio=cfg.negpos_ratio)
 train = graph_from_edge_array(graph.n, split.train_dyads[split.train_labels == 1])
 agents = fit_agents_to_graph(train, cfg, seed=child_seeds(seed, 1)[0])
-for name in ("SBM", "RDPG"):
-    print(name, hashlib.sha256(repr(agents[name]).encode()).hexdigest())
+for name, digest in _agent_digests(agents).items():
+    print(name, digest)
 """
 
 
 def test_fit_agents_repeatable_across_processes(tmp_path):
-    code = f"CONFIG = {_real_config(tmp_path)!r}\n" + _EDGE_HOLDOUT_FIT
+    code = (f"CONFIG = {_real_config(tmp_path)!r}\n" + inspect.getsource(_agent_digests)
+            + _EDGE_HOLDOUT_FIT)
     runs = [_fresh_python(code) for _ in range(2)]
     assert runs[0] == runs[1]
-    assert runs[0].split()[::2] == ["SBM", "RDPG"]
+    assert runs[0].split()[::2] == ["ER", "ChungLu", "DegHist", "SBM", "RDPG"]
 
 
 # ---------------------------------------------------------------------------
@@ -435,7 +464,7 @@ def test_s2_run_deterministic_outputs(tmp_path):
 def _outside_span_truth():
     """A truth with a breakpoint at 0.3, which no default part has, so no
     combination of the parts reaches it."""
-    return (Block.from_arrays([0, 0.3, 1], [[0.7, 0.2], [0.2, 0.4]]),
+    return (Block([0, 0.3, 1], [[0.7, 0.2], [0.2, 0.4]]),
             default_generator()[1])
 
 
@@ -850,9 +879,9 @@ def test_failed_rerun_replaces_the_manifest_with_failure_json(tmp_path):
 
 def _real_config(tmp_path) -> dict:
     """A two-split real run on a 600-node planted-block graph."""
-    g = sample_sparse_graph(Block.from_arrays([0, 0.3, 0.7, 1],
-                                              [[0.9, 0.1, 0.2], [0.1, 0.7, 0.1],
-                                               [0.2, 0.1, 0.8]]), 600, 12.0, seed=5)
+    g = sample_sparse_graph(Block([0, 0.3, 0.7, 1],
+                                  [[0.9, 0.1, 0.2], [0.1, 0.7, 0.1],
+                                   [0.2, 0.1, 0.8]]), 600, 12.0, seed=5)
     dataset = tmp_path / "edges.txt"
     write_edge_list(g, str(dataset))
     return {"experiment": "real", "dataset": str(dataset),

@@ -31,7 +31,7 @@ def random_block(rng, k_max=4):
     cuts = np.sort(rng.uniform(0.05, 0.95, size=k - 1))
     bounds = np.concatenate([[0.0], cuts, [1.0]])
     m = rng.uniform(0.0, 1.0, size=(k, k))
-    return Block.from_arrays(bounds, 0.5 * (m + m.T))
+    return Block(bounds, 0.5 * (m + m.T))
 
 
 # ---------------------------------------------------------------------------
@@ -45,21 +45,21 @@ def test_constant_evaluates_everywhere():
 
 
 def test_clipped_combo_clips_at_zero():
-    w = LinearCombo.make([-0.2], [], clipped=True)
+    w = LinearCombo([-0.2], [], clipped=True)
     assert w.evaluate(0.4, 0.6) == 0.0
 
 
 def test_block_lookup_oracle():
-    w = Block.from_arrays([0.0, 0.5, 1.0], [[0.8, 0.1], [0.1, 0.8]])
+    w = Block([0.0, 0.5, 1.0], [[0.8, 0.1], [0.1, 0.8]])
     assert w.evaluate(0.25, 0.75) == 0.1
     assert w.evaluate(0.75, 0.25) == 0.1
 
 
 def test_unclipped_combo_flagged():
-    w = LinearCombo.make([0.9, 0.5], [Constant(0.8)], clipped=False)
+    w = LinearCombo([0.9, 0.5], [Constant(0.8)], clipped=False)
     assert not w.bounded_unit
     assert w.evaluate(0.5, 0.5) == pytest.approx(1.3)
-    assert LinearCombo.make([0.9, 0.5], [Constant(0.8)], clipped=True).bounded_unit
+    assert LinearCombo([0.9, 0.5], [Constant(0.8)], clipped=True).bounded_unit
 
 
 @settings(max_examples=60, deadline=None)
@@ -72,18 +72,18 @@ def test_symmetry_all_kinds(x, y, seed):
         LogisticLowRank(uniform_step_map([(0.5, -0.2), (-0.4, 0.9), (1.0, 0.3)]), -0.1),
         ProductWeight(uniform_step_map([0.9, 0.4, 1.7])),
     ]
-    kinds.append(LinearCombo.make([0.1, 0.3, 0.4], kinds[:2], clipped=True))
+    kinds.append(LinearCombo([0.1, 0.3, 0.4], kinds[:2], clipped=True))
     for w in kinds:
         assert w.evaluate(x, y) == w.evaluate(y, x)
 
 
 def test_block_validation_rejects_bad_inputs():
     with pytest.raises(GraphonError):
-        Block.from_arrays([0.0, 0.5, 0.9], [[0.1, 0.2], [0.2, 0.1]])
+        Block([0.0, 0.5, 0.9], [[0.1, 0.2], [0.2, 0.1]])
     with pytest.raises(GraphonError):
-        Block.from_arrays([0.0, 0.5, 1.0], [[0.1, 0.3], [0.2, 0.1]])
+        Block([0.0, 0.5, 1.0], [[0.1, 0.3], [0.2, 0.1]])
     with pytest.raises(GraphonError):
-        Block.from_arrays([0.0, 0.5, 1.0], [[0.1, 1.2], [1.2, 0.1]])
+        Block([0.0, 0.5, 1.0], [[0.1, 1.2], [1.2, 0.1]])
 
 
 # ---------------------------------------------------------------------------
@@ -131,11 +131,11 @@ def every_kind(rng):
         LogisticLowRank(uniform_step_map([0.9, -0.6, 0.3]), 0.1),  # scalar values: d = 1
         ProductWeight(uniform_step_map([0.8, 1.6, 0.1])),
     ]
-    kinds.append(LinearCombo.make([0.05, 0.4, 0.6], kinds[2:4]))
-    kinds.append(LinearCombo.make([0.1, 0.2, 0.3, 0.25], kinds[1:6:2], clipped=True))
-    kinds.append(LinearCombo.make(
-        [0.0, 0.5, 0.5], [Block.from_arrays([0, 0.5, 1], [[0.2, 0.6], [0.6, 0.9]]),
-                          Block.from_arrays([0, near, 1], [[0.1, 0.7], [0.7, 0.3]])]))
+    kinds.append(LinearCombo([0.05, 0.4, 0.6], kinds[2:4]))
+    kinds.append(LinearCombo([0.1, 0.2, 0.3, 0.25], kinds[1:6:2], clipped=True))
+    kinds.append(LinearCombo(
+        [0.0, 0.5, 0.5], [Block([0, 0.5, 1], [[0.2, 0.6], [0.6, 0.9]]),
+                          Block([0, near, 1], [[0.1, 0.7], [0.7, 0.3]])]))
     return kinds
 
 
@@ -177,14 +177,14 @@ def test_l2_distance_identity_and_constants():
 
 def test_l2_distance_two_block_hand_oracle():
     # equal-measure blocks: dist^2 = sum_ab mu_a mu_b (B_ab - B'_ab)^2
-    w = Block.from_arrays([0, 0.5, 1], [[0.8, 0.1], [0.1, 0.6]])
-    w2 = Block.from_arrays([0, 0.5, 1], [[0.5, 0.3], [0.3, 0.2]])
+    w = Block([0, 0.5, 1], [[0.8, 0.1], [0.1, 0.6]])
+    w2 = Block([0, 0.5, 1], [[0.5, 0.3], [0.3, 0.2]])
     expected = np.sqrt(0.25 * (0.3 ** 2 + 0.2 ** 2 + 0.2 ** 2 + 0.4 ** 2))
     assert l2_distance(w, w2) == pytest.approx(expected, abs=1e-15)
 
 
 def test_l2_distance_grid_fallback_agrees_with_exact():
-    w = Block.from_arrays([0, 0.25, 1], [[0.9, 0.2], [0.2, 0.4]])
+    w = Block([0, 0.25, 1], [[0.9, 0.2], [0.2, 0.4]])
     w2 = Constant(0.5)
     exact = l2_distance(w, w2)
     with pytest.raises(GraphonError):
@@ -208,8 +208,8 @@ def test_gram_target_zero_for_zero_truth():
 
 
 def test_gram_disjoint_support_off_diagonal_zero():
-    w1 = Block.from_arrays([0, 0.5, 1], [[0.6, 0.0], [0.0, 0.0]])
-    w2 = Block.from_arrays([0, 0.5, 1], [[0.0, 0.0], [0.0, 0.7]])
+    w1 = Block([0, 0.5, 1], [[0.6, 0.0], [0.0, 0.0]])
+    w2 = Block([0, 0.5, 1], [[0.0, 0.0], [0.0, 0.7]])
     assert l2_inner(w1, w2) == 0.0
     gram, _ = gram_and_target([w1, w2], Constant(0.5))
     assert gram[1, 2] == 0.0
@@ -244,7 +244,7 @@ def test_functionals_zero_graphon():
 
 def test_functionals_two_block_hand_oracle():
     a, b = 0.8, 0.2
-    f = functionals(Block.from_arrays([0, 0.5, 1], [[a, b], [b, a]]))
+    f = functionals(Block([0, 0.5, 1], [[a, b], [b, a]]))
     assert f.edge == pytest.approx((a + b) / 2, abs=1e-14)
     # t = (a^3 + 3 a b^2) / 4 by expanding the 2x2 triple sum
     assert f.triangle == pytest.approx((a ** 3 + 3 * a * b ** 2) / 4, abs=1e-14)
@@ -252,7 +252,7 @@ def test_functionals_two_block_hand_oracle():
 
 
 def test_functionals_grid_path_matches_exact():
-    w = Block.from_arrays([0, 0.5, 1], [[0.7, 0.2], [0.2, 0.5]])
+    w = Block([0, 0.5, 1], [[0.7, 0.2], [0.2, 0.5]])
     exact = functionals(w)
     grid = functionals(Unblocked(w))
     assert grid.edge == pytest.approx(exact.edge, abs=1e-12)
@@ -309,14 +309,14 @@ def test_spectral_radius_constant_and_zero():
 
 def test_spectral_radius_bipartite_kernel():
     # eigenvalues +-sqrt(mu_1 mu_2): two of largest modulus, opposite signs
-    w = Block.from_arrays([0, 0.3, 1], [[0.0, 1.0], [1.0, 0.0]])
+    w = Block([0, 0.3, 1], [[0.0, 1.0], [1.0, 0.0]])
     assert spectral_radius(w) == pytest.approx(np.sqrt(0.21), abs=1e-15)
 
 
 def test_spectral_radius_of_negative_combo_is_positive():
     # -M/2 has eigenvalues -0.45 and -0.35, so the radius is 0.45
-    w = Block.from_arrays([0, 0.5, 1], [[0.8, 0.1], [0.1, 0.8]])
-    assert spectral_radius(LinearCombo.make([0.0, -1.0], [w])) == pytest.approx(
+    w = Block([0, 0.5, 1], [[0.8, 0.1], [0.1, 0.8]])
+    assert spectral_radius(LinearCombo([0.0, -1.0], [w])) == pytest.approx(
         0.45, abs=1e-15)
 
 
@@ -329,7 +329,7 @@ def test_spectral_radius_block_kinds_skip_the_grid(monkeypatch):
     monkeypatch.setattr(gmod, "grid_values", no_grid)
     rng = np.random.default_rng(4)
     for w in (random_block(rng), Constant(0.2),
-              LinearCombo.make([0.1, 0.5], [random_block(rng)])):
+              LinearCombo([0.1, 0.5], [random_block(rng)])):
         assert spectral_radius(w) >= 0.0
 
 
@@ -346,7 +346,7 @@ def test_spectral_radius_unblocked_midpoint_grid():
 
 def test_spectral_radius_two_block_eigen_oracle():
     b = np.array([[0.8, 0.1], [0.1, 0.8]])
-    w = Block.from_arrays([0, 0.5, 1], b)
+    w = Block([0, 0.5, 1], b)
     expected = np.linalg.eigvalsh(b / 2).max()
     assert spectral_radius(w) == pytest.approx(expected, abs=1e-8)
 
@@ -355,9 +355,9 @@ def test_spectral_monotone_and_linear():
     rng = np.random.default_rng(5)
     w = random_block(rng)
     base = spectral_radius(w)
-    more = spectral_radius(LinearCombo.make([0.1, 1.0], [w]))
+    more = spectral_radius(LinearCombo([0.1, 1.0], [w]))
     assert more >= base - 1e-8
-    half = spectral_radius(LinearCombo.make([0.0, 0.5], [w]))
+    half = spectral_radius(LinearCombo([0.0, 0.5], [w]))
     assert half == pytest.approx(0.5 * base, abs=1e-8)
 
 

@@ -77,7 +77,7 @@ def test_dense_triangle_count_matches_sparse_and_networkx():
     rng = np.random.default_rng(19)
     for n in (150, 220, 300, 400):
         p = rng.uniform(0.7, 0.95)
-        g = sample_graph(Block.from_arrays([0, 0.4, 1], [[p, 0.6], [0.6, p]]), n,
+        g = sample_graph(Block([0, 0.4, 1], [[p, 0.6], [0.6, p]]), n,
                          seed=int(rng.integers(1 << 30)))
         assert g.n_edges > 50 * n
         adj = g.adjacency().astype(np.int64)
@@ -93,7 +93,7 @@ def test_dense_triangle_count_matches_sparse_and_networkx():
 def test_dense_triangle_count_across_row_blocks(n):
     """At sizes around the row-block edges, the blocked float32 count equals
     the int64 sparse product and networkx."""
-    g = sample_graph(Block.from_arrays([0, 0.3, 1], [[0.5, 0.1], [0.1, 0.25]]), n, seed=n)
+    g = sample_graph(Block([0, 0.3, 1], [[0.5, 0.1], [0.1, 0.25]]), n, seed=n)
     assert g.n_edges > 50 * n
     adj = g.adjacency().astype(np.int64)
     sparse = int((adj @ adj).multiply(adj).sum() // 6)
@@ -235,7 +235,7 @@ def test_graph_kernels_match_networkx():
 def test_dense_centrality_limits():
     """Dense samples: betweenness vanishes, closeness approaches the
     1/(2 - normalized degree) limit."""
-    w = Block.from_arrays([0, 0.5, 1], [[0.8, 0.4], [0.4, 0.6]])
+    w = Block([0, 0.5, 1], [[0.8, 0.4], [0.4, 0.6]])
     n = 1000
     g = sample_graph(w, n, seed=41)
     cl, bt, reachable = centralities(g)

@@ -17,7 +17,7 @@ from graphsynth.graphons import Graphon
 from graphsynth.sampling import (EDGE_CHECK_ROWS, GraphSample, graph_from_edge_array,
                                  in_sorted, unique_keys)
 
-TWO_BLOCK = Block.from_arrays([0, 0.5, 1], [[0.8, 0.1], [0.1, 0.8]])
+TWO_BLOCK = Block([0, 0.5, 1], [[0.8, 0.1], [0.1, 0.8]])
 
 
 # ---------------------------------------------------------------------------
@@ -376,9 +376,9 @@ def test_degree_distribution_ks_limit():
     splits roughly in half at any n).
     """
     n = 5000
-    w = Block.from_arrays([0, 0.3, 0.7, 1], [[0.9, 0.2, 0.1],
-                                             [0.2, 0.5, 0.3],
-                                             [0.1, 0.3, 0.8]])
+    w = Block([0, 0.3, 0.7, 1], [[0.9, 0.2, 0.1],
+                                 [0.2, 0.5, 0.3],
+                                 [0.1, 0.3, 0.8]])
     g = sample_graph(w, n, seed=32)
     norm_deg = np.sort(g.degrees / (n - 1))
     mu = np.diff([0, 0.3, 0.7, 1])

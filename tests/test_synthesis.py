@@ -288,22 +288,22 @@ def test_predict_clipped_oracles():
 # ---------------------------------------------------------------------------
 
 def test_projection_idempotent_on_span():
-    parts = [Block.from_arrays([0, 0.5, 1], [[0.8, 0.1], [0.1, 0.8]]),
-             Block.from_arrays([0, 0.25, 1], [[0.2, 0.6], [0.6, 0.3]])]
-    truth = LinearCombo.make(np.array([0.05, 0.3, 0.6]), parts)
+    parts = [Block([0, 0.5, 1], [[0.8, 0.1], [0.1, 0.8]]),
+             Block([0, 0.25, 1], [[0.2, 0.6], [0.6, 0.3]])]
+    truth = LinearCombo(np.array([0.05, 0.3, 0.6]), parts)
     beta = population_projection(truth, parts)
     np.testing.assert_allclose(beta.beta, [0.05, 0.3, 0.6], atol=1e-10)
 
 
 def test_projection_orthogonality_residual():
-    parts = [Block.from_arrays([0, 0.5, 1], [[0.8, 0.1], [0.1, 0.8]]),
+    parts = [Block([0, 0.5, 1], [[0.8, 0.1], [0.1, 0.8]]),
              Constant(0.3)]
     # Constant agent makes G singular against the intercept
     with pytest.raises(SingularDesign):
         population_projection(Constant(0.5), parts)
-    parts = [Block.from_arrays([0, 0.5, 1], [[0.8, 0.1], [0.1, 0.8]]),
-             Block.from_arrays([0, 0.3, 1], [[0.1, 0.7], [0.7, 0.2]])]
-    truth = Block.from_arrays([0, 0.4, 1], [[0.9, 0.2], [0.2, 0.3]])
+    parts = [Block([0, 0.5, 1], [[0.8, 0.1], [0.1, 0.8]]),
+             Block([0, 0.3, 1], [[0.1, 0.7], [0.7, 0.2]])]
+    truth = Block([0, 0.4, 1], [[0.9, 0.2], [0.2, 0.3]])
     beta, gram, target = population_projection(truth, parts, return_gram=True)
     resid = gram @ beta.beta - target
     assert np.max(np.abs(resid)) <= 1e-8
@@ -311,7 +311,7 @@ def test_projection_orthogonality_residual():
 
 def test_projection_hand_linear_solve():
     # one agent: beta solves [[1, e],[e, q]] beta = (e*, c) by hand
-    agent = Block.from_arrays([0, 0.5, 1], [[0.8, 0.2], [0.2, 0.4]])
+    agent = Block([0, 0.5, 1], [[0.8, 0.2], [0.2, 0.4]])
     truth = Constant(0.5)
     gram, target = gram_and_target([agent], truth)
     expected = np.linalg.solve(gram, target)
@@ -352,7 +352,7 @@ def test_population_projection_matches_a_cholesky_solve(seed):
     def block(k):
         cuts = np.concatenate([[0.0], np.sort(rng.uniform(0.05, 0.95, k - 1)), [1.0]])
         values = rng.uniform(0.05, 0.95, size=(k, k))
-        return Block.from_arrays(cuts, (values + values.T) / 2)
+        return Block(cuts, (values + values.T) / 2)
     agents = [block(int(rng.integers(2, 5))) for _ in range(int(rng.integers(1, 4)))]
     truth = block(3)
     beta, gram, target = population_projection(truth, agents, return_gram=True)
@@ -375,13 +375,13 @@ def test_l2_risk_oracles():
 
 
 def test_l2_risk_matches_graphon_distance():
-    parts = [Block.from_arrays([0, 0.5, 1], [[0.8, 0.1], [0.1, 0.8]]),
-             Block.from_arrays([0, 0.3, 1], [[0.1, 0.7], [0.7, 0.2]])]
-    truth = LinearCombo.make(np.array([0.0, 0.5, 0.5]), parts)
+    parts = [Block([0, 0.5, 1], [[0.8, 0.1], [0.1, 0.8]]),
+             Block([0, 0.3, 1], [[0.1, 0.7], [0.7, 0.2]])]
+    truth = LinearCombo(np.array([0.0, 0.5, 0.5]), parts)
     beta_hat = np.array([0.1, 0.4, 0.45])
     _, gram, _ = population_projection(truth, parts, return_gram=True)
     risk = l2_risk(beta_hat, np.array([0.0, 0.5, 0.5]), gram)
-    dist = l2_distance(LinearCombo.make(beta_hat, parts), truth)
+    dist = l2_distance(LinearCombo(beta_hat, parts), truth)
     assert risk == pytest.approx(dist ** 2, abs=1e-12)
 
 
