@@ -384,16 +384,16 @@ def ergm_stack_tilt(weighted_specs, tau) -> ErgmSpec:
 # pmfs on small graph spaces
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GraphPmf:
     """Exhaustive pmf over all graphs on n vertices (bitmask order)."""
 
     n: int
     probs: np.ndarray = field(repr=False)
-    log_normalizer: float = 0.0
 
     def __post_init__(self):
-        p = np.asarray(self.probs, dtype=float)
+        set_readonly(self, probs=self.probs)
+        p = self.probs
         if np.any(p < -1e-15):
             raise AgentError("pmf has negative entries")
         if abs(p.sum() - 1.0) > 1e-12:
@@ -412,17 +412,12 @@ class GraphPmf:
 
 
 def exact_enumeration_pmf(model, n: int | None = None) -> GraphPmf:
-    """Exhaustive pmf of an agent or exponential-family spec, n <= 6.
-
-    For exponential-family specs the log normalizer psi(theta) is recorded
-    on the result.
-    """
+    """Exhaustive pmf of an agent or exponential-family spec, n <= 6."""
     if isinstance(model, ErgmSpec):
         enum = GraphEnumeration.get(model.n)
         stat = statistic_matrix(enum, model.stats)
         logits = stat @ model.theta
-        psi = float(logsumexp(logits))
-        return GraphPmf(model.n, np.exp(logits - psi), log_normalizer=psi)
+        return GraphPmf(model.n, np.exp(logits - logsumexp(logits)))
     if n is None:
         n = model.n  # node-indexed agents know their size
     enum = GraphEnumeration.get(n)

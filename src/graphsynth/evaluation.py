@@ -8,14 +8,19 @@ of a piecewise-constant truth weighted by their mass.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .logistic import expit, log_expit, logit
-from .sampling import GraphSample, in_sorted, make_rng, unique_keys
+from .sampling import GraphSample, in_sorted, make_rng, triangular_pair, unique_keys
 
 LOGLOSS_FLOOR = 1e-12
+
+# the shares of a split's positives (of its dyads, for uniform_dyads) cut
+# out as the test and validation roles; each role gets at least one
+TEST_FRAC = 0.2
+VAL_FRAC = 0.1
 
 # logistic stacking: fixed ridge on the non-intercept coefficients, the
 # gradient-norm stopping rule, a safety bound on Newton steps (reaching it
@@ -42,15 +47,12 @@ class SplitSpec:
     pairwise disjoint.
     """
 
-    regime: str
     train_dyads: np.ndarray
     train_labels: np.ndarray
     val_dyads: np.ndarray
     val_labels: np.ndarray
     test_dyads: np.ndarray
     test_labels: np.ndarray
-    seed: int | None = None
-    negpos_ratio: float | None = None
     held_out_nodes: np.ndarray | None = None
 
     @property
@@ -125,8 +127,17 @@ def _build_labeled(pos, neg, n: int):
     return dyads[order], labels[order]
 
 
+def _cut(rng, count: int, *fracs) -> list:
+    """A permutation of ``range(count)`` cut into one run of
+    ``max(1, round(frac * count))`` items per fraction, then the rest."""
+    perm = rng.permutation(count)
+    sizes = np.cumsum([max(1, int(round(frac * count))) for frac in fracs])
+    if sizes[-1] >= count:
+        raise SplitError("too few edges for the requested holdout fractions")
+    return np.split(perm, sizes)
+
+
 def make_split(graph: GraphSample, regime: str, seed, negpos_ratio: float = 3.0,
-               test_frac: float = 0.2, val_frac: float = 0.1,
                node_frac: float = 0.10, m_uniform: int | None = None) -> SplitSpec:
     """Deterministic train/val/test dyad split under one of three regimes.
 
@@ -135,6 +146,11 @@ def make_split(graph: GraphSample, regime: str, seed, negpos_ratio: float = 3.0,
     their incident edges from training, test on dyads touching held-out
     nodes.  uniform_dyads: uniform dyads without replacement, labels from
     the adjacency.
+
+    The holdout regimes cut the positives into train, val and test roles.
+    Each role then draws its negatives, in that order, from the dyads that
+    are neither edges nor earlier negatives, with both ends in its node set
+    (node holdout's train and val) or one end in it (its test).
     """
     n = graph.n
     rng = make_rng(seed)
@@ -142,82 +158,46 @@ def make_split(graph: GraphSample, regime: str, seed, negpos_ratio: float = 3.0,
     if edges.shape[0] == 0:
         raise SplitError("graph has no edges")
     edge_keys = _dyad_key(edges, n)
+    held = None
 
-    if regime == "edge_holdout":
-        if negpos_ratio < 1:
-            raise SplitError("negpos_ratio must be >= 1")
-        perm = rng.permutation(edges.shape[0])
-        n_test = max(1, int(round(test_frac * edges.shape[0])))
-        n_val = max(1, int(round(val_frac * edges.shape[0])))
-        if n_test + n_val >= edges.shape[0]:
-            raise SplitError("too few edges for the requested holdout fractions")
-        test_pos = edges[perm[:n_test]]
-        val_pos = edges[perm[n_test:n_test + n_val]]
-        train_pos = edges[perm[n_test + n_val:]]
-        forbidden = edge_keys
-        neg_sets = []
-        for pos in (train_pos, val_pos, test_pos):
-            neg = _sample_negatives(rng, n, int(round(negpos_ratio * len(pos))), forbidden)
-            forbidden = np.concatenate([forbidden, _dyad_key(neg, n)])
-            neg_sets.append(neg)
-        tr = _build_labeled(train_pos, neg_sets[0], n)
-        va = _build_labeled(val_pos, neg_sets[1], n)
-        te = _build_labeled(test_pos, neg_sets[2], n)
-        spec = SplitSpec("edge_holdout", *tr, *va, *te, seed=seed, negpos_ratio=negpos_ratio)
-
-    elif regime == "node_holdout":
-        n_held = max(1, int(round(node_frac * n)))
-        held = np.sort(rng.choice(n, size=n_held, replace=False))
-        held_mask = _node_mask(n, held)
-        touch = np.any(held_mask[edges], axis=1)
-        test_pos = edges[touch]
-        keep_pos = edges[~touch]
-        if len(test_pos) == 0 or len(keep_pos) < 2:
-            raise SplitError("node holdout left an empty positive set")
-        perm = rng.permutation(len(keep_pos))
-        n_val = max(1, int(round(val_frac * len(keep_pos))))
-        val_pos = keep_pos[perm[:n_val]]
-        train_pos = keep_pos[perm[n_val:]]
-        kept_nodes = np.flatnonzero(~held_mask)
-        train_neg = _sample_negatives(rng, n, int(round(negpos_ratio * len(train_pos))),
-                                      edge_keys, restrict_nodes=kept_nodes)
-        forbidden = np.concatenate([edge_keys, _dyad_key(train_neg, n)])
-        val_neg = _sample_negatives(rng, n, int(round(negpos_ratio * len(val_pos))),
-                                    forbidden, restrict_nodes=kept_nodes)
-        forbidden = np.concatenate([forbidden, _dyad_key(val_neg, n)])
-        test_neg = _sample_negatives(rng, n, int(round(negpos_ratio * len(test_pos))),
-                                     forbidden, require_touch=held)
-        tr = _build_labeled(train_pos, train_neg, n)
-        va = _build_labeled(val_pos, val_neg, n)
-        te = _build_labeled(test_pos, test_neg, n)
-        spec = SplitSpec("node_holdout", *tr, *va, *te, seed=seed,
-                         negpos_ratio=negpos_ratio, held_out_nodes=held)
-
-    elif regime == "uniform_dyads":
+    if regime == "uniform_dyads":
         total_pairs = n * (n - 1) // 2
         m = m_uniform if m_uniform is not None else min(total_pairs, 20 * edges.shape[0])
         if m < 10:
             raise SplitError("uniform regime needs at least 10 dyads")
-        m = min(m, total_pairs)
-        # triangular decoding of uniform pair indices without replacement
-        idx = rng.choice(total_pairs, size=m, replace=False)
-        r = np.ceil((np.sqrt(8.0 * (idx + 1) + 1) - 1) / 2).astype(np.int64)
-        s = idx - r * (r - 1) // 2
-        dyads = np.stack([s, r], axis=1)
-        keys = _dyad_key(dyads, n)
-        labels = in_sorted(keys, edge_keys).astype(float)
-        perm = rng.permutation(m)
-        n_test = max(1, int(round(test_frac * m)))
-        n_val = max(1, int(round(val_frac * m)))
-        te_i, va_i, tr_i = perm[:n_test], perm[n_test:n_test + n_val], perm[n_test + n_val:]
-        spec = SplitSpec("uniform_dyads",
-                         dyads[np.sort(tr_i)], labels[np.sort(tr_i)],
-                         dyads[np.sort(va_i)], labels[np.sort(va_i)],
-                         dyads[np.sort(te_i)], labels[np.sort(te_i)],
-                         seed=seed)
+        idx = rng.choice(total_pairs, size=min(m, total_pairs), replace=False)
+        dyads = np.stack(triangular_pair(idx), axis=1)
+        labels = in_sorted(_dyad_key(dyads, n), edge_keys).astype(float)
+        test, val, train = (np.sort(part) for part in _cut(rng, len(dyads), TEST_FRAC, VAL_FRAC))
+        sets = [(dyads[part], labels[part]) for part in (train, val, test)]
     else:
-        raise SplitError(f"unknown split regime {regime!r}")
+        if regime == "edge_holdout":
+            test, val, train = (edges[part] for part in _cut(rng, len(edges), TEST_FRAC, VAL_FRAC))
+            roles = [(train, None, None), (val, None, None), (test, None, None)]
+        elif regime == "node_holdout":
+            n_held = max(1, int(round(node_frac * n)))
+            held = np.sort(rng.choice(n, size=n_held, replace=False))
+            held_mask = _node_mask(n, held)
+            touch = np.any(held_mask[edges], axis=1)
+            test, kept = edges[touch], edges[~touch]
+            if len(test) == 0 or len(kept) < 2:
+                raise SplitError("node holdout left an empty positive set")
+            val, train = (kept[part] for part in _cut(rng, len(kept), VAL_FRAC))
+            kept_nodes = np.flatnonzero(~held_mask)
+            roles = [(train, kept_nodes, None), (val, kept_nodes, None), (test, None, held)]
+        else:
+            raise SplitError(f"unknown split regime {regime!r}")
+        if negpos_ratio < 1:
+            raise SplitError("negpos_ratio must be >= 1")
+        forbidden = edge_keys
+        sets = []
+        for pos, restrict_nodes, require_touch in roles:
+            neg = _sample_negatives(rng, n, int(round(negpos_ratio * len(pos))), forbidden,
+                                    restrict_nodes=restrict_nodes, require_touch=require_touch)
+            forbidden = np.concatenate([forbidden, _dyad_key(neg, n)])
+            sets.append(_build_labeled(pos, neg, n))
 
+    spec = SplitSpec(*sets[0], *sets[1], *sets[2], held_out_nodes=held)
     audit_split(spec, graph)
     return spec
 
@@ -471,13 +451,11 @@ def population_metrics(predictions, truth, mass, bins: int = 10):
 
 @dataclass(frozen=True)
 class GapSummary:
-    metric: str
-    gaps: np.ndarray = None
-    mean: float = 0.0
-    se: float = 0.0
-    ci_low: float = 0.0
-    ci_high: float = 0.0
-    win_rate: float = 0.0
+    mean: float
+    se: float
+    ci_low: float
+    ci_high: float
+    win_rate: float
 
 
 @dataclass(frozen=True)
@@ -514,7 +492,7 @@ def paired_gaps(scores_a: dict, scores_b: dict,
         mean = float(gaps.mean())
         se = float(gaps.std(ddof=1) / np.sqrt(gaps.size)) if gaps.size > 1 else 0.0
         summaries[metric] = GapSummary(
-            metric=metric, gaps=gaps, mean=mean, se=se,
+            mean=mean, se=se,
             ci_low=mean - 1.96 * se, ci_high=mean + 1.96 * se,
             win_rate=float(np.mean(gaps > 0)))
     return PairedGapReport(units=units, summaries=summaries)

@@ -321,7 +321,7 @@ def gram_and_target(features, w_star: Graphon):
 # structural functionals
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FunctionalSet:
     """Edge, triangle, wedge, clustering and degree-function summaries."""
 

@@ -7,6 +7,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .graphons import set_readonly
 from .sampling import GraphSample
 
 class NetstatsError(ValueError):
@@ -17,7 +18,7 @@ class NetstatsError(ValueError):
 # graph statistics
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GraphStatistics:
     """Degree vector plus normalized average degree, triangle/wedge
     densities and the clustering ratio."""
@@ -162,17 +163,17 @@ TAIL_WINDOW = (100, 10_000)
 TAIL_FIT_MIN_POINTS = 10
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DegreePmf:
     """Distribution over degrees 0..k_max, with optional tail exponent
     metadata (ccdf exponent gamma)."""
 
     probs: np.ndarray = field(repr=False)
     gamma: float | None = None
-    truncated_mass: float = 0.0
 
     def __post_init__(self):
-        p = np.asarray(self.probs, dtype=float)
+        set_readonly(self, probs=self.probs)
+        p = self.probs
         if np.any(p < 0):
             raise NetstatsError("pmf has negative entries")
         if abs(p.sum() - 1.0) > 1e-10:
@@ -184,30 +185,21 @@ class DegreePmf:
 
     def ccdf(self) -> np.ndarray:
         """P(D >= k) for k = 0..k_max."""
-        p = np.asarray(self.probs, dtype=float)
-        return np.cumsum(p[::-1])[::-1]
-
-    def sample(self, m: int, rng: np.random.Generator) -> np.ndarray:
-        return rng.choice(len(self.probs), size=m, p=self.probs / self.probs.sum())
+        return np.cumsum(self.probs[::-1])[::-1]
 
 
 def power_law_pmf(gamma: float, k_max: int, k_min: int = 1) -> DegreePmf:
-    """Discrete power law with ccdf exponent gamma: p_k ~ k^-(gamma+1).
-
-    Support truncated at k_max; the (analytic) truncated tail mass is
-    reported.
-    """
+    """Discrete power law with ccdf exponent gamma, p_k ~ k^-(gamma+1),
+    on the support k_min..k_max."""
     if gamma <= 0:
         raise NetstatsError("need gamma > 0")
     k_max = min(k_max, MAX_PMF_SUPPORT)
     k = np.arange(k_min, k_max + 1, dtype=float)
     weights = k ** -(gamma + 1.0)
     total = weights.sum()
-    # crude integral bound on the discarded tail, relative to kept mass
-    trunc = (k_max ** -gamma / gamma) / total
     probs = np.zeros(k_max + 1)
     probs[k_min:] = weights / total
-    return DegreePmf(probs=probs, gamma=gamma, truncated_mass=float(trunc))
+    return DegreePmf(probs=probs, gamma=gamma)
 
 
 def mixture_degree_pmf(components, weights) -> DegreePmf:
@@ -230,7 +222,7 @@ def tilt_degree_pmf(pmf: DegreePmf, rho: float) -> DegreePmf:
     the truncated computation valid but voids the tail-exponent reading
     (gamma metadata is dropped in that case).
     """
-    p = np.asarray(pmf.probs, dtype=float)
+    p = pmf.probs
     k = np.arange(len(p), dtype=float)
     weights = np.where(k == 0, 1.0, k ** rho)
     new = p * weights

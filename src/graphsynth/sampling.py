@@ -51,6 +51,14 @@ def unique_keys(a) -> np.ndarray:
     return keys[first]
 
 
+def triangular_pair(idx):
+    """The pairs (s, r), s < r, at positions ``idx`` of the order (0, 1),
+    (0, 2), (1, 2), (0, 3), ...: r is the least with r (r + 1) / 2 > idx,
+    and s the offset of ``idx`` past the first pair with that r."""
+    r = np.ceil((np.sqrt(8.0 * (idx + 1) + 1) - 1) / 2).astype(np.int64)
+    return idx - r * (r - 1) // 2, r
+
+
 def in_sorted(keys, sorted_keys) -> np.ndarray:
     """Membership of each of ``keys`` in the ascending array ``sorted_keys``;
     equals ``np.isin(keys, sorted_keys)``.
@@ -248,31 +256,18 @@ def sample_sparse_graph(w: Graphon, n: int, lam: float, seed) -> GraphSample:
     for a in range(k):
         for b in range(a, k):
             q = min(1.0, lam * mat[a, b] / n)
-            if q <= 0.0:
+            na, nb = members[a].size, members[b].size
+            n_pairs = na * (na - 1) // 2 if a == b else na * nb
+            if q <= 0.0 or n_pairs == 0:
                 continue
-            if a == b:
-                na = members[a].size
-                n_pairs = na * (na - 1) // 2
-                if n_pairs == 0:
-                    continue
-                count = int(rng.binomial(n_pairs, q))
-                if count == 0:
-                    continue
-                idx = _sample_distinct(rng, n_pairs, count)
-                # decode triangular index: pair (r, s) with r < s within group
-                r = (np.ceil((np.sqrt(8.0 * (idx + 1) + 1) - 1) / 2)).astype(np.int64)
-                s = idx - r * (r - 1) // 2
-                u, v = members[a][s], members[a][r]
-            else:
-                na, nb = members[a].size, members[b].size
-                n_pairs = na * nb
-                if n_pairs == 0:
-                    continue
-                count = int(rng.binomial(n_pairs, q))
-                if count == 0:
-                    continue
-                idx = _sample_distinct(rng, n_pairs, count)
-                u, v = members[a][idx // nb], members[b][idx % nb]
+            count = int(rng.binomial(n_pairs, q))
+            if count == 0:
+                continue
+            idx = _sample_distinct(rng, n_pairs, count)
+            # a block's own pairs s < r in triangular order, or the pairs of
+            # two blocks in row-major order of their na x nb grid
+            s, r = triangular_pair(idx) if a == b else np.divmod(idx, nb)
+            u, v = members[a][s], members[b][r]
             all_keys.append(np.minimum(u, v) * n + np.maximum(u, v))
     keys = np.concatenate(all_keys)
     keys.sort()

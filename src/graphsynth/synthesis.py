@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .graphons import Graphon, gram_and_target
+from .graphons import Graphon, gram_and_target, set_readonly
 
 SINGULAR_EIG_TOL = 1e-12
 SIMPLEX_MAX_AGENTS = 12
@@ -76,7 +76,7 @@ class DyadData:
         return np.atleast_2d(self.labels), np.atleast_2d(self.weights)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class WeightVector:
     """Fitted synthesis coefficients with fit metadata: ``beta`` is (J+1,)
     with scalar diagnostics for one sample, (R, J+1) with (R,) diagnostics
@@ -90,7 +90,7 @@ class WeightVector:
     kkt_residual: float | np.ndarray = 0.0
 
     def __post_init__(self):
-        object.__setattr__(self, "beta", np.asarray(self.beta, dtype=float))
+        set_readonly(self, beta=self.beta)
         if not np.all(np.isfinite(self.beta)):
             raise ValueError("weight vector has non-finite entries")
 

@@ -10,8 +10,8 @@ import pytest
 from scipy.special import expit, logit
 
 from graphsynth import (ER, RDPG, SBM, AgentError, Block, ChungLu, Constant,
-                        DegHist, ErgmSpec, GraphEnumeration, GraphPmf,
-                        InfeasibleTarget, LinearCombo, StepMap,
+                        DegHist, DegreePmf, ErgmSpec, GraphEnumeration, GraphPmf,
+                        InfeasibleTarget, LinearCombo, StepMap, WeightVector,
                         calibrate_moment, edge_prob_matrix, edge_tilt_weights,
                         er_as_ergm, ergm_stack_tilt, exact_enumeration_pmf,
                         mixture_pmf, stat_tilt_weights, statistic_matrix,
@@ -137,6 +137,10 @@ MODEL_KINDS = {
     "DegHist": (DegHist, {"node_bins": np.array([0, 1, 1]),
                           "rates": np.array([[0.1, 0.3], [0.3, 0.8]])}),
     "ErgmSpec": (ErgmSpec, {"stats": [("edges",)], "theta": np.array([0.2]), "n": 4}),
+    # result records hold their arrays the same way
+    "GraphPmf": (GraphPmf, {"n": 2, "probs": np.array([0.25, 0.75])}),
+    "DegreePmf": (DegreePmf, {"probs": np.array([0.5, 0.3, 0.2]), "gamma": 1.5}),
+    "WeightVector": (WeightVector, {"beta": np.array([0.1, 0.9]), "method": "LS"}),
 }
 
 

@@ -20,7 +20,7 @@ from scipy.special import expit, log_expit, logit
 import graphsynth
 from graphsynth import (Block, SplitError, audit_split, cv_best_agent, evaluation,
                         fit_logistic_stack, make_split, paired_gaps,
-                        sample_graph, score_metrics)
+                        sample_graph, sample_sparse_graph, score_metrics)
 from graphsynth.evaluation import (STACK_RIDGE, _descending_ties, _sample_negatives,
                                    population_metrics)
 from graphsynth.sampling import graph_from_edge_array
@@ -365,10 +365,33 @@ def test_edge_holdout_ratio_and_determinism():
 
 def test_edge_holdout_rejects_low_ratio():
     g = sparse_graph()
-    with pytest.raises(SplitError):
-        make_split(g, "edge_holdout", seed=1, negpos_ratio=0.5)
+    for regime in ("edge_holdout", "node_holdout"):
+        with pytest.raises(SplitError, match="negpos_ratio must be >= 1"):
+            make_split(g, regime, seed=1, negpos_ratio=0.5)
     with pytest.raises(SplitError):
         make_split(g, "no_such_regime", seed=1)
+
+
+# sha256 of every array of a split of one sparse graph: the dyads and labels
+# of train, val and test, then the held-out nodes where the regime has them
+PINNED_SPLITS = {
+    "edge_holdout": "b0468d07f9b653976136581d92ca8410dad8edb40447fbac9001f63b12d86cf4",
+    "node_holdout": "eac41b7d68bff7f5838c79b024c6fd494d91f62c24e9c5a446a4632f7ff754ce",
+    "uniform_dyads": "a3488d87e5cbb1e1548b85f1eadb8305d540b311ed1d076b1761f0865864f8be",
+}
+
+
+@pytest.mark.parametrize("regime", sorted(PINNED_SPLITS))
+def test_make_split_keeps_its_digest(regime):
+    g = sample_sparse_graph(SPARSE_BLOCK, 1500, 100.0, seed=12)
+    spec = make_split(g, regime, seed=13)
+    digest = hashlib.sha256()
+    for name in ("train_dyads", "train_labels", "val_dyads", "val_labels",
+                 "test_dyads", "test_labels", "held_out_nodes"):
+        arr = getattr(spec, name)
+        if arr is not None:
+            digest.update(arr.tobytes())
+    assert digest.hexdigest() == PINNED_SPLITS[regime]
 
 
 def test_node_holdout_removes_incident_dyads():
