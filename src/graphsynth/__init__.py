@@ -11,11 +11,11 @@ evaluation protocol with calibration diagnostics and paired effect sizes.
 
 from .graphons import (Block, Constant, FunctionalSet, Graphon, GraphonError,
                        LinearCombo, LipschitzBudget, LogisticLowRank,
-                       ProductWeight, StepMap, as_block, common_refinement,
-                       functionals, gram_and_target, grid_values,
-                       l2_distance, l2_inner, lipschitz_budget,
-                       spectral_bracket, spectral_radius, uniform_step_map)
-from .agents import (AgentError, CalibrationFailure, ChungLu, DegHist, ER,
+                       ProductWeight, StepMap, common_refinement,
+                       functionals, gram_and_target, l2_distance, l2_inner,
+                       lipschitz_budget, spectral_bracket, spectral_radius,
+                       uniform_step_map)
+from .agents import (AgentError, CalibrationFailure, ChungLu, ER,
                      ErgmSpec, GraphEnumeration, GraphPmf, InfeasibleTarget,
                      RDPG, SBM, calibrate_moment, edge_prob_matrix,
                      edge_tilt_weights, er_as_ergm, ergm_stack_tilt,

@@ -135,28 +135,9 @@ class ChungLu:
         return np.minimum(self.theta[i] * self.theta[j], CHUNG_LU_CAP)
 
 
-@dataclass(frozen=True, eq=False)
-class DegHist:
-    """Degree-bin agent: nodes carry a bin label, edges use bin-pair rates."""
-
-    node_bins: np.ndarray
-    rates: np.ndarray
-
-    def __post_init__(self):
-        set_readonly(self, int, node_bins=self.node_bins)
-        set_readonly(self, rates=self.rates)
-
-    @property
-    def n(self) -> int:
-        return len(self.node_bins)
-
-    def dyad_probs(self, i, j) -> np.ndarray:
-        return self.rates[self.node_bins[i], self.node_bins[j]]
-
-
 # each kind's ``dyad_probs(i, j)`` holds its edge-probability formula on
 # node-index arrays that broadcast against each other
-AgentModel = ER | SBM | RDPG | ChungLu | DegHist
+AgentModel = ER | SBM | RDPG | ChungLu
 
 
 # ---------------------------------------------------------------------------
@@ -320,9 +301,7 @@ def stat_dimension(stats) -> int:
         if s[0] == "block_counts":
             k = int(max(s[1])) + 1
             dim += k * (k + 1) // 2
-        elif s[0] in ("edges", "triangles", "wedges"):
-            dim += 1
-        elif s[0] == "kstar":
+        elif s[0] in ("edges", "triangles", "wedges", "kstar"):
             dim += 1
         else:
             raise AgentError(f"unknown statistic {s[0]!r}")

@@ -39,7 +39,7 @@ class SplitError(ValueError):
 # splits
 # ---------------------------------------------------------------------------
 
-@dataclass
+@dataclass(eq=False)
 class SplitSpec:
     """Train/val/test dyad sets with labels for one evaluation split.
 

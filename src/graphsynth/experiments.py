@@ -29,8 +29,8 @@ from .evaluation import (MetricReport, audit_split, cv_best_agent,  # noqa: F401
                          fit_logistic_stack, make_split, paired_gaps,
                          population_metrics, score_metrics)
 from .logistic import expit
-from .netstats import (TAIL_FIT_MIN_POINTS, TAIL_WINDOW, fit_tail_exponent,
-                       mixture_degree_pmf, power_law_pmf)
+from .netstats import (MAX_PMF_SUPPORT, TAIL_FIT_MIN_POINTS, TAIL_WINDOW,
+                       fit_tail_exponent, mixture_degree_pmf, power_law_pmf)
 # s1/s2 draw cell counts (sample_cells), not dyads; sample_dyads stays
 # importable here because perfbench/tracing.py resolves it at this site
 from .sampling import (GraphSample, child_seeds, graph_from_edge_array,  # noqa: F401
@@ -181,6 +181,9 @@ class ExperimentConfig:
         if self.tail_k_max < min_k_max:
             raise ConfigError(f"tail_k_max must be >= {min_k_max}, the smallest support "
                               "the s4 tail fit can use")
+        if self.tail_k_max > MAX_PMF_SUPPORT:
+            raise ConfigError(f"tail_k_max must be <= {MAX_PMF_SUPPORT}, the largest "
+                              "degree pmf support")
 
     @staticmethod
     def from_dict(d: dict) -> "ExperimentConfig":
@@ -289,7 +292,8 @@ def fit_agents_to_graph(g: GraphSample, config: ExperimentConfig, seed=0):
     """Fit the five-agent menu to one observed graph.
 
     ER: empirical density.  ChungLu: theta_i = d_i / sqrt(2 * edges).
-    DegHist: degree-decile node bins with empirical bin-pair rates.
+    DegHist: an SBM on degree-decile node bins with empirical bin-pair
+    rates, clipped into [1e-6, 1 - 1e-6].
     SBM: spectral clustering of the normalized adjacency of the largest
     connected component (its top-K eigenvectors by ARPACK, rows normalized,
     then ``_kmeans``: k-means++ and KMEANS_ROUNDS Lloyd rounds in numpy, no
@@ -319,7 +323,7 @@ def fit_agents_to_graph(g: GraphSample, config: ExperimentConfig, seed=0):
     k_bins = config.deghist_bins
     edges_q = np.unique(np.quantile(deg, np.linspace(0, 1, k_bins + 1)[1:-1]))
     node_bins = np.searchsorted(edges_q, deg, side="right")
-    deg_hist = ag.DegHist(node_bins, _pair_rates(g, node_bins, smooth=False))
+    deg_hist = ag.SBM(node_bins, _pair_rates(g, node_bins, smooth=False))
 
     adj = g.adjacency().astype(float)
     # spectral step on the largest component only: every further component
@@ -488,12 +492,8 @@ def cell_design(w_star, parts):
     A latent pair lands in cell {a, b} with that probability, is an edge
     with probability W_ab and has the features ``sample_dyads`` would give
     it, so the cells carry both the draw of ``sample_cells`` and the exact
-    scoring.  Every graphon needs a block form (``graphons.as_block``),
-    else ``GraphonError``."""
-    try:
-        mu, (truth, *agents) = gr.common_refinement(w_star, *parts)
-    except gr.GraphonError as exc:
-        raise gr.GraphonError(f"exact population scoring needs block forms: {exc}") from exc
+    scoring."""
+    mu, (truth, *agents) = gr.common_refinement(w_star, *parts)
     a, b = np.triu_indices(mu.size)
     mass = np.where(a == b, 1.0, 2.0) * mu[a] * mu[b]
     return mass, truth[a, b], np.stack([np.ones(mass.size)]

@@ -1,17 +1,16 @@
 """Graphon kernels, L2 geometry, structural functionals, and spectral radii.
 
 A graphon is a symmetric measurable kernel w : [0,1]^2 -> [0,1].  Every kind
-implemented here is piecewise constant in its latent coordinate and defines
-its kernel once, as its exact ``Block`` form (``block``, built on first use
-and kept); ``evaluate`` reads it.  Pairwise L2 quantities, structural
-functionals and the spectral radius are therefore exact block computations.
-Other subclasses of ``Graphon`` implement ``evaluate`` and have no block
-form; for them alone a midpoint rule on a ``QUAD_G`` x ``QUAD_G`` grid runs.
+is piecewise constant in its latent coordinate and defines its kernel once,
+as its exact ``Block`` form (``block``, built on first use and kept);
+``evaluate`` reads it.  Pairwise L2 quantities, structural functionals and
+the spectral radius are therefore exact block computations.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from abc import ABC, abstractmethod
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -73,25 +72,21 @@ def uniform_step_map(values) -> StepMap:
 # graphon kinds
 # ---------------------------------------------------------------------------
 
-class Graphon:
-    """Base class.  A built-in kind defines ``block``, its exact ``Block``
-    form, and inherits ``evaluate``, which reads it; any other subclass
-    implements a vectorized ``evaluate`` and has no block form."""
+class Graphon(ABC):
+    """Base class.  Every kind defines ``block``, its exact ``Block`` form,
+    and inherits ``evaluate``, which reads it; a subclass without ``block``
+    cannot be constructed."""
 
     @property
+    @abstractmethod
     def block(self) -> Block:
-        raise GraphonError(f"cannot reduce {type(self).__name__} to blocks")
+        ...
 
     def evaluate(self, x, y):
         return self.block.evaluate(x, y)
 
     def __call__(self, x, y):
         return self.evaluate(x, y)
-
-    @property
-    def bounded_unit(self) -> bool:
-        """True when values are guaranteed to lie in [0,1]."""
-        return True
 
 
 @dataclass(frozen=True)
@@ -186,9 +181,7 @@ class ProductWeight(Graphon):
 class LinearCombo(Graphon):
     """beta0 + sum_j beta_j * parts[j]; optionally clipped into [0,1].
 
-    Unclipped combinations may leave [0,1]; ``bounded_unit`` reports this.
-    The block form exists when every part has one; ``evaluate`` sums the
-    parts' values, so it also serves parts without a block form.
+    Unclipped combinations may leave [0,1].
     """
 
     beta: np.ndarray
@@ -203,7 +196,7 @@ class LinearCombo(Graphon):
 
     @cached_property
     def block(self) -> Block:
-        bounds, mats = _refine([as_block(p) for p in self.parts])
+        bounds, mats = _refine([p.block for p in self.parts])
         mat = np.full((bounds.size - 1,) * 2, self.beta[0])
         for b_j, m in zip(self.beta[1:], mats):
             mat += b_j * m
@@ -213,18 +206,6 @@ class LinearCombo(Graphon):
         blk = object.__new__(Block)
         set_readonly(blk, boundaries=bounds, matrix=mat)
         return blk
-
-    def evaluate(self, x, y):
-        out = np.full(np.broadcast(np.asarray(x, dtype=float), y).shape, self.beta[0])
-        for b_j, part in zip(self.beta[1:], self.parts):
-            out = out + b_j * np.asarray(part.evaluate(x, y))
-        if self.clipped:
-            out = np.clip(out, 0.0, 1.0)
-        return out
-
-    @property
-    def bounded_unit(self) -> bool:
-        return self.clipped
 
 
 # ---------------------------------------------------------------------------
@@ -247,55 +228,28 @@ def _refine(blocks):
     return bounds, mats
 
 
-def as_block(w) -> Block:
-    """Exact piecewise-constant form of ``w``, built once per graphon.
-
-    A graphon without one raises ``GraphonError``; the L2 geometry and the
-    functionals then fall back to quadrature.
-    """
-    if not hasattr(type(w), "block"):
-        raise GraphonError(f"cannot reduce {type(w).__name__} to blocks")
-    return w.block
-
-
 def common_refinement(*graphons: Graphon):
     """Block matrices of every graphon on one shared partition.
 
     Returns (measures, [M_1, M_2, ...]), the matrices in argument order.
     """
-    bounds, mats = _refine([as_block(w) for w in graphons])
+    bounds, mats = _refine([w.block for w in graphons])
     return np.diff(bounds), mats
 
 
 # ---------------------------------------------------------------------------
-# quadrature and L2 geometry
+# L2 geometry
 # ---------------------------------------------------------------------------
-
-# midpoint grid for graphons without a block form (``as_block`` raises);
-# every built-in kind is integrated exactly over its blocks instead
-QUAD_G = 256
-
-
-def grid_values(w: Graphon, g: int) -> np.ndarray:
-    x = (np.arange(g) + 0.5) / g
-    return np.asarray(w.evaluate(x[:, None], x[None, :]), dtype=float)
-
 
 def l2_inner(w: Graphon, w2: Graphon) -> float:
     """L2 inner product <w, w2> over the unit square."""
-    try:
-        mu, (m1, m2) = common_refinement(w, w2)
-    except GraphonError:
-        return float(np.mean(grid_values(w, QUAD_G) * grid_values(w2, QUAD_G)))
+    mu, (m1, m2) = common_refinement(w, w2)
     return float(mu @ (m1 * m2) @ mu)
 
 
 def l2_distance(w: Graphon, w2: Graphon) -> float:
-    """||w - w2||_2, exact for block-reducible pairs."""
-    try:
-        mu, (m1, m2) = common_refinement(w, w2)
-    except GraphonError:
-        return float(np.sqrt(np.mean((grid_values(w, QUAD_G) - grid_values(w2, QUAD_G)) ** 2)))
+    """||w - w2||_2 over the unit square."""
+    mu, (m1, m2) = common_refinement(w, w2)
     return float(np.sqrt(mu @ (m1 - m2) ** 2 @ mu))
 
 
@@ -323,13 +277,12 @@ def gram_and_target(features, w_star: Graphon):
 
 @dataclass(frozen=True, eq=False)
 class FunctionalSet:
-    """Edge, triangle, wedge, clustering and degree-function summaries."""
+    """Edge, triangle, wedge and clustering summaries."""
 
     edge: float
     triangle: float
     wedge: float
     clustering: float
-    degree_grid: np.ndarray = field(repr=False)
 
 
 def functionals(w: Graphon) -> FunctionalSet:
@@ -339,25 +292,15 @@ def functionals(w: Graphon) -> FunctionalSet:
     d_w^2, and t the triple integral of w(x,y)w(y,z)w(x,z).  Clustering is 0
     when s = 0.
     """
-    try:
-        blk = as_block(w)
-    except GraphonError:
-        vals = grid_values(w, QUAD_G)
-        d_grid = vals.mean(axis=1)
-        e = float(d_grid.mean())
-        s = float(np.mean(d_grid ** 2))
-        t = float(np.einsum("ab,bc,ac->", vals, vals, vals)) / QUAD_G ** 3
-    else:
-        mu = blk.measures()
-        mat = blk.matrix
-        deg = mat @ mu
-        e = float(mu @ deg)
-        s = float(mu @ deg ** 2)
-        t = float(np.einsum("a,b,c,ab,bc,ac->", mu, mu, mu, mat, mat, mat))
-        d_grid = deg[blk.piece_index((np.arange(QUAD_G) + 0.5) / QUAD_G)]
+    blk = w.block
+    mu = blk.measures()
+    mat = blk.matrix
+    deg = mat @ mu
+    e = float(mu @ deg)
+    s = float(mu @ deg ** 2)
+    t = float(np.einsum("a,b,c,ab,bc,ac->", mu, mu, mu, mat, mat, mat))
     clustering = t / s if s > 0 else 0.0
-    return FunctionalSet(edge=e, triangle=t, wedge=s, clustering=clustering,
-                         degree_grid=np.asarray(d_grid, dtype=float))
+    return FunctionalSet(edge=e, triangle=t, wedge=s, clustering=clustering)
 
 
 @dataclass(frozen=True)
@@ -405,16 +348,11 @@ def spectral_radius(w: Graphon) -> float:
 
     On a block form (piece measures mu, rates M) the nonzero spectrum is
     that of diag(sqrt mu) M diag(sqrt mu), so the radius is its largest
-    |eigenvalue| (Bollobas, Janson & Riordan 2007); a graphon without one
-    uses the ``QUAD_G`` midpoint grid (entries w/g) instead.
+    |eigenvalue| (Bollobas, Janson & Riordan 2007).
     """
-    try:
-        blk = as_block(w)
-    except GraphonError:
-        mat = grid_values(w, QUAD_G) / QUAD_G
-    else:
-        root = np.sqrt(blk.measures())
-        mat = root[:, None] * blk.matrix * root[None, :]
+    blk = w.block
+    root = np.sqrt(blk.measures())
+    mat = root[:, None] * blk.matrix * root[None, :]
     return float(np.abs(np.linalg.eigvalsh(mat)).max())
 
 

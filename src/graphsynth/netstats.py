@@ -190,10 +190,11 @@ class DegreePmf:
 
 def power_law_pmf(gamma: float, k_max: int, k_min: int = 1) -> DegreePmf:
     """Discrete power law with ccdf exponent gamma, p_k ~ k^-(gamma+1),
-    on the support k_min..k_max."""
+    on the support k_min..k_max, k_max at most MAX_PMF_SUPPORT."""
     if gamma <= 0:
         raise NetstatsError("need gamma > 0")
-    k_max = min(k_max, MAX_PMF_SUPPORT)
+    if k_max > MAX_PMF_SUPPORT:
+        raise NetstatsError(f"k_max = {k_max} exceeds the largest support {MAX_PMF_SUPPORT}")
     k = np.arange(k_min, k_max + 1, dtype=float)
     weights = k ** -(gamma + 1.0)
     total = weights.sum()

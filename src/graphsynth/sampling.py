@@ -12,7 +12,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from . import graphons
-from .graphons import Block, Graphon, GraphonError, as_block
+from .graphons import Graphon
 from .synthesis import DyadData
 
 if TYPE_CHECKING:
@@ -79,7 +79,7 @@ def in_sorted(keys, sorted_keys) -> np.ndarray:
     return hits.reshape(keys.shape)
 
 
-@dataclass
+@dataclass(eq=False)
 class GraphSample:
     """Simple undirected graph: sorted deduplicated edge list plus degrees.
 
@@ -92,7 +92,6 @@ class GraphSample:
     edges: np.ndarray = field(repr=False)
     degrees: np.ndarray = field(repr=False)
     latents: np.ndarray | None = field(default=None, repr=False)
-    seed: int | None = None
 
     def __post_init__(self):
         # Checked EDGE_CHECK_ROWS rows at a time, so that the checks'
@@ -126,7 +125,7 @@ class GraphSample:
             shape=(self.n, self.n))
 
 
-def _finish_edges(n, keys, latents=None, seed=None) -> GraphSample:
+def _finish_edges(n, keys, latents=None) -> GraphSample:
     """Decode ascending, distinct edge keys ``i * n + j`` (each with i < j)
     into the edge list and count degrees.
 
@@ -138,7 +137,7 @@ def _finish_edges(n, keys, latents=None, seed=None) -> GraphSample:
     edges = np.empty((keys.size, 2), dtype=np.int64)
     np.divmod(keys, n, out=(edges[:, 0], edges[:, 1]))
     degrees = np.bincount(edges.ravel(), minlength=n)
-    return GraphSample(n=n, edges=edges, degrees=degrees, latents=latents, seed=seed)
+    return GraphSample(n=n, edges=edges, degrees=degrees, latents=latents)
 
 
 def graph_from_edge_array(n: int, edges) -> GraphSample:
@@ -178,43 +177,23 @@ def _dense_edges(prob_rows, n, rng):
     return np.concatenate(keys)
 
 
-def _block_form(w: Graphon) -> Block | None:
-    """``as_block(w)``, or None for a graphon without a block form."""
-    try:
-        return as_block(w)
-    except GraphonError:
-        return None
-
-
-def _kernel_rows(w: Graphon, blk: Block | None, latents):
-    """``rows(start, stop)``: w on latents ``start:stop`` against ``start:``.
-
-    With a block form the values are read from ``matrix[:, labels]``, one
-    column per latent, built once from piece labels: each chunk takes the
-    rows of its latents' pieces and the columns ``start:``, which equals
-    ``w.evaluate`` bit for bit.  Without one, ``w.evaluate`` runs on every
-    chunk.
-    """
-    if blk is None:
-        return lambda start, stop: np.asarray(
-            w.evaluate(latents[start:stop, None], latents[None, start:]), dtype=float)
-    labels = blk.piece_index(latents)
-    by_latent = blk.matrix[:, labels]
-    return lambda start, stop: by_latent[labels[start:stop], start:]
-
-
 def sample_graph(w: Graphon, n: int, seed) -> GraphSample:
     """Latent-uniform graph: U_i iid uniform, edges Bernoulli(w(U_i, U_j)).
 
-    A graphon with a block form (``as_block``) is read from its rate matrix;
-    any other is evaluated chunk by chunk.  Both give the same edges.
+    The kernel is read from ``matrix[:, labels]`` of the block form, one
+    column per latent, built once from piece labels: the rows of a chunk
+    are those of its latents' pieces, at the columns ``start:``, which
+    equals ``w.evaluate`` bit for bit.
     """
     if n < 2:
         raise ValueError("need n >= 2")
     rng = make_rng(seed)
     latents = rng.random(n)
-    keys = _dense_edges(_kernel_rows(w, _block_form(w), latents), n, rng)
-    return _finish_edges(n, keys, latents=latents, seed=seed)
+    blk = w.block
+    labels = blk.piece_index(latents)
+    by_latent = blk.matrix[:, labels]
+    keys = _dense_edges(lambda start, stop: by_latent[labels[start:stop], start:], n, rng)
+    return _finish_edges(n, keys, latents=latents)
 
 
 def _sample_distinct(rng, n_items: int, k: int) -> np.ndarray:
@@ -233,21 +212,14 @@ def _sample_distinct(rng, n_items: int, k: int) -> np.ndarray:
 def sample_sparse_graph(w: Graphon, n: int, lam: float, seed) -> GraphSample:
     """Sparse regime: edge probability min(1, lam * w(U_i,U_j) / n).
 
-    A graphon with a block form (``as_block``) is sampled per block pair:
-    a binomial edge count followed by uniform placement.  Any other falls
-    back to the row-chunked dense sampler with rescaled probabilities.
+    The block form is sampled per block pair: a binomial edge count
+    followed by uniform placement.
     """
     if n < 2 or lam <= 0:
         raise ValueError("need n >= 2 and lam > 0")
     rng = make_rng(seed)
     latents = rng.random(n)
-    blk = _block_form(w)
-    if blk is None:
-        rows = _kernel_rows(w, None, latents)
-        keys = _dense_edges(lambda start, stop: np.minimum(lam * rows(start, stop) / n, 1.0),
-                            n, rng)
-        return _finish_edges(n, keys, latents=latents, seed=seed)
-
+    blk = w.block
     labels = blk.piece_index(latents)
     mat = blk.matrix
     k = mat.shape[0]
@@ -271,16 +243,16 @@ def sample_sparse_graph(w: Graphon, n: int, lam: float, seed) -> GraphSample:
             all_keys.append(np.minimum(u, v) * n + np.maximum(u, v))
     keys = np.concatenate(all_keys)
     keys.sort()
-    return _finish_edges(n, keys, latents=latents, seed=seed)
+    return _finish_edges(n, keys, latents=latents)
 
 
 def sample_dyads(w: Graphon, agents, m: int, seed) -> DyadData:
     """i.i.d. dyads: latent pairs, Bernoulli labels from w, agent features.
 
     Features are (1, w_1(X), ..., w_J(X)) evaluated at the same latent pair.
-    A graphon or agent with a block form (``as_block``) is read from its
-    rate matrix, which gives the values ``evaluate`` would; piece labels are
-    computed once per distinct set of breakpoints.
+    Each graphon is read from the rate matrix of its block form, which
+    gives the values ``evaluate`` would; piece labels are computed once per
+    distinct set of breakpoints.
     """
     if m < 1:
         raise ValueError("need m >= 1 dyads")
@@ -290,9 +262,7 @@ def sample_dyads(w: Graphon, agents, m: int, seed) -> DyadData:
     piece_labels = {}
 
     def values(g):
-        blk = _block_form(g)
-        if blk is None:
-            return np.asarray(g.evaluate(u1, u2), dtype=float)
+        blk = g.block
         key = blk.boundaries.tobytes()
         if key not in piece_labels:
             piece_labels[key] = blk.piece_index(u1), blk.piece_index(u2)
@@ -330,7 +300,7 @@ def giant_fraction(g: GraphSample) -> float:
     return float(np.bincount(labels).max()) / g.n
 
 
-@dataclass
+@dataclass(eq=False)
 class PhaseCurve:
     """Giant-component fraction along a sparsity grid."""
 

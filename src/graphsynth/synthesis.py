@@ -21,7 +21,7 @@ class SingularDesign(ValueError):
     """Gram matrix is numerically singular; ridge regularization applies."""
 
 
-@dataclass
+@dataclass(eq=False)
 class DyadData:
     """Dyad samples for synthesis: features (1, p_1, ..., p_J), labels and
     row weights, for one sample or a batch of samples on shared rows.

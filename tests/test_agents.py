@@ -10,7 +10,7 @@ import pytest
 from scipy.special import expit, logit
 
 from graphsynth import (ER, RDPG, SBM, AgentError, Block, ChungLu, Constant,
-                        DegHist, DegreePmf, ErgmSpec, GraphEnumeration, GraphPmf,
+                        DegreePmf, ErgmSpec, GraphEnumeration, GraphPmf,
                         InfeasibleTarget, LinearCombo, StepMap, WeightVector,
                         calibrate_moment, edge_prob_matrix, edge_tilt_weights,
                         er_as_ergm, ergm_stack_tilt, exact_enumeration_pmf,
@@ -112,8 +112,8 @@ def test_edge_prob_matrix_kinds():
     assert edge_prob_matrix(sbm, 2)[0, 1] == 0.2
     cl = ChungLu([2.0, 0.9])
     assert edge_prob_matrix(cl, 2)[0, 1] == pytest.approx(1.0, abs=1e-11)
-    dh = DegHist([0, 1, 1], [[0.1, 0.3], [0.3, 0.8]])
-    mat = edge_prob_matrix(dh, 3)
+    bins = SBM([0, 1, 1], [[0.1, 0.3], [0.3, 0.8]])
+    mat = edge_prob_matrix(bins, 3)
     assert mat[0, 1] == 0.3 and mat[1, 2] == 0.8
     with pytest.raises(AgentError):
         edge_prob_matrix(sbm, 5)
@@ -134,8 +134,6 @@ MODEL_KINDS = {
                   "matrix": np.array([[0.5, 0.2], [0.2, 0.6]])}),
     "RDPG": (RDPG, {"positions": np.array([[1.0, 0.0], [0.5, 0.5]]), "intercept": -0.5}),
     "ChungLu": (ChungLu, {"theta": np.array([0.3, 0.9])}),
-    "DegHist": (DegHist, {"node_bins": np.array([0, 1, 1]),
-                          "rates": np.array([[0.1, 0.3], [0.3, 0.8]])}),
     "ErgmSpec": (ErgmSpec, {"stats": [("edges",)], "theta": np.array([0.2]), "n": 4}),
     # result records hold their arrays the same way
     "GraphPmf": (GraphPmf, {"n": 2, "probs": np.array([0.25, 0.75])}),
@@ -153,7 +151,7 @@ def test_model_arrays_are_read_only_copies(name):
               if isinstance(getattr(model, f.name), np.ndarray)}
     assert stored.keys() == given.keys()
     for key, arr in stored.items():
-        assert arr.dtype == (int if key in ("assignment", "node_bins") else float)
+        assert arr.dtype == (int if key == "assignment" else float)
         np.testing.assert_array_equal(arr, given[key])
         assert not arr.flags.writeable
         with pytest.raises(ValueError, match="read-only"):

@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from graphsynth import (Block, Constant, ConfigError, DyadData, ExperimentConfig, Graphon,
-                        GraphonError, StageFailure, agent_dyad_probs,
+                        StageFailure, agent_dyad_probs,
                         common_refinement, config_hash, default_generator,
                         edge_prob_matrix, fit_agents_to_graph, giant_fraction,
                         l2_distance, l2_inner, load_edge_list, make_split, run_experiment,
@@ -55,10 +55,12 @@ def test_config_rejects_unknown_keys():
                                   {"ridge_reg": -1.0}, {"lambda_grid": [-1, 1]},
                                   {"phase_n": 1}, {"pi_grid": [0, 1.5]},
                                   {"gamma_light": -1}, {"gamma_heavy": 0},
-                                  {"negpos_ratio": 0}, {"n_grid": [0, 200]}],
+                                  {"negpos_ratio": 0}, {"n_grid": [0, 200]},
+                                  {"tail_k_max": 1_000_001}],
                          ids=["n_grid", "lambda_grid", "pi_grid", "regimes",
                               "repeated_n", "ridge_reg", "lambda", "phase_n", "pi",
-                              "gamma_light", "gamma_heavy", "negpos_ratio", "n"])
+                              "gamma_light", "gamma_heavy", "negpos_ratio", "n",
+                              "tail_k_max_above_support"])
 def test_config_rejects_degenerate_values(keys):
     # an empty grid or regime list would run no unit and write NaN summaries;
     # the other values would fail only mid-run, after the data is drawn or
@@ -181,9 +183,9 @@ def test_fit_agents_deghist_regular_graph_single_bin():
     cycle = graph_from_edge_array(20, [[i, (i + 1) % 20] for i in range(20)])
     cfg = ExperimentConfig.from_dict({"experiment": "real", "sbm_k": 2, "rdpg_d": 2})
     agents = fit_agents_to_graph(cycle, cfg)
-    bins = np.asarray(agents["DegHist"].node_bins)
+    bins = np.asarray(agents["DegHist"].assignment)
     assert np.unique(bins).size == 1  # all degrees equal: one occupied bin
-    rate = np.asarray(agents["DegHist"].rates)[bins[0], bins[0]]
+    rate = np.asarray(agents["DegHist"].matrix)[bins[0], bins[0]]
     assert rate == pytest.approx(2 * 20 / (20 * 19), abs=1e-9)
 
 
@@ -518,12 +520,13 @@ def test_unordered_cells_score_as_the_ordered_cells(truth):
 
 
 def test_cell_design_needs_block_forms():
+    # every graphon is its block form: a kind without one cannot be built
     class Smooth(Graphon):
         def evaluate(self, x, y):
             return 0.5 * (np.asarray(x, dtype=float) + y)
 
-    with pytest.raises(GraphonError, match="population scoring needs block forms"):
-        experiments.cell_design(Smooth(), default_generator()[1])
+    with pytest.raises(TypeError, match="abstract"):
+        Smooth()
 
 
 @pytest.mark.parametrize("truth", [default_generator(), _outside_span_truth()],

@@ -6,24 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import expit
 
-from graphsynth import (Block, Constant, Graphon, LinearCombo, LogisticLowRank,
-                        ProductWeight, GraphonError, as_block,
+from graphsynth import (Block, Constant, LinearCombo, LogisticLowRank,
+                        ProductWeight, GraphonError,
                         functionals, gram_and_target, l2_distance, l2_inner,
                         lipschitz_budget, spectral_bracket, spectral_radius,
                         uniform_step_map)
-from graphsynth.graphons import QUAD_G
 
 RNG = np.random.default_rng(20240601)
-
-
-class Unblocked(Graphon):
-    """A graphon with no block form, so only the quadrature path applies."""
-
-    def __init__(self, inner):
-        self.inner = inner
-
-    def evaluate(self, x, y):
-        return self.inner.evaluate(x, y)
 
 
 def random_block(rng, k_max=4):
@@ -47,19 +36,14 @@ def test_constant_evaluates_everywhere():
 def test_clipped_combo_clips_at_zero():
     w = LinearCombo([-0.2], [], clipped=True)
     assert w.evaluate(0.4, 0.6) == 0.0
+    # unclipped, a combination may leave [0,1]
+    assert LinearCombo([0.9, 0.5], [Constant(0.8)]).evaluate(0.5, 0.5) == pytest.approx(1.3)
 
 
 def test_block_lookup_oracle():
     w = Block([0.0, 0.5, 1.0], [[0.8, 0.1], [0.1, 0.8]])
     assert w.evaluate(0.25, 0.75) == 0.1
     assert w.evaluate(0.75, 0.25) == 0.1
-
-
-def test_unclipped_combo_flagged():
-    w = LinearCombo([0.9, 0.5], [Constant(0.8)], clipped=False)
-    assert not w.bounded_unit
-    assert w.evaluate(0.5, 0.5) == pytest.approx(1.3)
-    assert LinearCombo([0.9, 0.5], [Constant(0.8)], clipped=True).bounded_unit
 
 
 @settings(max_examples=60, deadline=None)
@@ -145,14 +129,14 @@ def test_as_block_is_exact_for_every_kind():
     also for two parts whose breakpoints are closer together than 1e-14."""
     rng = np.random.default_rng(7)
     kinds = every_kind(rng)
-    breaks = np.unique(np.concatenate([as_block(w).boundaries for w in kinds]
+    breaks = np.unique(np.concatenate([w.block.boundaries for w in kinds]
                                       + [[0.5, 0.5 + 4e-15]]))
     pts = np.concatenate([rng.uniform(0, 1, size=60), breaks, np.nextafter(breaks, 0.0)])
     for w in kinds:
         want = reference_kernel(w, pts[:, None], pts[None, :])
         assert want.shape == (pts.size, pts.size)
         assert np.array_equal(w.evaluate(pts[:, None], pts[None, :]), want)
-        assert np.array_equal(as_block(w).evaluate(pts[:, None], pts[None, :]), want)
+        assert np.array_equal(w.block.evaluate(pts[:, None], pts[None, :]), want)
         assert np.array_equal(w.evaluate(pts, pts[::-1]), reference_kernel(w, pts, pts[::-1]))
         for x, y in zip(pts[:8].tolist(), pts[-8:].tolist()):
             assert w.evaluate(x, y) == reference_kernel(w, x, y)
@@ -160,9 +144,7 @@ def test_as_block_is_exact_for_every_kind():
 
 def test_block_form_is_built_once_per_graphon():
     for w in every_kind(np.random.default_rng(8)):
-        assert as_block(w) is as_block(w)
-    with pytest.raises(GraphonError):
-        as_block(object())
+        assert w.block is w.block
 
 
 # ---------------------------------------------------------------------------
@@ -181,18 +163,6 @@ def test_l2_distance_two_block_hand_oracle():
     w2 = Block([0, 0.5, 1], [[0.5, 0.3], [0.3, 0.2]])
     expected = np.sqrt(0.25 * (0.3 ** 2 + 0.2 ** 2 + 0.2 ** 2 + 0.4 ** 2))
     assert l2_distance(w, w2) == pytest.approx(expected, abs=1e-15)
-
-
-def test_l2_distance_grid_fallback_agrees_with_exact():
-    w = Block([0, 0.25, 1], [[0.9, 0.2], [0.2, 0.4]])
-    w2 = Constant(0.5)
-    exact = l2_distance(w, w2)
-    with pytest.raises(GraphonError):
-        as_block(Unblocked(w))
-    approx = l2_distance(Unblocked(w), w2)
-    assert abs(approx - exact) < 5e-3
-    assert l2_inner(Unblocked(w), w2) == pytest.approx(
-        l2_inner(w, w2), abs=5e-3)
 
 
 def test_gram_and_target_constant_oracle():
@@ -249,15 +219,6 @@ def test_functionals_two_block_hand_oracle():
     # t = (a^3 + 3 a b^2) / 4 by expanding the 2x2 triple sum
     assert f.triangle == pytest.approx((a ** 3 + 3 * a * b ** 2) / 4, abs=1e-14)
     assert f.wedge == pytest.approx(((a + b) / 2) ** 2, abs=1e-14)
-
-
-def test_functionals_grid_path_matches_exact():
-    w = Block([0, 0.5, 1], [[0.7, 0.2], [0.2, 0.5]])
-    exact = functionals(w)
-    grid = functionals(Unblocked(w))
-    assert grid.edge == pytest.approx(exact.edge, abs=1e-12)
-    assert grid.triangle == pytest.approx(exact.triangle, abs=1e-12)
-    assert grid.wedge == pytest.approx(exact.wedge, abs=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -318,30 +279,6 @@ def test_spectral_radius_of_negative_combo_is_positive():
     w = Block([0, 0.5, 1], [[0.8, 0.1], [0.1, 0.8]])
     assert spectral_radius(LinearCombo([0.0, -1.0], [w])) == pytest.approx(
         0.45, abs=1e-15)
-
-
-def test_spectral_radius_block_kinds_skip_the_grid(monkeypatch):
-    import graphsynth.graphons as gmod
-
-    def no_grid(w, g):
-        raise AssertionError("quadrature grid evaluated for a block kind")
-
-    monkeypatch.setattr(gmod, "grid_values", no_grid)
-    rng = np.random.default_rng(4)
-    for w in (random_block(rng), Constant(0.2),
-              LinearCombo([0.1, 0.5], [random_block(rng)])):
-        assert spectral_radius(w) >= 0.0
-
-
-def test_spectral_radius_unblocked_midpoint_grid():
-    class Product(Graphon):
-        def evaluate(self, x, y):
-            return np.asarray(x, dtype=float) * np.asarray(y, dtype=float)
-
-    # the grid matrix x x'/g has rank one; its eigenvalue is
-    # sum((i + 1/2)^2) / g^3 = 1/3 - 1/(12 g^2)
-    g = QUAD_G
-    assert spectral_radius(Product()) == pytest.approx(1 / 3 - 1 / (12 * g ** 2), abs=1e-15)
 
 
 def test_spectral_radius_two_block_eigen_oracle():

@@ -13,7 +13,7 @@ from graphsynth import (Constant, NetstatsError, default_generator, bounded_tilt
                         mixture_degree_pmf, polynomial_tilt_exponent_bracket,
                         power_law_pmf, sample_graph, tilt_degree_pmf,
                         triangle_count, verify_tail_bracket)
-from graphsynth.netstats import TRIANGLE_BLOCK
+from graphsynth.netstats import MAX_PMF_SUPPORT, TRIANGLE_BLOCK
 from graphsynth.sampling import graph_from_edge_array
 from graphsynth.graphons import Block
 
@@ -257,6 +257,12 @@ def test_power_law_pmf_basics():
     ccdf = pmf.ccdf()
     ratio = ccdf[2000] / ccdf[1000]
     assert ratio == pytest.approx(2.0 ** -2.5, rel=0.05)
+
+
+def test_power_law_pmf_rejects_a_support_above_the_cap():
+    assert power_law_pmf(2.5, MAX_PMF_SUPPORT).k_max == MAX_PMF_SUPPORT
+    with pytest.raises(NetstatsError, match="exceeds the largest support"):
+        power_law_pmf(2.5, MAX_PMF_SUPPORT + 1)
 
 
 def test_fit_tail_exponent_recovers_gamma():

@@ -1,5 +1,6 @@
 """Graph and dyad sampling, components, and phase sweeps."""
 
+import copy
 import hashlib
 import tracemalloc
 
@@ -8,12 +9,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from graphsynth import (Block, Constant, LogisticLowRank, ProductWeight,
-                        default_generator, functionals, giant_fraction,
-                        graph_statistics, make_rng, phase_sweep, sample_dyads,
-                        sample_graph, sample_sparse_graph,
-                        uniform_step_map)
-from graphsynth.graphons import Graphon
+from graphsynth import (Block, Constant, DyadData, default_generator, functionals,
+                        giant_fraction, graph_statistics, make_rng, make_split,
+                        phase_sweep, sample_dyads, sample_graph, sample_sparse_graph)
 from graphsynth.sampling import (EDGE_CHECK_ROWS, GraphSample, graph_from_edge_array,
                                  in_sorted, unique_keys)
 
@@ -185,40 +183,12 @@ def test_sparse_mean_degree_matches_edge_density():
     assert abs(mean_deg - expected) <= 4 * np.sqrt(expected / n) * 3
 
 
-def test_sparse_block_fast_path_matches_generic():
-    """The block fast path and the generic Bernoulli path agree in
-    distribution (checked on means over replicates)."""
-    n, lam, reps = 800, 4.0, 30
-    w = TWO_BLOCK
-
-    class Opaque:
-        bounded_unit = True
-
-        def evaluate(self, x, y):
-            return w.evaluate(x, y)
-
-    fast = [sample_sparse_graph(w, n, lam, seed=1000 + r).n_edges for r in range(reps)]
-    slow = [sample_sparse_graph(Opaque(), n, lam, seed=2000 + r).n_edges
-            for r in range(reps)]
-    mu, sd = np.mean(fast), np.std(fast)
-    assert abs(np.mean(slow) - mu) <= 4 * sd / np.sqrt(reps) + 4 * sd / np.sqrt(reps)
-
-
 def test_sparse_determinism_and_validation():
     a = sample_sparse_graph(TWO_BLOCK, 5000, 3.0, seed=2)
     b = sample_sparse_graph(TWO_BLOCK, 5000, 3.0, seed=2)
     np.testing.assert_array_equal(a.edges, b.edges)
     with pytest.raises(ValueError):
         sample_sparse_graph(TWO_BLOCK, 100, 0.0, seed=1)
-
-
-class Ridge(Graphon):
-    """A graphon with no block form, so the sparse sampler falls back to
-    row-chunked Bernoulli draws."""
-
-    def evaluate(self, x, y):
-        x = np.asarray(x, dtype=float)
-        return 0.9 * np.exp(-4.0 * np.abs(x - np.asarray(y, dtype=float)))
 
 
 # sha256 of the edge and degree bytes; a change here means seeded samples
@@ -236,10 +206,6 @@ PINNED_SAMPLES = {
         lambda: sample_sparse_graph(TWO_BLOCK, 3000, 6.0, seed=23),
         "020c798e4807d6bd26c9dd77288be4752ee3438ecd27f6794df420eaa7f865a9",
         "d829ced5605736348dda5b96771464978a75978539d4f8239521103701529cb6"),
-    "sparse_fallback": (
-        lambda: sample_sparse_graph(Ridge(), 600, 40.0, seed=24),
-        "d906d8cbe265b4fe3962949162328f6c37bd4631762d57535ab535d221060e48",
-        "3cd6729901f04d9ac7f9d35f9a369a35db8d8a5eb70200a5167e60c7d93460ac"),
 }
 
 
@@ -250,36 +216,6 @@ def test_sampler_streams_pinned(name):
     assert g.edges.dtype == np.int64 and g.degrees.dtype == np.int64
     assert hashlib.sha256(g.edges.tobytes()).hexdigest() == edges_sha
     assert hashlib.sha256(g.degrees.tobytes()).hexdigest() == degrees_sha
-
-
-class Unblocked(Graphon):
-    """Delegates to a graphon but has no block form, so samplers evaluate it."""
-
-    def __init__(self, inner):
-        self.inner = inner
-
-    def evaluate(self, x, y):
-        return self.inner.evaluate(x, y)
-
-
-BLOCK_PATH_KINDS = {
-    "linear_combo": default_generator()[0],
-    "low_rank_d3": LogisticLowRank(uniform_step_map(
-        [(0.9, -0.3, 0.2), (-0.4, 0.8, 0.1), (0.3, 0.3, -1.1)]), -0.5),
-    "product": ProductWeight(uniform_step_map([0.95, 0.65, 0.45, 0.25])),
-}
-
-
-@pytest.mark.parametrize("name", sorted(BLOCK_PATH_KINDS))
-def test_block_path_matches_evaluate_path(name):
-    w = BLOCK_PATH_KINDS[name]
-    a, b = sample_graph(w, 500, seed=31), sample_graph(Unblocked(w), 500, seed=31)
-    assert np.array_equal(a.edges, b.edges)
-    parts = [w, TWO_BLOCK, Constant(0.3)]
-    d1 = sample_dyads(w, parts, 3000, seed=32)
-    d2 = sample_dyads(Unblocked(w), [Unblocked(p) for p in parts], 3000, seed=32)
-    assert np.array_equal(d1.features, d2.features)
-    assert np.array_equal(d1.labels, d2.labels)
 
 
 # ---------------------------------------------------------------------------
@@ -404,3 +340,28 @@ def test_make_rng_accepts_seed_sequence():
     r1 = make_rng(ss)
     r2 = make_rng(np.random.SeedSequence(5))
     assert r1.random() == r2.random()
+
+
+# ---------------------------------------------------------------------------
+# records
+# ---------------------------------------------------------------------------
+
+RECORDS = {
+    "SplitSpec": lambda: make_split(sample_sparse_graph(TWO_BLOCK, 200, 4.0, seed=51),
+                                    "edge_holdout", seed=52),
+    "GraphSample": lambda: sample_sparse_graph(TWO_BLOCK, 200, 3.0, seed=53),
+    "DyadData": lambda: DyadData(features=np.ones((3, 2)), labels=np.array([0.0, 1.0, 1.0])),
+    "PhaseCurve": lambda: phase_sweep(TWO_BLOCK, [1.0, 2.0], n=50,
+                                      seeds=np.random.SeedSequence(54).spawn(2)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(RECORDS))
+def test_records_compare_by_identity(name):
+    """Records with array fields compare and hash by identity: a
+    field-wise ``==`` would raise on the arrays."""
+    record = RECORDS[name]()
+    assert type(record).__name__ == name
+    assert record == record
+    assert record != copy.copy(record)
+    assert hash(record) == hash(record)
