@@ -12,7 +12,7 @@ evaluation protocol with calibration diagnostics and paired effect sizes.
 from .graphons import (Block, Constant, FunctionalSet, Graphon, GraphonError,
                        LinearCombo, LipschitzBudget, LogisticLowRank,
                        ProductWeight, StepMap, common_refinement,
-                       functionals, gram_and_target, l2_distance, l2_inner,
+                       functionals, gram_and_target, l2_distance,
                        lipschitz_budget, spectral_bracket, spectral_radius,
                        uniform_step_map)
 from .agents import (AgentError, CalibrationFailure, ChungLu, ER,
@@ -23,7 +23,7 @@ from .agents import (AgentError, CalibrationFailure, ChungLu, ER,
                      statistic_matrix, tilt_er, tilt_rdpg, tilt_sbm)
 from .synthesis import (DyadData, SingularDesign, WeightVector, fit_ls,
                         fit_ridge, fit_simplex, l2_risk, population_projection,
-                        predict_clipped, project_simplex)
+                        predict_clipped)
 from .sampling import (GraphSample, PhaseCurve, giant_fraction, make_rng,
                        phase_sweep, sample_dyads, sample_graph,
                        sample_sparse_graph)

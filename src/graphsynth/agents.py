@@ -260,16 +260,6 @@ class GraphEnumeration:
                             if sel else np.zeros(self.n_graphs, dtype=np.int64))
         return np.stack(cols, axis=1)
 
-    def permute(self, probs: np.ndarray, perm) -> np.ndarray:
-        """Pushforward of a pmf under a vertex permutation."""
-        perm = list(perm)
-        new_bit_order = [self.pair_index(perm[i], perm[j]) for (i, j) in self.pairs]
-        weights = 1 << np.arange(self.n_pairs, dtype=np.uint32)
-        new_masks = (self.edge_bits[:, new_bit_order].astype(np.uint32) * weights).sum(axis=1)
-        out = np.zeros_like(probs)
-        out[new_masks] = probs
-        return out
-
 
 # ---------------------------------------------------------------------------
 # ERGM specifications
@@ -377,17 +367,6 @@ class GraphPmf:
             raise AgentError("pmf has negative entries")
         if abs(p.sum() - 1.0) > 1e-12:
             raise AgentError(f"pmf sums to {p.sum()}, not 1")
-
-    def tv_distance(self, other: "GraphPmf") -> float:
-        return 0.5 * float(np.abs(self.probs - other.probs).sum())
-
-    def degree_pmf(self, vertex: int = 0) -> np.ndarray:
-        """Marginal degree distribution of one vertex."""
-        enum = GraphEnumeration.get(self.n)
-        deg = enum.degrees[:, vertex]
-        out = np.zeros(self.n)
-        np.add.at(out, deg, self.probs)
-        return out
 
 
 def exact_enumeration_pmf(model, n: int | None = None) -> GraphPmf:

@@ -26,21 +26,18 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Graphon-level predictive synthesis experiment suite")
     sub = parser.add_subparsers(dest="verb", required=True)
 
-    def common(p):
-        p.add_argument("--config", metavar="PATH", default=None,
-                       help="JSON config file with explicit keys")
-        p.add_argument("--seed", metavar="U64", type=int, default=None,
-                       help="base seed override")
-        p.add_argument("--out", metavar="DIR", default=None,
-                       help="output directory override")
-
     for verb, desc in (("s1", "synthetic one-shot comparison"),
                        ("s2", "learning curve over the n grid"),
                        ("s3", "giant-component phase sweep"),
                        ("s4", "heavy-tail exponent sweep"),
                        ("real", "real edge-list protocol")):
         p = sub.add_parser(verb, help=desc)
-        common(p)
+        p.add_argument("--config", metavar="PATH", default=None,
+                       help="JSON config file with explicit keys")
+        p.add_argument("--seed", metavar="U64", type=int, default=None,
+                       help="base seed override")
+        p.add_argument("--out", metavar="DIR", default=None,
+                       help="output directory override")
         if verb == "real":
             p.add_argument("--dataset", metavar="PATH", default=None,
                            help="SNAP-style edge list (overrides config)")
@@ -49,12 +46,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("metrics_csv", help="CSV written by a run (method,split,...)")
     p.add_argument("--baseline", default="BestAgent")
     p.add_argument("--method", default="BPS_LS")
-    common(p)
+    p.add_argument("--out", metavar="DIR", default=None,
+                   help="output directory (default: the metrics CSV's directory)")
 
     p = sub.add_parser("audit", help="split-hygiene audit on an edge list")
     p.add_argument("edge_list", help="SNAP-style edge list file")
     p.add_argument("--regime", choices=list(SPLIT_REGIMES) + ["all"], default="all")
-    common(p)
+    p.add_argument("--seed", metavar="U64", type=int, default=0, help="split seed")
     return parser
 
 
@@ -127,11 +125,10 @@ def _cmd_report(args) -> int:
 
 def _cmd_audit(args) -> int:
     graph, _ = load_edge_list(args.edge_list)
-    seed = args.seed if args.seed is not None else 0
     regimes = list(SPLIT_REGIMES) if args.regime == "all" else [args.regime]
     for regime in regimes:
         try:
-            split = make_split(graph, regime, seed)
+            split = make_split(graph, regime, args.seed)
         except Exception as exc:
             raise StageFailure("audit", f"{regime}: {exc}") from exc
         print(f"audit {regime}: OK "

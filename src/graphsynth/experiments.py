@@ -184,6 +184,16 @@ class ExperimentConfig:
         if self.tail_k_max > MAX_PMF_SUPPORT:
             raise ConfigError(f"tail_k_max must be <= {MAX_PMF_SUPPORT}, the largest "
                               "degree pmf support")
+        # a ccdf that is 0 inside the window has no logarithm there.  The
+        # power law's ccdf at the window's top is 0 exactly when its pmf
+        # there, hi^-(gamma+1) over a total that rounds to 1 at such a gamma,
+        # underflows.
+        hi = min(self.tail_k_max, TAIL_WINDOW[1])
+        for name in ("gamma_light", "gamma_heavy"):
+            if float(hi) ** -(getattr(self, name) + 1.0) == 0.0:
+                raise ConfigError(f"{name} = {getattr(self, name)} is too large for the s4 "
+                                  f"tail fit: its power-law ccdf underflows to 0 inside "
+                                  f"the window {TAIL_WINDOW[0]}-{hi}")
 
     @staticmethod
     def from_dict(d: dict) -> "ExperimentConfig":
@@ -326,17 +336,24 @@ def fit_agents_to_graph(g: GraphSample, config: ExperimentConfig, seed=0):
     deg_hist = ag.SBM(node_bins, _pair_rates(g, node_bins, smooth=False))
 
     adj = g.adjacency().astype(float)
+    # ARPACK restarts from a random vector whenever its Krylov space runs
+    # out, as on a graph of many components.  Each restart draws from eigsh's
+    # ``rng``; no state carries across calls, and without an ``rng`` every
+    # restart draws fresh OS entropy.  Both calls take a child of the agent
+    # seed that no other draw uses.
+    arpack_seed = child_seeds(seed if isinstance(seed, np.random.SeedSequence)
+                              else np.random.SeedSequence(seed), 1)[0]
     # spectral step on the largest component only: every further component
-    # repeats the top eigenvalue 1, and eigsh then returns a basis of that
-    # eigenspace drawn from ARPACK's random restarts, whose state persists
-    # across calls.  Other nodes embed at the origin, as isolated nodes do.
+    # repeats the top eigenvalue 1, and eigsh then returns an arbitrary basis
+    # of that eigenspace.  Other nodes embed at the origin, as isolated nodes
+    # do.
     _, comp = scipy.sparse.csgraph.connected_components(adj, directed=False)
     giant = comp == np.argmax(np.bincount(comp))
     inv_sqrt = np.where(giant, 1.0 / np.sqrt(np.maximum(deg, 1.0)), 0.0)
     norm_adj = scipy.sparse.diags(inv_sqrt) @ adj @ scipy.sparse.diags(inv_sqrt)
     k = config.sbm_k
     _, vecs = scipy.sparse.linalg.eigsh(norm_adj, k=k, which="LA",
-                                        v0=np.ones(n) / np.sqrt(n))
+                                        v0=np.ones(n) / np.sqrt(n), rng=arpack_seed)
     row_norm = np.linalg.norm(vecs, axis=1, keepdims=True)
     embedding = vecs / np.maximum(row_norm, 1e-12)
     labels = _kmeans(embedding, k, np.random.default_rng(seed).integers(2 ** 31))
@@ -344,7 +361,7 @@ def fit_agents_to_graph(g: GraphSample, config: ExperimentConfig, seed=0):
 
     d = config.rdpg_d
     vals, u = scipy.sparse.linalg.eigsh(adj, k=d, which="LA",
-                                        v0=np.ones(n) / np.sqrt(n))
+                                        v0=np.ones(n) / np.sqrt(n), rng=arpack_seed)
     positions = u * np.sqrt(np.maximum(vals, 0.0))[None, :]
     rdpg = ag.RDPG(positions)
     rdpg = replace(rdpg, intercept=_fit_rdpg_intercept(rdpg, g, seed))

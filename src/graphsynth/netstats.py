@@ -158,7 +158,7 @@ def centralities(g: GraphSample):
 # ---------------------------------------------------------------------------
 
 MAX_PMF_SUPPORT = 1_000_000
-# fit_tail_exponent's default k-window, and the fewest points it fits a line to
+# fit_tail_exponent's k-window, and the fewest points it fits a line to
 TAIL_WINDOW = (100, 10_000)
 TAIL_FIT_MIN_POINTS = 10
 
@@ -188,18 +188,18 @@ class DegreePmf:
         return np.cumsum(self.probs[::-1])[::-1]
 
 
-def power_law_pmf(gamma: float, k_max: int, k_min: int = 1) -> DegreePmf:
+def power_law_pmf(gamma: float, k_max: int) -> DegreePmf:
     """Discrete power law with ccdf exponent gamma, p_k ~ k^-(gamma+1),
-    on the support k_min..k_max, k_max at most MAX_PMF_SUPPORT."""
+    on the support 1..k_max, k_max at most MAX_PMF_SUPPORT."""
     if gamma <= 0:
         raise NetstatsError("need gamma > 0")
     if k_max > MAX_PMF_SUPPORT:
         raise NetstatsError(f"k_max = {k_max} exceeds the largest support {MAX_PMF_SUPPORT}")
-    k = np.arange(k_min, k_max + 1, dtype=float)
+    k = np.arange(1, k_max + 1, dtype=float)
     weights = k ** -(gamma + 1.0)
     total = weights.sum()
     probs = np.zeros(k_max + 1)
-    probs[k_min:] = weights / total
+    probs[1:] = weights / total
     return DegreePmf(probs=probs, gamma=gamma)
 
 
@@ -236,17 +236,17 @@ def tilt_degree_pmf(pmf: DegreePmf, rho: float) -> DegreePmf:
     return DegreePmf(probs=new / total, gamma=gamma)
 
 
-def fit_tail_exponent(pmf: DegreePmf, k_window=TAIL_WINDOW):
-    """Least-squares slope of log ccdf against log k over a k-window.
+def fit_tail_exponent(pmf: DegreePmf):
+    """Least-squares slope of log ccdf against log k over TAIL_WINDOW.
 
-    The window is clipped to the support 1..k_max.  A ccdf that is 0
+    The window's top is clipped to k_max.  A ccdf that is 0
     anywhere in the window has no logarithm there, so it raises rather than
     fitting a shorter window.
 
     Returns (gamma_hat, r_squared, window (lo, hi) fitted).
     """
-    lo = max(1, int(k_window[0]))
-    hi = min(pmf.k_max, int(k_window[1]))
+    lo = TAIL_WINDOW[0]
+    hi = min(pmf.k_max, TAIL_WINDOW[1])
     if hi - lo + 1 < TAIL_FIT_MIN_POINTS:
         raise NetstatsError("tail window too small for a log-log fit")
     ccdf = pmf.ccdf()

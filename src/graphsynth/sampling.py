@@ -91,7 +91,6 @@ class GraphSample:
     n: int
     edges: np.ndarray = field(repr=False)
     degrees: np.ndarray = field(repr=False)
-    latents: np.ndarray | None = field(default=None, repr=False)
 
     def __post_init__(self):
         # Checked EDGE_CHECK_ROWS rows at a time, so that the checks'
@@ -125,7 +124,7 @@ class GraphSample:
             shape=(self.n, self.n))
 
 
-def _finish_edges(n, keys, latents=None) -> GraphSample:
+def _finish_edges(n, keys) -> GraphSample:
     """Decode ascending, distinct edge keys ``i * n + j`` (each with i < j)
     into the edge list and count degrees.
 
@@ -137,7 +136,7 @@ def _finish_edges(n, keys, latents=None) -> GraphSample:
     edges = np.empty((keys.size, 2), dtype=np.int64)
     np.divmod(keys, n, out=(edges[:, 0], edges[:, 1]))
     degrees = np.bincount(edges.ravel(), minlength=n)
-    return GraphSample(n=n, edges=edges, degrees=degrees, latents=latents)
+    return GraphSample(n=n, edges=edges, degrees=degrees)
 
 
 def graph_from_edge_array(n: int, edges) -> GraphSample:
@@ -193,7 +192,7 @@ def sample_graph(w: Graphon, n: int, seed) -> GraphSample:
     labels = blk.piece_index(latents)
     by_latent = blk.matrix[:, labels]
     keys = _dense_edges(lambda start, stop: by_latent[labels[start:stop], start:], n, rng)
-    return _finish_edges(n, keys, latents=latents)
+    return _finish_edges(n, keys)
 
 
 def _sample_distinct(rng, n_items: int, k: int) -> np.ndarray:
@@ -243,7 +242,7 @@ def sample_sparse_graph(w: Graphon, n: int, lam: float, seed) -> GraphSample:
             all_keys.append(np.minimum(u, v) * n + np.maximum(u, v))
     keys = np.concatenate(all_keys)
     keys.sort()
-    return _finish_edges(n, keys, latents=latents)
+    return _finish_edges(n, keys)
 
 
 def sample_dyads(w: Graphon, agents, m: int, seed) -> DyadData:

@@ -83,8 +83,6 @@ class WeightVector:
     for a batch."""
 
     beta: np.ndarray = field(repr=False)
-    method: str = "LS"
-    lambda_reg: float = 0.0
     condition_number: float | np.ndarray = float("nan")
     m_train: int | np.ndarray = 0
     kkt_residual: float | np.ndarray = 0.0
@@ -109,8 +107,7 @@ def _raise_first(*checks) -> None:
         raise exc
 
 
-def _weight_vector(data: DyadData, beta: np.ndarray, method: str, lambda_reg: float = 0.0,
-                   **diagnostics) -> WeightVector:
+def _weight_vector(data: DyadData, beta: np.ndarray, **diagnostics) -> WeightVector:
     """The WeightVector of (R, J+1) fitted ``beta`` and (R,) diagnostics;
     1-D data gets its sample's vector and scalars."""
     _raise_first((~np.all(np.isfinite(beta), axis=-1), ValueError,
@@ -118,7 +115,7 @@ def _weight_vector(data: DyadData, beta: np.ndarray, method: str, lambda_reg: fl
     if data.labels.ndim == 1:
         beta = beta[0]
         diagnostics = {k: v[0].item() for k, v in diagnostics.items()}
-    return WeightVector(beta=beta, method=method, lambda_reg=lambda_reg, **diagnostics)
+    return WeightVector(beta=beta, **diagnostics)
 
 
 def _weighted_gram(x: np.ndarray, weights: np.ndarray) -> np.ndarray:
@@ -164,7 +161,7 @@ def fit_ls(data: DyadData) -> WeightVector:
                   lambda r: f"minimum Gram eigenvalue {eigvals[r, 0]:.3e} below tolerance; "
                             "use fit_ridge"))
     beta = np.linalg.solve(gram, rhs[..., None])[..., 0]
-    return _weight_vector(data, beta, "LS", condition_number=eigvals[:, -1] / eigvals[:, 0],
+    return _weight_vector(data, beta, condition_number=eigvals[:, -1] / eigvals[:, 0],
                           m_train=m)
 
 
@@ -182,8 +179,8 @@ def fit_ridge(data: DyadData, lambda_reg: float) -> WeightVector:
     _raise_first((eigvals[:, 0] <= 0, SingularDesign,
                   lambda r: "penalized Gram matrix not positive definite"))
     beta = np.linalg.solve(gram + penalty, rhs[..., None])[..., 0]
-    return _weight_vector(data, beta, "Ridge", lambda_reg,
-                          condition_number=eigvals[:, -1] / eigvals[:, 0], m_train=m)
+    return _weight_vector(data, beta, condition_number=eigvals[:, -1] / eigvals[:, 0],
+                          m_train=m)
 
 
 def project_simplex(v: np.ndarray) -> np.ndarray:
@@ -245,7 +242,7 @@ def fit_simplex(data: DyadData) -> WeightVector:
     # KKT: the projected gradient step is a fixed point
     gap = project_simplex(b - grad) - b
     beta = np.column_stack([y_mean - np.vecdot(p_mean, b), b])
-    return _weight_vector(data, beta, "Simplex", m_train=np.atleast_1d(data.m),
+    return _weight_vector(data, beta, m_train=np.atleast_1d(data.m),
                           kkt_residual=np.sqrt(np.vecdot(gap, gap)))
 
 
@@ -260,7 +257,7 @@ def predict_clipped(weights: WeightVector | np.ndarray, features: np.ndarray) ->
     return np.clip((features @ beta[..., None])[..., 0], 0.0, 1.0)
 
 
-def population_projection(w_star: Graphon, agents, return_gram: bool = False):
+def population_projection(w_star: Graphon, agents) -> WeightVector:
     """L2 projection of the true kernel onto span{1, w_1, ..., w_J}.
 
     Solves the population normal equations beta = G^{-1} c; the residual is
@@ -271,9 +268,7 @@ def population_projection(w_star: Graphon, agents, return_gram: bool = False):
     if eigvals[0] < SINGULAR_EIG_TOL * max(eigvals[-1], 1.0):
         raise SingularDesign("agent graphons plus constant are linearly dependent")
     beta = np.linalg.solve(gram, target)
-    wv = WeightVector(beta=beta, method="LS",
-                      condition_number=float(eigvals[-1] / eigvals[0]))
-    return (wv, gram, target) if return_gram else wv
+    return WeightVector(beta=beta, condition_number=float(eigvals[-1] / eigvals[0]))
 
 
 def l2_risk(beta, beta_star, gram) -> float:

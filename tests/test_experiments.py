@@ -20,13 +20,14 @@ from graphsynth import (Block, Constant, ConfigError, DyadData, ExperimentConfig
                         StageFailure, agent_dyad_probs,
                         common_refinement, config_hash, default_generator,
                         edge_prob_matrix, fit_agents_to_graph, giant_fraction,
-                        l2_distance, l2_inner, load_edge_list, make_split, run_experiment,
+                        l2_distance, load_edge_list, make_split, run_experiment,
                         sample_dyads, sample_graph, sample_sparse_graph,
                         write_edge_list)
 from graphsynth import (cv_best_agent, experiments, fit_logistic_stack, fit_ls, fit_ridge,
-                        fit_simplex, predict_clipped)
+                        fit_simplex, fit_tail_exponent, power_law_pmf, predict_clipped)
 from graphsynth.cli import _read_metrics_csv, main as cli_main
 from graphsynth.evaluation import population_metrics, score_metrics
+from graphsynth.graphons import l2_inner
 from graphsynth.sampling import child_seeds, graph_from_edge_array
 from graphsynth.serialize import write_metric_reports_csv
 
@@ -56,11 +57,11 @@ def test_config_rejects_unknown_keys():
                                   {"phase_n": 1}, {"pi_grid": [0, 1.5]},
                                   {"gamma_light": -1}, {"gamma_heavy": 0},
                                   {"negpos_ratio": 0}, {"n_grid": [0, 200]},
-                                  {"tail_k_max": 1_000_001}],
+                                  {"tail_k_max": 1_000_001}, {"gamma_heavy": 300}],
                          ids=["n_grid", "lambda_grid", "pi_grid", "regimes",
                               "repeated_n", "ridge_reg", "lambda", "phase_n", "pi",
                               "gamma_light", "gamma_heavy", "negpos_ratio", "n",
-                              "tail_k_max_above_support"])
+                              "tail_k_max_above_support", "gamma_heavy_underflows"])
 def test_config_rejects_degenerate_values(keys):
     # an empty grid or regime list would run no unit and write NaN summaries;
     # the other values would fail only mid-run, after the data is drawn or
@@ -346,9 +347,9 @@ def test_kmeans_labels_do_not_depend_on_the_blas_kernel(capsys):
     assert _fresh_python(_KMEANS_PROBE, OPENBLAS_CORETYPE="Haswell") == here
 
 
-# the agents of the edge_holdout/0 training graph of a run on CONFIG, with
-# the unit seed run_experiment gives that split
-_EDGE_HOLDOUT_FIT = """
+# the agents of the REGIME/0 training graph of a run on CONFIG, with the
+# unit seed run_experiment gives that split
+_SPLIT_FIT = """
 import dataclasses
 import hashlib
 import numpy as np
@@ -356,8 +357,8 @@ from graphsynth import ExperimentConfig, fit_agents_to_graph, load_edge_list, ma
 from graphsynth.sampling import child_seeds, graph_from_edge_array
 cfg = ExperimentConfig.from_dict(CONFIG)
 graph, _ = load_edge_list(cfg.dataset)
-seed = np.random.SeedSequence(cfg.base_seed).spawn(2)[0]
-split = make_split(graph, "edge_holdout", seed, negpos_ratio=cfg.negpos_ratio)
+seed = np.random.SeedSequence(cfg.base_seed).spawn(1)[0]
+split = make_split(graph, REGIME, seed, negpos_ratio=cfg.negpos_ratio)
 train = graph_from_edge_array(graph.n, split.train_dyads[split.train_labels == 1])
 agents = fit_agents_to_graph(train, cfg, seed=child_seeds(seed, 1)[0])
 for name, digest in _agent_digests(agents).items():
@@ -365,9 +366,13 @@ for name, digest in _agent_digests(agents).items():
 """
 
 
-def test_fit_agents_repeatable_across_processes(tmp_path):
-    code = (f"CONFIG = {_real_config(tmp_path)!r}\n" + inspect.getsource(_agent_digests)
-            + _EDGE_HOLDOUT_FIT)
+@pytest.mark.parametrize("regime", experiments.SPLIT_REGIMES)
+def test_fit_agents_repeatable_across_processes(tmp_path, regime):
+    # on this 800-node graph the uniform_dyads training graph has 96 edges
+    # in hundreds of components, so ARPACK restarts in both spectral steps
+    config = dict(_real_config(tmp_path, n=800, lam=10.0, seed=3), regimes=[regime])
+    code = (f"CONFIG = {config!r}\nREGIME = {regime!r}\n"
+            + inspect.getsource(_agent_digests) + _SPLIT_FIT)
     runs = [_fresh_python(code) for _ in range(2)]
     assert runs[0] == runs[1]
     assert runs[0].split()[::2] == ["ER", "ChungLu", "DegHist", "SBM", "RDPG"]
@@ -880,11 +885,12 @@ def test_failed_rerun_replaces_the_manifest_with_failure_json(tmp_path):
     assert (run_dir / "manifest.json").exists()
 
 
-def _real_config(tmp_path) -> dict:
-    """A two-split real run on a 600-node planted-block graph."""
+def _real_config(tmp_path, n=600, lam=12.0, seed=5) -> dict:
+    """A two-split real run on a sparse planted-block graph, by default of
+    600 nodes."""
     g = sample_sparse_graph(Block([0, 0.3, 0.7, 1],
                                   [[0.9, 0.1, 0.2], [0.1, 0.7, 0.1],
-                                   [0.2, 0.1, 0.8]]), 600, 12.0, seed=5)
+                                   [0.2, 0.1, 0.8]]), n, lam, seed=seed)
     dataset = tmp_path / "edges.txt"
     write_edge_list(g, str(dataset))
     return {"experiment": "real", "dataset": str(dataset),
@@ -1100,6 +1106,18 @@ def test_cli_report_rejects_a_short_row(tmp_path, capsys):
     assert capsys.readouterr().err.startswith(f"[report] {path}:3: malformed row")
 
 
+@pytest.mark.parametrize("argv", [["report", "m.csv", "--seed", "1"],
+                                  ["report", "m.csv", "--config", "c.json"],
+                                  ["audit", "e.txt", "--out", "d"],
+                                  ["audit", "e.txt", "--config", "c.json"]],
+                         ids=["report_seed", "report_config", "audit_out", "audit_config"])
+def test_cli_rejects_a_flag_its_verb_does_not_read(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli_main(argv)
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {argv[2]}" in capsys.readouterr().err
+
+
 def test_cli_run_verb_s4(tmp_path, capsys):
     assert cli_main(["s4", "--out", str(tmp_path), "--seed", "7"]) == 0
     assert (tmp_path / "s4" / "s4_tails.csv").exists()
@@ -1152,16 +1170,38 @@ def test_s4_runs_on_the_smallest_tail_support(tmp_path):
 @pytest.mark.parametrize("gamma_light, k", [(150, 140), (300, 100)])
 def test_s4_fails_when_the_light_tail_underflows_in_the_window(tmp_path, capsys,
                                                                gamma_light, k):
-    # the pi = 0 row is the light tail alone, so its fit hits the zeros
+    # the pi = 0 row is the light tail alone, whose ccdf is 0 from k on: the
+    # config is rejected at load, naming the key, before anything is written
     cfg_path = tmp_path / "c.json"
-    cfg_path.write_text(json.dumps({"experiment": "s4", "gamma_light": gamma_light,
-                                    "tail_k_max": 20_000}))
+    cfg_path.write_text(json.dumps({"experiment": "s4", "gamma_light": gamma_light}))
     assert cli_main(["s4", "--config", str(cfg_path), "--out", str(tmp_path)]) == 2
-    message = f"ccdf underflows to 0 at k = {k} inside the window 100-10000"
-    assert capsys.readouterr().err.strip() == f"[s4] {message}"
-    failure = json.loads((tmp_path / "s4" / "failure.json").read_text())
-    assert failure == {"stage": "s4", "unit": None, "message": message}
-    assert not (tmp_path / "s4" / "s4_tails.csv").exists()
+    assert capsys.readouterr().err.strip() == (
+        f"[s4] gamma_light = {gamma_light} is too large for the s4 tail fit: its "
+        "power-law ccdf underflows to 0 inside the window 100-10000")
+    assert not (tmp_path / "s4").exists()
+    with pytest.raises(ValueError, match=f"ccdf underflows to 0 at k = {k} inside "):
+        fit_tail_exponent(power_law_pmf(gamma_light, 100_000))
+
+
+@pytest.mark.parametrize("tail_k_max", [109, 20_000])
+@pytest.mark.parametrize("side", [-0.5, 0.5])
+def test_tail_underflow_check_agrees_with_the_fit(tail_k_max, side):
+    # the load check rejects a gamma exactly when the tail fit of its power
+    # law would meet a 0 in the ccdf.  At the boundary gamma, hi^-(gamma+1)
+    # is the smallest subnormal, 2^-1074, where pow implementations may round
+    # apart; half a unit of gamma each side moves it by a factor hi^0.5 > 10
+    hi = min(tail_k_max, 10_000)
+    gamma = 1074 * np.log(2.0) / np.log(hi) - 1.0 + side
+    keys = {"experiment": "s4", "gamma_heavy": gamma, "tail_k_max": tail_k_max}
+    pmf = power_law_pmf(gamma, tail_k_max)
+    if side < 0:
+        ExperimentConfig.from_dict(keys)
+        fit_tail_exponent(pmf)
+    else:
+        with pytest.raises(ConfigError, match="^gamma_heavy = .* underflows to 0"):
+            ExperimentConfig.from_dict(keys)
+        with pytest.raises(ValueError, match="ccdf underflows to 0"):
+            fit_tail_exponent(pmf)
 
 
 def test_cli_config_file_and_overrides(tmp_path):

@@ -8,9 +8,10 @@ from scipy.special import expit
 
 from graphsynth import (Block, Constant, LinearCombo, LogisticLowRank,
                         ProductWeight, GraphonError,
-                        functionals, gram_and_target, l2_distance, l2_inner,
+                        functionals, gram_and_target, l2_distance,
                         lipschitz_budget, spectral_bracket, spectral_radius,
                         uniform_step_map)
+from graphsynth.graphons import l2_inner
 
 RNG = np.random.default_rng(20240601)
 

@@ -13,8 +13,8 @@ from graphsynth import (Block, Constant, DyadData, LinearCombo, SingularDesign,
                         WeightVector, cv_best_agent, fit_logistic_stack, fit_ls,
                         fit_ridge, fit_simplex,
                         gram_and_target, l2_distance, l2_risk,
-                        population_projection, predict_clipped, project_simplex)
-from graphsynth.synthesis import _weighted_gram
+                        population_projection, predict_clipped)
+from graphsynth.synthesis import _weighted_gram, project_simplex
 
 
 def make_dyads(rng, m, betas, noise_labels=True):
@@ -45,7 +45,6 @@ def test_ls_recovers_truth_in_span():
     data = make_dyads(rng, 100_000, [0.0, 0.5, 0.5])
     beta = fit_ls(data)
     assert np.linalg.norm(beta.beta - [0.0, 0.5, 0.5]) <= 0.02
-    assert beta.method == "LS"
     assert beta.m_train == 100_000
 
 
@@ -275,7 +274,7 @@ def test_simplex_agent_cap():
 # ---------------------------------------------------------------------------
 
 def test_predict_clipped_oracles():
-    w = WeightVector(beta=np.array([0.0, 1.0]), method="LS")
+    w = WeightVector(beta=np.array([0.0, 1.0]))
     assert predict_clipped(w, np.array([1.0, 1.3])) == pytest.approx(1.0)
     assert predict_clipped(w, np.array([1.0, -0.2])) == pytest.approx(0.0)
     assert predict_clipped(w, np.array([1.0, 0.42])) == pytest.approx(0.42)
@@ -304,7 +303,8 @@ def test_projection_orthogonality_residual():
     parts = [Block([0, 0.5, 1], [[0.8, 0.1], [0.1, 0.8]]),
              Block([0, 0.3, 1], [[0.1, 0.7], [0.7, 0.2]])]
     truth = Block([0, 0.4, 1], [[0.9, 0.2], [0.2, 0.3]])
-    beta, gram, target = population_projection(truth, parts, return_gram=True)
+    beta = population_projection(truth, parts)
+    gram, target = gram_and_target(parts, truth)
     resid = gram @ beta.beta - target
     assert np.max(np.abs(resid)) <= 1e-8
 
@@ -355,7 +355,8 @@ def test_population_projection_matches_a_cholesky_solve(seed):
         return Block(cuts, (values + values.T) / 2)
     agents = [block(int(rng.integers(2, 5))) for _ in range(int(rng.integers(1, 4)))]
     truth = block(3)
-    beta, gram, target = population_projection(truth, agents, return_gram=True)
+    beta = population_projection(truth, agents)
+    gram, target = gram_and_target(agents, truth)
     expected = scipy.linalg.solve(gram, target, assume_a="pos")
     np.testing.assert_allclose(beta.beta, expected, rtol=1e-12, atol=0)
 
@@ -379,7 +380,7 @@ def test_l2_risk_matches_graphon_distance():
              Block([0, 0.3, 1], [[0.1, 0.7], [0.7, 0.2]])]
     truth = LinearCombo(np.array([0.0, 0.5, 0.5]), parts)
     beta_hat = np.array([0.1, 0.4, 0.45])
-    _, gram, _ = population_projection(truth, parts, return_gram=True)
+    gram, _ = gram_and_target(parts, truth)
     risk = l2_risk(beta_hat, np.array([0.0, 0.5, 0.5]), gram)
     dist = l2_distance(LinearCombo(beta_hat, parts), truth)
     assert risk == pytest.approx(dist ** 2, abs=1e-12)
