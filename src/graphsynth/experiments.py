@@ -184,16 +184,22 @@ class ExperimentConfig:
         if self.tail_k_max > MAX_PMF_SUPPORT:
             raise ConfigError(f"tail_k_max must be <= {MAX_PMF_SUPPORT}, the largest "
                               "degree pmf support")
-        # a ccdf that is 0 inside the window has no logarithm there.  The
-        # power law's ccdf at the window's top is 0 exactly when its pmf
-        # there, hi^-(gamma+1) over a total that rounds to 1 at such a gamma,
-        # underflows.
-        hi = min(self.tail_k_max, TAIL_WINDOW[1])
-        for name in ("gamma_light", "gamma_heavy"):
-            if float(hi) ** -(getattr(self, name) + 1.0) == 0.0:
-                raise ConfigError(f"{name} = {getattr(self, name)} is too large for the s4 "
-                                  f"tail fit: its power-law ccdf underflows to 0 inside "
-                                  f"the window {TAIL_WINDOW[0]}-{hi}")
+        # s4 fits the tail of (1 - pi) light + pi heavy at each pi, and a
+        # ccdf that is 0 inside the window has no logarithm there.  A power
+        # law's ccdf at the window's top is 0 exactly when its pmf there,
+        # hi^-(gamma+1) over a total that rounds to 1 at such a gamma,
+        # underflows; the mixture's is 0 when that of every tail it weights is
+        if self.experiment == "s4":
+            hi = min(self.tail_k_max, TAIL_WINDOW[1])
+            for pi in self.pi_grid:
+                weighted = [name for name, wt in (("gamma_light", 1.0 - pi),
+                                                  ("gamma_heavy", pi)) if wt > 0]
+                if all(float(hi) ** -(getattr(self, name) + 1.0) == 0.0
+                       for name in weighted):
+                    name = weighted[0]
+                    raise ConfigError(f"{name} = {getattr(self, name)} is too large for "
+                                      f"the s4 tail fit: its power-law ccdf underflows "
+                                      f"to 0 inside the window {TAIL_WINDOW[0]}-{hi}")
 
     @staticmethod
     def from_dict(d: dict) -> "ExperimentConfig":

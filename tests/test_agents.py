@@ -306,6 +306,29 @@ def test_mixture_tilt_reweights_prior():
     np.testing.assert_allclose(pi, expected / expected.sum(), atol=1e-12)
 
 
+def permute_pmf(enum: GraphEnumeration, probs: np.ndarray, perm) -> np.ndarray:
+    """Pushforward of an enumerated pmf under a vertex permutation."""
+    new_bit_order = [enum.pair_index(perm[i], perm[j]) for (i, j) in enum.pairs]
+    weights = 1 << np.arange(enum.n_pairs, dtype=np.uint32)
+    new_masks = (enum.edge_bits[:, new_bit_order].astype(np.uint32) * weights).sum(axis=1)
+    out = np.zeros_like(probs)
+    out[new_masks] = probs
+    return out
+
+
+def test_mixture_exchangeable_under_all_permutations():
+    n = 4
+    enum = GraphEnumeration.get(n)
+    a = exact_enumeration_pmf(ER(0.3), n=n)
+    b = exact_enumeration_pmf(ErgmSpec([("edges",), ("triangles",)],
+                                       [-0.2, 0.4], n))
+    mixed, _ = mixture_pmf([a, b], [edge_tilt_weights(n, 0.5), None], [0.6, 0.4])
+    # invariance up to summation-order ulps in the enumeration dot products
+    for perm in itertools.permutations(range(n)):
+        np.testing.assert_allclose(permute_pmf(enum, mixed.probs, perm), mixed.probs,
+                                   rtol=0, atol=1e-14)
+
+
 # ---------------------------------------------------------------------------
 # moment calibration
 # ---------------------------------------------------------------------------

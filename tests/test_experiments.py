@@ -57,11 +57,11 @@ def test_config_rejects_unknown_keys():
                                   {"phase_n": 1}, {"pi_grid": [0, 1.5]},
                                   {"gamma_light": -1}, {"gamma_heavy": 0},
                                   {"negpos_ratio": 0}, {"n_grid": [0, 200]},
-                                  {"tail_k_max": 1_000_001}, {"gamma_heavy": 300}],
+                                  {"tail_k_max": 1_000_001}],
                          ids=["n_grid", "lambda_grid", "pi_grid", "regimes",
                               "repeated_n", "ridge_reg", "lambda", "phase_n", "pi",
                               "gamma_light", "gamma_heavy", "negpos_ratio", "n",
-                              "tail_k_max_above_support", "gamma_heavy_underflows"])
+                              "tail_k_max_above_support"])
 def test_config_rejects_degenerate_values(keys):
     # an empty grid or regime list would run no unit and write NaN summaries;
     # the other values would fail only mid-run, after the data is drawn or
@@ -1183,6 +1183,25 @@ def test_s4_fails_when_the_light_tail_underflows_in_the_window(tmp_path, capsys,
         fit_tail_exponent(power_law_pmf(gamma_light, 100_000))
 
 
+@pytest.mark.parametrize("keys, rejected", [
+    ({"gamma_light": 150}, "gamma_light"),
+    ({"gamma_heavy": 300, "pi_grid": [0.5, 1.0]}, "gamma_heavy"),
+    ({"gamma_light": 150, "gamma_heavy": 300, "pi_grid": [0.5]}, "gamma_light"),
+    ({"gamma_light": 150, "pi_grid": [0.1, 0.5]}, None),
+    ({"gamma_heavy": 300}, None),
+    ({"experiment": "s1", "gamma_light": 150, "gamma_heavy": 300}, None)])
+def test_tail_underflow_check_reads_only_the_tails_s4_fits(keys, rejected):
+    # s4 fits the light tail alone only at pi = 0 and the heavy tail alone
+    # only at pi = 1; between them the mixture's ccdf underflows only when
+    # both tails' do, and no other experiment fits a tail
+    keys = {"experiment": "s4", **keys}
+    if rejected is None:
+        ExperimentConfig.from_dict(keys)
+    else:
+        with pytest.raises(ConfigError, match=f"^{rejected} = .* underflows to 0"):
+            ExperimentConfig.from_dict(keys)
+
+
 @pytest.mark.parametrize("tail_k_max", [109, 20_000])
 @pytest.mark.parametrize("side", [-0.5, 0.5])
 def test_tail_underflow_check_agrees_with_the_fit(tail_k_max, side):
@@ -1192,13 +1211,13 @@ def test_tail_underflow_check_agrees_with_the_fit(tail_k_max, side):
     # apart; half a unit of gamma each side moves it by a factor hi^0.5 > 10
     hi = min(tail_k_max, 10_000)
     gamma = 1074 * np.log(2.0) / np.log(hi) - 1.0 + side
-    keys = {"experiment": "s4", "gamma_heavy": gamma, "tail_k_max": tail_k_max}
+    keys = {"experiment": "s4", "gamma_light": gamma, "tail_k_max": tail_k_max}
     pmf = power_law_pmf(gamma, tail_k_max)
     if side < 0:
         ExperimentConfig.from_dict(keys)
         fit_tail_exponent(pmf)
     else:
-        with pytest.raises(ConfigError, match="^gamma_heavy = .* underflows to 0"):
+        with pytest.raises(ConfigError, match="^gamma_light = .* underflows to 0"):
             ExperimentConfig.from_dict(keys)
         with pytest.raises(ValueError, match="ccdf underflows to 0"):
             fit_tail_exponent(pmf)
