@@ -151,7 +151,8 @@ def main(argv=None) -> int:
     except StageFailure as exc:
         print(str(exc), file=sys.stderr)
         return 2
-    except (ConfigError, ValueError) as exc:
+    except (ConfigError, ValueError, OSError) as exc:
+        # an OSError's message names the file it could not open
         print(f"[{args.verb}] {exc}", file=sys.stderr)
         return 2
 

@@ -33,8 +33,9 @@ from .netstats import (MAX_PMF_SUPPORT, TAIL_FIT_MIN_POINTS, TAIL_WINDOW,
                        fit_tail_exponent, mixture_degree_pmf, power_law_pmf)
 # s1/s2 draw cell counts (sample_cells), not dyads; sample_dyads stays
 # importable here because perfbench/tracing.py resolves it at this site
-from .sampling import (GraphSample, child_seeds, graph_from_edge_array,  # noqa: F401
-                       make_rng, phase_sweep, sample_dyads, unique_keys)
+from .sampling import (GraphSample, child_seeds, component_labels,  # noqa: F401
+                       graph_from_edge_array, make_rng, phase_sweep, sample_dyads,
+                       unique_keys)
 from .serialize import (write_csv, write_gap_report_csv, write_json,
                         write_metric_reports_csv, write_phase_curve_csv)
 from .synthesis import DyadData, fit_ls, fit_ridge, fit_simplex, predict_clipped
@@ -311,14 +312,15 @@ def fit_agents_to_graph(g: GraphSample, config: ExperimentConfig, seed=0):
     DegHist: an SBM on degree-decile node bins with empirical bin-pair
     rates, clipped into [1e-6, 1 - 1e-6].
     SBM: spectral clustering of the normalized adjacency of the largest
-    connected component (its top-K eigenvectors by ARPACK, rows normalized,
-    then ``_kmeans``: k-means++ and KMEANS_ROUNDS Lloyd rounds in numpy, no
-    BLAS call) plus add-one smoothed block rates.  RDPG: top-d
-    adjacency spectral embedding with a moment-matched logistic intercept.
+    connected component (from ``component_labels``, numpy), by its top-K
+    eigenvectors from ARPACK, rows normalized, then ``_kmeans``: k-means++
+    and KMEANS_ROUNDS Lloyd rounds in numpy, no BLAS call; plus add-one
+    smoothed block rates.  RDPG: top-d adjacency spectral embedding with a
+    moment-matched logistic intercept.  The only scipy it loads is
+    ``scipy.sparse`` and ARPACK's ``scipy.sparse.linalg``.
 
     Returns an ordered dict name -> agent.
     """
-    import scipy.sparse.csgraph
     import scipy.sparse.linalg
 
     n = g.n
@@ -352,8 +354,10 @@ def fit_agents_to_graph(g: GraphSample, config: ExperimentConfig, seed=0):
     # spectral step on the largest component only: every further component
     # repeats the top eigenvalue 1, and eigsh then returns an arbitrary basis
     # of that eigenspace.  Other nodes embed at the origin, as isolated nodes
-    # do.
-    _, comp = scipy.sparse.csgraph.connected_components(adj, directed=False)
+    # do.  A label is its component's smallest node id and argmax takes the
+    # first of equal counts, so a tie goes to the component holding the
+    # smallest node id.
+    comp = component_labels(n, g.edges)
     giant = comp == np.argmax(np.bincount(comp))
     inv_sqrt = np.where(giant, 1.0 / np.sqrt(np.maximum(deg, 1.0)), 0.0)
     norm_adj = scipy.sparse.diags(inv_sqrt) @ adj @ scipy.sparse.diags(inv_sqrt)

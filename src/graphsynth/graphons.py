@@ -128,10 +128,6 @@ class Block(Graphon):
         return Block(boundaries, matrix)
 
     @property
-    def k(self) -> int:
-        return len(self.matrix)
-
-    @property
     def block(self) -> Block:
         return self
 

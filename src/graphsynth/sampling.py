@@ -84,8 +84,7 @@ class GraphSample:
     """Simple undirected graph: sorted deduplicated edge list plus degrees.
 
     The edges are distinct pairs (i, j) with i < j in ascending order of
-    ``i * n + j``; ``giant_fraction`` reads its CSR rows straight off that
-    order.
+    ``i * n + j``.
     """
 
     n: int
@@ -279,24 +278,45 @@ def sample_dyads(w: Graphon, agents, m: int, seed) -> DyadData:
 # components and phase sweeps
 # ---------------------------------------------------------------------------
 
-def giant_fraction(g: GraphSample) -> float:
-    """Size of the largest connected component divided by n.
+def component_labels(n: int, edges) -> np.ndarray:
+    """Each node's connected-component label: the smallest node id in its
+    component.  ``edges`` holds (i, j) pairs in any order, repeats and
+    self-loops allowed.
 
-    The components come from the upper-triangular CSR matrix, one entry per
-    edge, read straight off the sorted edge list: row ``i`` holds the ``j``
-    of its edges, already in order.  ``connected_components(directed=False)``
-    follows every edge both ways itself, so the symmetric matrix is never
-    built.
+    Hook-and-shortcut labelling (Shiloach & Vishkin, "An O(log n) parallel
+    connectivity algorithm", J. Algorithms 1982) in vectorised rounds.
+    ``label`` is a forest whose pointers never increase and never leave a
+    component; at the start of a round every node points at a root, and the
+    round's edges join the roots of their endpoints.  Hook: each edge points
+    the larger of its two roots at the smaller one, the least wins
+    (``np.minimum.at``).  Shortcut: jump pointers until every node points at
+    a root again.  An edge whose endpoints now share a root is dropped for
+    good.  Each round with an edge left lowers some root's pointer, so the
+    loop ends; then each component has one root, and since no pointer
+    exceeds its node, that root is the component's smallest node.
     """
-    import scipy.sparse
-    import scipy.sparse.csgraph
+    label = np.arange(n, dtype=np.int64)
+    edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
+    # a self-loop hooks nothing, and the first round drops it
+    lo = np.minimum(edges[:, 0], edges[:, 1])
+    hi = np.maximum(edges[:, 0], edges[:, 1])
+    while lo.size:
+        np.minimum.at(label, hi, lo)
+        while True:
+            up = label[label]
+            if np.array_equal(up, label):
+                break
+            label = up
+        a, b = label[lo], label[hi]
+        cross = a != b
+        a, b = a[cross], b[cross]
+        lo, hi = np.minimum(a, b), np.maximum(a, b)
+    return label
 
-    indptr = np.zeros(g.n + 1, dtype=np.int64)
-    np.cumsum(np.bincount(g.edges[:, 0], minlength=g.n), out=indptr[1:])
-    upper = scipy.sparse.csr_matrix((np.ones(g.n_edges), g.edges[:, 1], indptr),
-                                    shape=(g.n, g.n))
-    _, labels = scipy.sparse.csgraph.connected_components(upper, directed=False)
-    return float(np.bincount(labels).max()) / g.n
+
+def giant_fraction(g: GraphSample) -> float:
+    """Size of the largest connected component divided by n."""
+    return float(np.bincount(component_labels(g.n, g.edges)).max()) / g.n
 
 
 @dataclass(eq=False)

@@ -273,9 +273,11 @@ def test_population_metrics_rejects_bad_inputs():
 
 
 # the only scipy that graphsynth loads, each part by the code that calls it:
-# the sparse graph code behind s3 and the structure statistics, and the
-# components and ARPACK eigenvectors of real's agent fits
-SPARSE_STACK = ("scipy.sparse", "scipy.sparse.csgraph")
+# the sparse adjacency of the structure statistics, and the ARPACK
+# eigenvectors of real's agent fits; components are numpy
+SPARSE_STACK = ("scipy.sparse", "scipy.sparse.linalg")
+# what scipy's connected components would load
+CSGRAPH = ("scipy.sparse.csgraph",)
 # what a scipy k-means would load; the agent fits' k-means is numpy
 CLUSTER_STACK = ("scipy.cluster", "scipy.spatial", "scipy.special")
 
@@ -318,23 +320,17 @@ def test_import_leaves_scipy_optimize_unloaded():
 
 
 def test_import_leaves_the_sparse_stack_unloaded():
-    assert _loaded_after("import graphsynth", SPARSE_STACK) == []
+    assert _loaded_after("import graphsynth", SPARSE_STACK + CSGRAPH) == []
 
 
 @pytest.mark.parametrize("verb, config", [
     ("s1", {"replicates": 2, "m_train": 500, "m_val": 200}),
     ("s2", {"replicates": 2, "n_grid": [100, 200], "m_val": 200}),
+    ("s3", {"lambda_grid": [0.5, 2.0], "phase_n": 500, "phase_reps": 1}),
     ("s4", {"tail_k_max": 20_000}),
-], ids=["s1", "s2", "s4"])
+], ids=["s1", "s2", "s3", "s4"])
 def test_synthetic_runs_load_no_scipy(tmp_path, verb, config):
     assert _loaded_after(_cli_run(verb, config, tmp_path), ["scipy"]) == []
-
-
-def test_s3_run_loads_csgraph_but_not_kmeans(tmp_path):
-    code = _cli_run("s3", {"lambda_grid": [0.5, 2.0], "phase_n": 500, "phase_reps": 1},
-                    tmp_path)
-    assert _loaded_after(code, ["scipy.sparse.csgraph", "scipy.cluster",
-                                "scipy.spatial"]) == ["scipy.sparse.csgraph"]
 
 
 def test_first_agent_fit_imports_what_it_needs():
@@ -342,7 +338,7 @@ def test_first_agent_fit_imports_what_it_needs():
             "sample_sparse_graph\n"
             "g = sample_sparse_graph(Constant(1.0), 300, 8.0, seed=3)\n"
             "assert len(fit_agents_to_graph(g, ExperimentConfig('real'), seed=1)) == 5")
-    assert _loaded_after(code, SPARSE_STACK + CLUSTER_STACK) == list(SPARSE_STACK)
+    assert _loaded_after(code, SPARSE_STACK + CSGRAPH + CLUSTER_STACK) == list(SPARSE_STACK)
 
 
 # ---------------------------------------------------------------------------

@@ -1118,6 +1118,18 @@ def test_cli_rejects_a_flag_its_verb_does_not_read(argv, capsys):
     assert f"unrecognized arguments: {argv[2]}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [["report", "missing.csv"], ["audit", "missing.txt"],
+                                  ["s1", "--config", "missing.json"]],
+                         ids=["report", "audit", "s1_config"])
+def test_cli_names_a_missing_input_file(tmp_path, monkeypatch, capsys, argv):
+    # each used to raise FileNotFoundError out of main: a traceback, exit 1
+    monkeypatch.chdir(tmp_path)
+    assert cli_main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"[{argv[0]}] ") and f"'{argv[-1]}'" in err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_cli_run_verb_s4(tmp_path, capsys):
     assert cli_main(["s4", "--out", str(tmp_path), "--seed", "7"]) == 0
     assert (tmp_path / "s4" / "s4_tails.csv").exists()

@@ -4,6 +4,7 @@ import copy
 import hashlib
 import tracemalloc
 
+import networkx as nx
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,8 +13,8 @@ from hypothesis import strategies as st
 from graphsynth import (Block, Constant, DyadData, default_generator, functionals,
                         giant_fraction, graph_statistics, make_rng, make_split,
                         phase_sweep, sample_dyads, sample_graph, sample_sparse_graph)
-from graphsynth.sampling import (EDGE_CHECK_ROWS, GraphSample, graph_from_edge_array,
-                                 in_sorted, unique_keys)
+from graphsynth.sampling import (EDGE_CHECK_ROWS, GraphSample, component_labels,
+                                 graph_from_edge_array, in_sorted, unique_keys)
 
 TWO_BLOCK = Block([0, 0.5, 1], [[0.8, 0.1], [0.1, 0.8]])
 
@@ -279,6 +280,83 @@ def test_giant_fraction_oracles():
     assert giant_fraction(graph_from_edge_array(10, [[0, 1]])) == pytest.approx(0.2)
     assert giant_fraction(graph_from_edge_array(10, [[0, 9], [3, 9]])) == pytest.approx(0.3)
     assert giant_fraction(graph_from_edge_array(6, [[4, 5], [3, 4], [0, 1]])) == pytest.approx(0.5)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 40).flatmap(lambda n: st.tuples(
+    st.just(n), st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                         max_size=60))))
+def test_component_labels_match_networkx(graph):
+    # raw pairs: none at all, self-loops, repeats and both orientations of
+    # one pair are all allowed; every node not on an edge stands alone
+    n, pairs = graph
+    G = nx.Graph()
+    G.add_nodes_from(range(n))
+    G.add_edges_from(pairs)
+    want = np.empty(n, dtype=np.int64)
+    for comp in nx.connected_components(G):
+        want[list(comp)] = min(comp)
+    got = component_labels(n, np.asarray(pairs, dtype=np.int64).reshape(-1, 2))
+    np.testing.assert_array_equal(got, want)
+
+
+def _zigzag(n):
+    """0, n-1, 1, n-2, 2, ...: every other node is a local minimum."""
+    order = np.empty(n, dtype=np.int64)
+    order[0::2] = np.arange((n + 1) // 2)
+    order[1::2] = n - 1 - np.arange(n // 2)
+    return order
+
+
+@pytest.mark.parametrize("shape", ["random_path", "zigzag_path", "reversed_binary_tree"])
+def test_component_labels_on_graphs_that_need_many_rounds(shape):
+    # one component of 10^5 nodes whose ids defeat a single hook round: a
+    # path through a random order of the nodes, a path alternating small and
+    # large ids, and a binary tree whose root holds the largest id
+    n = 100_000
+    if shape == "random_path":
+        order = np.random.default_rng(5).permutation(n)
+        pairs = np.stack([order[:-1], order[1:]], axis=1)
+    elif shape == "zigzag_path":
+        order = _zigzag(n)
+        pairs = np.stack([order[:-1], order[1:]], axis=1)
+    else:
+        child = np.arange(1, n)
+        pairs = np.stack([n - 1 - child, n - 1 - (child - 1) // 2], axis=1)
+    labels = component_labels(n, pairs)
+    assert not labels.any()
+    assert giant_fraction(graph_from_edge_array(n, pairs)) == 1.0
+
+
+def test_equal_components_tie_to_the_smaller_node_id():
+    # two components of 4 nodes each; the one holding node 0 is listed last
+    # and holds the larger ids otherwise
+    pairs = np.array([[1, 2], [2, 3], [3, 4], [0, 7], [7, 6], [6, 5]])
+    labels = component_labels(8, pairs)
+    np.testing.assert_array_equal(labels, [0, 1, 1, 1, 1, 0, 0, 0])
+    giant = labels == np.argmax(np.bincount(labels))
+    np.testing.assert_array_equal(np.flatnonzero(giant), [0, 5, 6, 7])
+    assert giant_fraction(graph_from_edge_array(8, pairs)) == 0.5
+
+    # fit_agents_to_graph keeps the component argmax(bincount(labels))
+    # picks; scipy's connected_components numbers components in order of
+    # their smallest node, so both pick the same one of equally large
+    # components, and the agent fits keep their bytes
+    import scipy.sparse.csgraph
+
+    rng = np.random.default_rng(8)
+    for _ in range(50):
+        sizes = rng.integers(1, 6, size=rng.integers(2, 6))
+        sizes[[0, -1]] = sizes.max()
+        n = int(sizes.sum())
+        ids = rng.permutation(n)
+        pairs = [(ids[s], ids[s + i]) for s, size in zip(np.cumsum(sizes) - sizes, sizes)
+                 for i in range(1, size)]
+        g = graph_from_edge_array(n, np.asarray(pairs, dtype=np.int64).reshape(-1, 2))
+        _, old = scipy.sparse.csgraph.connected_components(g.adjacency(), directed=False)
+        new = component_labels(n, g.edges)
+        np.testing.assert_array_equal(new == np.argmax(np.bincount(new)),
+                                      old == np.argmax(np.bincount(old)))
 
 
 def test_phase_sweep_smoke():
