@@ -18,7 +18,7 @@ from .graphons import (Block, Constant, FunctionalSet, Graphon, GraphonError,
 from .agents import (AgentError, CalibrationFailure, ChungLu, ER,
                      ErgmSpec, GraphEnumeration, GraphPmf, InfeasibleTarget,
                      RDPG, SBM, calibrate_moment, edge_prob_matrix,
-                     edge_tilt_weights, er_as_ergm, ergm_stack_tilt,
+                     er_as_ergm, ergm_stack_tilt,
                      exact_enumeration_pmf, mixture_pmf, stat_tilt_weights,
                      statistic_matrix, tilt_er, tilt_rdpg, tilt_sbm)
 from .synthesis import (DyadData, SingularDesign, WeightVector, fit_ls,

@@ -10,7 +10,6 @@ convex dual over the exactly enumerated mean map (supported up to n = 6).
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -38,6 +37,8 @@ CALIBRATE_MAX_STEPS = 100
 CALIBRATE_ARMIJO = 1e-4
 # RDPG.dyad_logits gathers positions for this many dyads at a time
 DYAD_BLOCK_ROWS = 16_384
+# the sufficient statistics an ErgmSpec may stack
+STATISTICS = (("edges",), ("triangles",))
 
 
 # ---------------------------------------------------------------------------
@@ -213,10 +214,6 @@ class GraphEnumeration:
         masks = np.arange(self.n_graphs, dtype=np.uint32)
         # (n_graphs, n_pairs) edge indicators
         self.edge_bits = ((masks[:, None] >> np.arange(self.n_pairs)[None, :]) & 1).astype(np.int8)
-        self.degrees = np.zeros((self.n_graphs, n), dtype=np.int16)
-        for k, (i, j) in enumerate(self.pairs):
-            self.degrees[:, i] += self.edge_bits[:, k]
-            self.degrees[:, j] += self.edge_bits[:, k]
         self._pair_index = {p: k for k, p in enumerate(self.pairs)}
 
     @classmethod
@@ -239,27 +236,6 @@ class GraphEnumeration:
                        * self.edge_bits[:, self.pair_index(j, k)]).astype(np.int64)
         return counts
 
-    def kstar_counts(self, k: int) -> np.ndarray:
-        # degrees are at most n-1, so a small lookup table suffices
-        table = np.array([math.comb(d, k) for d in range(self.n)], dtype=np.int64)
-        return table[self.degrees].sum(axis=1)
-
-    def wedge_counts(self) -> np.ndarray:
-        return self.kstar_counts(2)
-
-    def block_counts(self, assignment) -> np.ndarray:
-        """Edge counts per unordered block pair (a <= b), stacked."""
-        c = np.asarray(assignment, dtype=int)
-        k = int(c.max()) + 1
-        cols = []
-        for a in range(k):
-            for b in range(a, k):
-                sel = [idx for idx, (i, j) in enumerate(self.pairs)
-                       if {c[i], c[j]} == ({a} if a == b else {a, b})]
-                cols.append(self.edge_bits[:, sel].sum(axis=1).astype(np.int64)
-                            if sel else np.zeros(self.n_graphs, dtype=np.int64))
-        return np.stack(cols, axis=1)
-
 
 # ---------------------------------------------------------------------------
 # ERGM specifications
@@ -269,9 +245,8 @@ class GraphEnumeration:
 class ErgmSpec:
     """Exponential-family graph model on a stacked statistic vector.
 
-    ``stats`` is an ordered tuple of descriptors: ("edges",),
-    ("triangles",), ("wedges",), ("kstar", k), or
-    ("block_counts", assignment-tuple).
+    ``stats`` is an ordered tuple of descriptors, each ("edges",) or
+    ("triangles",), with one entry of ``theta`` per descriptor.
     """
 
     stats: tuple
@@ -281,40 +256,22 @@ class ErgmSpec:
     def __post_init__(self):
         object.__setattr__(self, "stats", tuple(map(tuple, self.stats)))
         set_readonly(self, theta=self.theta)
-        if len(self.theta) != stat_dimension(self.stats):
-            raise AgentError("theta length must match the stacked statistic dimension")
-
-
-def stat_dimension(stats) -> int:
-    dim = 0
-    for s in stats:
-        if s[0] == "block_counts":
-            k = int(max(s[1])) + 1
-            dim += k * (k + 1) // 2
-        elif s[0] in ("edges", "triangles", "wedges", "kstar"):
-            dim += 1
-        else:
-            raise AgentError(f"unknown statistic {s[0]!r}")
-    return dim
+        for s in self.stats:
+            if s not in STATISTICS:
+                raise AgentError(f"unknown statistic {s!r}")
+        if len(self.theta) != len(self.stats):
+            raise AgentError("theta needs one entry per statistic")
 
 
 def statistic_matrix(enum: GraphEnumeration, stats) -> np.ndarray:
-    """(n_graphs, dim) matrix of stacked sufficient statistics."""
+    """(n_graphs, len(stats)) matrix of the statistics, each ("edges",) or
+    ("triangles",), of every graph."""
     cols = []
-    for s in stats:
-        if s[0] == "edges":
-            cols.append(enum.edge_counts()[:, None])
-        elif s[0] == "triangles":
-            cols.append(enum.triangle_counts()[:, None])
-        elif s[0] == "wedges":
-            cols.append(enum.wedge_counts()[:, None])
-        elif s[0] == "kstar":
-            cols.append(enum.kstar_counts(int(s[1]))[:, None])
-        elif s[0] == "block_counts":
-            cols.append(enum.block_counts(s[1]))
-        else:
-            raise AgentError(f"unknown statistic {s[0]!r}")
-    return np.concatenate(cols, axis=1).astype(float)
+    for s in map(tuple, stats):
+        if s not in STATISTICS:
+            raise AgentError(f"unknown statistic {s!r}")
+        cols.append(enum.edge_counts() if s == ("edges",) else enum.triangle_counts())
+    return np.stack(cols, axis=1).astype(float)
 
 
 def er_as_ergm(p: float, n: int) -> ErgmSpec:
@@ -336,13 +293,13 @@ def ergm_stack_tilt(weighted_specs, tau) -> ErgmSpec:
     if len(ns) != 1:
         raise AgentError("all pooled agents must share the vertex count")
     tau = np.asarray(tau, dtype=float)
-    total_dim = sum(stat_dimension(spec.stats) for spec, _ in weighted_specs)
+    total_dim = sum(len(spec.stats) for spec, _ in weighted_specs)
     if tau.size != total_dim:
         raise AgentError(f"tau has length {tau.size}, stacked dimension is {total_dim}")
     stats, theta = [], []
     offset = 0
     for spec, omega in weighted_specs:
-        dim = stat_dimension(spec.stats)
+        dim = len(spec.stats)
         stats.extend(spec.stats)
         theta.extend(omega * spec.theta + tau[offset:offset + dim])
         offset += dim
@@ -419,12 +376,6 @@ def mixture_pmf(pmfs, alphas, prior) -> tuple[GraphPmf, np.ndarray]:
     pi_new = pi_new / pi_new.sum()
     probs = sum(pi_new[j] * tilted[j] / a[j] for j in range(prior.size) if pi_new[j] > 0)
     return GraphPmf(n, probs / probs.sum()), pi_new
-
-
-def edge_tilt_weights(n: int, lam: float) -> np.ndarray:
-    """Entropic weight exp(lam * edge count) per graph, bitmask order."""
-    enum = GraphEnumeration.get(n)
-    return np.exp(lam * enum.edge_counts().astype(float))
 
 
 def stat_tilt_weights(n: int, stats, tau) -> np.ndarray:

@@ -21,6 +21,15 @@ LOGLOSS_FLOOR = 1e-12
 # out as the test and validation roles; each role gets at least one
 TEST_FRAC = 0.2
 VAL_FRAC = 0.1
+# node_holdout holds out this share of the nodes (at least one)
+NODE_FRAC = 0.10
+# uniform_dyads draws this many dyads per edge, at most every pair
+UNIFORM_DYADS_PER_EDGE = 20
+
+# equal-width bins on [0, 1] for ECE, the Murphy terms and reliability
+CALIBRATION_BINS = 10
+# the scores paired_gaps compares
+GAP_METRICS = ("logloss", "brier", "auc", "ap")
 
 # logistic stacking: fixed ridge on the non-intercept coefficients, the
 # gradient-norm stopping rule, a safety bound on Newton steps (reaching it
@@ -137,15 +146,15 @@ def _cut(rng, count: int, *fracs) -> list:
     return np.split(perm, sizes)
 
 
-def make_split(graph: GraphSample, regime: str, seed, negpos_ratio: float = 3.0,
-               node_frac: float = 0.10, m_uniform: int | None = None) -> SplitSpec:
+def make_split(graph: GraphSample, regime: str, seed, negpos_ratio: float = 3.0) -> SplitSpec:
     """Deterministic train/val/test dyad split under one of three regimes.
 
     edge_holdout: hold out observed edges, negatives sampled from non-edges
-    at the fixed ratio.  node_holdout: hold out a node fraction, drop all
-    their incident edges from training, test on dyads touching held-out
-    nodes.  uniform_dyads: uniform dyads without replacement, labels from
-    the adjacency.
+    at the fixed ratio.  node_holdout: hold out ``NODE_FRAC`` of the nodes,
+    drop all their incident edges from training, test on dyads touching
+    held-out nodes.  uniform_dyads: ``UNIFORM_DYADS_PER_EDGE`` uniform dyads
+    per edge (at most every pair) without replacement, labels from the
+    adjacency.
 
     The holdout regimes cut the positives into train, val and test roles.
     Each role then draws its negatives, in that order, from the dyads that
@@ -162,10 +171,10 @@ def make_split(graph: GraphSample, regime: str, seed, negpos_ratio: float = 3.0,
 
     if regime == "uniform_dyads":
         total_pairs = n * (n - 1) // 2
-        m = m_uniform if m_uniform is not None else min(total_pairs, 20 * edges.shape[0])
+        m = min(total_pairs, UNIFORM_DYADS_PER_EDGE * edges.shape[0])
         if m < 10:
             raise SplitError("uniform regime needs at least 10 dyads")
-        idx = rng.choice(total_pairs, size=min(m, total_pairs), replace=False)
+        idx = rng.choice(total_pairs, size=m, replace=False)
         dyads = np.stack(triangular_pair(idx), axis=1)
         labels = in_sorted(_dyad_key(dyads, n), edge_keys).astype(float)
         test, val, train = (np.sort(part) for part in _cut(rng, len(dyads), TEST_FRAC, VAL_FRAC))
@@ -175,7 +184,7 @@ def make_split(graph: GraphSample, regime: str, seed, negpos_ratio: float = 3.0,
             test, val, train = (edges[part] for part in _cut(rng, len(edges), TEST_FRAC, VAL_FRAC))
             roles = [(train, None, None), (val, None, None), (test, None, None)]
         elif regime == "node_holdout":
-            n_held = max(1, int(round(node_frac * n)))
+            n_held = max(1, int(round(NODE_FRAC * n)))
             held = np.sort(rng.choice(n, size=n_held, replace=False))
             held_mask = _node_mask(n, held)
             touch = np.any(held_mask[edges], axis=1)
@@ -312,7 +321,7 @@ def _logloss_sum(predictions, pos, neg):
     return -(np.vecdot(pos, np.log(clipped)) + np.vecdot(neg, np.log1p(-clipped)))
 
 
-def _weighted_report(predictions, pos, neg, bins: int, index_ties: bool):
+def _weighted_report(predictions, pos, neg, index_ties: bool):
     """Every metric of a forecast whose entry k carries positive weight
     ``pos[k]`` and negative weight ``neg[k]``, normalised by the total: one
     MetricReport for a vector of ``predictions``, a list of them for each
@@ -326,12 +335,12 @@ def _weighted_report(predictions, pos, neg, bins: int, index_ties: bool):
     of a random order: a group of positive weight b and total d, after
     groups of positive weight A and total C, gives its positives the mean
     precision b / d + (A d - b C) / d^2 * ln((C + d) / C).  ECE, the Murphy
-    terms and the reliability bins share equal-width bins, weighted; the
-    bins list only occupied bins.  Unit weights stay integers until the
-    final divides, so AUC on 0/1 rows is exact.  The per-group and per-bin
-    sums fill rows of fixed length (k groups, ``bins`` bins) padded with
-    zeros, so a row of a batch goes through the arithmetic of that row
-    alone.
+    terms and the reliability bins share ``CALIBRATION_BINS`` equal-width
+    bins, weighted; the reliability bins list only occupied bins.  Unit
+    weights stay integers until the final divides, so AUC on 0/1 rows is
+    exact.  The per-group and per-bin sums fill rows of fixed length (k
+    groups, ``CALIBRATION_BINS`` bins) padded with zeros, so a row of a
+    batch goes through the arithmetic of that row alone.
     """
     p = np.ascontiguousarray(np.atleast_2d(predictions))
     pos = np.ascontiguousarray(np.broadcast_to(pos, p.shape))
@@ -367,6 +376,7 @@ def _weighted_report(predictions, pos, neg, bins: int, index_ties: bool):
     ap = np.where(total_pos > 0, ap, np.nan)
 
     rows, k = p.shape
+    bins = CALIBRATION_BINS
     bin_idx = np.minimum((p * bins).astype(int), bins - 1)
     flat = (bin_idx + bins * np.arange(rows)[:, None]).ravel()
 
@@ -397,28 +407,26 @@ def _weighted_report(predictions, pos, neg, bins: int, index_ties: bool):
     return reports if np.ndim(predictions) == 2 else reports[0]
 
 
-def _check_predictions(predictions: np.ndarray, bins: int) -> None:
-    if bins < 1:
-        raise ValueError("need bins >= 1")
+def _check_predictions(predictions: np.ndarray) -> None:
     # written so that NaN fails it too
     if not np.all((predictions >= 0) & (predictions <= 1)):
         raise ValueError("predictions must lie in [0,1]")
 
 
-def score_metrics(predictions, labels, bins: int = 10) -> MetricReport:
+def score_metrics(predictions, labels) -> MetricReport:
     """Brier, floored log-loss, AUC, AP, ECE, and the Brier decomposition of
     a sample of 0/1 labels.  AP ranks tied predictions in index order."""
     predictions = np.asarray(predictions, dtype=float)
     labels = np.asarray(labels, dtype=float)
     if predictions.shape != labels.shape or predictions.size == 0:
         raise ValueError("predictions and labels must be equal-length and nonempty")
-    _check_predictions(predictions, bins)
+    _check_predictions(predictions)
     if not np.all((labels == 0) | (labels == 1)):
         raise ValueError("labels must be 0 or 1")
-    return _weighted_report(predictions, labels, 1.0 - labels, bins, index_ties=True)
+    return _weighted_report(predictions, labels, 1.0 - labels, index_ties=True)
 
 
-def population_metrics(predictions, truth, mass, bins: int = 10):
+def population_metrics(predictions, truth, mass):
     """The population limit of ``score_metrics``: every score of a forecast
     that is constant on cells of the unit square, against labels drawn
     Bernoulli(truth) on a dyad whose latent pair falls in a cell with
@@ -435,14 +443,13 @@ def population_metrics(predictions, truth, mass, bins: int = 10):
     if (predictions.ndim not in (1, 2) or not (predictions.shape[-1:] == truth.shape
                                                 == mass.shape) or predictions.size == 0):
         raise ValueError("predictions, truth and mass must be equal-length and nonempty")
-    _check_predictions(predictions, bins)
+    _check_predictions(predictions)
     # written so that NaN fails them too
     if not np.all((truth >= 0) & (truth <= 1)):
         raise ValueError("truth must lie in [0,1]")
     if not (np.all(mass >= 0) and abs(mass.sum() - 1.0) <= 1e-9):
         raise ValueError("cell masses must be nonnegative and sum to 1")
-    return _weighted_report(predictions, mass * truth, mass * (1.0 - truth), bins,
-                            index_ties=False)
+    return _weighted_report(predictions, mass * truth, mass * (1.0 - truth), index_ties=False)
 
 
 # ---------------------------------------------------------------------------
@@ -478,15 +485,15 @@ class PairedGapReport:
         return {"units": list(self.units), "rows": self.to_rows()}
 
 
-def paired_gaps(scores_a: dict, scores_b: dict,
-                metrics=("logloss", "brier", "auc", "ap")) -> PairedGapReport:
-    """Paired per-split gaps between two methods on identical split keys."""
+def paired_gaps(scores_a: dict, scores_b: dict) -> PairedGapReport:
+    """Paired per-split gaps in each of ``GAP_METRICS`` between two methods
+    on identical split keys."""
     keys_a, keys_b = set(scores_a), set(scores_b)
     if keys_a != keys_b:
         raise ValueError(f"mismatched split keys: {sorted(keys_a ^ keys_b)}")
     units = tuple(sorted(scores_a))
     summaries = {}
-    for metric in metrics:
+    for metric in GAP_METRICS:
         gaps = np.array([getattr(scores_a[k], metric) - getattr(scores_b[k], metric)
                          for k in units], dtype=float)
         mean = float(gaps.mean())

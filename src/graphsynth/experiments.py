@@ -670,8 +670,7 @@ def _run_s2(config: ExperimentConfig, seeds: dict) -> dict:
     w_star, parts = default_generator()
     # every n's replicates fit in one batch, each with its own m_train
     scored = _score_units(config, cell_design(w_star, parts), seeds,
-                          [config.dyads_per_n * n for n, _ in seeds],
-                          max(config.m_val, len(parts) + 2))
+                          [config.dyads_per_n * n for n, _ in seeds], config.m_val)
     per_n = {n: {m: [] for m in METHODS} for n in config.n_grid}
     for i, (n, _) in enumerate(seeds):
         for method in METHODS:

@@ -175,14 +175,11 @@ class ProductWeight(Graphon):
 
 @dataclass(frozen=True, eq=False)
 class LinearCombo(Graphon):
-    """beta0 + sum_j beta_j * parts[j]; optionally clipped into [0,1].
-
-    Unclipped combinations may leave [0,1].
-    """
+    """beta0 + sum_j beta_j * parts[j], unclipped: a combination may leave
+    [0,1]."""
 
     beta: np.ndarray
     parts: tuple
-    clipped: bool = False
 
     def __post_init__(self):
         set_readonly(self, beta=self.beta)
@@ -196,9 +193,7 @@ class LinearCombo(Graphon):
         mat = np.full((bounds.size - 1,) * 2, self.beta[0])
         for b_j, m in zip(self.beta[1:], mats):
             mat += b_j * m
-        if self.clipped:
-            mat = np.clip(mat, 0.0, 1.0)
-        # bypass Block's [0,1] validation for unclipped combinations
+        # bypass Block's [0,1] validation, which a combination may fail
         blk = object.__new__(Block)
         set_readonly(blk, boundaries=bounds, matrix=mat)
         return blk

@@ -246,15 +246,14 @@ def fit_simplex(data: DyadData) -> WeightVector:
                           kkt_residual=np.sqrt(np.vecdot(gap, gap)))
 
 
-def predict_clipped(weights: WeightVector | np.ndarray, features: np.ndarray) -> np.ndarray:
+def predict_clipped(weights: WeightVector, features: np.ndarray) -> np.ndarray:
     """Clipped linear prediction: (beta . F) clamped into [0,1].  A batch of
     R weight vectors predicts (R, ...) values."""
-    beta = weights.beta if isinstance(weights, WeightVector) else np.asarray(weights, dtype=float)
     features = np.asarray(features, dtype=float)
     lead = features[..., 0]
     if not np.all(lead == 1.0):
         raise ValueError("feature vectors must lead with the constant 1")
-    return np.clip((features @ beta[..., None])[..., 0], 0.0, 1.0)
+    return np.clip((features @ weights.beta[..., None])[..., 0], 0.0, 1.0)
 
 
 def population_projection(w_star: Graphon, agents) -> WeightVector:
@@ -272,9 +271,10 @@ def population_projection(w_star: Graphon, agents) -> WeightVector:
 
 
 def l2_risk(beta, beta_star, gram) -> float:
-    """Quadratic-form L2 risk (beta - beta*)' G (beta - beta*)."""
-    beta = beta.beta if isinstance(beta, WeightVector) else np.asarray(beta, dtype=float)
-    beta_star = beta_star.beta if isinstance(beta_star, WeightVector) else np.asarray(beta_star, dtype=float)
+    """Quadratic-form L2 risk (beta - beta*)' G (beta - beta*) of coefficient
+    arrays."""
+    beta = np.asarray(beta, dtype=float)
+    beta_star = np.asarray(beta_star, dtype=float)
     gram = np.asarray(gram, dtype=float)
     if beta.shape != beta_star.shape or gram.shape != (beta.size, beta.size):
         raise ValueError("risk inputs have mismatched dimensions")

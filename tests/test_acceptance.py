@@ -313,7 +313,7 @@ def test_acceptance_09_metric_oracles():
     for _ in range(10):
         preds = rng.random(300)
         labels = (rng.random(300) < preds).astype(float)
-        rep = score_metrics(preds, labels, bins=10)
+        rep = score_metrics(preds, labels)
         bin_idx = np.minimum((preds * 10).astype(int), 9)
         binned = preds.copy()
         for b in np.unique(bin_idx):

@@ -12,11 +12,12 @@ from scipy.special import expit, logit
 from graphsynth import (ER, RDPG, SBM, AgentError, Block, ChungLu, Constant,
                         DegreePmf, ErgmSpec, GraphEnumeration, GraphPmf,
                         InfeasibleTarget, LinearCombo, StepMap, WeightVector,
-                        calibrate_moment, edge_prob_matrix, edge_tilt_weights,
-                        er_as_ergm, ergm_stack_tilt, exact_enumeration_pmf,
+                        calibrate_moment, edge_prob_matrix, er_as_ergm, ergm_stack_tilt, exact_enumeration_pmf,
                         mixture_pmf, stat_tilt_weights, statistic_matrix,
                         tilt_er, tilt_rdpg, tilt_sbm)
 from graphsynth.agents import DYAD_BLOCK_ROWS, logit_shift
+
+EDGES = [("edges",)]
 
 
 # ---------------------------------------------------------------------------
@@ -178,16 +179,13 @@ def test_unclipped_combo_block_is_read_only():
 def test_enumeration_counts_against_brute_force():
     enum = GraphEnumeration.get(4)
     tri = enum.triangle_counts()
-    wedge = enum.wedge_counts()
     for mask in np.random.default_rng(1).integers(0, enum.n_graphs, size=50):
         adj = np.zeros((4, 4), dtype=int)
         for k, (i, j) in enumerate(enum.pairs):
             adj[i, j] = adj[j, i] = (mask >> k) & 1
         t = sum(adj[i, j] * adj[j, k] * adj[i, k]
                 for i, j, k in itertools.combinations(range(4), 3))
-        w = sum(math.comb(int(adj[i].sum()), 2) for i in range(4))
         assert tri[mask] == t
-        assert wedge[mask] == w
 
 
 def test_exact_pmf_er_triangle_probability():
@@ -211,6 +209,15 @@ def test_er_as_ergm_matches_independent_edges():
     a = exact_enumeration_pmf(ER(p), n=4)
     b = exact_enumeration_pmf(er_as_ergm(p, 4))
     assert tv_distance(a, b) < 1e-12
+
+
+@pytest.mark.parametrize("stat", [("wedges",), ("kstar", 2)])
+def test_ergm_spec_rejects_other_statistics(stat):
+    # an ErgmSpec stacks edge and triangle counts only
+    with pytest.raises(AgentError, match=stat[0]):
+        ErgmSpec([stat], [0.1], 4)
+    with pytest.raises(AgentError, match=stat[0]):
+        statistic_matrix(GraphEnumeration.get(4), [("edges",), stat])
 
 
 def test_enumeration_rejects_large_n():
@@ -250,7 +257,7 @@ def test_ergm_closure_tilt_equals_shifted_theta():
 def test_er_edge_tilt_matches_tilt_er_via_enumeration():
     p, lam, n = 0.3, 0.8, 4
     base = exact_enumeration_pmf(ER(p), n=n)
-    weights = edge_tilt_weights(n, lam)
+    weights = stat_tilt_weights(n, EDGES, [lam])
     tilted = base.probs * weights
     tilted = GraphPmf(n, tilted / tilted.sum())
     direct = exact_enumeration_pmf(ER(tilt_er(p, lam)), n=n)
@@ -262,7 +269,7 @@ def test_sbm_and_rdpg_tilt_enumeration_equivalence():
     sbm = SBM([0, 0, 1, 1], [[0.6, 0.2], [0.2, 0.5]])
     lam = 0.7
     base = exact_enumeration_pmf(sbm)
-    tilted = base.probs * edge_tilt_weights(n, lam)
+    tilted = base.probs * stat_tilt_weights(n, EDGES, [lam])
     tilted = GraphPmf(n, tilted / tilted.sum())
     direct = exact_enumeration_pmf(
         SBM(sbm.assignment, tilt_sbm(sbm.matrix, np.full((2, 2), lam))))
@@ -270,7 +277,7 @@ def test_sbm_and_rdpg_tilt_enumeration_equivalence():
 
     rdpg = RDPG(np.random.default_rng(3).normal(size=(n, 2)), intercept=-0.2)
     base = exact_enumeration_pmf(rdpg)
-    tilted = base.probs * edge_tilt_weights(n, lam)
+    tilted = base.probs * stat_tilt_weights(n, EDGES, [lam])
     tilted = GraphPmf(n, tilted / tilted.sum())
     direct = exact_enumeration_pmf(tilt_rdpg(rdpg, lam))
     assert tv_distance(tilted, direct) <= 1e-10
@@ -299,7 +306,7 @@ def test_mixture_tilt_reweights_prior():
     # tilting one component upweights it by its normalizer a_j
     a = exact_enumeration_pmf(ER(0.2), n=3)
     b = exact_enumeration_pmf(ER(0.7), n=3)
-    alpha = edge_tilt_weights(3, 1.0)
+    alpha = stat_tilt_weights(3, EDGES, [1.0])
     _, pi = mixture_pmf([a, b], [alpha, None], [0.5, 0.5])
     a_norm = float(alpha @ a.probs)
     expected = np.array([0.5 * a_norm, 0.5])
@@ -322,7 +329,7 @@ def test_mixture_exchangeable_under_all_permutations():
     a = exact_enumeration_pmf(ER(0.3), n=n)
     b = exact_enumeration_pmf(ErgmSpec([("edges",), ("triangles",)],
                                        [-0.2, 0.4], n))
-    mixed, _ = mixture_pmf([a, b], [edge_tilt_weights(n, 0.5), None], [0.6, 0.4])
+    mixed, _ = mixture_pmf([a, b], [stat_tilt_weights(n, EDGES, [0.5]), None], [0.6, 0.4])
     # invariance up to summation-order ulps in the enumeration dot products
     for perm in itertools.permutations(range(n)):
         np.testing.assert_allclose(permute_pmf(enum, mixed.probs, perm), mixed.probs,

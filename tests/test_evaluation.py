@@ -21,8 +21,9 @@ import graphsynth
 from graphsynth import (Block, SplitError, audit_split, cv_best_agent, evaluation,
                         fit_logistic_stack, make_split, paired_gaps,
                         sample_graph, sample_sparse_graph, score_metrics)
-from graphsynth.evaluation import (STACK_RIDGE, _descending_ties, _sample_negatives,
-                                   population_metrics)
+from graphsynth.evaluation import (CALIBRATION_BINS, GAP_METRICS, STACK_RIDGE,
+                                   UNIFORM_DYADS_PER_EDGE, _descending_ties,
+                                   _sample_negatives, population_metrics)
 from graphsynth.sampling import graph_from_edge_array
 
 SPARSE_BLOCK = Block([0, 0.5, 1], [[0.08, 0.02], [0.02, 0.08]])
@@ -82,8 +83,8 @@ def test_murphy_binned_identity_random():
         m = int(rng.integers(50, 500))
         preds = rng.random(m)
         labels = (rng.random(m) < preds).astype(float)
-        bins = 10
-        r = score_metrics(preds, labels, bins=bins)
+        r = score_metrics(preds, labels)
+        bins = CALIBRATION_BINS
         bin_idx = np.minimum((preds * bins).astype(int), bins - 1)
         binned = preds.copy()
         for b in np.unique(bin_idx):
@@ -405,15 +406,20 @@ def test_node_holdout_removes_incident_dyads():
 
 
 def test_uniform_dyads_counts_and_rate():
-    g = sparse_graph(seed=21)
-    m = 4000
-    spec = make_split(g, "uniform_dyads", seed=5, m_uniform=m)
-    total = spec.train_labels.size + spec.val_labels.size + spec.test_labels.size
-    assert total == m
-    density = g.n_edges / (g.n * (g.n - 1) / 2)
-    rate = (spec.train_labels.sum() + spec.val_labels.sum()
-            + spec.test_labels.sum()) / m
-    assert abs(rate - density) <= 4 * np.sqrt(density / m)
+    # UNIFORM_DYADS_PER_EDGE dyads per edge, or every pair of a denser graph
+    sparser = Block([0, 0.5, 1], [[0.02, 0.005], [0.005, 0.02]])
+    dense = Block([0, 1], [[0.3]])
+    for g in (sample_graph(sparser, 300, seed=21), sample_graph(dense, 60, seed=4)):
+        pairs = g.n * (g.n - 1) // 2
+        m = min(pairs, UNIFORM_DYADS_PER_EDGE * g.n_edges)
+        spec = make_split(g, "uniform_dyads", seed=5)
+        total = spec.train_labels.size + spec.val_labels.size + spec.test_labels.size
+        assert total == m
+        density = g.n_edges / pairs
+        rate = (spec.train_labels.sum() + spec.val_labels.sum()
+                + spec.test_labels.sum()) / m
+        assert abs(rate - density) <= 4 * np.sqrt(density / m)
+    assert UNIFORM_DYADS_PER_EDGE * g.n_edges > pairs == m
 
 
 def test_audit_split_catches_tampering():
@@ -471,7 +477,7 @@ def small_graphs(draw):
        negpos_ratio=st.sampled_from([1.0, 2.0, 3.0]), seed=st.integers(0, 2 ** 32 - 1))
 def test_make_split_hygiene_against_set_oracle(g, regime, negpos_ratio, seed):
     try:
-        spec = make_split(g, regime, seed=seed, negpos_ratio=negpos_ratio, node_frac=0.25)
+        spec = make_split(g, regime, seed=seed, negpos_ratio=negpos_ratio)
     except SplitError as exc:
         assert any(reason in str(exc) for reason in SPLIT_REFUSALS), str(exc)
         assume(False)
@@ -536,25 +542,29 @@ def test_sample_negatives_properties(n, density, seed, subset, data):
 # ---------------------------------------------------------------------------
 
 def _score_maps(gap_values):
-    a = {f"s{i}": SimpleNamespace(brier=0.3 + gv) for i, gv in enumerate(gap_values)}
-    b = {f"s{i}": SimpleNamespace(brier=0.3) for i in range(len(gap_values))}
+    """Scores whose Brier gaps are ``gap_values``; the other metrics tie."""
+    a = {f"s{i}": SimpleNamespace(**{**dict.fromkeys(GAP_METRICS, 0.3), "brier": 0.3 + gv})
+         for i, gv in enumerate(gap_values)}
+    b = {f"s{i}": SimpleNamespace(**dict.fromkeys(GAP_METRICS, 0.3))
+         for i in range(len(gap_values))}
     return a, b
 
 
 def test_paired_gaps_hand_oracle():
     a, b = _score_maps([0.1, 0.1, -0.1, 0.1, 0.1])
-    report = paired_gaps(a, b, metrics=("brier",))
+    report = paired_gaps(a, b)
     s = report.summaries["brier"]
     assert s.mean == pytest.approx(0.06, abs=1e-12)
     sd = np.std([0.1, 0.1, -0.1, 0.1, 0.1], ddof=1)
     assert s.se == pytest.approx(sd / np.sqrt(5), abs=1e-12)
     assert s.ci_low == pytest.approx(s.mean - 1.96 * s.se, abs=1e-12)
     assert s.win_rate == pytest.approx(0.8)
+    assert all(report.summaries[k].mean == 0.0 for k in GAP_METRICS if k != "brier")
 
 
 def test_paired_gaps_identical_methods():
     a, b = _score_maps([0.0, 0.0, 0.0])
-    report = paired_gaps(a, b, metrics=("brier",))
+    report = paired_gaps(a, b)
     s = report.summaries["brier"]
     assert s.mean == 0.0 and s.se == 0.0 and s.win_rate == 0.0  # ties lose
 
@@ -571,8 +581,7 @@ def test_paired_gaps_report_shape_and_key_check():
     assert len(rows) == 4
     assert all(row["n_units"] == 15 for row in rows)
     with pytest.raises(ValueError, match="mismatched"):
-        paired_gaps({"a": SimpleNamespace(brier=0.1)},
-                    {"b": SimpleNamespace(brier=0.1)}, metrics=("brier",))
+        paired_gaps({"a": SimpleNamespace(brier=0.1)}, {"b": SimpleNamespace(brier=0.1)})
 
 
 # ---------------------------------------------------------------------------

@@ -34,10 +34,8 @@ def test_constant_evaluates_everywhere():
     assert np.all(w.evaluate(np.linspace(0, 1, 7), np.linspace(0, 1, 7)) == 0.3)
 
 
-def test_clipped_combo_clips_at_zero():
-    w = LinearCombo([-0.2], [], clipped=True)
-    assert w.evaluate(0.4, 0.6) == 0.0
-    # unclipped, a combination may leave [0,1]
+def test_combo_may_leave_unit_interval():
+    assert LinearCombo([-0.2], []).evaluate(0.4, 0.6) == pytest.approx(-0.2)
     assert LinearCombo([0.9, 0.5], [Constant(0.8)]).evaluate(0.5, 0.5) == pytest.approx(1.3)
 
 
@@ -57,7 +55,7 @@ def test_symmetry_all_kinds(x, y, seed):
         LogisticLowRank(uniform_step_map([(0.5, -0.2), (-0.4, 0.9), (1.0, 0.3)]), -0.1),
         ProductWeight(uniform_step_map([0.9, 0.4, 1.7])),
     ]
-    kinds.append(LinearCombo([0.1, 0.3, 0.4], kinds[:2], clipped=True))
+    kinds.append(LinearCombo([0.1, 0.3, 0.4], kinds[:2]))
     for w in kinds:
         assert w.evaluate(x, y) == w.evaluate(y, x)
 
@@ -103,7 +101,7 @@ def reference_kernel(w, x, y):
     out = np.full(np.broadcast(np.asarray(x, dtype=float), y).shape, w.beta[0])
     for b_j, part in zip(w.beta[1:], w.parts):
         out = out + b_j * reference_kernel(part, x, y)
-    return np.clip(out, 0.0, 1.0) if w.clipped else out
+    return out
 
 
 def every_kind(rng):
@@ -117,7 +115,7 @@ def every_kind(rng):
         ProductWeight(uniform_step_map([0.8, 1.6, 0.1])),
     ]
     kinds.append(LinearCombo([0.05, 0.4, 0.6], kinds[2:4]))
-    kinds.append(LinearCombo([0.1, 0.2, 0.3, 0.25], kinds[1:6:2], clipped=True))
+    kinds.append(LinearCombo([0.1, 0.2, 0.3, 0.25], kinds[1:6:2]))
     kinds.append(LinearCombo(
         [0.0, 0.5, 0.5], [Block([0, 0.5, 1], [[0.2, 0.6], [0.6, 0.9]]),
                           Block([0, near, 1], [[0.1, 0.7], [0.7, 0.3]])]))
