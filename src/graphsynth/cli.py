@@ -12,10 +12,8 @@ import csv
 import os
 import sys
 
-import numpy as np
-
 from .evaluation import MetricReport, make_split, paired_gaps
-from .experiments import (SPLIT_REGIMES, ConfigError, ExperimentConfig,
+from .experiments import (EXPERIMENTS, SPLIT_REGIMES, ConfigError, ExperimentConfig,
                           StageFailure, load_edge_list, run_experiment)
 from .serialize import METRIC_CSV_HEADER, json_text, write_gap_report_csv
 
@@ -141,7 +139,7 @@ def _cmd_audit(args) -> int:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        if args.verb in ("s1", "s2", "s3", "s4", "real"):
+        if args.verb in EXPERIMENTS:
             return _cmd_run(args)
         if args.verb == "report":
             return _cmd_report(args)

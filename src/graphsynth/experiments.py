@@ -15,9 +15,11 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import sys
 import time
 import warnings
 from dataclasses import asdict, dataclass, field, fields, replace
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -59,28 +61,71 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-def _is_real(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+class _Rule(NamedTuple):
+    holds: Callable[[object], bool]
+    description: str
+    grid: bool = False
 
 
-def _is_str(value) -> bool:
-    return isinstance(value, str)
+def _int_at_least(lo: int) -> _Rule:
+    return _Rule(lambda v: _is_int(v) and v >= lo, f">= {lo} (an integer)")
 
 
-# What each config value, or each entry of a grid, must be.  A config file
-# can hold any JSON type: a wrong one would fail the range checks below with
-# a TypeError, or (a float count) run on a value no draw can use.
-_VALUE_TYPES = {
-    **dict.fromkeys(("base_seed", "replicates", "sbm_k", "rdpg_d", "deghist_bins",
-                     "m_train", "m_val", "dyads_per_n", "phase_n", "phase_reps",
-                     "tail_k_max", "splits_per_regime"), (_is_int, "an integer")),
-    **dict.fromkeys(("gamma_light", "gamma_heavy", "negpos_ratio", "ridge_reg"),
-                    (_is_real, "a number")),
-    **dict.fromkeys(("experiment", "out_dir"), (_is_str, "a string")),
-    "dataset": (lambda v: v is None or _is_str(v), "a string or null"),
+def _real(holds: Callable[[float], bool], bound: str) -> _Rule:
+    # finite: JSON's 1e400 and Infinity load as inf, which passes any lower
+    # bound, and an int past the float range has no float to compute with
+    return _Rule(lambda v: (isinstance(v, (int, float)) and not isinstance(v, bool)
+                            and -sys.float_info.max <= v <= sys.float_info.max and holds(v)),
+                 f"{bound} (a finite number)")
+
+
+def _one_of(choices: tuple, what: str) -> _Rule:
+    return _Rule(choices.__contains__, f"one of {', '.join(choices)} ({what})")
+
+
+def _grid(entry: _Rule) -> _Rule:
+    # grid values key the run's seeded units, so they must be distinct, and
+    # an empty grid would run no unit and write NaN summaries
+    return _Rule(lambda v: (isinstance(v, tuple) and len(v) > 0 and all(map(entry.holds, v))
+                            and len(set(v)) == len(v)),
+                 f"a nonempty list without repeats, each {entry.description}", grid=True)
+
+
+# s4 fits the tail from k = TAIL_WINDOW[0] on, to TAIL_FIT_MIN_POINTS degrees at least
+_MIN_TAIL_K_MAX = TAIL_WINDOW[0] + TAIL_FIT_MIN_POINTS - 1
+
+# The rule of each ExperimentConfig field, in field order.  A config file can
+# hold any JSON value; a wrong type would crash a runner, and a value out of
+# range would fail only midway, after the run's data is drawn or parsed.
+_CONFIG_RULES = {
+    "experiment": _one_of(EXPERIMENTS, "an unknown experiment has no runner"),
+    # SeedSequence takes only non-negative entropy
+    "base_seed": _int_at_least(0),
+    "out_dir": _Rule(lambda v: isinstance(v, str), "a string"),
+    "replicates": _int_at_least(1),
+    "sbm_k": _int_at_least(1),
+    "rdpg_d": _int_at_least(1),
+    "deghist_bins": _int_at_least(1),
+    "m_train": _int_at_least(1),
+    "m_val": _int_at_least(1),
+    "n_grid": _grid(_int_at_least(1)),
+    "dyads_per_n": _int_at_least(1),
+    "lambda_grid": _grid(_real(lambda v: v > 0, "> 0")),
+    "phase_n": _int_at_least(2),
+    "phase_reps": _int_at_least(1),
+    "pi_grid": _grid(_real(lambda v: 0 <= v <= 1, "in [0, 1]")),
+    "gamma_light": _real(lambda v: v > 0, "> 0"),
+    "gamma_heavy": _real(lambda v: v > 0, "> 0"),
+    "tail_k_max": _Rule(lambda v: _is_int(v) and _MIN_TAIL_K_MAX <= v <= MAX_PMF_SUPPORT,
+                        f">= {_MIN_TAIL_K_MAX}, the smallest support the s4 tail fit can "
+                        f"use, and <= {MAX_PMF_SUPPORT}, the largest degree pmf support "
+                        "(an integer)"),
+    "dataset": _Rule(lambda v: v is None or isinstance(v, str), "a string or null"),
+    "regimes": _grid(_one_of(SPLIT_REGIMES, "a split regime")),
+    "splits_per_regime": _int_at_least(1),
+    "negpos_ratio": _real(lambda v: v >= 1, ">= 1"),
+    "ridge_reg": _real(lambda v: v >= 0, ">= 0"),
 }
-_GRID_TYPES = {"n_grid": (_is_int, "integers"), "lambda_grid": (_is_real, "numbers"),
-               "pi_grid": (_is_real, "numbers"), "regimes": (_is_str, "strings")}
 
 
 class StageFailure(RuntimeError):
@@ -130,61 +175,10 @@ class ExperimentConfig:
     ridge_reg: float = 1e-3
 
     def __post_init__(self):
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if f.name in _GRID_TYPES:
-                is_entry, kind = _GRID_TYPES[f.name]
-                if not (isinstance(value, tuple) and all(map(is_entry, value))):
-                    raise ConfigError(f"{f.name} must be a list of {kind}, not {value!r}")
-            else:
-                is_value, kind = _VALUE_TYPES[f.name]
-                if not is_value(value):
-                    raise ConfigError(f"{f.name} must be {kind}, not {value!r}")
-        if self.experiment not in EXPERIMENTS:
-            raise ConfigError(f"unknown experiment {self.experiment!r}; "
-                              f"choose from {EXPERIMENTS}")
-        for name in ("replicates", "sbm_k", "rdpg_d", "deghist_bins",
-                     "m_train", "m_val", "phase_reps",
-                     "splits_per_regime", "dyads_per_n"):
-            if getattr(self, name) < 1:
-                raise ConfigError(f"{name} must be >= 1")
-        for regime in self.regimes:
-            if regime not in SPLIT_REGIMES:
-                raise ConfigError(f"unknown split regime {regime!r}")
-        # grid values key the run's seeded units, so they must be distinct
-        for name in ("n_grid", "lambda_grid", "pi_grid", "regimes"):
-            values = getattr(self, name)
-            if len(values) == 0 or len(set(values)) != len(values):
-                raise ConfigError(f"{name} must be nonempty and without repeats")
-        if not self.ridge_reg >= 0:
-            raise ConfigError("ridge_reg must be >= 0")
-        # SeedSequence takes only non-negative entropy
-        if self.base_seed < 0:
-            raise ConfigError("base_seed must be >= 0")
-        # values the runners would reject only mid-run, after their data is
-        # drawn or parsed
-        if self.phase_n < 2:
-            raise ConfigError("phase_n must be >= 2")
-        if not all(n >= 1 for n in self.n_grid):
-            raise ConfigError("n_grid values must be >= 1")
-        if not all(lam > 0 for lam in self.lambda_grid):
-            raise ConfigError("lambda_grid values must be > 0")
-        if not all(0 <= pi <= 1 for pi in self.pi_grid):
-            raise ConfigError("pi_grid values must lie in [0, 1]")
-        for name in ("gamma_light", "gamma_heavy"):
-            if not getattr(self, name) > 0:
-                raise ConfigError(f"{name} must be > 0")
-        if not self.negpos_ratio >= 1:
-            raise ConfigError("negpos_ratio must be >= 1")
-        # s4 fits the tail from k = TAIL_WINDOW[0] on, to at least
-        # TAIL_FIT_MIN_POINTS degrees of the support
-        min_k_max = TAIL_WINDOW[0] + TAIL_FIT_MIN_POINTS - 1
-        if self.tail_k_max < min_k_max:
-            raise ConfigError(f"tail_k_max must be >= {min_k_max}, the smallest support "
-                              "the s4 tail fit can use")
-        if self.tail_k_max > MAX_PMF_SUPPORT:
-            raise ConfigError(f"tail_k_max must be <= {MAX_PMF_SUPPORT}, the largest "
-                              "degree pmf support")
+        for name, rule in _CONFIG_RULES.items():
+            value = getattr(self, name)
+            if not rule.holds(value):
+                raise ConfigError(f"{name} must be {rule.description}, not {value!r}")
         # s4 fits the tail of (1 - pi) light + pi heavy at each pi, and a
         # ccdf that is 0 inside the window has no logarithm there.  A power
         # law's ccdf at the window's top is 0 exactly when its pmf there,
@@ -204,18 +198,19 @@ class ExperimentConfig:
 
     @staticmethod
     def from_dict(d: dict) -> "ExperimentConfig":
+        if not isinstance(d, dict):
+            raise ConfigError(f"a config must be a JSON object, not {type(d).__name__}")
         for key in RETIRED_KEYS:
             if key in d:
                 warnings.warn(f"config key {key!r} is retired and ignored", stacklevel=2)
         d = {k: v for k, v in d.items() if k not in RETIRED_KEYS}
-        known = {f.name for f in fields(ExperimentConfig)}
-        unknown = set(d) - known
+        unknown = set(d) - _CONFIG_RULES.keys()
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
         if "experiment" not in d:
             raise ConfigError("config must name an experiment")
-        for key in _GRID_TYPES:
-            if isinstance(d.get(key), list):
+        for key, rule in _CONFIG_RULES.items():
+            if rule.grid and isinstance(d.get(key), list):
                 d[key] = tuple(d[key])
         return ExperimentConfig(**d)
 
@@ -286,6 +281,8 @@ def load_edge_list(path: str):
                 u, v = int(parts[0]), int(parts[1])
             except ValueError as exc:
                 raise ValueError(f"{path}:{lineno}: non-integer node id") from exc
+            if not (-2**63 <= u < 2**63 and -2**63 <= v < 2**63):
+                raise ValueError(f"{path}:{lineno}: node id outside the int64 range")
             raw.append((u, v))
     if not raw:
         raise ValueError(f"{path}: no edges found")
@@ -310,7 +307,10 @@ def fit_agents_to_graph(g: GraphSample, config: ExperimentConfig, seed=0):
 
     ER: empirical density.  ChungLu: theta_i = d_i / sqrt(2 * edges).
     DegHist: an SBM on degree-decile node bins with empirical bin-pair
-    rates, clipped into [1e-6, 1 - 1e-6].
+    rates, clipped into [1e-6, 1 - 1e-6].  Equal cut points merge: when
+    every one equals the smallest degree, as when a uniform_dyads split's
+    ~100 train edges leave almost every node isolated, all nodes share one
+    bin and DegHist is ER.
     SBM: spectral clustering of the normalized adjacency of the largest
     connected component (from ``component_labels``, numpy), by its top-K
     eigenvectors from ARPACK, rows normalized, then ``_kmeans``: k-means++
@@ -337,7 +337,6 @@ def fit_agents_to_graph(g: GraphSample, config: ExperimentConfig, seed=0):
     er = ag.ER(_clip_rate(g.n_edges / total_pairs))
     chung_lu = ag.ChungLu(deg / np.sqrt(2.0 * g.n_edges))
 
-    # degree-decile bins (duplicate quantiles collapse for skewed degrees)
     k_bins = config.deghist_bins
     edges_q = np.unique(np.quantile(deg, np.linspace(0, 1, k_bins + 1)[1:-1]))
     node_bins = np.searchsorted(edges_q, deg, side="right")

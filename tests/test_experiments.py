@@ -71,6 +71,14 @@ def test_config_rejects_degenerate_values(keys):
         ExperimentConfig.from_dict({"experiment": "real", **keys})
 
 
+def test_config_rules_name_every_field_once():
+    # one rule per key: a field without a rule would load unchecked
+    fields = [f.name for f in dataclasses.fields(ExperimentConfig)]
+    assert list(experiments._CONFIG_RULES) == fields
+    assert [k for k, rule in experiments._CONFIG_RULES.items() if rule.grid] == [
+        "n_grid", "lambda_grid", "pi_grid", "regimes"]
+
+
 def test_config_round_trip_and_hash():
     cfg = ExperimentConfig.from_dict({"experiment": "s2", "replicates": 3,
                                       "n_grid": [100, 200]})
@@ -142,6 +150,16 @@ def test_edge_list_round_trip(tmp_path):
     back, ids = load_edge_list(str(path))
     assert back.n_edges == g.n_edges
     np.testing.assert_array_equal(back.edges, g.edges)
+
+
+def test_load_edge_list_rejects_an_id_beyond_int64(tmp_path, capsys):
+    # used to raise OverflowError out of np.asarray: a traceback, exit 1
+    path = tmp_path / "big.txt"
+    path.write_text("1 2\n3 100000000000000000000\n")
+    with pytest.raises(ValueError, match=":2: node id outside the int64 range"):
+        load_edge_list(str(path))
+    assert cli_main(["audit", str(path)]) == 2
+    assert capsys.readouterr().err.startswith(f"[audit] {path}:2: node id outside")
 
 
 # ---------------------------------------------------------------------------
@@ -1168,6 +1186,86 @@ def test_cli_rejects_an_out_of_range_config_value(tmp_path, capsys, verb, keys):
     assert cli_main([verb, "--config", str(cfg_path), "--out", str(tmp_path)]) == 2
     assert capsys.readouterr().err.startswith(f"[{verb}] {key} must be >= ")
     assert not (tmp_path / verb).exists()
+
+
+# (verb, key, a wrong-typed value, an out-of-range value); out_dir and
+# dataset take any string, so they have no out-of-range value
+CONFIG_KEY_CASES = [
+    ("s1", "experiment", 1, "s9"),
+    ("s1", "base_seed", "7", -1),
+    ("s1", "out_dir", 3, None),
+    ("s1", "replicates", 2.0, 0),
+    ("real", "sbm_k", "5", 0),
+    ("real", "rdpg_d", True, 0),
+    ("real", "deghist_bins", 10.5, 0),
+    ("s1", "m_train", [4000], 0),
+    ("s1", "m_val", None, 0),
+    ("s2", "n_grid", [200, "400"], [200, 0]),
+    ("s2", "dyads_per_n", 3.0, 0),
+    ("s3", "lambda_grid", [0.5, True], [0.5, 0]),
+    ("s3", "phase_n", "1000", 1),
+    ("s3", "phase_reps", 2.5, 0),
+    ("s4", "pi_grid", [0.1, "0.2"], [0.1, -0.1]),
+    ("s4", "gamma_light", "13.7", 0),
+    ("s4", "gamma_heavy", [5.0], -5.0),
+    ("s4", "tail_k_max", 2e4, 1_000_001),
+    ("real", "dataset", 7, None),
+    ("real", "regimes", "edge_holdout", ["edge_holdout", "any"]),
+    ("real", "splits_per_regime", 1.0, 0),
+    ("real", "negpos_ratio", "3", 0.5),
+    ("real", "ridge_reg", {"l2": 1e-3}, -1e-3),
+]
+
+
+def test_config_key_cases_name_every_key():
+    assert [key for _, key, _, _ in CONFIG_KEY_CASES] == [
+        f.name for f in dataclasses.fields(ExperimentConfig)]
+
+
+@pytest.mark.parametrize("verb, key, value", [
+    pytest.param(verb, key, value, id=f"{key}-{kind}")
+    for verb, key, *values in CONFIG_KEY_CASES
+    for kind, value in zip(("type", "range"), values) if value is not None])
+def test_cli_rejects_each_config_key(tmp_path, capsys, verb, key, value):
+    cfg_path = tmp_path / "c.json"
+    cfg_path.write_text(json.dumps({"experiment": verb, key: value}))
+    # checked at load first, so a value the rules miss never starts a run
+    with pytest.raises(ConfigError, match=f"^{key} must be "):
+        ExperimentConfig.from_file(str(cfg_path))
+    assert cli_main([verb, "--config", str(cfg_path), "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err.startswith(f"[{verb}] {key} must be ")
+    assert not (tmp_path / verb).exists()
+
+
+@pytest.mark.parametrize("verb, entry", [
+    ("s3", '"lambda_grid": [1e400]'), ("s3", '"lambda_grid": [0.5, Infinity]'),
+    ("s4", '"pi_grid": [0.1, NaN]'), ("s4", '"gamma_light": Infinity'),
+    ("s4", '"gamma_heavy": 1' + "0" * 400), ("real", '"negpos_ratio": 1e400'),
+    ("real", '"ridge_reg": Infinity')],
+    ids=["lambda_1e400", "lambda_inf", "pi_nan", "gamma_light_inf",
+         "gamma_heavy_int_past_float", "negpos_ratio_1e400", "ridge_reg_inf"])
+def test_cli_rejects_a_non_finite_config_number(tmp_path, capsys, verb, entry):
+    # JSON's 1e400 and Infinity load as inf: an infinite lambda passed its
+    # > 0 check and made every pair an edge, until the run ran out of memory
+    key = entry.split('"')[1]
+    cfg_path = tmp_path / "c.json"
+    cfg_path.write_text(f'{{"experiment": "{verb}", {entry}}}')
+    with pytest.raises(ConfigError, match=f"^{key} must be .*a finite number"):
+        ExperimentConfig.from_file(str(cfg_path))
+    assert cli_main([verb, "--config", str(cfg_path), "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err.startswith(f"[{verb}] {key} must be ")
+    assert not (tmp_path / verb).exists()
+
+
+@pytest.mark.parametrize("text", ["[1, 2]", '"s1"', "null"], ids=["array", "string", "null"])
+def test_cli_rejects_a_config_that_is_not_an_object(tmp_path, capsys, text):
+    # each used to crash from_dict with an AttributeError or TypeError
+    # traceback, exit 1
+    cfg_path = tmp_path / "c.json"
+    cfg_path.write_text(text)
+    assert cli_main(["s1", "--config", str(cfg_path), "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err.startswith("[s1] a config must be a JSON object, not ")
+    assert not (tmp_path / "s1").exists()
 
 
 def test_s4_runs_on_the_smallest_tail_support(tmp_path):

@@ -1,7 +1,8 @@
 """Every public name of ``graphsynth`` has a reader: code that runs.
 
-The public names are the package's exports and the public methods and
-properties of its exported classes (``Class.method``).  A reader is an
+The public names are the public module-level functions and classes of the
+package's modules, exported by ``__init__`` or not, and the public methods
+and properties of those classes (``Class.method``).  A reader is an
 ``ast.Name`` or ``ast.Attribute`` load of the name, or an import alias of
 it, in the package's modules outside the name's own definition, in the
 demos or in the acceptance suite.  Docstrings, comments and annotations do
@@ -14,14 +15,14 @@ attribute load of its name, whatever the object.
 ``perfbench/``, each with its reason.  Both can only shrink: a listed name
 that gains a reader fails here until it is taken off its list.
 
-The same holds one level down, for the parameters of exported functions
-and public methods: every parameter with a default is passed by some call
-in those readers, or it is an option nothing sets.  A call passes a
-parameter by naming it as a keyword or by giving enough positional
-arguments to reach it; a ``*args`` or ``**kwargs`` argument passes every
-parameter it could reach.  Calls match on the callee's name, as methods
-do above.  ``UNPASSED`` lists the parameters known to be passed only by
-unit tests, and can only shrink.
+The same holds one level down, for the parameters of public functions and
+methods: every parameter with a default is passed by some call in those
+readers, or it is an option nothing sets.  A call passes a parameter by
+naming it as a keyword or by giving enough positional arguments to reach
+it; a ``*args`` or ``**kwargs`` argument passes every parameter it could
+reach.  Calls match on the callee's name, or on the name it aliases in an
+import, as methods do above.  ``UNPASSED`` lists the parameters known to
+be passed only by unit tests, and can only shrink.
 """
 
 import ast
@@ -60,18 +61,19 @@ def exported_names() -> list[str]:
 
 def definitions() -> dict:
     """Public name -> (file, its definition's ``ast`` node)."""
-    exports = set(exported_names())
     found = {}
     for path in MODULES:
         for node in ast.parse(path.read_text()).body:
-            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or node.name not in exports:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or node.name.startswith("_"):
                 continue
+            assert node.name not in found, f"{node.name} is defined in two modules"
             found[node.name] = (path, node)
             if isinstance(node, ast.ClassDef):
                 for item in node.body:
                     if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"):
                         found[f"{node.name}.{item.name}"] = (path, item)
-    assert exports <= found.keys(), "exports defined outside the package's modules"
+    assert set(exported_names()) <= found.keys(), \
+        "exports defined outside the package's modules"
     return found
 
 
@@ -156,17 +158,22 @@ def defaulted_parameters(node: ast.FunctionDef, is_method: bool) -> dict:
 
 
 def unpassed_parameters() -> set:
-    """``name.parameter`` of every defaulted parameter of an exported
-    function or public method that no call in the readers passes."""
+    """``name.parameter`` of every defaulted parameter of a public
+    function or method that no call in the readers passes."""
     defs = definitions()
     params = {key: defaulted_parameters(node, "." in key) for key, (_, node) in defs.items()
               if isinstance(node, ast.FunctionDef) and key not in UNREAD}
     passed = {key: set() for key in params}
     for path in READERS:
-        for call in ast.walk(ast.parse(path.read_text())):
+        tree = ast.parse(path.read_text())
+        # a call through an import alias calls the imported name
+        aliases = {alias.asname: alias.name for node in ast.walk(tree)
+                   if isinstance(node, ast.ImportFrom) for alias in node.names if alias.asname}
+        for call in ast.walk(tree):
             if not isinstance(call, ast.Call):
                 continue
             callee = getattr(call.func, "id", None) or getattr(call.func, "attr", None)
+            callee = aliases.get(callee, callee)
             starred = any(isinstance(a, ast.Starred) for a in call.args)
             names = {kw.arg for kw in call.keywords}
             for key, wanted in params.items():
