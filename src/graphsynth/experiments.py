@@ -48,6 +48,10 @@ EXPERIMENTS = ("s1", "s2", "s3", "s4", "real")
 SPLIT_REGIMES = ("edge_holdout", "node_holdout", "uniform_dyads")
 RDPG_INTERCEPT_PAIRS = 200_000
 KMEANS_ROUNDS = 10
+# the parts of default_generator(), the agents of s1 and s2; their least
+# squares design has an intercept column and one column per agent
+AGENT_NAMES_SYNTH = ("Block", "LowRank", "Product")
+SYNTH_COLUMNS = 1 + len(AGENT_NAMES_SYNTH)
 # keys that earlier configs may still name and that nothing reads: from_dict
 # drops them with a warning
 RETIRED_KEYS = ("m_test",)
@@ -179,6 +183,18 @@ class ExperimentConfig:
             value = getattr(self, name)
             if not rule.holds(value):
                 raise ConfigError(f"{name} must be {rule.description}, not {value!r}")
+        if self.experiment == "s2" and self.dyads_per_n * min(self.n_grid) < SYNTH_COLUMNS:
+            # s2 fits on dyads_per_n * n dyads at each n, and least squares
+            # needs a dyad per design column at least
+            raise ConfigError(f"dyads_per_n * min(n_grid) = {self.dyads_per_n} * "
+                              f"{min(self.n_grid)} is below {SYNTH_COLUMNS}, the s2 "
+                              "least-squares design's column count")
+        if self.experiment == "s3" and max(self.lambda_grid) >= self.phase_n:
+            # the sparse sampler's edge probability is min(1, lambda / phase_n),
+            # and from lambda = phase_n on it draws the complete graph
+            raise ConfigError(f"lambda_grid holds {max(self.lambda_grid)}, which must be "
+                              f"below phase_n = {self.phase_n}: at lambda >= phase_n the "
+                              "s3 graph is complete")
         # s4 fits the tail of (1 - pi) light + pi heavy at each pi, and a
         # ccdf that is 0 inside the window has no logarithm there.  A power
         # law's ccdf at the window's top is 0 exactly when its pmf there,
@@ -555,7 +571,6 @@ def sample_cells(design, m, seed) -> DyadData:
     return DyadData(features=features, labels=labels, weights=counts)
 
 
-AGENT_NAMES_SYNTH = ("Block", "LowRank", "Product")
 METHODS = ("BPS_LS", "BPS_Ridge", "BPS_Simplex", "BestAgent", "Stack_Logistic")
 
 

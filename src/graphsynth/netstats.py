@@ -51,7 +51,9 @@ def triangle_count(g: GraphSample) -> int:
     n = g.n
     if n <= 6000 and g.n_edges > 50 * n:
         starts = range(0, n, TRIANGLE_BLOCK)
-        bounds = np.searchsorted(g.edges[:, 0], [*starts, n])
+        # in the edges' own dtype: any other would make searchsorted convert
+        # the whole column first
+        bounds = np.searchsorted(g.edges[:, 0], np.array([*starts, n], dtype=g.edges.dtype))
         strips = []
         for b, lo in enumerate(starts):
             block = g.edges[bounds[b]:bounds[b + 1]]

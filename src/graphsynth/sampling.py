@@ -79,12 +79,29 @@ def in_sorted(keys, sorted_keys) -> np.ndarray:
     return hits.reshape(keys.shape)
 
 
+def _id_pairs(edges) -> np.ndarray:
+    """``edges`` as a (k, 2) array of signed integers: a signed integer input
+    as it is, with no copy (int32 ids stay int32), any other one cast to
+    int64."""
+    edges = np.asarray(edges)
+    if edges.dtype.kind != "i":
+        edges = edges.astype(np.int64)
+    return edges.reshape(-1, 2)
+
+
+def _check_node_count(n: int) -> None:
+    if n >= 2 ** 31:
+        raise ValueError(f"n = {n} is too large: node ids are int32, so n < 2**31")
+
+
 @dataclass(eq=False)
 class GraphSample:
     """Simple undirected graph: sorted deduplicated edge list plus degrees.
 
     The edges are distinct pairs (i, j) with i < j in ascending order of
-    ``i * n + j``.
+    ``i * n + j``.  Node ids are int32, so ``n`` must be below 2^31; a key
+    ``i * n + j`` can exceed 2^31, and every site that forms one widens the
+    ids to int64 first.  The degrees are int64.
     """
 
     n: int
@@ -92,11 +109,12 @@ class GraphSample:
     degrees: np.ndarray = field(repr=False)
 
     def __post_init__(self):
+        _check_node_count(self.n)
         # Checked EDGE_CHECK_ROWS rows at a time, so that the checks'
         # temporaries stay small next to the edge list; the order check's
         # slices overlap by one row, so it also compares each slice's first
         # row with the row before it.
-        e = np.asarray(self.edges, dtype=np.int64).reshape(-1, 2)
+        e = _id_pairs(self.edges)
         starts = range(0, e.shape[0], EDGE_CHECK_ROWS)
         for start in starts:
             part = e[start:start + EDGE_CHECK_ROWS]
@@ -104,10 +122,10 @@ class GraphSample:
                 raise ValueError("edges must satisfy 0 <= i < j < n")
         for start in starts:
             part = e[max(start - 1, 0):start + EDGE_CHECK_ROWS]
-            keys = part[:, 0] * self.n + part[:, 1]
+            keys = part[:, 0].astype(np.int64) * self.n + part[:, 1]
             if np.any(keys[1:] <= keys[:-1]):
                 raise ValueError("edges must be distinct and sorted by (i, j)")
-        self.edges = e
+        self.edges = e.astype(np.int32, copy=False)
 
     @property
     def n_edges(self) -> int:
@@ -125,30 +143,35 @@ class GraphSample:
 
 def _finish_edges(n, keys) -> GraphSample:
     """Decode ascending, distinct edge keys ``i * n + j`` (each with i < j)
-    into the edge list and count degrees.
+    into the int32 edge list and count degrees.
 
     Every sampler produces its keys in ascending order, so the edges come
     out sorted by ``i`` and then by ``j``; ``GraphSample`` rejects any other
-    order.
+    order.  ``np.bincount`` takes its input as intp, so the degrees are
+    counted EDGE_CHECK_ROWS rows at a time: at once, it would copy the whole
+    edge list into int64.
     """
+    _check_node_count(n)
     keys = np.asarray(keys, dtype=np.int64)
-    edges = np.empty((keys.size, 2), dtype=np.int64)
+    edges = np.empty((keys.size, 2), dtype=np.int32)
     np.divmod(keys, n, out=(edges[:, 0], edges[:, 1]))
-    degrees = np.bincount(edges.ravel(), minlength=n)
+    degrees = np.zeros(n, dtype=np.int64)
+    for start in range(0, keys.size, EDGE_CHECK_ROWS):
+        degrees += np.bincount(edges[start:start + EDGE_CHECK_ROWS].ravel(), minlength=n)
     return GraphSample(n=n, edges=edges, degrees=degrees)
 
 
 def graph_from_edge_array(n: int, edges) -> GraphSample:
     """Build a GraphSample from raw (i, j) pairs: symmetrize, drop
     self-loops, deduplicate.  Every id must lie in ``0..n-1``."""
-    edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
+    edges = _id_pairs(edges)
     if edges.size and (edges.min() < 0 or edges.max() >= n):
         raise ValueError("edges must satisfy 0 <= i < j < n")
     lo = edges.min(axis=1)
     hi = edges.max(axis=1)
     keep = lo != hi
     # keys order pairs exactly as (i, j) does, so this is the row-wise unique
-    return _finish_edges(n, unique_keys(lo[keep] * n + hi[keep]))
+    return _finish_edges(n, unique_keys(lo[keep].astype(np.int64) * n + hi[keep]))
 
 
 def _dense_edges(prob_rows, n, rng):
@@ -296,6 +319,8 @@ def component_labels(n: int, edges) -> np.ndarray:
     exceeds its node, that root is the component's smallest node.
     """
     label = np.arange(n, dtype=np.int64)
+    # int64 like ``label``: np.minimum.at of int32 values into it leaves its
+    # fast path, and takes about 30 times as long
     edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
     # a self-loop hooks nothing, and the first round drops it
     lo = np.minimum(edges[:, 0], edges[:, 1])

@@ -870,7 +870,8 @@ def _first_failing_unit(config: ExperimentConfig) -> tuple:
 @pytest.mark.parametrize("keys", [
     {"experiment": "s1", "m_train": 2, "replicates": 3},
     {"experiment": "s1", "m_train": 6, "replicates": 8, "base_seed": 1},
-    {"experiment": "s2", "n_grid": [50, 1], "replicates": 3},
+    # 4 dyads at n = 1 pass the load check, and land in too few cells
+    {"experiment": "s2", "n_grid": [50, 1], "dyads_per_n": 4, "replicates": 3},
 ], ids=["s1_all", "s1_later", "s2"])
 def test_failed_fit_names_the_first_failing_unit(tmp_path, keys):
     config = ExperimentConfig.from_dict(dict(keys, out_dir=str(tmp_path)))
@@ -1331,6 +1332,52 @@ def test_tail_underflow_check_agrees_with_the_fit(tail_k_max, side):
             ExperimentConfig.from_dict(keys)
         with pytest.raises(ValueError, match="ccdf underflows to 0"):
             fit_tail_exponent(pmf)
+
+
+@pytest.mark.parametrize("keys, rejected", [
+    ({"n_grid": [200, 1]}, True),
+    ({"dyads_per_n": 1, "n_grid": [3, 400]}, True),
+    ({"dyads_per_n": 2, "n_grid": [2, 400]}, False),
+    ({"n_grid": [200, 2]}, False),
+    ({"experiment": "s1", "dyads_per_n": 1, "n_grid": [1]}, False)])
+def test_s2_rejects_too_few_dyads_at_load(keys, rejected):
+    # s2 fits least squares on dyads_per_n * n dyads at each n, with an
+    # intercept and one column per agent; fewer dyads than columns cannot
+    # be fitted, and no other experiment reads the two keys
+    assert experiments.SYNTH_COLUMNS == 1 + len(default_generator()[1]) == 4
+    keys = {"experiment": "s2", **keys}
+    if rejected:
+        with pytest.raises(ConfigError, match=r"^dyads_per_n \* min\(n_grid\) = .* below 4"):
+            ExperimentConfig.from_dict(keys)
+    else:
+        ExperimentConfig.from_dict(keys)
+
+
+def test_cli_rejects_s2_with_too_few_dyads_before_writing(tmp_path, capsys):
+    cfg_path = tmp_path / "c.json"
+    cfg_path.write_text(json.dumps({"experiment": "s2", "n_grid": [200, 1]}))
+    assert cli_main(["s2", "--config", str(cfg_path), "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err.strip() == (
+        "[s2] dyads_per_n * min(n_grid) = 3 * 1 is below 4, the s2 least-squares "
+        "design's column count")
+    assert not (tmp_path / "s2").exists()
+
+
+@pytest.mark.parametrize("keys, rejected", [
+    ({"phase_n": 100, "lambda_grid": [0.5, 100]}, True),
+    ({"phase_n": 100, "lambda_grid": [250.0]}, True),
+    ({"lambda_grid": [20000]}, True),
+    ({"phase_n": 100, "lambda_grid": [0.5, 99.5]}, False),
+    ({"experiment": "s1", "phase_n": 2, "lambda_grid": [3.0]}, False)])
+def test_s3_rejects_a_lambda_that_makes_the_graph_complete(keys, rejected):
+    # s3 samples Constant(1) with edge probability min(1, lambda / phase_n):
+    # from lambda = phase_n on, every pair is an edge
+    keys = {"experiment": "s3", **keys}
+    if rejected:
+        with pytest.raises(ConfigError, match=r"^lambda_grid holds .* below phase_n = "):
+            ExperimentConfig.from_dict(keys)
+    else:
+        ExperimentConfig.from_dict(keys)
 
 
 def test_cli_config_file_and_overrides(tmp_path):

@@ -148,10 +148,93 @@ def test_graph_sample_rejects_a_bad_pair_at_a_check_slice_boundary(row, fault):
         GraphSample(n=k.size + 1, edges=edges, degrees=degrees)
 
 
+# at n = 50,000 a key i * n + j reaches n^2 = 2.5e9, past the int32 range:
+# a key formed from int32 ids without widening them wraps
+OVERFLOW_N = 50_000
+
+
+def _oracle_keys(pairs, n):
+    pairs = np.asarray(pairs).astype(np.int64).reshape(-1, 2)
+    return pairs[:, 0] * n + pairs[:, 1]
+
+
+def test_int32_ids_form_keys_in_int64():
+    """Every site that forms a key i * n + j from int32 ids agrees with the
+    int64 oracle at a node count whose keys exceed 2^31."""
+    n = OVERFLOW_N
+    rng = np.random.default_rng(31)
+    # raw int32 pairs over the whole id range, with repeats, both
+    # orientations of a pair and self-loops
+    raw = rng.integers(0, n, size=(6000, 2)).astype(np.int32)
+    raw = np.concatenate([raw, raw[:500, ::-1], raw[:300], np.stack([raw[:200, 0]] * 2, 1)])
+    lo, hi = raw.min(axis=1).astype(np.int64), raw.max(axis=1).astype(np.int64)
+    keys = np.unique((lo * n + hi)[lo != hi])
+    assert keys.max() >= 2 ** 31
+    g = graph_from_edge_array(n, raw)
+    assert g.edges.dtype == np.int32
+    np.testing.assert_array_equal(_oracle_keys(g.edges, n), keys)
+    np.testing.assert_array_equal(g.degrees, np.bincount(g.edges.ravel(), minlength=n))
+
+    # GraphSample's order check: the sorted list passes, and a swap of two
+    # rows is rejected, both between and across the rows whose keys pass 2^31
+    GraphSample(n=n, edges=g.edges, degrees=g.degrees)
+    GraphSample(n=n, edges=g.edges.astype(np.int64), degrees=g.degrees)
+    past = int(np.searchsorted(keys, 2 ** 31))
+    for a, b in ((past - 1, past), (past, past + 1), (0, keys.size - 1)):
+        swapped = g.edges.copy()
+        swapped[[a, b]] = swapped[[b, a]]
+        assert np.any(np.diff(_oracle_keys(swapped, n)) <= 0)
+        with pytest.raises(ValueError, match="distinct and sorted"):
+            GraphSample(n=n, edges=swapped, degrees=g.degrees)
+
+    sparse = sample_sparse_graph(TWO_BLOCK, n, 1.5, seed=32)
+    sparse_keys = _oracle_keys(sparse.edges, n)
+    assert sparse.edges.dtype == np.int32 and sparse_keys.max() >= 2 ** 31
+    assert np.all(np.diff(sparse_keys) > 0)
+    assert np.all(sparse.edges[:, 0] < sparse.edges[:, 1])
+    np.testing.assert_array_equal(sparse.degrees,
+                                  np.bincount(sparse.edges.ravel(), minlength=n))
+
+    # make_split's dyad keys: every labelled dyad is an edge exactly when
+    # its int64 key is one of the edges'
+    from graphsynth.evaluation import _dyad_key
+
+    np.testing.assert_array_equal(_dyad_key(sparse.edges, n), sparse_keys)
+    for regime in ("edge_holdout", "node_holdout", "uniform_dyads"):
+        split = make_split(sparse, regime, seed=33)
+        for dyads, labels in ((split.train_dyads, split.train_labels),
+                              (split.val_dyads, split.val_labels),
+                              (split.test_dyads, split.test_labels)):
+            np.testing.assert_array_equal(_dyad_key(dyads, n), _oracle_keys(dyads, n))
+            np.testing.assert_array_equal(labels, np.isin(_oracle_keys(dyads, n), sparse_keys))
+
+    # component labels against scipy's, each component named by its
+    # smallest node id
+    import scipy.sparse.csgraph
+
+    _, comp = scipy.sparse.csgraph.connected_components(sparse.adjacency(), directed=False)
+    smallest = np.full(comp.max() + 1, n)
+    np.minimum.at(smallest, comp, np.arange(n))
+    np.testing.assert_array_equal(component_labels(n, sparse.edges), smallest[comp])
+
+
+def test_graph_sample_rejects_a_node_count_past_int32():
+    with pytest.raises(ValueError, match=r"n < 2\*\*31"):
+        GraphSample(n=2 ** 31, edges=np.zeros((0, 2), dtype=np.int32),
+                    degrees=np.zeros(0, dtype=np.int64))
+    # rejected before the degrees are counted
+    with pytest.raises(ValueError, match=r"n < 2\*\*31"):
+        graph_from_edge_array(2 ** 31, [[0, 1]])
+    assert GraphSample(n=2 ** 31 - 1, edges=[[0, 2 ** 31 - 2]],
+                       degrees=np.zeros(0, dtype=np.int64)).edges.dtype == np.int32
+
+
 def test_dense_sampler_peak_memory():
-    """The dense sampler holds the keys and the decoded edges at once,
-    besides one chunk of draws, and GraphSample checks the edges in row
-    slices, so no full-length key or mask array joins them."""
+    """The dense sampler holds the int64 keys (8 bytes an edge) and the int32
+    edges (8 bytes an edge) at once, besides one chunk of draws.
+    GraphSample's checks and the degree count go EDGE_CHECK_ROWS rows at a
+    time, so no full-length key, mask or int64 copy of the edges joins them:
+    about 17.6 bytes an edge at n = 3000, where int64 edges took 25.5."""
     w = default_generator()[0]
     tracemalloc.start()
     try:
@@ -159,7 +242,8 @@ def test_dense_sampler_peak_memory():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 1.75 * g.edges.nbytes
+    assert g.n_edges > 1_900_000
+    assert peak <= 20 * g.n_edges
 
 
 # ---------------------------------------------------------------------------
@@ -191,8 +275,8 @@ def test_sparse_determinism_and_validation():
         sample_sparse_graph(TWO_BLOCK, 100, 0.0, seed=1)
 
 
-# sha256 of the edge and degree bytes; a change here means seeded samples
-# changed, which changes every pinned output downstream
+# sha256 of the edge bytes (as int64) and the degree bytes; a change here
+# means seeded samples changed, which changes every pinned output downstream
 PINNED_SAMPLES = {
     "dense_block": (
         lambda: sample_graph(TWO_BLOCK, 400, seed=21),
@@ -213,8 +297,8 @@ PINNED_SAMPLES = {
 def test_sampler_streams_pinned(name):
     sample, edges_sha, degrees_sha = PINNED_SAMPLES[name]
     g = sample()
-    assert g.edges.dtype == np.int64 and g.degrees.dtype == np.int64
-    assert hashlib.sha256(g.edges.tobytes()).hexdigest() == edges_sha
+    assert g.edges.dtype == np.int32 and g.degrees.dtype == np.int64
+    assert hashlib.sha256(g.edges.astype(np.int64).tobytes()).hexdigest() == edges_sha
     assert hashlib.sha256(g.degrees.tobytes()).hexdigest() == degrees_sha
 
 
