@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .logistic import expit, log_expit, logit
-from .sampling import GraphSample, in_sorted, make_rng, triangular_pair, unique_keys
+from .sampling import GraphSample, in_sorted, make_rng, pair_keys, triangular_pair, unique_keys
 
 LOGLOSS_FLOOR = 1e-12
 
@@ -21,6 +21,8 @@ LOGLOSS_FLOOR = 1e-12
 # out as the test and validation roles; each role gets at least one
 TEST_FRAC = 0.2
 VAL_FRAC = 0.1
+# the holdout regimes draw this many negatives per positive of each role
+NEGPOS_RATIO = 3.0
 # node_holdout holds out this share of the nodes (at least one)
 NODE_FRAC = 0.10
 # uniform_dyads draws this many dyads per edge, at most every pair
@@ -69,10 +71,6 @@ class SplitSpec:
         return float(self.test_labels.mean()) if self.test_labels.size else float("nan")
 
 
-def _dyad_key(dyads: np.ndarray, n: int) -> np.ndarray:
-    return dyads[:, 0].astype(np.int64) * n + dyads[:, 1].astype(np.int64)
-
-
 def _node_mask(n: int, nodes) -> np.ndarray:
     mask = np.zeros(n, dtype=bool)
     mask[np.asarray(nodes, dtype=np.int64)] = True
@@ -110,7 +108,7 @@ def _sample_negatives(rng, n, count, forbidden_keys, restrict_nodes=None,
         keep = i != j
         if touch is not None:
             keep &= touch[i] | touch[j]
-        keys = i[keep] * n + j[keep]
+        keys = pair_keys(i[keep], j[keep], n)
         keys = keys[~in_sorted(keys, forbidden)]
         # keep the first draw of each key: a stable sort puts it first in
         # its run of equal keys
@@ -132,7 +130,7 @@ def _build_labeled(pos, neg, n: int):
     dyads = np.concatenate([pos, neg], axis=0) if neg.size else pos
     labels = np.concatenate([np.ones(len(pos)), np.zeros(len(neg))])
     # the dyads of a set are distinct, so their keys sort them as (i, j) would
-    order = np.argsort(_dyad_key(dyads, n))
+    order = np.argsort(pair_keys(*dyads.T, n))
     return dyads[order], labels[order]
 
 
@@ -146,11 +144,11 @@ def _cut(rng, count: int, *fracs) -> list:
     return np.split(perm, sizes)
 
 
-def make_split(graph: GraphSample, regime: str, seed, negpos_ratio: float = 3.0) -> SplitSpec:
+def make_split(graph: GraphSample, regime: str, seed) -> SplitSpec:
     """Deterministic train/val/test dyad split under one of three regimes.
 
     edge_holdout: hold out observed edges, negatives sampled from non-edges
-    at the fixed ratio.  node_holdout: hold out ``NODE_FRAC`` of the nodes,
+    at ``NEGPOS_RATIO``.  node_holdout: hold out ``NODE_FRAC`` of the nodes,
     drop all their incident edges from training, test on dyads touching
     held-out nodes.  uniform_dyads: ``UNIFORM_DYADS_PER_EDGE`` uniform dyads
     per edge (at most every pair) without replacement, labels from the
@@ -166,7 +164,7 @@ def make_split(graph: GraphSample, regime: str, seed, negpos_ratio: float = 3.0)
     edges = graph.edges
     if edges.shape[0] == 0:
         raise SplitError("graph has no edges")
-    edge_keys = _dyad_key(edges, n)
+    edge_keys = pair_keys(*edges.T, n)
     held = None
 
     if regime == "uniform_dyads":
@@ -176,7 +174,7 @@ def make_split(graph: GraphSample, regime: str, seed, negpos_ratio: float = 3.0)
             raise SplitError("uniform regime needs at least 10 dyads")
         idx = rng.choice(total_pairs, size=m, replace=False)
         dyads = np.stack(triangular_pair(idx), axis=1)
-        labels = in_sorted(_dyad_key(dyads, n), edge_keys).astype(float)
+        labels = in_sorted(pair_keys(*dyads.T, n), edge_keys).astype(float)
         test, val, train = (np.sort(part) for part in _cut(rng, len(dyads), TEST_FRAC, VAL_FRAC))
         sets = [(dyads[part], labels[part]) for part in (train, val, test)]
     else:
@@ -196,14 +194,12 @@ def make_split(graph: GraphSample, regime: str, seed, negpos_ratio: float = 3.0)
             roles = [(train, kept_nodes, None), (val, kept_nodes, None), (test, None, held)]
         else:
             raise SplitError(f"unknown split regime {regime!r}")
-        if negpos_ratio < 1:
-            raise SplitError("negpos_ratio must be >= 1")
         forbidden = edge_keys
         sets = []
         for pos, restrict_nodes, require_touch in roles:
-            neg = _sample_negatives(rng, n, int(round(negpos_ratio * len(pos))), forbidden,
+            neg = _sample_negatives(rng, n, int(round(NEGPOS_RATIO * len(pos))), forbidden,
                                     restrict_nodes=restrict_nodes, require_touch=require_touch)
-            forbidden = np.concatenate([forbidden, _dyad_key(neg, n)])
+            forbidden = np.concatenate([forbidden, pair_keys(*neg.T, n)])
             sets.append(_build_labeled(pos, neg, n))
 
     spec = SplitSpec(*sets[0], *sets[1], *sets[2], held_out_nodes=held)
@@ -230,7 +226,7 @@ def audit_split(spec: SplitSpec, graph: GraphSample) -> None:
             continue
         if np.any(dyads[:, 0] >= dyads[:, 1]):
             raise SplitError(f"{name} set violates i < j")
-        keys = _dyad_key(dyads, n)
+        keys = pair_keys(*dyads.T, n)
         ranked = unique_keys(keys)
         if ranked.size != keys.size:
             raise SplitError(f"{name} set contains duplicate dyads")
@@ -246,7 +242,7 @@ def audit_split(spec: SplitSpec, graph: GraphSample) -> None:
                 raise SplitError("training retains a dyad touching a held-out node")
     # labels must agree with the adjacency for positives; the edge keys
     # ascend by GraphSample's invariant
-    edge_keys = _dyad_key(graph.edges, n)
+    edge_keys = pair_keys(*graph.edges.T, n)
     for keys, labels in labelled:
         is_edge = in_sorted(keys, edge_keys)
         if not np.array_equal(is_edge.astype(float), labels):

@@ -48,10 +48,17 @@ EXPERIMENTS = ("s1", "s2", "s3", "s4", "real")
 SPLIT_REGIMES = ("edge_holdout", "node_holdout", "uniform_dyads")
 RDPG_INTERCEPT_PAIRS = 200_000
 KMEANS_ROUNDS = 10
+# DegHist's node bins (degree deciles) and BPS_Ridge's penalty
+DEGHIST_BINS = 10
+RIDGE_REG = 1e-3
 # the parts of default_generator(), the agents of s1 and s2; their least
 # squares design has an intercept column and one column per agent
 AGENT_NAMES_SYNTH = ("Block", "LowRank", "Product")
 SYNTH_COLUMNS = 1 + len(AGENT_NAMES_SYNTH)
+# s2 trains on S2_DYADS_PER_N * n dyads at each n of n_grid, and least
+# squares needs a dyad per design column at least
+S2_DYADS_PER_N = 3
+_MIN_S2_N = -(-SYNTH_COLUMNS // S2_DYADS_PER_N)
 # keys that earlier configs may still name and that nothing reads: from_dict
 # drops them with a warning
 RETIRED_KEYS = ("m_test",)
@@ -109,17 +116,16 @@ _CONFIG_RULES = {
     "replicates": _int_at_least(1),
     "sbm_k": _int_at_least(1),
     "rdpg_d": _int_at_least(1),
-    "deghist_bins": _int_at_least(1),
-    "m_train": _int_at_least(1),
+    # s1 fits least squares on m_train dyads
+    "m_train": _int_at_least(SYNTH_COLUMNS),
     "m_val": _int_at_least(1),
-    "n_grid": _grid(_int_at_least(1)),
-    "dyads_per_n": _int_at_least(1),
+    "n_grid": _grid(_Rule(lambda v: _is_int(v) and v >= _MIN_S2_N,
+                          f">= {_MIN_S2_N} (an integer), since s2 trains on "
+                          f"{S2_DYADS_PER_N} * n dyads and its least-squares design has "
+                          f"{SYNTH_COLUMNS} columns")),
     "lambda_grid": _grid(_real(lambda v: v > 0, "> 0")),
     "phase_n": _int_at_least(2),
     "phase_reps": _int_at_least(1),
-    "pi_grid": _grid(_real(lambda v: 0 <= v <= 1, "in [0, 1]")),
-    "gamma_light": _real(lambda v: v > 0, "> 0"),
-    "gamma_heavy": _real(lambda v: v > 0, "> 0"),
     "tail_k_max": _Rule(lambda v: _is_int(v) and _MIN_TAIL_K_MAX <= v <= MAX_PMF_SUPPORT,
                         f">= {_MIN_TAIL_K_MAX}, the smallest support the s4 tail fit can "
                         f"use, and <= {MAX_PMF_SUPPORT}, the largest degree pmf support "
@@ -127,8 +133,6 @@ _CONFIG_RULES = {
     "dataset": _Rule(lambda v: v is None or isinstance(v, str), "a string or null"),
     "regimes": _grid(_one_of(SPLIT_REGIMES, "a split regime")),
     "splits_per_regime": _int_at_least(1),
-    "negpos_ratio": _real(lambda v: v >= 1, ">= 1"),
-    "ridge_reg": _real(lambda v: v >= 0, ">= 0"),
 }
 
 
@@ -155,62 +159,33 @@ class ExperimentConfig:
     # agent hyperparameters (fixed across splits)
     sbm_k: int = 5
     rdpg_d: int = 3
-    deghist_bins: int = 10
     # synthetic dyad budgets
     m_train: int = 4000
     m_val: int = 1000
     # S2 learning curve
     n_grid: tuple = (200, 400, 800, 1200)
-    dyads_per_n: int = 3
     # S3 phase sweep
     lambda_grid: tuple = (0.25, 0.5, 0.75, 1.0, 1.25, 1.5, 2.0, 2.5, 3.0)
     phase_n: int = 20000
     phase_reps: int = 5
     # S4 heavy tails
-    pi_grid: tuple = (0.0, 0.1, 0.2, 0.3, 0.4, 0.5)
-    gamma_light: float = 13.7
-    gamma_heavy: float = 5.0
     tail_k_max: int = 100_000
     # real-data protocol
     dataset: str | None = None
     regimes: tuple = SPLIT_REGIMES
     splits_per_regime: int = 5
-    negpos_ratio: float = 3.0
-    ridge_reg: float = 1e-3
 
     def __post_init__(self):
         for name, rule in _CONFIG_RULES.items():
             value = getattr(self, name)
             if not rule.holds(value):
                 raise ConfigError(f"{name} must be {rule.description}, not {value!r}")
-        if self.experiment == "s2" and self.dyads_per_n * min(self.n_grid) < SYNTH_COLUMNS:
-            # s2 fits on dyads_per_n * n dyads at each n, and least squares
-            # needs a dyad per design column at least
-            raise ConfigError(f"dyads_per_n * min(n_grid) = {self.dyads_per_n} * "
-                              f"{min(self.n_grid)} is below {SYNTH_COLUMNS}, the s2 "
-                              "least-squares design's column count")
         if self.experiment == "s3" and max(self.lambda_grid) >= self.phase_n:
             # the sparse sampler's edge probability is min(1, lambda / phase_n),
             # and from lambda = phase_n on it draws the complete graph
             raise ConfigError(f"lambda_grid holds {max(self.lambda_grid)}, which must be "
                               f"below phase_n = {self.phase_n}: at lambda >= phase_n the "
                               "s3 graph is complete")
-        # s4 fits the tail of (1 - pi) light + pi heavy at each pi, and a
-        # ccdf that is 0 inside the window has no logarithm there.  A power
-        # law's ccdf at the window's top is 0 exactly when its pmf there,
-        # hi^-(gamma+1) over a total that rounds to 1 at such a gamma,
-        # underflows; the mixture's is 0 when that of every tail it weights is
-        if self.experiment == "s4":
-            hi = min(self.tail_k_max, TAIL_WINDOW[1])
-            for pi in self.pi_grid:
-                weighted = [name for name, wt in (("gamma_light", 1.0 - pi),
-                                                  ("gamma_heavy", pi)) if wt > 0]
-                if all(float(hi) ** -(getattr(self, name) + 1.0) == 0.0
-                       for name in weighted):
-                    name = weighted[0]
-                    raise ConfigError(f"{name} = {getattr(self, name)} is too large for "
-                                      f"the s4 tail fit: its power-law ccdf underflows "
-                                      f"to 0 inside the window {TAIL_WINDOW[0]}-{hi}")
 
     @staticmethod
     def from_dict(d: dict) -> "ExperimentConfig":
@@ -353,8 +328,7 @@ def fit_agents_to_graph(g: GraphSample, config: ExperimentConfig, seed=0):
     er = ag.ER(_clip_rate(g.n_edges / total_pairs))
     chung_lu = ag.ChungLu(deg / np.sqrt(2.0 * g.n_edges))
 
-    k_bins = config.deghist_bins
-    edges_q = np.unique(np.quantile(deg, np.linspace(0, 1, k_bins + 1)[1:-1]))
+    edges_q = np.unique(np.quantile(deg, np.linspace(0, 1, DEGHIST_BINS + 1)[1:-1]))
     node_bins = np.searchsorted(edges_q, deg, side="right")
     deg_hist = ag.SBM(node_bins, _pair_rates(g, node_bins, smooth=False))
 
@@ -575,7 +549,7 @@ METHODS = ("BPS_LS", "BPS_Ridge", "BPS_Simplex", "BestAgent", "Stack_Logistic")
 
 
 def _method_predictions(train: DyadData, val: DyadData, test_features: np.ndarray,
-                        ridge_reg: float, synth_cols=None) -> dict:
+                        synth_cols=None) -> dict:
     """Fit every method on train (+val for selection) and predict the (k,
     J+1) test features (test dyads, or cells).  Returns name -> probability
     vector (k,), or (R, k) when train and val are batches of R samples:
@@ -595,7 +569,7 @@ def _method_predictions(train: DyadData, val: DyadData, test_features: np.ndarra
     synth_test = test_features[:, synth_cols]
     preds = {}
     preds["BPS_LS"] = predict_clipped(fit_ls(synth_train), synth_test)
-    preds["BPS_Ridge"] = predict_clipped(fit_ridge(synth_train, ridge_reg), synth_test)
+    preds["BPS_Ridge"] = predict_clipped(fit_ridge(synth_train, RIDGE_REG), synth_test)
     preds["BPS_Simplex"] = predict_clipped(fit_simplex(synth_train), synth_test)
     best = cv_best_agent(val.features, val.labels, val.weights)
     preds["BestAgent"] = np.clip(test_features.T[1 + best], 0.0, 1.0)
@@ -623,8 +597,7 @@ def _method_stats(per_method: dict, metrics) -> dict:
             for m, scored in per_method.items()}
 
 
-def _synthetic_replicates(design, seeds: list, m_train, m_val: int,
-                          ridge_reg: float) -> dict:
+def _synthetic_replicates(design, seeds: list, m_train, m_val: int) -> dict:
     """S1/S2 replicates on ``design`` = cell_design(w_star, parts), in one
     batched pass.  Replicate r draws its train and validation cell counts by
     ``sample_cells`` from the first two children of ``seeds[r]``, with
@@ -636,7 +609,7 @@ def _synthetic_replicates(design, seeds: list, m_train, m_val: int,
     children = [child_seeds(seed, 2) for seed in seeds]
     train = sample_cells(design, m_train, [c[0] for c in children])
     val = sample_cells(design, m_val, [c[1] for c in children])
-    preds = _method_predictions(train, val, features, ridge_reg)
+    preds = _method_predictions(train, val, features)
     return {method: list(zip(population_metrics(p, cell_truth, mass),
                              np.vecdot((p - cell_truth) ** 2, mass).tolist()))
             for method, p in preds.items()}
@@ -646,8 +619,7 @@ def _score_units(config: ExperimentConfig, design, seeds: dict, m_train, m_val: 
     """``_synthetic_replicates`` over the run's units; a fit that fails
     names the verb and the first unit it failed on."""
     try:
-        return _synthetic_replicates(design, list(seeds.values()), m_train, m_val,
-                                     config.ridge_reg)
+        return _synthetic_replicates(design, list(seeds.values()), m_train, m_val)
     except ValueError as exc:
         unit = list(seeds)[exc.replicate] if hasattr(exc, "replicate") else None
         raise StageFailure(config.experiment, str(exc), unit) from exc
@@ -684,7 +656,7 @@ def _run_s2(config: ExperimentConfig, seeds: dict) -> dict:
     w_star, parts = default_generator()
     # every n's replicates fit in one batch, each with its own m_train
     scored = _score_units(config, cell_design(w_star, parts), seeds,
-                          [config.dyads_per_n * n for n, _ in seeds], config.m_val)
+                          [S2_DYADS_PER_N * n for n, _ in seeds], config.m_val)
     per_n = {n: {m: [] for m in METHODS} for n in config.n_grid}
     for i, (n, _) in enumerate(seeds):
         for method in METHODS:
@@ -693,7 +665,7 @@ def _run_s2(config: ExperimentConfig, seeds: dict) -> dict:
     # m * E||W_LS - W*||^2 per n, flat in m at the parametric rate
     summary = {"per_n": {}, "bps_ls_m_times_l2_risk": {}}
     for n, per_method in per_n.items():
-        m_train = config.dyads_per_n * n
+        m_train = S2_DYADS_PER_N * n
         stats = summary["per_n"][str(n)] = _method_stats(per_method, ("brier", "logloss"))
         summary["bps_ls_m_times_l2_risk"][str(n)] = m_train * stats["BPS_LS"]["l2_risk"]["mean"]
         rows.extend([n, m_train, m, s["brier"]["mean"], s["brier"]["se"],
@@ -715,13 +687,19 @@ def _run_s3(config: ExperimentConfig, seeds: dict) -> dict:
 
 
 S4_CSV_HEADER = ["pi", "gamma_hat", "r2", "window_lo", "window_hi", "gamma_theory"]
+# s4 fits the tail of (1 - pi) light + pi heavy at each pi.  The light
+# tail's k^-(gamma + 1) is about 1.6e-59 at the window's top k, far from
+# underflow; fit_tail_exponent raises on a ccdf that reaches 0 in its window
+S4_PI_GRID = (0.0, 0.1, 0.2, 0.3, 0.4, 0.5)
+S4_GAMMA_LIGHT = 13.7
+S4_GAMMA_HEAVY = 5.0
 
 
 def _run_s4(config: ExperimentConfig, seeds: dict) -> dict:
-    light = power_law_pmf(config.gamma_light, config.tail_k_max)
-    heavy = power_law_pmf(config.gamma_heavy, config.tail_k_max)
+    light = power_law_pmf(S4_GAMMA_LIGHT, config.tail_k_max)
+    heavy = power_law_pmf(S4_GAMMA_HEAVY, config.tail_k_max)
     rows = []
-    for pi in config.pi_grid:
+    for pi in S4_PI_GRID:
         mix = mixture_degree_pmf([light, heavy], [1.0 - pi, pi])
         gamma_hat, r2, (lo, hi) = fit_tail_exponent(mix)
         rows.append([pi, gamma_hat, r2, lo, hi, mix.gamma])
@@ -735,7 +713,7 @@ def _run_real(config: ExperimentConfig, seeds: dict) -> dict:
     rows = []
     scores = {m: {} for m in METHODS}
     for (regime, s), seed in seeds.items():
-        split = make_split(graph, regime, seed, negpos_ratio=config.negpos_ratio)
+        split = make_split(graph, regime, seed)
         train_graph = graph_from_edge_array(
             graph.n, split.train_dyads[split.train_labels == 1])
         # a child of the split's seed, so make_split's own stream is unchanged
@@ -753,8 +731,7 @@ def _run_real(config: ExperimentConfig, seeds: dict) -> dict:
         names = list(agents)
         synth_cols = [0] + [1 + k for k, name in enumerate(names) if name != "ER"]
         try:
-            preds = _method_predictions(train, val, feats["test"], config.ridge_reg,
-                                        synth_cols=synth_cols)
+            preds = _method_predictions(train, val, feats["test"], synth_cols=synth_cols)
         except ValueError as exc:
             raise StageFailure(config.experiment, str(exc), (regime, s)) from exc
         key = f"{regime}/{s}"

@@ -79,6 +79,16 @@ def in_sorted(keys, sorted_keys) -> np.ndarray:
     return hits.reshape(keys.shape)
 
 
+def pair_keys(i, j, n: int) -> np.ndarray:
+    """The dyad keys ``i * n + j`` in int64, whatever integer type the ids
+    have: a key can exceed 2^31 where the ids are int32.  One int64 array
+    is allocated; ``j`` is added into it in place, with no widened copy."""
+    keys = np.array(i, dtype=np.int64)
+    keys *= n
+    keys += j
+    return keys
+
+
 def _id_pairs(edges) -> np.ndarray:
     """``edges`` as a (k, 2) array of signed integers: a signed integer input
     as it is, with no copy (int32 ids stay int32), any other one cast to
@@ -100,8 +110,8 @@ class GraphSample:
 
     The edges are distinct pairs (i, j) with i < j in ascending order of
     ``i * n + j``.  Node ids are int32, so ``n`` must be below 2^31; a key
-    ``i * n + j`` can exceed 2^31, and every site that forms one widens the
-    ids to int64 first.  The degrees are int64.
+    ``i * n + j`` can exceed 2^31, and ``pair_keys`` forms every one in
+    int64.  The degrees are int64.
     """
 
     n: int
@@ -122,7 +132,7 @@ class GraphSample:
                 raise ValueError("edges must satisfy 0 <= i < j < n")
         for start in starts:
             part = e[max(start - 1, 0):start + EDGE_CHECK_ROWS]
-            keys = part[:, 0].astype(np.int64) * self.n + part[:, 1]
+            keys = pair_keys(*part.T, self.n)
             if np.any(keys[1:] <= keys[:-1]):
                 raise ValueError("edges must be distinct and sorted by (i, j)")
         self.edges = e.astype(np.int32, copy=False)
@@ -171,7 +181,7 @@ def graph_from_edge_array(n: int, edges) -> GraphSample:
     hi = edges.max(axis=1)
     keep = lo != hi
     # keys order pairs exactly as (i, j) does, so this is the row-wise unique
-    return _finish_edges(n, unique_keys(lo[keep].astype(np.int64) * n + hi[keep]))
+    return _finish_edges(n, unique_keys(pair_keys(lo[keep], hi[keep], n)))
 
 
 def _dense_edges(prob_rows, n, rng):
@@ -261,7 +271,7 @@ def sample_sparse_graph(w: Graphon, n: int, lam: float, seed) -> GraphSample:
             # two blocks in row-major order of their na x nb grid
             s, r = triangular_pair(idx) if a == b else np.divmod(idx, nb)
             u, v = members[a][s], members[b][r]
-            all_keys.append(np.minimum(u, v) * n + np.maximum(u, v))
+            all_keys.append(pair_keys(np.minimum(u, v), np.maximum(u, v), n))
     keys = np.concatenate(all_keys)
     keys.sort()
     return _finish_edges(n, keys)

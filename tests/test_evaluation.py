@@ -21,7 +21,7 @@ import graphsynth
 from graphsynth import (Block, SplitError, audit_split, cv_best_agent, evaluation,
                         fit_logistic_stack, make_split, paired_gaps,
                         sample_graph, sample_sparse_graph, score_metrics)
-from graphsynth.evaluation import (CALIBRATION_BINS, GAP_METRICS, STACK_RIDGE,
+from graphsynth.evaluation import (CALIBRATION_BINS, GAP_METRICS, NEGPOS_RATIO, STACK_RIDGE,
                                    UNIFORM_DYADS_PER_EDGE, _descending_ties,
                                    _sample_negatives, population_metrics)
 from graphsynth.sampling import graph_from_edge_array
@@ -348,25 +348,21 @@ def test_first_agent_fit_imports_what_it_needs():
 
 def test_edge_holdout_ratio_and_determinism():
     g = sparse_graph()
-    a = make_split(g, "edge_holdout", seed=1, negpos_ratio=3.0)
-    b = make_split(g, "edge_holdout", seed=1, negpos_ratio=3.0)
+    a = make_split(g, "edge_holdout", seed=1)
+    b = make_split(g, "edge_holdout", seed=1)
     np.testing.assert_array_equal(a.train_dyads, b.train_dyads)
     np.testing.assert_array_equal(a.test_labels, b.test_labels)
     for labels in (a.train_labels, a.val_labels, a.test_labels):
         pos = labels.sum()
         neg = labels.size - pos
-        assert neg == round(3.0 * pos)
-    c = make_split(g, "edge_holdout", seed=2, negpos_ratio=3.0)
+        assert neg == round(NEGPOS_RATIO * pos)
+    c = make_split(g, "edge_holdout", seed=2)
     assert not np.array_equal(a.test_dyads, c.test_dyads)
 
 
-def test_edge_holdout_rejects_low_ratio():
-    g = sparse_graph()
-    for regime in ("edge_holdout", "node_holdout"):
-        with pytest.raises(SplitError, match="negpos_ratio must be >= 1"):
-            make_split(g, regime, seed=1, negpos_ratio=0.5)
-    with pytest.raises(SplitError):
-        make_split(g, "no_such_regime", seed=1)
+def test_make_split_rejects_an_unknown_regime():
+    with pytest.raises(SplitError, match="unknown split regime 'no_such_regime'"):
+        make_split(sparse_graph(), "no_such_regime", seed=1)
 
 
 # sha256 of every array of a split of one sparse graph: the dyads and labels
@@ -474,10 +470,10 @@ def small_graphs(draw):
 @settings(max_examples=120, deadline=None)
 @given(g=small_graphs(), regime=st.sampled_from(["edge_holdout", "node_holdout",
                                                   "uniform_dyads"]),
-       negpos_ratio=st.sampled_from([1.0, 2.0, 3.0]), seed=st.integers(0, 2 ** 32 - 1))
-def test_make_split_hygiene_against_set_oracle(g, regime, negpos_ratio, seed):
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_make_split_hygiene_against_set_oracle(g, regime, seed):
     try:
-        spec = make_split(g, regime, seed=seed, negpos_ratio=negpos_ratio)
+        spec = make_split(g, regime, seed=seed)
     except SplitError as exc:
         assert any(reason in str(exc) for reason in SPLIT_REFUSALS), str(exc)
         assume(False)

@@ -281,6 +281,16 @@ def test_fit_tail_exponent_rejects_a_ccdf_that_underflows_in_the_window():
     with pytest.raises(NetstatsError,
                        match="ccdf underflows to 0 at k = 140 inside the window 100-10000"):
         fit_tail_exponent(pmf)
+    with pytest.raises(NetstatsError, match="ccdf underflows to 0 at k = 100 inside "):
+        fit_tail_exponent(power_law_pmf(300.0, 100_000))
+    # at the boundary gamma, k^-(gamma+1) at the window's top is the smallest
+    # subnormal, 2^-1074, where pow implementations may round apart; half a
+    # unit of gamma each side moves it by a factor of more than 10
+    for k_max in (109, 20_000):
+        gamma = 1074 * np.log(2.0) / np.log(min(k_max, 10_000)) - 1.0
+        fit_tail_exponent(power_law_pmf(gamma - 0.5, k_max))
+        with pytest.raises(NetstatsError, match="ccdf underflows to 0"):
+            fit_tail_exponent(power_law_pmf(gamma + 0.5, k_max))
     # the window's size is checked before its values
     with pytest.raises(NetstatsError, match="tail window too small"):
         fit_tail_exponent(power_law_pmf(300.0, 105))

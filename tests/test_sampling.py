@@ -14,7 +14,7 @@ from graphsynth import (Block, Constant, DyadData, default_generator, functional
                         giant_fraction, graph_statistics, make_rng, make_split,
                         phase_sweep, sample_dyads, sample_graph, sample_sparse_graph)
 from graphsynth.sampling import (EDGE_CHECK_ROWS, GraphSample, component_labels,
-                                 graph_from_edge_array, in_sorted, unique_keys)
+                                 graph_from_edge_array, in_sorted, pair_keys, unique_keys)
 
 TWO_BLOCK = Block([0, 0.5, 1], [[0.8, 0.1], [0.1, 0.8]])
 
@@ -197,15 +197,13 @@ def test_int32_ids_form_keys_in_int64():
 
     # make_split's dyad keys: every labelled dyad is an edge exactly when
     # its int64 key is one of the edges'
-    from graphsynth.evaluation import _dyad_key
-
-    np.testing.assert_array_equal(_dyad_key(sparse.edges, n), sparse_keys)
+    np.testing.assert_array_equal(pair_keys(*sparse.edges.T, n), sparse_keys)
     for regime in ("edge_holdout", "node_holdout", "uniform_dyads"):
         split = make_split(sparse, regime, seed=33)
         for dyads, labels in ((split.train_dyads, split.train_labels),
                               (split.val_dyads, split.val_labels),
                               (split.test_dyads, split.test_labels)):
-            np.testing.assert_array_equal(_dyad_key(dyads, n), _oracle_keys(dyads, n))
+            np.testing.assert_array_equal(pair_keys(*dyads.T, n), _oracle_keys(dyads, n))
             np.testing.assert_array_equal(labels, np.isin(_oracle_keys(dyads, n), sparse_keys))
 
     # component labels against scipy's, each component named by its
