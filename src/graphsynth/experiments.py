@@ -179,7 +179,8 @@ class ExperimentConfig:
         for name, rule in _CONFIG_RULES.items():
             value = getattr(self, name)
             if not rule.holds(value):
-                raise ConfigError(f"{name} must be {rule.description}, not {value!r}")
+                raise ConfigError(f"{name} must be {rule.description}, "
+                                  f"not {self.to_dict()[name]!r}")
         if self.experiment == "s3" and max(self.lambda_grid) >= self.phase_n:
             # the sparse sampler's edge probability is min(1, lambda / phase_n),
             # and from lambda = phase_n on it draws the complete graph
@@ -289,19 +290,15 @@ def load_edge_list(path: str):
 # agent fitting on an observed graph
 # ---------------------------------------------------------------------------
 
-def _clip_rate(x, eps=1e-6):
-    return float(np.clip(x, eps, 1.0 - eps))
-
-
 def fit_agents_to_graph(g: GraphSample, config: ExperimentConfig, seed=0):
     """Fit the five-agent menu to one observed graph.
 
     ER: empirical density.  ChungLu: theta_i = d_i / sqrt(2 * edges).
     DegHist: an SBM on degree-decile node bins with empirical bin-pair
-    rates, clipped into [1e-6, 1 - 1e-6].  Equal cut points merge: when
-    every one equals the smallest degree, as when a uniform_dyads split's
-    ~100 train edges leave almost every node isolated, all nodes share one
-    bin and DegHist is ER.
+    rates, clipped into [1e-6, 1 - 1e-6].  Equal cut points merge; when all
+    do, as when a uniform_dyads split's ~100 train edges leave almost every
+    node isolated, DegHist is a constant column, as ER is, and leaves the
+    synthesis design (``_method_predictions``).
     SBM: spectral clustering of the normalized adjacency of the largest
     connected component (from ``component_labels``, numpy), by its top-K
     eigenvectors from ARPACK, rows normalized, then ``_kmeans``: k-means++
@@ -325,7 +322,7 @@ def fit_agents_to_graph(g: GraphSample, config: ExperimentConfig, seed=0):
     deg = g.degrees.astype(float)
     total_pairs = n * (n - 1) / 2
 
-    er = ag.ER(_clip_rate(g.n_edges / total_pairs))
+    er = ag.ER(float(np.clip(g.n_edges / total_pairs, 1e-6, 1.0 - 1e-6)))
     chung_lu = ag.ChungLu(deg / np.sqrt(2.0 * g.n_edges))
 
     edges_q = np.unique(np.quantile(deg, np.linspace(0, 1, DEGHIST_BINS + 1)[1:-1]))
@@ -548,25 +545,20 @@ def sample_cells(design, m, seed) -> DyadData:
 METHODS = ("BPS_LS", "BPS_Ridge", "BPS_Simplex", "BestAgent", "Stack_Logistic")
 
 
-def _method_predictions(train: DyadData, val: DyadData, test_features: np.ndarray,
-                        synth_cols=None) -> dict:
+def _method_predictions(train: DyadData, val: DyadData, test_features: np.ndarray) -> dict:
     """Fit every method on train (+val for selection) and predict the (k,
     J+1) test features (test dyads, or cells).  Returns name -> probability
     vector (k,), or (R, k) when train and val are batches of R samples:
     one call per method fits the whole batch.  Every fit honours the row
     weights, so cell counts fit as the dyads they stand for.
 
-    ``synth_cols`` optionally restricts the columns used by the synthesis
-    and stacking fits (column 0 must stay); BestAgent always selects over
-    the full agent set.  This drops agents whose predictions are constant
-    (collinear with the intercept by construction).
+    The synthesis and stacking fits keep column 0 and every agent column
+    that is not constant on the train rows: a constant agent adds nothing
+    to span{1, w_1, ..., w_J}.  BestAgent selects over every agent.
     """
-    if synth_cols is None:
-        synth_cols = np.arange(train.features.shape[1])
-    synth_cols = np.asarray(synth_cols, dtype=int)
-    synth_train = DyadData(features=train.features[:, synth_cols], labels=train.labels,
-                           weights=train.weights)
-    synth_test = test_features[:, synth_cols]
+    keep = np.r_[True, np.ptp(train.features[:, 1:], axis=0) > 0]
+    synth_train = replace(train, features=train.features[:, keep])
+    synth_test = test_features[:, keep]
     preds = {}
     preds["BPS_LS"] = predict_clipped(fit_ls(synth_train), synth_test)
     preds["BPS_Ridge"] = predict_clipped(fit_ridge(synth_train, RIDGE_REG), synth_test)
@@ -706,39 +698,36 @@ def _run_s4(config: ExperimentConfig, seeds: dict) -> dict:
     return {"s4_tails.csv": (write_csv, rows, S4_CSV_HEADER)}
 
 
+def _score_split(graph: GraphSample, config: ExperimentConfig, unit: tuple, seed) -> dict:
+    """method -> MetricReport on the test dyads of ``unit`` = (regime,
+    split): one split of ``graph``, agents fitted to its train edges, one
+    (k, 1+J) feature matrix per part.  All of it dies on return, before the
+    next split is drawn."""
+    split = make_split(graph, unit[0], seed)
+    train_graph = graph_from_edge_array(graph.n, split.train_dyads[split.train_labels == 1])
+    # a child of the split's seed, so make_split's own stream is unchanged
+    agents = fit_agents_to_graph(train_graph, config, seed=child_seeds(seed, 1)[0])
+    feats = []
+    for dyads in (split.train_dyads, split.val_dyads, split.test_dyads):
+        feats.append(np.ones((len(dyads), 1 + len(agents))))
+        for col, agent in enumerate(agents.values(), start=1):
+            feats[-1][:, col] = agent_dyad_probs(agent, dyads)
+    train = DyadData(features=feats[0], labels=split.train_labels)
+    val = DyadData(features=feats[1], labels=split.val_labels)
+    try:
+        preds = _method_predictions(train, val, feats[2])
+    except ValueError as exc:
+        raise StageFailure(config.experiment, str(exc), unit) from exc
+    return {method: score_metrics(p, split.test_labels) for method, p in preds.items()}
+
+
 def _run_real(config: ExperimentConfig, seeds: dict) -> dict:
     if not config.dataset:
         raise ConfigError("real experiment needs a dataset path")
     graph, _ = load_edge_list(config.dataset)
-    rows = []
-    scores = {m: {} for m in METHODS}
-    for (regime, s), seed in seeds.items():
-        split = make_split(graph, regime, seed)
-        train_graph = graph_from_edge_array(
-            graph.n, split.train_dyads[split.train_labels == 1])
-        # a child of the split's seed, so make_split's own stream is unchanged
-        agents = fit_agents_to_graph(train_graph, config, seed=child_seeds(seed, 1)[0])
-        feats = {}
-        for part, dyads in (("train", split.train_dyads), ("val", split.val_dyads),
-                            ("test", split.test_dyads)):
-            cols = [np.ones(len(dyads))]
-            cols.extend(agent_dyad_probs(a, dyads) for a in agents.values())
-            feats[part] = np.stack(cols, axis=1)
-        train = DyadData(features=feats["train"], labels=split.train_labels)
-        val = DyadData(features=feats["val"], labels=split.val_labels)
-        # the ER column is constant, hence collinear with the intercept;
-        # keep it for BestAgent selection but not in the synthesis design
-        names = list(agents)
-        synth_cols = [0] + [1 + k for k, name in enumerate(names) if name != "ER"]
-        try:
-            preds = _method_predictions(train, val, feats["test"], synth_cols=synth_cols)
-        except ValueError as exc:
-            raise StageFailure(config.experiment, str(exc), (regime, s)) from exc
-        key = f"{regime}/{s}"
-        for method, p in preds.items():
-            rep = score_metrics(p, split.test_labels)
-            rows.append((method, key, rep))
-            scores[method][key] = rep
+    rows = [(method, f"{regime}/{s}", rep) for (regime, s), seed in seeds.items()
+            for method, rep in _score_split(graph, config, (regime, s), seed).items()]
+    scores = {m: {key: rep for name, key, rep in rows if name == m} for m in METHODS}
     gaps = paired_gaps(scores["BestAgent"], scores["BPS_LS"])
     return {"real_metrics.csv": (write_metric_reports_csv, rows),
             "real_gaps.csv": (write_gap_report_csv, gaps),

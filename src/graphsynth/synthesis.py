@@ -142,22 +142,31 @@ def _normal_equations(data: DyadData):
     return gram, rhs
 
 
+def _rank_test(gram: np.ndarray):
+    """(eigenvalues, singular) of each Gram matrix scaled to unit diagonal,
+    D^-1/2 G D^-1/2, so that no column's scale decides the rank; a column
+    that is 0 on every row keeps scale 1 and gives an eigenvalue 0."""
+    d = np.sqrt(np.diagonal(gram, axis1=-2, axis2=-1))
+    d = np.where(d > 0, d, 1.0)
+    eigvals = np.linalg.eigvalsh(gram / d[..., :, None] / d[..., None, :])
+    return eigvals, eigvals[..., 0] < SINGULAR_EIG_TOL * np.maximum(eigvals[..., -1], 1.0)
+
+
 def fit_ls(data: DyadData) -> WeightVector:
     """Unconstrained least squares on the dyad samples: beta is (J+1,), or
     (R, J+1) for a batch.
 
-    Raises ValueError below J+1 dyads and SingularDesign when the scaled
-    Gram matrix has an eigenvalue below 1e-12; no silent ridge fallback.
-    In a batch, the first failing sample raises, its index the error's
-    ``replicate``.
+    Raises ValueError below J+1 dyads and SingularDesign when ``_rank_test``
+    finds the Gram matrix singular, and reports its scaled condition number;
+    no silent ridge fallback.  In a batch, the first failing sample raises,
+    its index the error's ``replicate``.
     """
     m = np.atleast_1d(data.m)
     gram, rhs = _normal_equations(data)
-    eigvals = np.linalg.eigvalsh(gram)
-    scale = np.maximum(eigvals[:, -1], 1.0)
+    eigvals, singular = _rank_test(gram)
     _raise_first((m < data.features.shape[1], ValueError,
                   lambda r: "need at least J+1 samples for least squares"),
-                 (eigvals[:, 0] < SINGULAR_EIG_TOL * scale, SingularDesign,
+                 (singular, SingularDesign,
                   lambda r: f"minimum Gram eigenvalue {eigvals[r, 0]:.3e} below tolerance; "
                             "use fit_ridge"))
     beta = np.linalg.solve(gram, rhs[..., None])[..., 0]
@@ -259,12 +268,13 @@ def predict_clipped(weights: WeightVector, features: np.ndarray) -> np.ndarray:
 def population_projection(w_star: Graphon, agents) -> WeightVector:
     """L2 projection of the true kernel onto span{1, w_1, ..., w_J}.
 
-    Solves the population normal equations beta = G^{-1} c; the residual is
-    orthogonal to the span up to quadrature tolerance.
+    Solves the population normal equations beta = G^{-1} c after
+    ``fit_ls``'s rank test; the residual is orthogonal to the span up to
+    round-off.
     """
     gram, target = gram_and_target(list(agents), w_star)
-    eigvals = np.linalg.eigvalsh(gram)
-    if eigvals[0] < SINGULAR_EIG_TOL * max(eigvals[-1], 1.0):
+    eigvals, singular = _rank_test(gram)
+    if singular:
         raise SingularDesign("agent graphons plus constant are linearly dependent")
     beta = np.linalg.solve(gram, target)
     return WeightVector(beta=beta, condition_number=float(eigvals[-1] / eigvals[0]))

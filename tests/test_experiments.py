@@ -2,6 +2,7 @@
 
 import csv
 import dataclasses
+import gc
 import hashlib
 import inspect
 import json
@@ -10,6 +11,7 @@ import re
 import subprocess
 import sys
 import warnings
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -975,6 +977,81 @@ def test_real_fits_each_split_with_its_own_seed(tmp_path, monkeypatch):
                                                   for u in manifest.units]
 
 
+def test_real_uniform_dyads_fits_without_its_constant_columns(tmp_path, monkeypatch):
+    """A uniform_dyads split keeps about 100 train edges on 2000 nodes, so
+    almost every node is isolated, DegHist's decile bins merge into one and
+    DegHist is constant on the train rows, as ER is.  Both leave the
+    synthesis design, which with them was singular."""
+    constant = []
+    predict = experiments._method_predictions
+
+    def recorder(train, val, *args, **kwargs):
+        constant.append((np.ptp(train.features[:, 1:], axis=0) == 0).tolist())
+        return predict(train, val, *args, **kwargs)
+
+    monkeypatch.setattr(experiments, "_method_predictions", recorder)
+    cfg_path = tmp_path / "c.json"
+    cfg_path.write_text(json.dumps(dict(_real_config(tmp_path, n=2000, lam=10.0, seed=3),
+                                        regimes=["uniform_dyads"])))
+    assert cli_main(["real", "--config", str(cfg_path), "--out", str(tmp_path)]) == 0
+    # ER, ChungLu, DegHist, SBM, RDPG
+    assert constant == [[True, False, True, False, False]]
+    with open(tmp_path / "real" / "real_metrics.csv") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [(r["method"], r["split"]) for r in rows] == [
+        (m, "uniform_dyads/0") for m in experiments.METHODS]
+
+
+def test_real_drops_each_split_before_drawing_the_next(tmp_path, monkeypatch):
+    """When a split's make_split starts, every earlier SplitSpec and the
+    train and validation DyadData fitted on it are gone, so two splits'
+    dyads and features never share the peak."""
+    refs, alive = [], []
+    split, predict = experiments.make_split, experiments._method_predictions
+
+    def splitter(*args):
+        gc.collect()
+        alive.append(sum(ref() is not None for ref in refs))
+        spec = split(*args)
+        refs.append(weakref.ref(spec))
+        return spec
+
+    def recorder(train, val, *args, **kwargs):
+        refs.extend([weakref.ref(train), weakref.ref(val)])
+        return predict(train, val, *args, **kwargs)
+
+    monkeypatch.setattr(experiments, "make_split", splitter)
+    monkeypatch.setattr(experiments, "_method_predictions", recorder)
+    run_experiment(ExperimentConfig.from_dict(
+        dict(_real_config(tmp_path), splits_per_regime=2, out_dir=str(tmp_path))))
+    assert len(refs) == 4 * 3 and alive == [0, 0, 0, 0]
+
+
+def test_constant_agent_leaves_the_synthesis_fits_but_not_selection():
+    """A constant agent column, here the second of three, changes no
+    synthesis or stacking fit, and BestAgent can still select it: labels
+    drawn at rate 0.3 apart from the agents make the constant 0.3 the best
+    validation forecast."""
+    rng = np.random.default_rng(11)
+
+    def draw(m):
+        agents = rng.uniform(0.05, 0.95, size=(m, 2))
+        features = np.column_stack([np.ones(m), agents[:, 0], np.full(m, 0.3), agents[:, 1]])
+        return features, (rng.random(m) < 0.3).astype(float)
+
+    (train_f, train_y), (val_f, val_y), (test_f, _) = draw(400), draw(200), draw(100)
+    varying = [0, 1, 3]
+    full = experiments._method_predictions(DyadData(train_f, train_y),
+                                           DyadData(val_f, val_y), test_f)
+    reduced = experiments._method_predictions(DyadData(train_f[:, varying], train_y),
+                                              DyadData(val_f[:, varying], val_y),
+                                              test_f[:, varying])
+    for method in ("BPS_LS", "BPS_Ridge", "BPS_Simplex", "Stack_Logistic"):
+        np.testing.assert_array_equal(full[method], reduced[method], err_msg=method)
+    np.testing.assert_array_equal(full["BestAgent"], 0.3)
+    assert not np.all(reduced["BestAgent"] == 0.3)
+
+
 def test_manifest_records_each_unit_seed(tmp_path):
     configs = {
         "s1": ({"replicates": 3, "m_train": 300, "m_val": 100},
@@ -1306,11 +1383,19 @@ def test_s2_rejects_too_few_dyads_at_load(keys, rejected):
 @pytest.mark.parametrize("verb, keys, message", [
     ("s2", {"n_grid": [1]},
      "n_grid must be a nonempty list without repeats, each >= 2 (an integer), since s2 "
-     "trains on 3 * n dyads and its least-squares design has 4 columns, not (1,)"),
-    ("s1", {"m_train": 3}, "m_train must be >= 4 (an integer), not 3")],
-    ids=["s2_n_grid", "s1_m_train"])
+     "trains on 3 * n dyads and its least-squares design has 4 columns, not [1]"),
+    ("s1", {"m_train": 3}, "m_train must be >= 4 (an integer), not 3"),
+    ("s3", {"lambda_grid": [0.5, 0.5]},
+     "lambda_grid must be a nonempty list without repeats, each > 0 (a finite number), "
+     "not [0.5, 0.5]"),
+    ("real", {"regimes": ["edge_holdout", "any"]},
+     "regimes must be a nonempty list without repeats, each one of edge_holdout, "
+     "node_holdout, uniform_dyads (a split regime), not ['edge_holdout', 'any']")],
+    ids=["s2_n_grid", "s1_m_train", "s3_lambda_grid", "real_regimes"])
 def test_cli_rejects_too_few_dyads_before_writing(tmp_path, capsys, verb, keys, message):
-    # s1 and s2 fit least squares with 4 columns; fewer train dyads fail at load
+    # s1 and s2 fit least squares with 4 columns; fewer train dyads fail at
+    # load.  The whole message is pinned, and a grid shows as the list the
+    # config held, not as the tuple from_dict made of it
     cfg_path = tmp_path / "c.json"
     cfg_path.write_text(json.dumps({"experiment": verb, **keys}))
     assert cli_main([verb, "--config", str(cfg_path), "--out", str(tmp_path)]) == 2

@@ -56,6 +56,38 @@ def test_ls_duplicate_columns_singular():
         fit_ls(DyadData(features=feats, labels=(col > 0.5).astype(float)))
 
 
+def _ls_outcome(data: DyadData):
+    """(beta, None) of ``fit_ls``, or (None, message) if it raises
+    SingularDesign."""
+    try:
+        return fit_ls(data).beta, None
+    except SingularDesign as exc:
+        return None, str(exc)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.integers(1, 3), st.integers(-20, 10), st.booleans())
+def test_ls_rank_test_ignores_column_scale(seed, j, k, weighted):
+    """``fit_ls`` on X diag(1, 2^k, ..., 2^k) succeeds exactly when it does
+    on X, with the same message when it fails, and its beta is
+    diag(1, 2^-k, ..., 2^-k) beta.  Agent values on a coarse grid and few
+    rows make some designs exactly singular (a repeated or constant column,
+    too few distinct rows); at k = -20 every agent entry of the Gram matrix
+    is below 2^-40, where an absolute eigenvalue test fails them all."""
+    rng = np.random.default_rng(seed)
+    m = int(rng.integers(j + 1, 3 * j + 4))
+    feats = np.column_stack([np.ones(m), rng.integers(1, 4, size=(m, j)) / 4])
+    labels = rng.integers(0, 2, size=m).astype(float)
+    weights = rng.integers(1, 4, size=m) if weighted else None
+    scale = np.r_[1.0, np.full(j, 2.0 ** k)]
+    beta, error = _ls_outcome(DyadData(feats, labels, weights))
+    scaled, scaled_error = _ls_outcome(DyadData(feats * scale, labels, weights))
+    assert scaled_error == error
+    if error is None:
+        np.testing.assert_allclose(scaled * scale, beta, rtol=0,
+                                   atol=1e-9 * np.max(np.abs(beta)))
+
+
 def test_dyad_data_validates_leading_ones():
     with pytest.raises(ValueError):
         DyadData(features=np.array([[0.9, 0.5]]), labels=np.array([1.0]))
