@@ -35,18 +35,19 @@ for s in range(3):
         cols.extend(agent_dyad_probs(a, dyads) for a in agents.values())
         feats[part] = np.stack(cols, axis=1)
 
-    # ER predicts a constant, so it stays out of the regression design
+    # an agent that is constant on the train dyads (here ER) adds nothing to
+    # span{1, w_1, ..., w_J}, so it stays out of the regression design
     names = list(agents)
-    cols = [0] + [1 + k for k, name in enumerate(names) if name != "ER"]
-    train = DyadData(features=feats["train"][:, cols], labels=split.train_labels)
+    keep = np.r_[True, np.ptp(feats["train"][:, 1:], axis=0) > 0]
+    train = DyadData(features=feats["train"][:, keep], labels=split.train_labels)
 
     best = cv_best_agent(feats["val"], split.val_labels)
     stack = fit_logistic_stack(train.features, train.labels)
     preds = {
         "BestAgent": np.clip(feats["test"][:, 1 + best], 0, 1),
-        "BPS_LS": predict_clipped(fit_ls(train), feats["test"][:, cols]),
-        "BPS_Simplex": predict_clipped(fit_simplex(train), feats["test"][:, cols]),
-        "Stack": expit(feats["test"][:, cols] @ stack),
+        "BPS_LS": predict_clipped(fit_ls(train), feats["test"][:, keep]),
+        "BPS_Simplex": predict_clipped(fit_simplex(train), feats["test"][:, keep]),
+        "Stack": expit(feats["test"][:, keep] @ stack),
     }
     print(f"\nsplit {s}: best validation agent = {names[best]}")
     print("  method        brier   logloss     auc      ap")

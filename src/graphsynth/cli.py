@@ -143,9 +143,8 @@ def main(argv=None) -> int:
             return _cmd_run(args)
         if args.verb == "report":
             return _cmd_report(args)
-        if args.verb == "audit":
-            return _cmd_audit(args)
-        raise StageFailure("cli", f"unknown verb {args.verb!r}")
+        # the verb is required and argparse rejects any other
+        return _cmd_audit(args)
     except StageFailure as exc:
         print(str(exc), file=sys.stderr)
         return 2

@@ -31,8 +31,7 @@ from .evaluation import (MetricReport, audit_split, cv_best_agent,  # noqa: F401
                          fit_logistic_stack, make_split, paired_gaps,
                          population_metrics, score_metrics)
 from .logistic import expit
-from .netstats import (MAX_PMF_SUPPORT, TAIL_FIT_MIN_POINTS, TAIL_WINDOW,
-                       fit_tail_exponent, mixture_degree_pmf, power_law_pmf)
+from .netstats import fit_tail_exponent, mixture_degree_pmf, power_law_pmf
 # s1/s2 draw cell counts (sample_cells), not dyads; sample_dyads stays
 # importable here because perfbench/tracing.py resolves it at this site
 from .sampling import (GraphSample, child_seeds, component_labels,  # noqa: F401
@@ -42,8 +41,6 @@ from .serialize import (write_csv, write_gap_report_csv, write_json,
                         write_metric_reports_csv, write_phase_curve_csv)
 from .synthesis import DyadData, fit_ls, fit_ridge, fit_simplex, predict_clipped
 
-ARTIFACT_VERSION = "0.1.0"
-
 EXPERIMENTS = ("s1", "s2", "s3", "s4", "real")
 SPLIT_REGIMES = ("edge_holdout", "node_holdout", "uniform_dyads")
 RDPG_INTERCEPT_PAIRS = 200_000
@@ -51,14 +48,12 @@ KMEANS_ROUNDS = 10
 # DegHist's node bins (degree deciles) and BPS_Ridge's penalty
 DEGHIST_BINS = 10
 RIDGE_REG = 1e-3
-# the parts of default_generator(), the agents of s1 and s2; their least
-# squares design has an intercept column and one column per agent
-AGENT_NAMES_SYNTH = ("Block", "LowRank", "Product")
-SYNTH_COLUMNS = 1 + len(AGENT_NAMES_SYNTH)
-# s2 trains on S2_DYADS_PER_N * n dyads at each n of n_grid, and least
-# squares needs a dyad per design column at least
+# the least squares design of s1 and s2: an intercept column and one
+# column per part of default_generator()
+SYNTH_COLUMNS = 4
+# s2 trains on S2_DYADS_PER_N * n dyads at each n of S2_N_GRID
+S2_N_GRID = (200, 400, 800, 1200)
 S2_DYADS_PER_N = 3
-_MIN_S2_N = -(-SYNTH_COLUMNS // S2_DYADS_PER_N)
 # keys that earlier configs may still name and that nothing reads: from_dict
 # drops them with a warning
 RETIRED_KEYS = ("m_test",)
@@ -102,9 +97,6 @@ def _grid(entry: _Rule) -> _Rule:
                  f"a nonempty list without repeats, each {entry.description}", grid=True)
 
 
-# s4 fits the tail from k = TAIL_WINDOW[0] on, to TAIL_FIT_MIN_POINTS degrees at least
-_MIN_TAIL_K_MAX = TAIL_WINDOW[0] + TAIL_FIT_MIN_POINTS - 1
-
 # The rule of each ExperimentConfig field, in field order.  A config file can
 # hold any JSON value; a wrong type would crash a runner, and a value out of
 # range would fail only midway, after the run's data is drawn or parsed.
@@ -119,17 +111,9 @@ _CONFIG_RULES = {
     # s1 fits least squares on m_train dyads
     "m_train": _int_at_least(SYNTH_COLUMNS),
     "m_val": _int_at_least(1),
-    "n_grid": _grid(_Rule(lambda v: _is_int(v) and v >= _MIN_S2_N,
-                          f">= {_MIN_S2_N} (an integer), since s2 trains on "
-                          f"{S2_DYADS_PER_N} * n dyads and its least-squares design has "
-                          f"{SYNTH_COLUMNS} columns")),
     "lambda_grid": _grid(_real(lambda v: v > 0, "> 0")),
     "phase_n": _int_at_least(2),
     "phase_reps": _int_at_least(1),
-    "tail_k_max": _Rule(lambda v: _is_int(v) and _MIN_TAIL_K_MAX <= v <= MAX_PMF_SUPPORT,
-                        f">= {_MIN_TAIL_K_MAX}, the smallest support the s4 tail fit can "
-                        f"use, and <= {MAX_PMF_SUPPORT}, the largest degree pmf support "
-                        "(an integer)"),
     "dataset": _Rule(lambda v: v is None or isinstance(v, str), "a string or null"),
     "regimes": _grid(_one_of(SPLIT_REGIMES, "a split regime")),
     "splits_per_regime": _int_at_least(1),
@@ -162,14 +146,10 @@ class ExperimentConfig:
     # synthetic dyad budgets
     m_train: int = 4000
     m_val: int = 1000
-    # S2 learning curve
-    n_grid: tuple = (200, 400, 800, 1200)
     # S3 phase sweep
     lambda_grid: tuple = (0.25, 0.5, 0.75, 1.0, 1.25, 1.5, 2.0, 2.5, 3.0)
     phase_n: int = 20000
     phase_reps: int = 5
-    # S4 heavy tails
-    tail_k_max: int = 100_000
     # real-data protocol
     dataset: str | None = None
     regimes: tuple = SPLIT_REGIMES
@@ -649,7 +629,7 @@ def _run_s2(config: ExperimentConfig, seeds: dict) -> dict:
     # every n's replicates fit in one batch, each with its own m_train
     scored = _score_units(config, cell_design(w_star, parts), seeds,
                           [S2_DYADS_PER_N * n for n, _ in seeds], config.m_val)
-    per_n = {n: {m: [] for m in METHODS} for n in config.n_grid}
+    per_n = {n: {m: [] for m in METHODS} for n in S2_N_GRID}
     for i, (n, _) in enumerate(seeds):
         for method in METHODS:
             per_n[n][method].append(scored[method][i])
@@ -679,17 +659,19 @@ def _run_s3(config: ExperimentConfig, seeds: dict) -> dict:
 
 
 S4_CSV_HEADER = ["pi", "gamma_hat", "r2", "window_lo", "window_hi", "gamma_theory"]
-# s4 fits the tail of (1 - pi) light + pi heavy at each pi.  The light
-# tail's k^-(gamma + 1) is about 1.6e-59 at the window's top k, far from
-# underflow; fit_tail_exponent raises on a ccdf that reaches 0 in its window
+# s4 fits the tail of (1 - pi) light + pi heavy at each pi, both on the
+# degrees 1..S4_K_MAX.  The light tail's k^-(gamma + 1) is about 1.6e-59 at
+# the window's top k, far from underflow; fit_tail_exponent raises on a
+# ccdf that reaches 0 in its window
 S4_PI_GRID = (0.0, 0.1, 0.2, 0.3, 0.4, 0.5)
+S4_K_MAX = 100_000
 S4_GAMMA_LIGHT = 13.7
 S4_GAMMA_HEAVY = 5.0
 
 
 def _run_s4(config: ExperimentConfig, seeds: dict) -> dict:
-    light = power_law_pmf(S4_GAMMA_LIGHT, config.tail_k_max)
-    heavy = power_law_pmf(S4_GAMMA_HEAVY, config.tail_k_max)
+    light = power_law_pmf(S4_GAMMA_LIGHT, S4_K_MAX)
+    heavy = power_law_pmf(S4_GAMMA_HEAVY, S4_K_MAX)
     rows = []
     for pi in S4_PI_GRID:
         mix = mixture_degree_pmf([light, heavy], [1.0 - pi, pi])
@@ -742,7 +724,7 @@ def _unit_keys(config: ExperimentConfig) -> list:
     """The run's seeded units, in spawn order."""
     reps = range(config.replicates)
     return {"s1": [(r,) for r in reps],
-            "s2": [(n, r) for n in config.n_grid for r in reps],
+            "s2": [(n, r) for n in S2_N_GRID for r in reps],
             "s3": [(lam, r) for lam in config.lambda_grid for r in range(config.phase_reps)],
             "s4": [],
             "real": [(regime, s) for regime in config.regimes
@@ -759,6 +741,8 @@ def run_experiment(config: ExperimentConfig) -> RunManifest:
     writes ``failure.json`` (stage, unit, message) in their place; a
     successful run removes a stale ``failure.json``.
     """
+    from . import __version__
+
     out_dir = os.path.join(config.out_dir, config.experiment)
     manifest_path = os.path.join(out_dir, "manifest.json")
     failure_path = os.path.join(out_dir, "failure.json")
@@ -766,7 +750,7 @@ def run_experiment(config: ExperimentConfig) -> RunManifest:
     keys = _unit_keys(config)
     seeds = dict(zip(keys, np.random.SeedSequence(config.base_seed).spawn(len(keys))))
     manifest = RunManifest(config=config.to_dict(), config_hash=config_hash(config),
-                           version=ARTIFACT_VERSION,
+                           version=__version__,
                            units=[{"key": list(k), "spawn_key": list(s.spawn_key)}
                                   for k, s in seeds.items()])
     outputs: list = []

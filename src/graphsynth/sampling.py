@@ -91,10 +91,13 @@ def pair_keys(i, j, n: int) -> np.ndarray:
 
 def _id_pairs(edges) -> np.ndarray:
     """``edges`` as a (k, 2) array of signed integers: a signed integer input
-    as it is, with no copy (int32 ids stay int32), any other one cast to
-    int64."""
+    as it is, with no copy (int32 ids stay int32), an unsigned or empty one
+    cast to int64.  Float and bool ids are rejected: a cast would truncate
+    0.5 to node 0."""
     edges = np.asarray(edges)
     if edges.dtype.kind != "i":
+        if edges.dtype.kind != "u" and edges.size:
+            raise ValueError(f"node ids must be integers, not {edges.dtype}")
         edges = edges.astype(np.int64)
     return edges.reshape(-1, 2)
 
@@ -111,25 +114,28 @@ class GraphSample:
     The edges are distinct pairs (i, j) with i < j in ascending order of
     ``i * n + j``.  Node ids are int32, so ``n`` must be below 2^31; a key
     ``i * n + j`` can exceed 2^31, and ``pair_keys`` forms every one in
-    int64.  The degrees are int64.
+    int64.  The degrees are int64, counted from the edges.
     """
 
     n: int
     edges: np.ndarray = field(repr=False)
-    degrees: np.ndarray = field(repr=False)
+    degrees: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         _check_node_count(self.n)
-        # Checked EDGE_CHECK_ROWS rows at a time, so that the checks'
-        # temporaries stay small next to the edge list; the order check's
-        # slices overlap by one row, so it also compares each slice's first
-        # row with the row before it.
+        # Checked and counted EDGE_CHECK_ROWS rows at a time, so that the
+        # temporaries stay small next to the edge list: ``np.bincount``
+        # takes its input as intp, and at once it would copy the whole edge
+        # list into int64.  The order check's slices overlap by one row, so
+        # it also compares each slice's first row with the row before it.
         e = _id_pairs(self.edges)
         starts = range(0, e.shape[0], EDGE_CHECK_ROWS)
+        self.degrees = np.zeros(self.n, dtype=np.int64)
         for start in starts:
             part = e[start:start + EDGE_CHECK_ROWS]
             if np.any(part[:, 0] >= part[:, 1]) or part.min() < 0 or part.max() >= self.n:
                 raise ValueError("edges must satisfy 0 <= i < j < n")
+            self.degrees += np.bincount(part.ravel(), minlength=self.n)
         for start in starts:
             part = e[max(start - 1, 0):start + EDGE_CHECK_ROWS]
             keys = pair_keys(*part.T, self.n)
@@ -153,22 +159,17 @@ class GraphSample:
 
 def _finish_edges(n, keys) -> GraphSample:
     """Decode ascending, distinct edge keys ``i * n + j`` (each with i < j)
-    into the int32 edge list and count degrees.
+    into the int32 edge list of a GraphSample.
 
     Every sampler produces its keys in ascending order, so the edges come
     out sorted by ``i`` and then by ``j``; ``GraphSample`` rejects any other
-    order.  ``np.bincount`` takes its input as intp, so the degrees are
-    counted EDGE_CHECK_ROWS rows at a time: at once, it would copy the whole
-    edge list into int64.
+    order.
     """
     _check_node_count(n)
     keys = np.asarray(keys, dtype=np.int64)
     edges = np.empty((keys.size, 2), dtype=np.int32)
     np.divmod(keys, n, out=(edges[:, 0], edges[:, 1]))
-    degrees = np.zeros(n, dtype=np.int64)
-    for start in range(0, keys.size, EDGE_CHECK_ROWS):
-        degrees += np.bincount(edges[start:start + EDGE_CHECK_ROWS].ravel(), minlength=n)
-    return GraphSample(n=n, edges=edges, degrees=degrees)
+    return GraphSample(n=n, edges=edges)
 
 
 def graph_from_edge_array(n: int, edges) -> GraphSample:

@@ -10,6 +10,7 @@ import os
 import re
 import subprocess
 import sys
+import tomllib
 import warnings
 import weakref
 from pathlib import Path
@@ -19,6 +20,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import graphsynth
 from graphsynth import (Block, Constant, ConfigError, DyadData, ExperimentConfig, Graphon,
                         StageFailure, agent_dyad_probs,
                         common_refinement, config_hash, default_generator,
@@ -45,8 +47,9 @@ SPARSE_BLOCK = Block([0, 0.5, 1], [[0.08, 0.02], [0.02, 0.08]])
 # it and the value it had
 FIXED_KEYS = {"deghist_bins": ("real", 10), "ridge_reg": ("s1", 1e-3),
               "negpos_ratio": ("real", 3.0), "dyads_per_n": ("s2", 3),
-              "pi_grid": ("s4", [0.0, 0.5]), "gamma_light": ("s4", 13.7),
-              "gamma_heavy": ("s4", 5.0)}
+              "n_grid": ("s2", [200]), "pi_grid": ("s4", [0.0, 0.5]),
+              "gamma_light": ("s4", 13.7), "gamma_heavy": ("s4", 5.0),
+              "tail_k_max": ("s4", 20_000)}
 
 
 def test_config_rejects_unknown_keys(tmp_path, capsys):
@@ -70,12 +73,11 @@ def test_config_rejects_unknown_keys(tmp_path, capsys):
         assert not (tmp_path / "runs").exists()
 
 
-@pytest.mark.parametrize("keys", [{"n_grid": []}, {"lambda_grid": []},
-                                  {"regimes": []}, {"n_grid": [200, 200]},
-                                  {"lambda_grid": [-1, 1]}, {"phase_n": 1},
-                                  {"n_grid": [0, 200]}, {"tail_k_max": 1_000_001}],
-                         ids=["n_grid", "lambda_grid", "regimes", "repeated_n", "lambda",
-                              "phase_n", "n", "tail_k_max_above_support"])
+@pytest.mark.parametrize("keys", [{"lambda_grid": []}, {"regimes": []},
+                                  {"lambda_grid": [0.5, 0.5]}, {"lambda_grid": [-1, 1]},
+                                  {"phase_n": 1}],
+                         ids=["lambda_grid", "regimes", "repeated_lambda", "lambda",
+                              "phase_n"])
 def test_config_rejects_degenerate_values(keys):
     # an empty grid or regime list would run no unit and write NaN summaries;
     # the other values would fail only mid-run, after the data is drawn or
@@ -90,17 +92,17 @@ def test_config_rules_name_every_field_once():
     fields = [f.name for f in dataclasses.fields(ExperimentConfig)]
     assert list(experiments._CONFIG_RULES) == fields
     assert [k for k, rule in experiments._CONFIG_RULES.items() if rule.grid] == [
-        "n_grid", "lambda_grid", "regimes"]
+        "lambda_grid", "regimes"]
 
 
 def test_config_round_trip_and_hash():
-    cfg = ExperimentConfig.from_dict({"experiment": "s2", "replicates": 3,
-                                      "n_grid": [100, 200]})
+    cfg = ExperimentConfig.from_dict({"experiment": "s3", "replicates": 3,
+                                      "lambda_grid": [0.5, 1.0]})
     again = ExperimentConfig.from_dict(cfg.to_dict())
     assert again == cfg
     assert config_hash(again) == config_hash(cfg)
-    other = ExperimentConfig.from_dict({"experiment": "s2", "replicates": 4,
-                                        "n_grid": [100, 200]})
+    other = ExperimentConfig.from_dict({"experiment": "s3", "replicates": 4,
+                                        "lambda_grid": [0.5, 1.0]})
     assert config_hash(other) != config_hash(cfg)
 
 
@@ -436,8 +438,10 @@ def test_metrics_csv_round_trip(tmp_path):
 # experiment runs
 # ---------------------------------------------------------------------------
 
-def test_s4_run_deterministic_outputs(tmp_path):
-    base = {"experiment": "s4", "tail_k_max": 20_000}
+def test_s4_run_deterministic_outputs(tmp_path, monkeypatch):
+    # the pinned digest is of the degree support 1..20,000
+    monkeypatch.setattr(experiments, "S4_K_MAX", 20_000)
+    base = {"experiment": "s4"}
     m1 = run_experiment(ExperimentConfig.from_dict(dict(base, out_dir=str(tmp_path / "a"))))
     m2 = run_experiment(ExperimentConfig.from_dict(dict(base, out_dir=str(tmp_path / "b"))))
     a = (tmp_path / "a" / "s4" / "s4_tails.csv").read_bytes()
@@ -483,8 +487,10 @@ def test_s1_run_deterministic_outputs(tmp_path):
         "8113e32f6ea8fbfad3c6c32932066f03d64fa40938a88684d509821b4426d809")
 
 
-def test_s2_run_deterministic_outputs(tmp_path):
-    base = {"experiment": "s2", "replicates": 2, "n_grid": [200], "m_val": 200}
+def test_s2_run_deterministic_outputs(tmp_path, monkeypatch):
+    # the pinned digest is of the grid (200,)
+    monkeypatch.setattr(experiments, "S2_N_GRID", (200,))
+    base = {"experiment": "s2", "replicates": 2, "m_val": 200}
     for name in ("a", "b"):
         run_experiment(ExperimentConfig.from_dict(dict(base, out_dir=str(tmp_path / name))))
     for fname in ("s2_curve.csv", "s2_summary.json"):
@@ -694,7 +700,7 @@ def _replicate_seeds():
 @pytest.mark.parametrize("m_train, m_val, row_digest", [
     # s1 with replicates 2, m_train 300, m_val 100
     (300, 100, "da1fb506d865aea0e031e339157f5015b9f7649397e721875caba15194d8c77a"),
-    # s2 with replicates 2, n_grid [200] (m_train 3 * 200), m_val 200
+    # s2 with replicates 2, S2_N_GRID (200,) (m_train 3 * 200), m_val 200
     (600, 200, "ef6b4d77ab1e3f3b10117bfc6b3b23f4e929677e242091ed631bf9358a9aef36"),
 ], ids=["s1", "s2"])
 def test_dyad_row_fits_keep_their_digest(m_train, m_val, row_digest):
@@ -889,10 +895,11 @@ SINGULAR_FIT = r"minimum Gram eigenvalue -?\d\.\d{3}e-\d+ below tolerance; use f
 @pytest.mark.parametrize("keys, first", [
     ({"experiment": "s1", "m_train": 4, "replicates": 3, "base_seed": 1}, (0,)),
     ({"experiment": "s1", "m_train": 6, "replicates": 8, "base_seed": 1}, (3,)),
-    # the 6 dyads at n = 2 pass the load check, and land in too few cells
-    ({"experiment": "s2", "n_grid": [50, 2], "replicates": 3, "base_seed": 1}, (2, 0)),
+    # with S2_N_GRID (50, 2), the 6 dyads at n = 2 land in too few cells
+    ({"experiment": "s2", "replicates": 3, "base_seed": 1}, (2, 0)),
 ], ids=["s1_first", "s1_later", "s2"])
-def test_failed_fit_names_the_first_failing_unit(tmp_path, keys, first):
+def test_failed_fit_names_the_first_failing_unit(tmp_path, monkeypatch, keys, first):
+    monkeypatch.setattr(experiments, "S2_N_GRID", (50, 2))
     config = ExperimentConfig.from_dict(dict(keys, out_dir=str(tmp_path)))
     unit = _first_failing_unit(config)
     with pytest.raises(StageFailure) as info:
@@ -1052,15 +1059,16 @@ def test_constant_agent_leaves_the_synthesis_fits_but_not_selection():
     assert not np.all(reduced["BestAgent"] == 0.3)
 
 
-def test_manifest_records_each_unit_seed(tmp_path):
+def test_manifest_records_each_unit_seed(tmp_path, monkeypatch):
+    monkeypatch.setattr(experiments, "S2_N_GRID", (200, 300))
     configs = {
         "s1": ({"replicates": 3, "m_train": 300, "m_val": 100},
                [[0], [1], [2]]),
-        "s2": ({"replicates": 2, "n_grid": [200, 300], "m_val": 200},
+        "s2": ({"replicates": 2, "m_val": 200},
                [[200, 0], [200, 1], [300, 0], [300, 1]]),
         "s3": ({"lambda_grid": [0.5, 2.0], "phase_n": 500, "phase_reps": 2},
                [[0.5, 0], [0.5, 1], [2.0, 0], [2.0, 1]]),
-        "s4": ({"tail_k_max": 20_000, "replicates": 3}, []),
+        "s4": ({"replicates": 3}, []),
     }
     for verb, (keys, expected) in configs.items():
         run_experiment(ExperimentConfig.from_dict(
@@ -1070,6 +1078,17 @@ def test_manifest_records_each_unit_seed(tmp_path):
         units = manifest["units"]
         assert [u["key"] for u in units] == expected
         assert [u["spawn_key"] for u in units] == [[i] for i in range(len(expected))]
+
+
+def test_manifest_version_is_the_package_version(tmp_path):
+    # pyproject.toml holds the one version the package and its runs report
+    with open(Path(__file__).resolve().parent.parent / "pyproject.toml", "rb") as fh:
+        version = tomllib.load(fh)["project"]["version"]
+    manifest = run_experiment(ExperimentConfig.from_dict(
+        {"experiment": "s1", "out_dir": str(tmp_path), "replicates": 1, "m_train": 300,
+         "m_val": 100}))
+    saved = json.loads((tmp_path / "s1" / "manifest.json").read_text())
+    assert manifest.version == saved["version"] == graphsynth.__version__ == version
 
 
 def test_s3_curve_is_the_mean_over_the_manifest_seeds(tmp_path):
@@ -1123,10 +1142,10 @@ def test_s1_mini_run(tmp_path):
     assert summary["BestAgent"]["l2_risk"]["mean"] >= summary["selection_floor"] * (1 - 1e-12)
 
 
-def test_s2_mini_run(tmp_path):
+def test_s2_mini_run(tmp_path, monkeypatch):
+    monkeypatch.setattr(experiments, "S2_N_GRID", (200,))
     cfg = ExperimentConfig.from_dict({"experiment": "s2", "out_dir": str(tmp_path),
-                                      "replicates": 2, "n_grid": [200],
-                                      "m_val": 200})
+                                      "replicates": 2, "m_val": 200})
     run_experiment(cfg)
     lines = (tmp_path / "s2" / "s2_curve.csv").read_text().splitlines()
     assert lines[0].startswith("n,m_train,method")
@@ -1249,8 +1268,8 @@ def test_cli_run_verb_s4(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("keys", [{"phase_n": "big"}, {"m_train": 4000.5},
-                                  {"replicates": True}, {"n_grid": [200, 400.0]},
-                                  {"n_grid": 200}, {"lambda_grid": ["1"]},
+                                  {"replicates": True}, {"phase_n": 20000.0},
+                                  {"lambda_grid": 0.5}, {"lambda_grid": ["1"]},
                                   {"sbm_k": None}, {"out_dir": 3}],
                          ids=["string", "float_count", "bool_count", "float_n",
                               "scalar_grid", "string_lambda", "null_number", "out_dir"])
@@ -1267,9 +1286,7 @@ def test_cli_rejects_a_wrong_typed_config_value(tmp_path, capsys, keys):
     assert not (tmp_path / "s1").exists()
 
 
-@pytest.mark.parametrize("verb, keys", [("s4", {"tail_k_max": 108}), ("s4", {"tail_k_max": 0}),
-                                        ("s4", {"tail_k_max": -1}), ("s1", {"base_seed": -1})],
-                         ids=["tail_k_max_108", "tail_k_max_0", "tail_k_max_-1", "base_seed"])
+@pytest.mark.parametrize("verb, keys", [("s1", {"base_seed": -1})], ids=["base_seed"])
 def test_cli_rejects_an_out_of_range_config_value(tmp_path, capsys, verb, keys):
     # each used to fail mid-run, or at SeedSequence, with a message that
     # did not name the key
@@ -1292,11 +1309,9 @@ CONFIG_KEY_CASES = [
     ("real", "rdpg_d", True, 0),
     ("s1", "m_train", [4000], 0),
     ("s1", "m_val", None, 0),
-    ("s2", "n_grid", [200, "400"], [200, 1]),
     ("s3", "lambda_grid", [0.5, True], [0.5, 0]),
     ("s3", "phase_n", "1000", 1),
     ("s3", "phase_reps", 2.5, 0),
-    ("s4", "tail_k_max", 2e4, 1_000_001),
     ("real", "dataset", 7, None),
     ("real", "regimes", "edge_holdout", ["edge_holdout", "any"]),
     ("real", "splits_per_regime", 1.0, 0),
@@ -1351,39 +1366,7 @@ def test_cli_rejects_a_config_that_is_not_an_object(tmp_path, capsys, text):
     assert not (tmp_path / "s1").exists()
 
 
-def test_s4_runs_on_the_smallest_tail_support(tmp_path):
-    cfg_path = tmp_path / "c.json"
-    cfg_path.write_text(json.dumps({"experiment": "s4", "tail_k_max": 109}))
-    assert cli_main(["s4", "--config", str(cfg_path), "--out", str(tmp_path)]) == 0
-    with open(tmp_path / "s4" / "s4_tails.csv") as fh:
-        rows = list(csv.DictReader(fh))
-    assert {(int(r["window_lo"]), int(r["window_hi"])) for r in rows} == {(100, 109)}
-
-
-@pytest.mark.parametrize("keys, rejected", [
-    ({"n_grid": [200, 1]}, True),
-    ({"experiment": "s1", "n_grid": [1]}, True),
-    ({"n_grid": [2, 400]}, False),
-    ({"n_grid": [200, 2]}, False)])
-def test_s2_rejects_too_few_dyads_at_load(keys, rejected):
-    # s2 fits least squares on S2_DYADS_PER_N * n dyads at each n, with an
-    # intercept and one column per agent; fewer dyads than columns cannot
-    # be fitted.  The rule reads n_grid alone, so every verb checks it
-    assert experiments.SYNTH_COLUMNS == 1 + len(default_generator()[1]) == 4
-    assert experiments.S2_DYADS_PER_N == 3
-    keys = {"experiment": "s2", **keys}
-    if rejected:
-        with pytest.raises(ConfigError, match=r"^n_grid must be .*each >= 2 \(an integer\), "
-                                              r"since s2 trains on 3 \* n dyads"):
-            ExperimentConfig.from_dict(keys)
-    else:
-        ExperimentConfig.from_dict(keys)
-
-
 @pytest.mark.parametrize("verb, keys, message", [
-    ("s2", {"n_grid": [1]},
-     "n_grid must be a nonempty list without repeats, each >= 2 (an integer), since s2 "
-     "trains on 3 * n dyads and its least-squares design has 4 columns, not [1]"),
     ("s1", {"m_train": 3}, "m_train must be >= 4 (an integer), not 3"),
     ("s3", {"lambda_grid": [0.5, 0.5]},
      "lambda_grid must be a nonempty list without repeats, each > 0 (a finite number), "
@@ -1391,11 +1374,13 @@ def test_s2_rejects_too_few_dyads_at_load(keys, rejected):
     ("real", {"regimes": ["edge_holdout", "any"]},
      "regimes must be a nonempty list without repeats, each one of edge_holdout, "
      "node_holdout, uniform_dyads (a split regime), not ['edge_holdout', 'any']")],
-    ids=["s2_n_grid", "s1_m_train", "s3_lambda_grid", "real_regimes"])
+    ids=["s1_m_train", "s3_lambda_grid", "real_regimes"])
 def test_cli_rejects_too_few_dyads_before_writing(tmp_path, capsys, verb, keys, message):
-    # s1 and s2 fit least squares with 4 columns; fewer train dyads fail at
-    # load.  The whole message is pinned, and a grid shows as the list the
-    # config held, not as the tuple from_dict made of it
+    # s1 fits least squares with an intercept and one column per agent;
+    # fewer train dyads than columns fail at load.  The whole message is
+    # pinned, and a grid shows as the list the config held, not as the
+    # tuple from_dict made of it
+    assert experiments.SYNTH_COLUMNS == 1 + len(default_generator()[1]) == 4
     cfg_path = tmp_path / "c.json"
     cfg_path.write_text(json.dumps({"experiment": verb, **keys}))
     assert cli_main([verb, "--config", str(cfg_path), "--out", str(tmp_path)]) == 2

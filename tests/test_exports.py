@@ -191,3 +191,42 @@ def test_every_defaulted_parameter_is_passed_or_listed():
     unpassed = unpassed_parameters()
     assert sorted(unpassed - UNPASSED.keys()) == [], "options that no reader sets"
     assert sorted(UNPASSED.keys() - unpassed) == [], "allowlisted parameters that are now passed"
+
+
+def config_setters(path: Path, skip=()) -> set:
+    """The string keys that ``path`` sets: dict keys, assigned subscript
+    keys and call keywords, outside the line ranges of the nodes in
+    ``skip``."""
+    out = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if any(s.lineno <= getattr(node, "lineno", 0) <= s.end_lineno for s in skip):
+            continue
+        if isinstance(node, ast.keyword):
+            out.add(node.arg)
+            continue
+        keys = (node.keys if isinstance(node, ast.Dict)
+                else [node.slice] if isinstance(node, ast.Subscript)
+                and isinstance(node.ctx, ast.Store) else [])
+        out.update(k.value for k in keys
+                   if isinstance(k, ast.Constant) and isinstance(k.value, str))
+    return out
+
+
+def test_every_config_field_is_set_by_a_run():
+    """Every ``ExperimentConfig`` field is set by some reader other than a
+    unit test: a key that only tests set is a value no run varies, and
+    belongs in a module constant.  The package's own rule table and the
+    class body name every field, so they set nothing here."""
+    source = PACKAGE / "experiments.py"
+    tree = ast.parse(source.read_text())
+    cls = next(node for node in tree.body
+               if isinstance(node, ast.ClassDef) and node.name == "ExperimentConfig")
+    rules = next(node for node in tree.body if isinstance(node, ast.Assign)
+                 and any(getattr(t, "id", None) == "_CONFIG_RULES" for t in node.targets))
+    fields = [item.target.id for item in cls.body if isinstance(item, ast.AnnAssign)]
+    set_keys = config_setters(source, skip=(cls, rules))
+    # the benchmark harness, without its own tests
+    for path in READERS + [p for p in BENCHMARK if p.parent.name != "tests"]:
+        if path != source:
+            set_keys |= config_setters(path)
+    assert [f for f in fields if f not in set_keys] == [], "config fields only tests set"

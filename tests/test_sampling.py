@@ -13,8 +13,9 @@ from hypothesis import strategies as st
 from graphsynth import (Block, Constant, DyadData, default_generator, functionals,
                         giant_fraction, graph_statistics, make_rng, make_split,
                         phase_sweep, sample_dyads, sample_graph, sample_sparse_graph)
-from graphsynth.sampling import (EDGE_CHECK_ROWS, GraphSample, component_labels,
-                                 graph_from_edge_array, in_sorted, pair_keys, unique_keys)
+from graphsynth.sampling import (EDGE_CHECK_ROWS, GraphSample, _check_node_count,
+                                 component_labels, graph_from_edge_array, in_sorted,
+                                 pair_keys, unique_keys)
 
 TWO_BLOCK = Block([0, 0.5, 1], [[0.8, 0.1], [0.1, 0.8]])
 
@@ -119,10 +120,43 @@ def test_graph_from_edge_array_rejects_out_of_range_ids():
         graph_from_edge_array(3, [[-1, 2]])
 
 
+@pytest.mark.parametrize("ids", [np.array([[0.5, 1.9]]), np.array([[0, 1]], dtype=float),
+                                 np.array([[False, True]])], ids=["fraction", "float", "bool"])
+def test_node_ids_must_be_integers(ids):
+    # a cast to int64 would read 0.5 and 1.9 as the edge (0, 1)
+    for build in (lambda: graph_from_edge_array(3, ids), lambda: GraphSample(n=3, edges=ids)):
+        with pytest.raises(ValueError, match="node ids must be integers"):
+            build()
+
+
+def test_unsigned_and_empty_ids_load():
+    g = graph_from_edge_array(3, np.array([[2, 0]], dtype=np.uint64))
+    np.testing.assert_array_equal(g.edges, [[0, 2]])
+    # np.asarray([]) is float64, and holds no id to truncate
+    assert graph_from_edge_array(3, []).n_edges == 0
+    assert GraphSample(n=3, edges=np.array([[0, 2]], dtype=np.uint8)).edges.dtype == np.int32
+
+
+@pytest.mark.parametrize("dtype", [np.int32, np.int64])
+def test_graph_sample_counts_its_degrees(dtype):
+    """GraphSample takes no degrees: it counts them from its edges, in the
+    slices of EDGE_CHECK_ROWS rows that it checks, so a graph cannot carry
+    degrees its edges contradict."""
+    np.testing.assert_array_equal(GraphSample(n=3, edges=[[0, 2]]).degrees, [1, 0, 1])
+    # a path and a star on node 0, each over three slices: the path's
+    # nodes at a boundary are counted in two slices, the star's centre in all
+    k = np.arange(2 * EDGE_CHECK_ROWS + 3, dtype=dtype)
+    n = k.size + 1
+    for edges in (np.stack([k, k + 1], axis=1), np.stack([0 * k, k + 1], axis=1)):
+        g = GraphSample(n=n, edges=edges)
+        assert g.degrees.dtype == np.int64
+        np.testing.assert_array_equal(g.degrees, np.bincount(edges.ravel(), minlength=n))
+
+
 def test_graph_sample_rejects_unsorted_or_repeated_edges():
     for edges in ([[1, 2], [0, 1]], [[0, 2], [0, 1]], [[0, 1], [0, 1]]):
         with pytest.raises(ValueError, match="distinct and sorted"):
-            GraphSample(n=3, edges=np.asarray(edges), degrees=np.zeros(3, dtype=np.int64))
+            GraphSample(n=3, edges=np.asarray(edges))
 
 
 @pytest.mark.parametrize("row", [EDGE_CHECK_ROWS - 1, EDGE_CHECK_ROWS],
@@ -135,8 +169,7 @@ def test_graph_sample_rejects_a_bad_pair_at_a_check_slice_boundary(row, fault):
     row."""
     k = np.arange(2 * EDGE_CHECK_ROWS + 3)
     edges = np.stack([k, k + 1], axis=1)
-    degrees = np.zeros(k.size + 1, dtype=np.int64)
-    GraphSample(n=k.size + 1, edges=edges.copy(), degrees=degrees)
+    GraphSample(n=k.size + 1, edges=edges.copy())
     if fault == "out_of_order":
         edges[[row - 1, row]] = edges[[row, row - 1]]
     elif fault == "repeated":
@@ -145,7 +178,7 @@ def test_graph_sample_rejects_a_bad_pair_at_a_check_slice_boundary(row, fault):
         edges[row] = edges[row, ::-1]
     match = "0 <= i < j < n" if fault == "i_not_below_j" else "distinct and sorted"
     with pytest.raises(ValueError, match=match):
-        GraphSample(n=k.size + 1, edges=edges, degrees=degrees)
+        GraphSample(n=k.size + 1, edges=edges)
 
 
 # at n = 50,000 a key i * n + j reaches n^2 = 2.5e9, past the int32 range:
@@ -177,15 +210,15 @@ def test_int32_ids_form_keys_in_int64():
 
     # GraphSample's order check: the sorted list passes, and a swap of two
     # rows is rejected, both between and across the rows whose keys pass 2^31
-    GraphSample(n=n, edges=g.edges, degrees=g.degrees)
-    GraphSample(n=n, edges=g.edges.astype(np.int64), degrees=g.degrees)
+    GraphSample(n=n, edges=g.edges)
+    GraphSample(n=n, edges=g.edges.astype(np.int64))
     past = int(np.searchsorted(keys, 2 ** 31))
     for a, b in ((past - 1, past), (past, past + 1), (0, keys.size - 1)):
         swapped = g.edges.copy()
         swapped[[a, b]] = swapped[[b, a]]
         assert np.any(np.diff(_oracle_keys(swapped, n)) <= 0)
         with pytest.raises(ValueError, match="distinct and sorted"):
-            GraphSample(n=n, edges=swapped, degrees=g.degrees)
+            GraphSample(n=n, edges=swapped)
 
     sparse = sample_sparse_graph(TWO_BLOCK, n, 1.5, seed=32)
     sparse_keys = _oracle_keys(sparse.edges, n)
@@ -218,13 +251,13 @@ def test_int32_ids_form_keys_in_int64():
 
 def test_graph_sample_rejects_a_node_count_past_int32():
     with pytest.raises(ValueError, match=r"n < 2\*\*31"):
-        GraphSample(n=2 ** 31, edges=np.zeros((0, 2), dtype=np.int32),
-                    degrees=np.zeros(0, dtype=np.int64))
+        GraphSample(n=2 ** 31, edges=np.zeros((0, 2), dtype=np.int32))
     # rejected before the degrees are counted
     with pytest.raises(ValueError, match=r"n < 2\*\*31"):
         graph_from_edge_array(2 ** 31, [[0, 1]])
-    assert GraphSample(n=2 ** 31 - 1, edges=[[0, 2 ** 31 - 2]],
-                       degrees=np.zeros(0, dtype=np.int64)).edges.dtype == np.int32
+    # the largest node count passes; a graph at it would count 2^31 - 1
+    # degrees (16 GiB), so it is not built
+    _check_node_count(2 ** 31 - 1)
 
 
 def test_dense_sampler_peak_memory():
